@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, geoffrion, kkt, pareto, support
+from . import __version__, geoffrion, kkt, support
 from .errors import (
     AnalysisError,
     BoxTooSmall,
@@ -170,6 +171,8 @@ def _parse_vector(text: str, expected: int, what: str) -> tuple[float, ...]:
         raise SchemaError(f"{what}: could not parse {text!r} as a comma-separated vector") from None
     if len(values) != expected:
         raise SchemaError(f"{what}: expected {expected} coordinates, got {len(values)}")
+    if not all(math.isfinite(v) for v in values):
+        raise SchemaError(f"{what}: coordinates must be finite, got {text!r}")
     return values
 
 
@@ -232,10 +235,6 @@ def _analysis_cloud(problem, specs: list[_PointSpec], cfg: Config) -> PointCloud
 
 # ---------------------------------------------------------------------------
 # record builders
-
-def _efficiency_record(cloud: PointCloud, spec: _PointSpec) -> bool:
-    return not any(pareto.dominates(y, spec.criterion) for y in cloud.points)
-
 
 def _proper_dict(report: geoffrion.ProperEfficiencyReport) -> dict:
     out = {
@@ -332,12 +331,14 @@ def _kkt_dicts(problem, spec: _PointSpec, cfg: Config) -> dict:
 
 
 def _classify_record(problem, cloud, spec: _PointSpec, cfg: Config) -> dict:
+    report = geoffrion.proper_efficiency_report(cloud, spec.criterion)
     record: dict = {
         "decision": list(spec.decision) if spec.decision is not None else None,
         "criterion": list(spec.criterion),
-        "efficient": _efficiency_record(cloud, spec),
+        # 'dominated' is exactly "some sample point dominates the reference";
+        # the divergence probe below never sets or clears it
+        "efficient": report.status != geoffrion.DOMINATED,
     }
-    report = geoffrion.proper_efficiency_report(cloud, spec.criterion)
     divergence = None
     if isinstance(problem, AnalyticProblem) and spec.decision is not None:
         evidence = geoffrion.divergence_probe(
@@ -367,7 +368,7 @@ def _support_record(problem, cloud, spec: _PointSpec, cfg: Config) -> dict:
         record["trend"] = _trend_dict(trend)
         supported = trend.verdict == support.PERSISTENT
     if supported:
-        record["witness"] = _build_witness_dict(problem, spec, cfg)
+        record["witness"] = _build_witness_dict(problem, spec, cfg, cloud, margin)
     return record
 
 
@@ -379,9 +380,15 @@ def _witness_cloud(problem, spec: _PointSpec, cfg: Config) -> PointCloud:
     return _analysis_cloud(problem, [spec], capped)
 
 
-def _build_witness_dict(problem, spec: _PointSpec, cfg: Config) -> dict | None:
+def _build_witness_dict(
+    problem, spec: _PointSpec, cfg: Config, analysis_cloud: PointCloud,
+    analysis_margin: support.MarginReport,
+) -> dict | None:
     cloud = _witness_cloud(problem, spec, cfg)
-    margin = support.support_margin(cloud, spec.criterion, tol=cfg.tol_lp)
+    if cloud is analysis_cloud:  # input clouds are analysed as they are
+        margin = analysis_margin
+    else:
+        margin = support.support_margin(cloud, spec.criterion, tol=cfg.tol_lp)
     if margin.weights is None:
         return None
     box = _witness_box(cloud, spec.criterion)

@@ -3,10 +3,16 @@
 Maximization convention throughout: a dominates b when a >= b componentwise
 and a != b. Points with equal criterion vectors never dominate each other, so
 duplicates of an efficient value all survive the filter.
+
+The filter sorts the distinct vectors and sweeps them against the running
+front (Kung, Luccio and Preparata, J. ACM 1975): O(N log N) for up to three
+criteria, O(N F) against a front of F vectors beyond that. NaN coordinates
+are rejected, since a NaN vector is neither dominated nor dominating.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from enum import Enum
 
 import numpy as np
@@ -46,43 +52,66 @@ def dominates(a, b) -> bool:
 def pareto_filter(cloud) -> list[int]:
     """Indices of points not dominated by any other point, in ascending order.
 
-    Uses a sort-based scan for two criteria and a vectorized pairwise check
-    otherwise.
+    Equal vectors are merged first (``-0.0`` equals ``0.0``) and the distinct
+    vectors are visited in lexicographically descending order, so every
+    vector that dominates ``v`` is visited before ``v``; ``v`` is kept unless
+    an already-kept vector dominates it. For p <= 3 that test is a search in a
+    2-D staircase, O(N log N) in all; for p >= 4 it is one numpy pass over the
+    kept front, O(N F p) for a front of F vectors. ``+-inf`` coordinates are
+    ordinary values; a NaN coordinate raises ``ValueError`` naming its row.
     """
-    rows = point_rows(cloud)
-    if len(rows[0]) == 2:
-        return _filter_two_criteria(rows)
-    return _filter_general(rows)
+    pts = np.asarray(point_rows(cloud), dtype=float)
+    nan_rows = np.flatnonzero(np.isnan(pts).any(axis=1))
+    if nan_rows.size:
+        raise ValueError(f"point {int(nan_rows[0])} has a NaN coordinate")
+    distinct, inverse = np.unique(pts, axis=0, return_inverse=True)
+    sweep = _staircase_sweep if pts.shape[1] <= 3 else _front_sweep
+    kept = sweep(distinct[::-1])[::-1]
+    return np.flatnonzero(kept[inverse.reshape(-1)]).tolist()
 
 
-def _filter_two_criteria(rows) -> list[int]:
-    # Descending by first criterion, then by second; a point survives iff it
-    # has the best second coordinate of its first-coordinate group and beats
-    # every group with a strictly larger first coordinate.
-    order = sorted(range(len(rows)), key=lambda i: (-rows[i][0], -rows[i][1]))
-    keep: list[int] = []
-    best_second = -np.inf
-    i = 0
-    while i < len(order):
-        j = i
-        first = rows[order[i]][0]
-        while j < len(order) and rows[order[j]][0] == first:
-            j += 1
-        group = order[i:j]
-        group_best = rows[group[0]][1]
-        if group_best > best_second:
-            keep.extend(idx for idx in group if rows[idx][1] == group_best)
-            best_second = group_best
-        i = j
-    return sorted(keep)
+def _staircase_sweep(desc: np.ndarray) -> np.ndarray:
+    """Kept mask of distinct vectors with p <= 3, given in descending
+    lexicographic order.
+
+    Padded to (y0, y1, y2), an earlier vector u already has u0 >= v0, so u
+    dominates v iff u1 >= v1 and u2 >= v2. The kept vectors' (y1, y2) maxima
+    form a staircase: ``firsts`` strictly increasing, ``neg_seconds`` (the
+    negated y2) strictly increasing too.
+    """
+    n, p = desc.shape
+    padded = np.zeros((n, 3))
+    padded[:, :p] = desc
+    firsts: list[float] = []
+    neg_seconds: list[float] = []
+    kept = np.zeros(n, dtype=bool)
+    for k, (_, a, b) in enumerate(padded.tolist()):
+        # the step with the smallest first >= a has the largest second there
+        i = bisect_left(firsts, a)
+        if i < len(firsts) and -neg_seconds[i] >= b:
+            continue
+        kept[k] = True
+        # drop the steps (first <= a, second <= b) that (a, b) now covers
+        hi = bisect_right(firsts, a)
+        lo = bisect_left(neg_seconds, -b, 0, hi)
+        firsts[lo:hi] = [a]
+        neg_seconds[lo:hi] = [-b]
+    return kept
 
 
-def _filter_general(rows) -> list[int]:
-    pts = np.asarray(rows, dtype=float)
-    keep = []
-    for i in range(len(pts)):
-        ge = (pts >= pts[i]).all(axis=1)
-        ne = (pts != pts[i]).any(axis=1)
-        if not np.any(ge & ne):
-            keep.append(i)
-    return keep
+def _front_sweep(desc: np.ndarray) -> np.ndarray:
+    """Kept mask of distinct vectors of any p, given in descending
+    lexicographic order: each vector is compared with the kept front only."""
+    n = len(desc)
+    tails = desc[:, 1:]
+    front = np.empty_like(tails)
+    size = 0
+    kept = np.zeros(n, dtype=bool)
+    for k in range(n):
+        # earlier vectors already have y0 >= v0 and differ from v
+        if size and (front[:size] >= tails[k]).all(axis=1).any():
+            continue
+        kept[k] = True
+        front[size] = tails[k]
+        size += 1
+    return kept

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from paretocert import cli
+from paretocert import cli, pareto
 
 SOLAND = {
     "type": "analytic",
@@ -101,6 +102,21 @@ def test_support_on_cloud_point_outside_hull(cloud_file, capsys):
     assert record["margin"]["margin"] > 0  # every cut is slack from above
 
 
+def test_cloud_witness_reuses_the_margin_lp(cloud_file, capsys, monkeypatch):
+    calls = []
+    solve = cli.support.support_margin
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli.support, "support_margin", counting)
+    code, out, _ = _run(capsys, "support", cloud_file, "--point", "1,0")
+    assert code == 0
+    assert json.loads(out)["points"][0]["witness"]["verification"]["all_passed"] is True
+    assert len(calls) == 1
+
+
 def test_kkt_obstruction(soland_file, capsys):
     code, out, _ = _run(capsys, "kkt", soland_file, "--point", "0,0")
     assert code == 0
@@ -144,6 +160,31 @@ def test_missing_file_exits_2(capsys):
 def test_malformed_point_exits_2(soland_file, capsys):
     code, _, err = _run(capsys, "kkt", soland_file, "--point", "fish")
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["nan,0", "inf,0", "0,-inf"])
+def test_non_finite_point_exits_2(cloud_file, capsys, text):
+    code, _, err = _run(capsys, "report", cloud_file, f"--point={text}")
+    assert code == 2
+    assert "finite" in err
+
+
+def test_efficient_matches_pairwise_dominance_loop(tmp_path, capsys):
+    rng = np.random.default_rng(11)
+    for case in range(40):
+        p = int(rng.integers(2, 5))
+        # small integer coordinates create ties, duplicates and references
+        # equal to cloud points
+        points = rng.integers(-2, 3, size=(int(rng.integers(1, 30)), p)).tolist()
+        refs = points[:3] + rng.integers(-2, 3, size=(4, p)).tolist()
+        path = tmp_path / f"cloud{case}.json"
+        path.write_text(json.dumps({"type": "cloud", "criterion_dim": p, "points": points}))
+        flags = ["--point=" + ",".join(str(v) for v in ref) for ref in refs]
+        code, out, _ = _run(capsys, "classify", str(path), *flags)
+        assert code == 0
+        for record in json.loads(out)["points"]:
+            dominated = any(pareto.dominates(y, record["criterion"]) for y in points)
+            assert record["efficient"] is not dominated
 
 
 def test_witness_command(soland_file, capsys):

@@ -89,14 +89,60 @@ def test_filter_matches_brute_force_on_random_clouds():
         assert pareto.pareto_filter(cloud) == brute_force_filter(cloud)
 
 
-def test_two_criteria_path_agrees_with_general_path():
+def test_filter_matches_brute_force_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # a small pool of values makes ties and duplicates common
+    coordinate = st.sampled_from(
+        [-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf]
+    ) | st.floats(allow_nan=False)
+    clouds = st.integers(1, 5).flatmap(
+        lambda p: st.lists(st.tuples(*[coordinate] * p), min_size=1, max_size=300)
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(clouds)
+    def check(cloud):
+        assert pareto.pareto_filter(cloud) == brute_force_filter(cloud)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "cloud",
+    [
+        [(1.0, 1.0), (np.nan, 0.0), (0.0, 0.0)],
+        [(1.0, 1.0, 1.0), (0.0, np.nan, 2.0), (np.nan, 0.0, 0.0)],
+    ],
+)
+def test_nan_coordinate_rejected(cloud):
+    with pytest.raises(ValueError, match="point 1 "):
+        pareto.pareto_filter(cloud)
+
+
+def test_staircase_agrees_with_front_sweep():
     rng = np.random.default_rng(99)
     for _ in range(100):
         n = int(rng.integers(1, 200))
-        cloud = _random_cloud(rng, n, 2)
-        assert pareto._filter_two_criteria(problems.point_rows(cloud)) == sorted(
-            pareto._filter_general(problems.point_rows(cloud))
-        )
+        p = int(rng.integers(1, 4))
+        desc = np.unique(np.asarray(_random_cloud(rng, n, p)), axis=0)[::-1]
+        assert np.array_equal(pareto._staircase_sweep(desc), pareto._front_sweep(desc))
+
+
+def test_large_three_criteria_cloud_keeps_exactly_the_surface():
+    # half the points lie on the concave surface y2 = -(y0^2 + y1^2), on which
+    # no point dominates another; the other half are surface points pushed
+    # down by a nonnegative, nonzero shift, each dominated by its origin
+    rng = np.random.default_rng(80000)
+    half = 40000
+    uv = rng.random((half, 2))
+    surface = np.column_stack([uv, -(uv[:, 0] ** 2 + uv[:, 1] ** 2)])
+    shift = rng.random((half, 3)) * 0.2
+    shift[np.arange(half), rng.integers(3, size=half)] += 0.01
+    shifted = surface[rng.integers(half, size=half)] - shift
+    order = rng.permutation(2 * half)
+    cloud = np.vstack([surface, shifted])[order]
+    assert pareto.pareto_filter(cloud) == np.flatnonzero(order < half).tolist()
 
 
 def test_filter_invariant_under_permutation():
