@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +41,10 @@ from .problems import (
     AxisSpec,
     GridSpec,
     PointCloud,
-    RefinementSchedule,
     builtin,
+    cut_grid,
     load_problem,
+    refinement_ladder,
     sample_criterion_space,
 )
 
@@ -61,8 +62,23 @@ _INPUT_ERRORS = (
 _NUMERICAL_ERRORS = (NumericalBreakdown, DomainError, NonDifferentiable)
 
 
+def _setting(default, help_text: str, *aliases: str, at_least: int):
+    """A setting whose flag has help text, aliases or a lower bound."""
+    return field(
+        default=default,
+        metadata={"help": help_text, "aliases": aliases, "at_least": at_least},
+    )
+
+
 @dataclass(frozen=True)
 class Config:
+    """Analysis settings. Each field is the command-line flag ``--<name>``
+    (underscores as dashes), parsed with the type of its default."""
+
+    levels: int = _setting(
+        20, "refinement levels for divergence and margin trends", "--refine", at_least=1
+    )
+    grid: int = _setting(257, "uniform sample resolution per decision dimension", at_least=1)
     tol_feas: float = 1e-9
     tol_active: float = 1e-7
     tol_rank: float = 1e-8
@@ -71,22 +87,10 @@ class Config:
     persistent_threshold: float = 1e-3
     growth_factor: float = 1e3
     tie_tol: float = 1e-12
-    levels: int = 20
-    grid: int = 257
 
-    def as_dict(self) -> dict:
-        return {
-            "tol_feas": self.tol_feas,
-            "tol_active": self.tol_active,
-            "tol_rank": self.tol_rank,
-            "tol_lp": self.tol_lp,
-            "tol_obstruction": self.tol_obstruction,
-            "persistent_threshold": self.persistent_threshold,
-            "growth_factor": self.growth_factor,
-            "tie_tol": self.tie_tol,
-            "levels": self.levels,
-            "grid": self.grid,
-        }
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,40 +123,22 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="X",
             help="decision-space point (repeatable)",
         )
-        sp.add_argument("--levels", "--refine", dest="levels", type=int, default=20,
-                        help="refinement levels for divergence and margin trends")
-        sp.add_argument("--grid", type=int, default=257,
-                        help="uniform sample resolution per decision dimension")
-        sp.add_argument("--tol-feas", type=float, default=1e-9)
-        sp.add_argument("--tol-active", type=float, default=1e-7)
-        sp.add_argument("--tol-rank", type=float, default=1e-8)
-        sp.add_argument("--tol-lp", type=float, default=1e-8)
-        sp.add_argument("--tol-obstruction", type=float, default=1e-9)
-        sp.add_argument("--persistent-threshold", type=float, default=1e-3)
-        sp.add_argument("--growth-factor", type=float, default=1e3)
-        sp.add_argument("--tie-tol", type=float, default=1e-12)
+        for f in fields(Config):
+            sp.add_argument(
+                _flag(f.name), *f.metadata.get("aliases", ()), dest=f.name,
+                type=type(f.default), default=f.default, help=f.metadata.get("help"),
+            )
         sp.add_argument("--out", metavar="FILE", help="write the JSON report here instead of stdout")
         sp.add_argument("--csv", metavar="DIR", help="write CSV extracts (samples, trends) here")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> Config:
-    if args.levels < 1:
-        raise SchemaError("--levels must be at least 1")
-    if args.grid < 1:
-        raise SchemaError("--grid must be at least 1")
-    return Config(
-        tol_feas=args.tol_feas,
-        tol_active=args.tol_active,
-        tol_rank=args.tol_rank,
-        tol_lp=args.tol_lp,
-        tol_obstruction=args.tol_obstruction,
-        persistent_threshold=args.persistent_threshold,
-        growth_factor=args.growth_factor,
-        tie_tol=args.tie_tol,
-        levels=args.levels,
-        grid=args.grid,
-    )
+    for f in fields(Config):
+        at_least = f.metadata.get("at_least")
+        if at_least is not None and getattr(args, f.name) < at_least:
+            raise SchemaError(f"{_flag(f.name)} must be at least {at_least}")
+    return Config(**{f.name: getattr(args, f.name) for f in fields(Config)})
 
 
 def _load(source: str):
@@ -176,10 +162,11 @@ def _parse_vector(text: str, expected: int, what: str) -> tuple[float, ...]:
     return values
 
 
-def _locate_decision(problem: AnalyticProblem, y_ref) -> tuple[float, ...]:
+def _locate_decision(problem: AnalyticProblem, y_ref, cfg: Config) -> tuple[float, ...]:
     """Nearest decision (by image) on a fixed fine grid; deterministic."""
     resolution = {1: 1025, 2: 65}.get(problem.decision_dim, 17)
-    cloud = sample_criterion_space(problem, GridSpec.uniform(problem.decision_dim, resolution))
+    grid = GridSpec.uniform(problem.decision_dim, resolution)
+    cloud = sample_criterion_space(problem, grid, tol_feas=cfg.tol_feas)
     target = np.asarray(y_ref, dtype=float)
     images = cloud.as_array()
     errors = np.max(np.abs(images - target), axis=1)
@@ -192,7 +179,7 @@ class _PointSpec:
     criterion: tuple[float, ...]
 
 
-def _resolve_points(problem, args: argparse.Namespace) -> list[_PointSpec]:
+def _resolve_points(problem, args: argparse.Namespace, cfg: Config) -> list[_PointSpec]:
     points: list[_PointSpec] = []
     analytic = isinstance(problem, AnalyticProblem)
     for text in args.point_decision:
@@ -205,13 +192,14 @@ def _resolve_points(problem, args: argparse.Namespace) -> list[_PointSpec]:
         points.append(_PointSpec(decision=x, criterion=problem.criteria_at(x)))
     for text in args.point:
         y = _parse_vector(text, problem.criterion_dim, "--point")
-        decision = _locate_decision(problem, y) if analytic else None
+        decision = _locate_decision(problem, y, cfg) if analytic else None
         points.append(_PointSpec(decision=decision, criterion=y))
     if points:
         return points
     if analytic:
         # default probe set: uniform five-point grid per decision dimension
-        cloud = sample_criterion_space(problem, GridSpec.uniform(problem.decision_dim, 5))
+        grid = GridSpec.uniform(problem.decision_dim, 5)
+        cloud = sample_criterion_space(problem, grid, tol_feas=cfg.tol_feas)
         return [
             _PointSpec(decision=d, criterion=y)
             for d, y in zip(cloud.decisions, cloud.points)
@@ -220,17 +208,32 @@ def _resolve_points(problem, args: argparse.Namespace) -> list[_PointSpec]:
     return [_PointSpec(decision=d, criterion=y) for d, y in zip(decisions, problem.points)]
 
 
+def _analysis_grid(
+    problem: AnalyticProblem, specs: list[_PointSpec], grid: int, levels: int
+) -> GridSpec:
+    """The uniform grid joined with every anchor's refinement to ``levels``."""
+    anchors = [s.decision for s in specs if s.decision is not None]
+    return GridSpec(tuple(
+        (AxisSpec.uniform(grid),) + tuple(AxisSpec.geometric(a[d], levels) for a in anchors)
+        for d in range(problem.decision_dim)
+    ))
+
+
 def _analysis_cloud(problem, specs: list[_PointSpec], cfg: Config) -> PointCloud:
+    """The one cloud a command samples; every ladder and witness cloud is cut from it."""
     if isinstance(problem, PointCloud):
         return problem
-    anchors = [s.decision for s in specs if s.decision is not None]
-    axes = []
-    for d in range(problem.decision_dim):
-        group = [AxisSpec.uniform(cfg.grid)]
-        for anchor in anchors:
-            group.append(AxisSpec.geometric(anchor[d], cfg.levels))
-        axes.append(tuple(group))
-    return sample_criterion_space(problem, GridSpec(tuple(axes)), tol_feas=cfg.tol_feas)
+    grid = _analysis_grid(problem, specs, cfg.grid, cfg.levels)
+    return sample_criterion_space(problem, grid, tol_feas=cfg.tol_feas)
+
+
+def _ladder(
+    problem, cloud: PointCloud, spec: _PointSpec, cfg: Config
+) -> tuple[PointCloud, ...] | None:
+    """The anchor's level clouds, or None when there is no decision anchor."""
+    if not isinstance(problem, AnalyticProblem) or spec.decision is None:
+        return None
+    return refinement_ladder(problem, cloud, spec.decision, cfg.levels)
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +333,23 @@ def _kkt_dicts(problem, spec: _PointSpec, cfg: Config) -> dict:
     return payload
 
 
-def _classify_record(problem, cloud, spec: _PointSpec, cfg: Config) -> dict:
-    report = geoffrion.proper_efficiency_report(cloud, spec.criterion)
-    record: dict = {
+def _record_head(spec: _PointSpec) -> dict:
+    return {
         "decision": list(spec.decision) if spec.decision is not None else None,
         "criterion": list(spec.criterion),
-        # 'dominated' is exactly "some sample point dominates the reference";
-        # the divergence probe below never sets or clears it
-        "efficient": report.status != geoffrion.DOMINATED,
     }
+
+
+def _classify_record(problem, cloud, spec: _PointSpec, cfg: Config, ladder) -> dict:
+    report = geoffrion.proper_efficiency_report(cloud, spec.criterion)
+    record = _record_head(spec)
+    # 'dominated' is exactly "some sample point dominates the reference";
+    # the divergence probe below never sets or clears it
+    record["efficient"] = report.status != geoffrion.DOMINATED
     divergence = None
-    if isinstance(problem, AnalyticProblem) and spec.decision is not None:
+    if ladder is not None:
         evidence = geoffrion.divergence_probe(
-            problem,
-            spec.decision,
-            RefinementSchedule(levels=cfg.levels),
-            growth_factor=cfg.growth_factor,
+            ladder, problem.criteria_at(spec.decision), growth_factor=cfg.growth_factor
         )
         report = geoffrion.combine_with_divergence(report, evidence)
         divergence = _divergence_dict(evidence)
@@ -354,49 +358,53 @@ def _classify_record(problem, cloud, spec: _PointSpec, cfg: Config) -> dict:
     return record
 
 
-def _support_record(problem, cloud, spec: _PointSpec, cfg: Config) -> dict:
+def _support_record(problem, cloud, spec: _PointSpec, cfg: Config, ladder) -> dict:
     margin = support.support_margin(cloud, spec.criterion, tol=cfg.tol_lp)
     record: dict = {"margin": _margin_dict(margin), "trend": None, "witness": None}
     supported = margin.weights is not None
-    if isinstance(problem, AnalyticProblem) and spec.decision is not None:
+    if ladder is not None:
         trend = support.support_trend(
-            problem,
-            spec.criterion,
-            RefinementSchedule(levels=cfg.levels, anchor=spec.decision),
-            persistent_threshold=cfg.persistent_threshold,
+            ladder, spec.criterion, persistent_threshold=cfg.persistent_threshold
         )
         record["trend"] = _trend_dict(trend)
         supported = trend.verdict == support.PERSISTENT
     if supported:
-        record["witness"] = _build_witness_dict(problem, spec, cfg, cloud, margin)
+        sample, _, witness = _build_witness_dict(problem, spec, cfg, cloud, margin)
+        if witness is not None:
+            witness["sample_size"] = len(sample)
+        record["witness"] = witness
     return record
 
 
-def _witness_cloud(problem, spec: _PointSpec, cfg: Config) -> PointCloud:
+def _witness_cloud(
+    problem, spec: _PointSpec, cfg: Config, analysis_cloud: PointCloud
+) -> PointCloud:
     # points closer than about 2^-12 to the anchor would shrink the quadratic
     # tie-break below the 1e-12 uniqueness tolerance, so the witness sample
     # caps its refinement depth (margins and trends keep the full depth)
-    capped = replace(cfg, levels=min(cfg.levels, 12))
-    return _analysis_cloud(problem, [spec], capped)
+    if isinstance(problem, PointCloud):  # input clouds are analysed as they are
+        return analysis_cloud
+    grid = _analysis_grid(problem, [spec], cfg.grid, min(cfg.levels, 12))
+    return cut_grid(problem, analysis_cloud, grid)
 
 
 def _build_witness_dict(
     problem, spec: _PointSpec, cfg: Config, analysis_cloud: PointCloud,
-    analysis_margin: support.MarginReport,
-) -> dict | None:
-    cloud = _witness_cloud(problem, spec, cfg)
-    if cloud is analysis_cloud:  # input clouds are analysed as they are
+    analysis_margin: support.MarginReport | None = None,
+) -> tuple[PointCloud, support.MarginReport, dict | None]:
+    """The witness cloud of ``spec``, its margin, and the verified witness
+    (None without positive support weights)."""
+    cloud = _witness_cloud(problem, spec, cfg, analysis_cloud)
+    if cloud is analysis_cloud and analysis_margin is not None:
         margin = analysis_margin
     else:
         margin = support.support_margin(cloud, spec.criterion, tol=cfg.tol_lp)
     if margin.weights is None:
-        return None
+        return cloud, margin, None
     box = _witness_box(cloud, spec.criterion)
     witness = support.build_witness(spec.criterion, margin.weights, box, cloud)
     verification = support.verify_witness(witness, cloud, tie_tol=cfg.tie_tol)
-    out = _witness_dict(witness, verification)
-    out["sample_size"] = len(cloud)
-    return out
+    return cloud, margin, _witness_dict(witness, verification)
 
 
 def _witness_box(cloud: PointCloud, y_ref) -> tuple[tuple[float, float], ...]:
@@ -429,67 +437,59 @@ def _problem_dict(problem, source: str) -> dict:
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_classify(problem, source, specs, cfg: Config) -> dict:
+def _cmd_classify(problem, source, specs, cfg: Config):
     cloud = _analysis_cloud(problem, specs, cfg)
-    records = [_classify_record(problem, cloud, spec, cfg) for spec in specs]
-    return _payload("classify", problem, source, cfg, records, cloud)
+    records = [
+        _classify_record(problem, cloud, spec, cfg, _ladder(problem, cloud, spec, cfg))
+        for spec in specs
+    ]
+    return _payload("classify", problem, source, cfg, records, cloud), cloud
 
 
-def _cmd_support(problem, source, specs, cfg: Config) -> dict:
+def _cmd_support(problem, source, specs, cfg: Config):
     cloud = _analysis_cloud(problem, specs, cfg)
     records = []
     for spec in specs:
-        record = {
-            "decision": list(spec.decision) if spec.decision is not None else None,
-            "criterion": list(spec.criterion),
-        }
-        record.update(_support_record(problem, cloud, spec, cfg))
+        record = _record_head(spec)
+        ladder = _ladder(problem, cloud, spec, cfg)
+        record.update(_support_record(problem, cloud, spec, cfg, ladder))
         records.append(record)
-    return _payload("support", problem, source, cfg, records, cloud)
+    return _payload("support", problem, source, cfg, records, cloud), cloud
 
 
-def _cmd_kkt(problem, source, specs, cfg: Config) -> dict:
+def _cmd_kkt(problem, source, specs, cfg: Config):
     records = []
     for spec in specs:
-        record = {
-            "decision": list(spec.decision) if spec.decision is not None else None,
-            "criterion": list(spec.criterion),
-        }
+        record = _record_head(spec)
         record.update(_kkt_dicts(problem, spec, cfg))
         records.append(record)
-    return _payload("kkt", problem, source, cfg, records, None)
+    return _payload("kkt", problem, source, cfg, records, None), None
 
 
-def _cmd_witness(problem, source, specs, cfg: Config) -> dict:
-    cloud = None
+def _cmd_witness(problem, source, specs, cfg: Config):
+    cloud = _analysis_cloud(problem, specs, cfg)
     records = []
     for spec in specs:
-        cloud = _witness_cloud(problem, spec, cfg)
-        margin = support.support_margin(cloud, spec.criterion, tol=cfg.tol_lp)
-        if margin.weights is None:
+        sample, margin, witness = _build_witness_dict(problem, spec, cfg, cloud)
+        if witness is None:
             raise NotSupported(
                 f"no positive support at {spec.criterion}: margin {margin.margin}"
             )
-        box = _witness_box(cloud, spec.criterion)
-        witness = support.build_witness(spec.criterion, margin.weights, box, cloud)
-        verification = support.verify_witness(witness, cloud, tie_tol=cfg.tie_tol)
-        records.append(
-            {
-                "decision": list(spec.decision) if spec.decision is not None else None,
-                "criterion": list(spec.criterion),
-                "margin": _margin_dict(margin),
-                "witness": _witness_dict(witness, verification),
-            }
-        )
-    return _payload("witness", problem, source, cfg, records, cloud)
+        record = _record_head(spec)
+        record.update({"margin": _margin_dict(margin), "witness": witness})
+        records.append(record)
+    # the sample echoed is the witness cloud of the last point
+    return _payload("witness", problem, source, cfg, records, sample), cloud
 
 
-def _cmd_report(problem, source, specs, cfg: Config) -> dict:
+def _cmd_report(problem, source, specs, cfg: Config):
     cloud = _analysis_cloud(problem, specs, cfg)
     records = []
     for spec in specs:
-        record = _classify_record(problem, cloud, spec, cfg)
-        record["support"] = _support_record(problem, cloud, spec, cfg)
+        # one ladder per record, shared by both analyses and dropped after it
+        ladder = _ladder(problem, cloud, spec, cfg)
+        record = _classify_record(problem, cloud, spec, cfg, ladder)
+        record["support"] = _support_record(problem, cloud, spec, cfg, ladder)
         try:
             record["kkt"] = _kkt_dicts(problem, spec, cfg)
         except (NoConstraintDescription, InfeasiblePoint) as exc:
@@ -497,14 +497,14 @@ def _cmd_report(problem, source, specs, cfg: Config) -> dict:
         except LicqNotVerified as exc:
             record["kkt"] = {"error": f"no conclusion: {exc}", "licq_failed": True}
         records.append(record)
-    return _payload("report", problem, source, cfg, records, cloud)
+    return _payload("report", problem, source, cfg, records, cloud), cloud
 
 
 def _payload(command, problem, source, cfg: Config, records, cloud) -> dict:
     payload = {
         "tool": {"name": "paretocert", "version": __version__},
         "command": command,
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "problem": _problem_dict(problem, source),
         "points": records,
     }
@@ -570,8 +570,9 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         problem, source = _load(args.problem)
-        specs = _resolve_points(problem, args)
-        payload = _COMMANDS[args.command](problem, source, specs, cfg)
+        specs = _resolve_points(problem, args, cfg)
+        # each command returns its report and the cloud it analysed
+        payload, cloud = _COMMANDS[args.command](problem, source, specs, cfg)
     except LicqNotVerified as exc:
         print(f"no conclusion: {exc}", file=sys.stderr)
         return 4
@@ -590,10 +591,6 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     if args.csv:
-        cloud = None
-        if "sample" in payload and args.command != "kkt":
-            # rebuild the cloud for the extract; sampling is deterministic
-            cloud = _analysis_cloud(problem, specs, cfg)
         _write_csv(args.csv, payload, cloud)
     return 0
 

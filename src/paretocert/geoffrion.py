@@ -14,14 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, NotAGain, SchemaError
-from .problems import (
-    AnalyticProblem,
-    AxisSpec,
-    GridSpec,
-    RefinementSchedule,
-    point_rows,
-    sample_criterion_space,
-)
+from .problems import point_rows
 
 DOMINATED = "dominated"
 PROPER = "proper"
@@ -136,43 +129,25 @@ def combine_with_divergence(
     return replace(report, status=status, divergence=evidence)
 
 
-def divergence_probe(
-    problem: AnalyticProblem,
-    x_ref,
-    schedule: RefinementSchedule,
-    *,
-    growth_factor: float = 1e3,
-) -> DivergenceEvidence:
-    """Track the sup ratio bound across geometric refinement toward ``x_ref``.
+def divergence_probe(ladder, y_ref, *, growth_factor: float = 1e3) -> DivergenceEvidence:
+    """Track the sup ratio bound of ``y_ref`` across the level clouds of a
+    refinement ladder (``problems.refinement_ladder``).
 
-    Level k samples decisions at offsets scale * 2^-j, j = 1..k, on both sides
-    of the anchor (clipped to the domain). The growth flag fires when the
+    Level k holds the decisions at offsets 2^-j, j = 1..k, on both sides of
+    the anchor (clipped to the domain). The growth flag fires when the
     sequence is nondecreasing and the last bound exceeds the first by the
     growth factor; the exponent is fitted by log-log regression of the bound
     against the smallest offset.
     """
-    if schedule.levels < 1:
-        raise SchemaError("refinement schedule needs at least one level")
-    anchor = tuple(float(v) for v in x_ref)
-    if len(anchor) != problem.decision_dim:
-        raise DimensionError(
-            f"anchor has length {len(anchor)}, expected {problem.decision_dim}"
-        )
-    y_ref = problem.criteria_at(anchor)
-    levels = []
-    offsets = []
+    if not ladder:
+        raise SchemaError("refinement ladder needs at least one level")
+    levels = tuple(range(1, len(ladder) + 1))
+    offsets = tuple(2.0 ** (-k) for k in levels)
     ratios = []
-    for k in range(1, schedule.levels + 1):
-        axes = tuple(
-            (AxisSpec.geometric(anchor[d], k, schedule.scale),)
-            for d in range(problem.decision_dim)
-        )
-        cloud_k = sample_criterion_space(problem, GridSpec(axes))
+    for cloud_k in ladder:
         report = proper_efficiency_report(cloud_k, y_ref)
         # the bound over compensated directions; dominated levels contribute 0
         ratios.append(report.m_hat if report.m_hat is not None else 0.0)
-        levels.append(k)
-        offsets.append(schedule.scale * 2.0 ** (-k))
     nondecreasing = all(
         ratios[k + 1] >= ratios[k] * (1.0 - 1e-12) for k in range(len(ratios) - 1)
     )
@@ -182,8 +157,8 @@ def divergence_probe(
         growth = nondecreasing and ratios[-1] > 0
     fitted = _fit_exponent(offsets, ratios)
     return DivergenceEvidence(
-        levels=tuple(levels),
-        offsets=tuple(offsets),
+        levels=levels,
+        offsets=offsets,
         ratios=tuple(ratios),
         growth=growth,
         fitted_exponent=fitted,

@@ -3,7 +3,7 @@ ingestion, builtin examples, and deterministic grid sampling.
 
 Both problem kinds are immutable after construction. Sampling always emits
 points in lexicographic grid order, so identical grids give bit-identical
-clouds.
+clouds, and a sub-grid cut out of a sampled cloud equals a fresh sample.
 """
 
 from __future__ import annotations
@@ -133,7 +133,6 @@ class AxisSpec:
     count: int = 0
     anchor: float = 0.0
     levels: int = 0
-    scale: float = 1.0
     values: tuple[float, ...] = ()
 
     @staticmethod
@@ -141,8 +140,9 @@ class AxisSpec:
         return AxisSpec("uniform", count=count)
 
     @staticmethod
-    def geometric(anchor: float, levels: int, scale: float = 1.0) -> "AxisSpec":
-        return AxisSpec("geometric", anchor=float(anchor), levels=levels, scale=float(scale))
+    def geometric(anchor: float, levels: int) -> "AxisSpec":
+        """The anchor and its offsets 2^-k, k = 1..levels, on both sides."""
+        return AxisSpec("geometric", anchor=float(anchor), levels=levels)
 
     @staticmethod
     def explicit(values) -> "AxisSpec":
@@ -160,15 +160,10 @@ class GridSpec:
     def uniform(decision_dim: int, count: int) -> "GridSpec":
         return GridSpec(tuple((AxisSpec.uniform(count),) for _ in range(decision_dim)))
 
-
-@dataclass(frozen=True)
-class RefinementSchedule:
-    """Geometric refinement toward a decision anchor: level k keeps offsets
-    scale * 2^-j for j = 1..k, so the smallest offset at level k is scale * 2^-k."""
-
-    levels: int
-    anchor: tuple[float, ...] | None = None
-    scale: float = 1.0
+    @staticmethod
+    def geometric(anchor, levels: int) -> "GridSpec":
+        """Level ``levels`` of the refinement toward a decision anchor."""
+        return GridSpec(tuple((AxisSpec.geometric(a, levels),) for a in anchor))
 
 
 def _axis_values(spec: AxisSpec, lo: float, hi: float) -> list[float]:
@@ -183,7 +178,7 @@ def _axis_values(spec: AxisSpec, lo: float, hi: float) -> list[float]:
             raise SchemaError(f"geometric anchor {spec.anchor} outside domain [{lo}, {hi}]")
         vals = [spec.anchor]
         for k in range(1, spec.levels + 1):
-            off = spec.scale * 2.0 ** (-k)
+            off = 2.0 ** (-k)
             for v in (spec.anchor - off, spec.anchor + off):
                 if lo <= v <= hi:
                     vals.append(v)
@@ -198,15 +193,8 @@ def _axis_values(spec: AxisSpec, lo: float, hi: float) -> list[float]:
     raise SchemaError(f"unknown axis kind {spec.kind!r}")
 
 
-def sample_criterion_space(
-    problem: AnalyticProblem, grid: GridSpec, *, tol_feas: float = 1e-9
-) -> PointCloud:
-    """Evaluate the criteria over the full grid, in lexicographic grid order.
-
-    When the problem carries a constraint description, every sampled image is
-    checked against it (within ``tol_feas``) so inconsistent descriptions
-    surface immediately.
-    """
+def _grid_axes(problem: AnalyticProblem, grid: GridSpec) -> list[list[float]]:
+    """The sorted, deduplicated values of each decision axis of ``grid``."""
     if len(grid.axes) != problem.decision_dim:
         raise SchemaError(
             f"grid has {len(grid.axes)} axes, problem has {problem.decision_dim} decision dimensions"
@@ -218,9 +206,21 @@ def sample_criterion_space(
         for spec in group:
             merged.update(_axis_values(spec, lo, hi))
         axis_values.append(sorted(merged))
+    return axis_values
+
+
+def sample_criterion_space(
+    problem: AnalyticProblem, grid: GridSpec, *, tol_feas: float = 1e-9
+) -> PointCloud:
+    """Evaluate the criteria over the full grid, in lexicographic grid order.
+
+    When the problem carries a constraint description, every sampled image is
+    checked against it (within ``tol_feas``) so inconsistent descriptions
+    surface immediately.
+    """
     points: list[tuple[float, ...]] = []
     decisions: list[tuple[float, ...]] = []
-    for x in itertools.product(*axis_values):
+    for x in itertools.product(*_grid_axes(problem, grid)):
         y = problem.criteria_at(x)
         if problem.has_constraints:
             g, h = problem.constraint_values(y)
@@ -242,6 +242,47 @@ def sample_criterion_space(
         decisions=tuple(decisions),
         provenance=f"sampled:{problem.digest()[:12]}",
     )
+
+
+def cut_grid(problem: AnalyticProblem, cloud: PointCloud, grid: GridSpec) -> PointCloud:
+    """The nodes of ``grid`` taken from a cloud that ``problem`` was sampled into.
+
+    Equals ``sample_criterion_space(problem, grid)`` point for point and in
+    order, without evaluating anything: axes are clipped the same way and the
+    lexicographic order survives subsetting. Returns ``cloud`` itself when the
+    grid covers all of it; raises SchemaError when a node is missing.
+    """
+    if cloud.decisions is None:
+        raise SchemaError("only a cloud with decisions can be cut")
+    decisions = np.asarray(cloud.decisions, dtype=float)
+    axis_values = _grid_axes(problem, grid)
+    keep = np.logical_and.reduce([np.isin(decisions[:, d], v) for d, v in enumerate(axis_values)])
+    rows = np.flatnonzero(keep)
+    if not np.array_equal(decisions[rows], list(itertools.product(*axis_values))):
+        raise SchemaError("the grid is not contained in the sampled cloud")
+    if len(rows) == len(cloud):
+        return cloud
+    return PointCloud(
+        criterion_dim=cloud.criterion_dim,
+        points=tuple(cloud.points[i] for i in rows),
+        decisions=tuple(cloud.decisions[i] for i in rows),
+        provenance=cloud.provenance,
+    )
+
+
+def refinement_ladder(
+    problem: AnalyticProblem, cloud: PointCloud, anchor, levels: int
+) -> tuple[PointCloud, ...]:
+    """The nested level clouds toward a decision anchor, cut from ``cloud``.
+
+    Level k (at index k - 1) is the grid ``GridSpec.geometric(anchor, k)``:
+    the anchor and its offsets 2^-j, j = 1..k, on both sides, clipped to the
+    domain. ``cloud`` must contain level ``levels``.
+    """
+    deepest = cut_grid(problem, cloud, GridSpec.geometric(anchor, levels))
+    return tuple(
+        cut_grid(problem, deepest, GridSpec.geometric(anchor, k)) for k in range(1, levels)
+    ) + (deepest,)
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,7 @@ import numpy as np
 
 from .errors import BoxTooSmall, NotSupported, NumericalBreakdown, SchemaError
 from .linprog import EQ, GE, LE, lp_instance, solve_lp
-from .problems import (
-    AnalyticProblem,
-    AxisSpec,
-    GridSpec,
-    RefinementSchedule,
-    point_rows,
-    sample_criterion_space,
-)
+from .problems import point_rows
 
 VANISHING = "vanishing"
 PERSISTENT = "persistent"
@@ -152,39 +145,20 @@ def _margin_lp(diffs: np.ndarray, p: int, soft: bool):
     return solve_lp(inst)
 
 
-def support_trend(
-    problem: AnalyticProblem,
-    y_ref,
-    schedule: RefinementSchedule,
-    *,
-    persistent_threshold: float = 1e-3,
-) -> TrendReport:
-    """Margin sequence across geometric refinement toward the schedule anchor.
+def support_trend(ladder, y_ref, *, persistent_threshold: float = 1e-3) -> TrendReport:
+    """Margin sequence of ``y_ref`` across the level clouds of a refinement
+    ladder (``problems.refinement_ladder``).
 
     Level clouds are nested, so the sequence is nonincreasing; the verdict is
     'persistent' when the final margin stays above the threshold and
     'vanishing' otherwise.
     """
-    if schedule.levels < 1:
-        raise SchemaError("refinement schedule needs at least one level")
-    if schedule.anchor is None:
-        raise SchemaError("support trend needs a decision anchor in the schedule")
-    anchor = tuple(float(v) for v in schedule.anchor)
-    ref = tuple(float(v) for v in y_ref)
-    levels = []
-    offsets = []
-    margins = []
-    last: MarginReport | None = None
-    for k in range(1, schedule.levels + 1):
-        axes = tuple(
-            (AxisSpec.geometric(anchor[d], k, schedule.scale),)
-            for d in range(problem.decision_dim)
-        )
-        cloud_k = sample_criterion_space(problem, GridSpec(axes))
-        last = support_margin(cloud_k, ref)
-        levels.append(k)
-        offsets.append(schedule.scale * 2.0 ** (-k))
-        margins.append(last.margin)
+    if not ladder:
+        raise SchemaError("refinement ladder needs at least one level")
+    levels = tuple(range(1, len(ladder) + 1))
+    offsets = tuple(2.0 ** (-k) for k in levels)
+    reports = [support_margin(cloud_k, y_ref) for cloud_k in ladder]
+    margins = tuple(r.margin for r in reports)
     verdict = PERSISTENT if margins[-1] >= persistent_threshold else VANISHING
     positive = [m for m in margins if m > 0]
     fitted = None
@@ -192,15 +166,14 @@ def support_trend(
         fitted = float(
             np.polyfit(np.log(np.asarray(offsets)), np.log(np.asarray(margins)), 1)[0]
         )
-    assert last is not None
     return TrendReport(
-        levels=tuple(levels),
-        offsets=tuple(offsets),
-        margins=tuple(margins),
+        levels=levels,
+        offsets=offsets,
+        margins=margins,
         verdict=verdict,
         threshold=persistent_threshold,
         fitted_exponent=fitted,
-        last=last,
+        last=reports[-1],
     )
 
 

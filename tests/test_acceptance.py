@@ -13,10 +13,16 @@ from paretocert.cli import main as cli_main
 from paretocert.problems import (
     AxisSpec,
     GridSpec,
-    RefinementSchedule,
     builtin,
+    refinement_ladder,
     sample_criterion_space,
 )
+
+
+def ladder(problem, anchor, levels):
+    """The refinement ladder toward ``anchor``, cut from its deepest level."""
+    cloud = sample_criterion_space(problem, GridSpec.geometric(anchor, levels))
+    return refinement_ladder(problem, cloud, anchor, levels)
 
 
 def _report(name, ok=True):
@@ -50,7 +56,7 @@ def test_criterion_2_ratio_is_inverse_decision(soland):
         x = 2.0 ** -k
         ratio = geoffrion.tradeoff_ratio((0.0, 0.0), soland.criteria_at([x]), 0)
         assert abs(ratio - 1.0 / x) <= 1e-9 * (1.0 / x)
-    evidence = geoffrion.divergence_probe(soland, (0.0,), RefinementSchedule(levels=20))
+    evidence = geoffrion.divergence_probe(ladder(soland, (0.0,), 20), (0.0, 0.0))
     assert evidence.ratios == tuple(2.0 ** k for k in range(1, 21))
     assert evidence.growth
     elapsed = time.perf_counter() - start
@@ -104,9 +110,7 @@ def test_criterion_5_margin_law(soland):
         margin = support.support_margin(cloud, (0.0, 0.0)).margin
         x_min = 2.0 ** -k
         assert abs(margin - x_min / (1.0 + x_min)) <= 1e-6
-    trend = support.support_trend(
-        soland, (0.0, 0.0), RefinementSchedule(levels=20, anchor=(0.0,))
-    )
+    trend = support.support_trend(ladder(soland, (0.0,), 20), (0.0, 0.0))
     assert trend.verdict == support.VANISHING
     _report("5 margin law: t* = x_min / (1 + x_min) and the support vanishes")
 

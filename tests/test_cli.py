@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from paretocert import cli, pareto
+from paretocert.problems import AxisSpec, GridSpec, load_problem, sample_criterion_space
 
 SOLAND = {
     "type": "analytic",
@@ -12,6 +13,18 @@ SOLAND = {
     "domain": [[0, 4]],
     "criteria": ["x0^2", "-x0^3"],
     "constraints": {"ineq": ["-y0"], "eq": ["y1 + y0^1.5"]},
+}
+
+PLANE2D = {
+    "type": "analytic",
+    "decision_dim": 2,
+    "criterion_dim": 3,
+    "domain": [[0, 1], [0, 1]],
+    "criteria": ["x0", "x1", "-(x0^2 + x1^2)"],
+    "constraints": {
+        "ineq": ["-y0", "-y1", "y0 - 1", "y1 - 1"],
+        "eq": ["y2 + y0^2 + y1^2"],
+    },
 }
 
 CLOUD = {"type": "cloud", "criterion_dim": 2, "points": [[0, 0], [1, 0]]}
@@ -217,6 +230,65 @@ def test_report_covers_both_landmark_points(soland_file, capsys):
     assert interior["support"]["trend"]["verdict"] == "persistent"
     assert interior["kkt"]["certificate"]["conclusion"] == "no_obstruction"
     assert interior["support"]["witness"]["verification"]["all_passed"] is True
+
+
+@pytest.mark.parametrize(
+    "points", [["--point-decision", "1"], ["--point=1,-1"], []], ids=["decision", "point", "probes"]
+)
+def test_every_sampling_uses_the_feasibility_tolerance(tmp_path, capsys, points):
+    doc = dict(SOLAND, constraints={"ineq": ["-y0"], "eq": ["y1 + y0^3/2 + 0.00000001"]})
+    path = tmp_path / "offset.json"
+    path.write_text(json.dumps(doc))
+    argv = ["report", str(path), *points, "--levels", "6", "--grid", "33"]
+    code, _, err = _run(capsys, *argv)
+    assert code == 2 and "inconsistent" in err  # h = 1e-8 exceeds the default 1e-9
+    code, out, err = _run(capsys, *argv, "--tol-feas", "1e-6")
+    assert code == 0, err
+    for record in json.loads(out)["points"]:
+        assert len(record["divergence"]["ratios"]) == 6
+        assert len(record["support"]["trend"]["margins"]) == 6
+
+
+def test_report_samples_once(soland_file, capsys, monkeypatch):
+    calls = []
+    sample = cli.sample_criterion_space
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_criterion_space", counting)
+    code, _, _ = _run(
+        capsys, "report", soland_file, "--point-decision", "0", "--point-decision", "1",
+        "--levels", "14", "--grid", "33",
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "doc, anchors, grid",
+    [
+        (SOLAND, [(0.0,), (1.6875,), (4.0,)], 65),
+        (PLANE2D, [(0.0, 0.0), (1.0, 0.3), (0.3, 0.6)], 9),
+    ],
+    ids=["soland", "plane2d"],
+)
+def test_witness_cloud_equals_fresh_sampling(doc, anchors, grid):
+    problem = load_problem(json.dumps(doc))
+    cfg = cli.Config(levels=14, grid=grid)
+    specs = [cli._PointSpec(decision=a, criterion=problem.criteria_at(a)) for a in anchors]
+    cloud = cli._analysis_cloud(problem, specs, cfg)
+    for spec in specs:
+        axes = tuple(
+            (AxisSpec.uniform(grid), AxisSpec.geometric(spec.decision[d], 12))
+            for d in range(problem.decision_dim)
+        )
+        fresh = sample_criterion_space(problem, GridSpec(axes))
+        cut = cli._witness_cloud(problem, spec, cfg, cloud)
+        assert repr(cut.points) == repr(fresh.points)
+        assert repr(cut.decisions) == repr(fresh.decisions)
+        assert cut.provenance == fresh.provenance
 
 
 def test_report_is_byte_identical_across_runs(soland_file, tmp_path, capsys):

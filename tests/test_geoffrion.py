@@ -3,7 +3,13 @@ import pytest
 
 from paretocert import geoffrion, problems
 from paretocert.errors import DimensionError, NotAGain, SchemaError
-from paretocert.problems import RefinementSchedule, builtin
+from paretocert.problems import GridSpec, builtin, refinement_ladder, sample_criterion_space
+
+
+def ladder(problem, anchor, levels):
+    """The refinement ladder toward ``anchor``, cut from its deepest level."""
+    cloud = sample_criterion_space(problem, GridSpec.geometric(anchor, levels))
+    return refinement_ladder(problem, cloud, anchor, levels)
 
 
 def brute_force_report(points, y_ref):
@@ -117,7 +123,7 @@ def test_common_positive_scaling_leaves_ratios_unchanged():
 
 def test_divergence_probe_at_zero_doubles_each_level():
     problem = builtin("soland")
-    evidence = geoffrion.divergence_probe(problem, (0.0,), RefinementSchedule(levels=20))
+    evidence = geoffrion.divergence_probe(ladder(problem, (0.0,), 20), (0.0, 0.0))
     assert evidence.ratios == tuple(2.0 ** k for k in range(1, 21))
     assert evidence.growth
     assert evidence.fitted_exponent == pytest.approx(-1.0, abs=0.05)
@@ -128,21 +134,21 @@ def test_divergence_probe_at_zero_doubles_each_level():
 
 def test_divergence_probe_at_interior_point_converges():
     problem = builtin("soland")
-    evidence = geoffrion.divergence_probe(problem, (1.0,), RefinementSchedule(levels=20))
+    evidence = geoffrion.divergence_probe(ladder(problem, (1.0,), 20), (1.0, -1.0))
     assert not evidence.growth
     assert evidence.ratios[-1] == pytest.approx(1.5, abs=1e-4)
 
 
 def test_probe_rejects_empty_schedule():
     with pytest.raises(SchemaError):
-        geoffrion.divergence_probe(builtin("soland"), (0.0,), RefinementSchedule(levels=0))
+        geoffrion.divergence_probe((), (0.0, 0.0))
 
 
 def test_combine_with_divergence_flags_improperness():
     problem = builtin("soland")
     cloud = [problem.criteria_at([2.0 ** -k]) for k in range(1, 11)]
     report = geoffrion.proper_efficiency_report(cloud, (0.0, 0.0))
-    evidence = geoffrion.divergence_probe(problem, (0.0,), RefinementSchedule(levels=15))
+    evidence = geoffrion.divergence_probe(ladder(problem, (0.0,), 15), (0.0, 0.0))
     combined = geoffrion.combine_with_divergence(report, evidence)
     assert combined.status == geoffrion.IMPROPER_SUSPECTED
     assert combined.divergence is evidence

@@ -12,11 +12,17 @@ from paretocert.errors import (
 from paretocert.problems import (
     AxisSpec,
     GridSpec,
-    RefinementSchedule,
     builtin,
     load_problem,
+    refinement_ladder,
     sample_criterion_space,
 )
+
+
+def ladder(problem, anchor, levels):
+    """The refinement ladder toward ``anchor``, cut from its deepest level."""
+    cloud = sample_criterion_space(problem, GridSpec.geometric(anchor, levels))
+    return refinement_ladder(problem, cloud, anchor, levels)
 
 
 def grid_multiplier_oracle(gradients, kinds, resolution=100001):
@@ -184,16 +190,12 @@ def test_verdict_matches_multiplier_grid_on_100_random_two_row_systems():
 def test_obstruction_agrees_with_support_trend_on_the_example():
     problem = builtin("soland")
     corner = kkt.obstruction_test(kkt.active_set(problem, (0.0, 0.0)))
-    trend0 = support.support_trend(
-        problem, (0.0, 0.0), RefinementSchedule(levels=18, anchor=(0.0,))
-    )
+    trend0 = support.support_trend(ladder(problem, (0.0,), 18), (0.0, 0.0))
     assert corner.conclusion == kkt.OBSTRUCTION
     assert trend0.verdict == support.VANISHING
 
     interior = kkt.obstruction_test(kkt.active_set(problem, (1.0, -1.0)))
-    trend1 = support.support_trend(
-        problem, (1.0, -1.0), RefinementSchedule(levels=18, anchor=(1.0,))
-    )
+    trend1 = support.support_trend(ladder(problem, (1.0,), 18), (1.0, -1.0))
     assert interior.conclusion == kkt.NO_OBSTRUCTION
     assert trend1.verdict == support.PERSISTENT
     sigma = np.asarray(interior.sigma)

@@ -19,6 +19,19 @@ SOLAND_DOC = {
     "constraints": {"ineq": ["-y0"], "eq": ["y1 + y0^1.5"]},
 }
 
+# a concave 2-D image whose square domain clips the refinement at edges and corners
+PLANE2D_DOC = {
+    "type": "analytic",
+    "decision_dim": 2,
+    "criterion_dim": 3,
+    "domain": [[0, 1], [0, 1]],
+    "criteria": ["x0", "x1", "-(x0^2 + x1^2)"],
+    "constraints": {
+        "ineq": ["-y0", "-y1", "y0 - 1", "y1 - 1"],
+        "eq": ["y2 + y0^2 + y1^2"],
+    },
+}
+
 
 def test_load_analytic_problem():
     problem = problems.load_problem(json.dumps(SOLAND_DOC))
@@ -146,6 +159,66 @@ def test_grid_axis_count_must_match():
     grid = problems.GridSpec.uniform(2, 3)
     with pytest.raises(SchemaError):
         problems.sample_criterion_space(problem, grid)
+
+
+def joined_grid(problem, anchors, count, levels):
+    """The uniform grid joined with every anchor's refinement to ``levels``."""
+    return problems.GridSpec(tuple(
+        (problems.AxisSpec.uniform(count),)
+        + tuple(problems.AxisSpec.geometric(a[d], levels) for a in anchors)
+        for d in range(problem.decision_dim)
+    ))
+
+
+def assert_same_cloud(cut, fresh):
+    assert repr(cut.points) == repr(fresh.points)  # bit for bit, signed zeros included
+    assert repr(cut.decisions) == repr(fresh.decisions)
+    assert cut.provenance == fresh.provenance
+
+
+@pytest.mark.parametrize(
+    "problem, anchors, count, levels",
+    [
+        (problems.builtin("soland"), [(0.0,), (1.6875,), (4.0,)], 65, 24),
+        (
+            problems.load_problem(json.dumps(PLANE2D_DOC)),
+            [(0.0, 0.0), (1.0, 1.0), (0.0, 0.5), (1.0, 0.3), (0.25, 0.75), (0.3, 0.6)],
+            9,
+            8,
+        ),
+    ],
+    ids=["soland", "plane2d"],
+)
+def test_ladder_levels_equal_fresh_sampling(problem, anchors, count, levels):
+    cloud = problems.sample_criterion_space(problem, joined_grid(problem, anchors, count, levels))
+    for anchor in anchors:
+        ladder = problems.refinement_ladder(problem, cloud, anchor, levels)
+        assert len(ladder) == levels
+        for k, level in enumerate(ladder, start=1):
+            fresh = problems.sample_criterion_space(problem, problems.GridSpec.geometric(anchor, k))
+            assert_same_cloud(level, fresh)
+
+
+def test_cut_of_the_whole_grid_is_the_cloud():
+    problem = problems.builtin("soland")
+    grid = joined_grid(problem, [(1.0,)], 17, 6)
+    cloud = problems.sample_criterion_space(problem, grid)
+    assert problems.cut_grid(problem, cloud, grid) is cloud
+
+
+def test_cutting_a_grid_the_cloud_lacks_raises():
+    problem = problems.builtin("soland")
+    coarse = problems.sample_criterion_space(problem, problems.GridSpec.uniform(1, 3))
+    with pytest.raises(SchemaError):
+        problems.cut_grid(problem, coarse, problems.GridSpec.uniform(1, 5))
+    shallow = problems.sample_criterion_space(problem, problems.GridSpec.geometric((1.0,), 4))
+    with pytest.raises(SchemaError):
+        problems.refinement_ladder(problem, shallow, (1.0,), 5)
+    with pytest.raises(SchemaError):
+        problems.refinement_ladder(problem, shallow, (1.5,), 1)
+    bare = problems.PointCloud(criterion_dim=2, points=coarse.points)
+    with pytest.raises(SchemaError):
+        problems.cut_grid(problem, bare, problems.GridSpec.uniform(1, 3))
 
 
 def test_point_rows_rejects_ragged_input():

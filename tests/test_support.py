@@ -7,11 +7,17 @@ from paretocert.problems import (
     AxisSpec,
     GridSpec,
     PointCloud,
-    RefinementSchedule,
     builtin,
     load_problem,
+    refinement_ladder,
     sample_criterion_space,
 )
+
+
+def ladder(problem, anchor, levels):
+    """The refinement ladder toward ``anchor``, cut from its deepest level."""
+    cloud = sample_criterion_space(problem, GridSpec.geometric(anchor, levels))
+    return refinement_ladder(problem, cloud, anchor, levels)
 
 
 def margin_grid_oracle(points, y_ref, rounds=5, resolution=2001):
@@ -123,9 +129,7 @@ def test_adding_points_never_increases_margin():
 
 def test_trend_vanishes_at_the_improper_point():
     problem = builtin("soland")
-    trend = support.support_trend(
-        problem, (0.0, 0.0), RefinementSchedule(levels=20, anchor=(0.0,))
-    )
+    trend = support.support_trend(ladder(problem, (0.0,), 20), (0.0, 0.0))
     assert trend.verdict == support.VANISHING
     for k, margin in zip(trend.levels, trend.margins):
         x_min = 2.0 ** -k
@@ -134,9 +138,7 @@ def test_trend_vanishes_at_the_improper_point():
 
 def test_trend_persists_at_the_proper_point():
     problem = builtin("soland")
-    trend = support.support_trend(
-        problem, (1.0, -1.0), RefinementSchedule(levels=20, anchor=(1.0,))
-    )
+    trend = support.support_trend(ladder(problem, (1.0,), 20), (1.0, -1.0))
     assert trend.verdict == support.PERSISTENT
     assert trend.margins[-1] == pytest.approx(0.4, abs=1e-4)
     assert trend.last.weights[0] == pytest.approx(0.6, abs=1e-4)
@@ -146,9 +148,7 @@ def test_trend_constant_for_constant_criteria():
     doc = """{"type": "analytic", "decision_dim": 1, "criterion_dim": 2,
                "domain": [[0, 1]], "criteria": ["1 + 0*x0", "2 + 0*x0"]}"""
     problem = load_problem(doc)
-    trend = support.support_trend(
-        problem, (1.0, 2.0), RefinementSchedule(levels=5, anchor=(0.5,))
-    )
+    trend = support.support_trend(ladder(problem, (0.5,), 5), (1.0, 2.0))
     assert trend.margins == (0.5,) * 5
     assert trend.verdict == support.PERSISTENT
 
@@ -156,9 +156,12 @@ def test_trend_constant_for_constant_criteria():
 def test_trend_requires_anchor_and_levels():
     problem = builtin("soland")
     with pytest.raises(SchemaError):
-        support.support_trend(problem, (0.0, 0.0), RefinementSchedule(levels=0, anchor=(0.0,)))
+        support.support_trend((), (0.0, 0.0))
+    cloud = sample_criterion_space(problem, GridSpec.geometric((0.0,), 3))
     with pytest.raises(SchemaError):
-        support.support_trend(problem, (0.0, 0.0), RefinementSchedule(levels=3))
+        refinement_ladder(problem, cloud, (0.0,), 0)
+    with pytest.raises(SchemaError):
+        refinement_ladder(problem, cloud, (), 3)
 
 
 def test_witness_curvature_formula():
