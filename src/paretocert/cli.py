@@ -43,6 +43,7 @@ from .problems import (
     PointCloud,
     builtin,
     cut_grid,
+    grid_nodes,
     load_problem,
     refinement_ladder,
     sample_criterion_space,
@@ -176,7 +177,12 @@ def _locate_decision(problem: AnalyticProblem, y_ref, cfg: Config) -> tuple[floa
 @dataclass(frozen=True)
 class _PointSpec:
     decision: tuple[float, ...] | None
-    criterion: tuple[float, ...]
+    criterion: tuple[float, ...] | None  # None for a default probe until placed
+
+
+def _probe_grid(problem: AnalyticProblem) -> GridSpec:
+    """The default probe set: a uniform five-point grid per decision dimension."""
+    return GridSpec.uniform(problem.decision_dim, 5)
 
 
 def _resolve_points(problem, args: argparse.Namespace, cfg: Config) -> list[_PointSpec]:
@@ -197,12 +203,10 @@ def _resolve_points(problem, args: argparse.Namespace, cfg: Config) -> list[_Poi
     if points:
         return points
     if analytic:
-        # default probe set: uniform five-point grid per decision dimension
-        grid = GridSpec.uniform(problem.decision_dim, 5)
-        cloud = sample_criterion_space(problem, grid, tol_feas=cfg.tol_feas)
+        # placed without sampling; _place_probes gives them their criteria
         return [
-            _PointSpec(decision=d, criterion=y)
-            for d, y in zip(cloud.decisions, cloud.points)
+            _PointSpec(decision=x, criterion=None)
+            for x in grid_nodes(problem, _probe_grid(problem))
         ]
     decisions = problem.decisions or (None,) * len(problem.points)
     return [_PointSpec(decision=d, criterion=y) for d, y in zip(decisions, problem.points)]
@@ -225,6 +229,22 @@ def _analysis_cloud(problem, specs: list[_PointSpec], cfg: Config) -> PointCloud
         return problem
     grid = _analysis_grid(problem, specs, cfg.grid, cfg.levels)
     return sample_criterion_space(problem, grid, tol_feas=cfg.tol_feas)
+
+
+def _place_probes(
+    problem, specs: list[_PointSpec], cloud: PointCloud | None, cfg: Config
+) -> list[_PointSpec]:
+    """The specs with the default probes' criteria cut from the analysis
+    cloud, which holds every probe decision; a command without a cloud
+    samples the probe grid alone."""
+    if all(s.criterion is not None for s in specs):
+        return specs
+    grid = _probe_grid(problem)
+    if cloud is None:
+        probes = sample_criterion_space(problem, grid, tol_feas=cfg.tol_feas)
+    else:
+        probes = cut_grid(problem, cloud, grid)
+    return [_PointSpec(decision=d, criterion=y) for d, y in zip(probes.decisions, probes.points)]
 
 
 def _ladder(
@@ -437,40 +457,37 @@ def _problem_dict(problem, source: str) -> dict:
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_classify(problem, source, specs, cfg: Config):
-    cloud = _analysis_cloud(problem, specs, cfg)
+def _cmd_classify(problem, source, specs, cfg: Config, cloud: PointCloud):
     records = [
         _classify_record(problem, cloud, spec, cfg, _ladder(problem, cloud, spec, cfg))
         for spec in specs
     ]
-    return _payload("classify", problem, source, cfg, records, cloud), cloud
+    return _payload("classify", problem, source, cfg, records, cloud)
 
 
-def _cmd_support(problem, source, specs, cfg: Config):
-    cloud = _analysis_cloud(problem, specs, cfg)
+def _cmd_support(problem, source, specs, cfg: Config, cloud: PointCloud):
     records = []
     for spec in specs:
         record = _record_head(spec)
         ladder = _ladder(problem, cloud, spec, cfg)
         record.update(_support_record(problem, cloud, spec, cfg, ladder))
         records.append(record)
-    return _payload("support", problem, source, cfg, records, cloud), cloud
+    return _payload("support", problem, source, cfg, records, cloud)
 
 
-def _cmd_kkt(problem, source, specs, cfg: Config):
+def _cmd_kkt(problem, source, specs, cfg: Config, cloud: None):
     records = []
     for spec in specs:
         record = _record_head(spec)
         record.update(_kkt_dicts(problem, spec, cfg))
         records.append(record)
-    return _payload("kkt", problem, source, cfg, records, None), None
+    return _payload("kkt", problem, source, cfg, records, None)
 
 
-def _cmd_witness(problem, source, specs, cfg: Config):
-    cloud = _analysis_cloud(problem, specs, cfg)
+def _cmd_witness(problem, source, specs, cfg: Config, cloud: PointCloud):
     records = []
     for spec in specs:
-        sample, margin, witness = _build_witness_dict(problem, spec, cfg, cloud)
+        _, margin, witness = _build_witness_dict(problem, spec, cfg, cloud)
         if witness is None:
             raise NotSupported(
                 f"no positive support at {spec.criterion}: margin {margin.margin}"
@@ -478,12 +495,10 @@ def _cmd_witness(problem, source, specs, cfg: Config):
         record = _record_head(spec)
         record.update({"margin": _margin_dict(margin), "witness": witness})
         records.append(record)
-    # the sample echoed is the witness cloud of the last point
-    return _payload("witness", problem, source, cfg, records, sample), cloud
+    return _payload("witness", problem, source, cfg, records, cloud)
 
 
-def _cmd_report(problem, source, specs, cfg: Config):
-    cloud = _analysis_cloud(problem, specs, cfg)
+def _cmd_report(problem, source, specs, cfg: Config, cloud: PointCloud):
     records = []
     for spec in specs:
         # one ladder per record, shared by both analyses and dropped after it
@@ -497,7 +512,7 @@ def _cmd_report(problem, source, specs, cfg: Config):
         except LicqNotVerified as exc:
             record["kkt"] = {"error": f"no conclusion: {exc}", "licq_failed": True}
         records.append(record)
-    return _payload("report", problem, source, cfg, records, cloud), cloud
+    return _payload("report", problem, source, cfg, records, cloud)
 
 
 def _payload(command, problem, source, cfg: Config, records, cloud) -> dict:
@@ -571,8 +586,10 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         problem, source = _load(args.problem)
         specs = _resolve_points(problem, args, cfg)
-        # each command returns its report and the cloud it analysed
-        payload, cloud = _COMMANDS[args.command](problem, source, specs, cfg)
+        # one cloud per command (kkt needs none); --csv writes it
+        cloud = None if args.command == "kkt" else _analysis_cloud(problem, specs, cfg)
+        specs = _place_probes(problem, specs, cloud, cfg)
+        payload = _COMMANDS[args.command](problem, source, specs, cfg, cloud)
     except LicqNotVerified as exc:
         print(f"no conclusion: {exc}", file=sys.stderr)
         return 4

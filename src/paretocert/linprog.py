@@ -11,6 +11,15 @@ infeasibility (Farkas row multipliers) or unboundedness (a feasible point and
 an improving ray). :func:`verify_outcome` re-checks any certificate
 numerically and is independent of the solution path.
 
+Each simplex phase keeps one dense basis inverse (the product form of the
+inverse, Dantzig and Orchard-Hays 1954): phase 1 starts from the identity of
+the artificial basis and phase 2 from a fresh factorization; every pivot
+applies a rank-one (eta) update, and the inverse is factorized afresh from
+the basis columns every ``_REFACTOR_EVERY`` pivots, before a small pivot is
+taken and before a phase concludes. Basic values, duals and directions are
+products with the inverse; every factorization goes through
+:func:`_solve_linear`, the module's one call into ``numpy.linalg``.
+
 Instances with many rows are solved through deterministic row activation:
 start from a small prefix, solve, add the most violated rows, repeat. Dense
 arithmetic is fine at the intended scale (around ten variables).
@@ -18,6 +27,7 @@ arithmetic is fine at the intended scale (around ten variables).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +41,8 @@ GE = ">="
 _ENTER_TOL = 1e-9
 _UNBOUNDED_GUARD = 1e-6  # a no-pivot column below this reduced cost is numerical noise
 _MAX_ITER = 10000
+_REFACTOR_EVERY = 32  # pivots between fresh factorizations of the basis inverse
+_SMALL_PIVOT = 1e-3  # relative to the direction's largest entry
 
 
 @dataclass(frozen=True)
@@ -170,7 +182,8 @@ class _Standardized:
         return y
 
     def drop_rows(self, positions: list[int]) -> None:
-        keep = [i for i in range(self.A.shape[0]) if i not in set(positions)]
+        dropped = set(positions)
+        keep = [i for i in range(self.A.shape[0]) if i not in dropped]
         self.A = self.A[keep]
         self.b = self.b[keep]
         self.row_sign = self.row_sign[keep]
@@ -187,56 +200,99 @@ def _solve_linear(M, rhs):
         raise NumericalBreakdown("singular basis matrix") from None
 
 
-def _revised_simplex(A, b, c, basis, num_enterable, pivot_tol):
-    """Run primal simplex from a feasible basis; columns >= num_enterable never enter."""
-    m, n = A.shape
+def _factorize(A, basis) -> np.ndarray:
+    """The inverse of the basis matrix ``A[:, basis]``, computed afresh."""
+    return _solve_linear(A[:, basis], np.eye(len(basis)))
+
+
+def _pivot(binv: np.ndarray, d: np.ndarray, pos: int) -> None:
+    """Eta update in place: ``binv`` becomes the inverse of the basis whose
+    column ``pos`` is replaced by the column with direction ``d = binv @ a``."""
+    row = binv[pos] / d[pos]
+    binv -= d[:, None] * row
+    binv[pos] = row
+
+
+def _entering(A, reduced, enterable, binv, x_basic, basis, pivot_tol):
+    """The entering column, its direction ``binv @ A[:, j]`` and the leaving
+    position, which is None when no row blocks the direction; None when no
+    column prices in."""
+    for j in (enterable & (reduced > _ENTER_TOL)).nonzero()[0]:
+        d = binv @ A[:, j]
+        rows = (d > pivot_tol).nonzero()[0]
+        ratios = np.maximum(x_basic[rows], 0.0) / d[rows]
+        theta = ratios.min(initial=np.inf)
+        if not math.isfinite(theta):
+            if reduced[j] > _UNBOUNDED_GUARD:
+                return int(j), d, None
+            continue  # numerically null column; its reduced cost is noise
+        # among (near-)minimal ratios take the largest pivot element for
+        # conditioning, then the lowest basis index for determinism
+        ties = rows[ratios <= theta + 1e-12]
+        pos, d_pos = int(ties[0]), float(d[ties[0]])
+        for i, d_i in zip(ties[1:].tolist(), d[ties[1:]].tolist()):
+            if d_i > d_pos * (1.0 + 1e-12) or (
+                abs(d_i - d_pos) <= 1e-12 * d_pos and basis[i] < basis[pos]
+            ):
+                pos, d_pos = i, d_i
+        return int(j), d, pos
+    return None
+
+
+def _revised_simplex(A, b, c, basis, binv, num_enterable, pivot_tol):
+    """Run primal simplex from a feasible basis with inverse ``binv``; columns
+    >= num_enterable never enter.
+
+    ``binv`` is updated per pivot and factorized afresh every
+    ``_REFACTOR_EVERY`` pivots, before a pivot below ``_SMALL_PIVOT`` of its
+    direction is taken, and before the run concludes optimal or unbounded,
+    so that no verdict rests on accumulated update error and the inverse
+    returned carries no updates.
+    """
+    n = A.shape[1]
     basis = list(basis)
-    in_basis = np.zeros(n, dtype=bool)
-    in_basis[basis] = True
+    c_basis = c[basis]
+    enterable = np.zeros(n, dtype=bool)
+    enterable[:num_enterable] = True
+    enterable[basis] = False
+    pivots = 0  # since binv was last factorized
     for _ in range(_MAX_ITER):
-        B = A[:, basis]
-        x_basic = _solve_linear(B, b)
-        y = _solve_linear(B.T, c[basis])
+        x_basic = binv @ b
+        y = c_basis @ binv
         reduced = c - y @ A
-        enter = -1
-        direction = None
-        leave_pos = -1
-        for j in range(num_enterable):
-            if in_basis[j] or reduced[j] <= _ENTER_TOL:
+        choice = _entering(A, reduced, enterable, binv, x_basic, basis, pivot_tol)
+        if choice is None or choice[2] is None:
+            if pivots:
+                binv = _factorize(A, basis)
+                pivots = 0
                 continue
-            d = _solve_linear(B, A[:, j])
-            theta = np.inf
-            for i in range(m):
-                if d[i] > pivot_tol:
-                    theta = min(theta, max(x_basic[i], 0.0) / d[i])
-            if not np.isfinite(theta):
-                if reduced[j] > _UNBOUNDED_GUARD:
-                    if float(np.max(d)) > pivot_tol * 1e-2:
-                        # a blocking row exists but its pivot sits below
-                        # tolerance; refuse to absorb that silently
-                        raise NumericalBreakdown(
-                            f"pivot below {pivot_tol} with no alternative in column {j}"
-                        )
-                    return "unbounded", basis, x_basic, y, j, d
-                continue  # numerically null column; its reduced cost is noise
-            # among (near-)minimal ratios take the largest pivot element for
-            # conditioning, then the lowest basis index for determinism
-            pos = -1
-            for i in range(m):
-                if d[i] > pivot_tol and max(x_basic[i], 0.0) / d[i] <= theta + 1e-12:
-                    if (
-                        pos < 0
-                        or d[i] > d[pos] * (1.0 + 1e-12)
-                        or (abs(d[i] - d[pos]) <= 1e-12 * d[pos] and basis[i] < basis[pos])
-                    ):
-                        pos = i
-            enter, direction, leave_pos = j, d, pos
-            break
-        if enter < 0:
-            return "optimal", basis, x_basic, y, None, None
-        in_basis[basis[leave_pos]] = False
-        in_basis[enter] = True
-        basis[leave_pos] = enter
+            if choice is None:
+                return "optimal", basis, x_basic, y, None, None, binv
+            j, d, _ = choice
+            if float(np.max(d)) > pivot_tol * 1e-2:
+                # a blocking row exists but its pivot sits below tolerance;
+                # refuse to absorb that silently
+                raise NumericalBreakdown(
+                    f"pivot below {pivot_tol} with no alternative in column {j}"
+                )
+            return "unbounded", basis, x_basic, y, j, d, binv
+        j, d, pos = choice
+        if pivots and abs(d[pos]) < _SMALL_PIVOT * np.max(np.abs(d)):
+            # a small pivot magnifies the update error: confirm it with a
+            # fresh factorization first
+            binv = _factorize(A, basis)
+            pivots = 0
+            continue
+        enterable[basis[pos]] = basis[pos] < num_enterable
+        enterable[j] = False
+        basis[pos] = j
+        c_basis[pos] = c[j]
+        pivots += 1
+        if pivots >= _REFACTOR_EVERY:
+            binv = _factorize(A, basis)
+            pivots = 0
+        else:
+            _pivot(binv, d, pos)
     raise NumericalBreakdown("simplex iteration limit exceeded")
 
 
@@ -265,11 +321,14 @@ def _solve_dense(inst: LpInstance, pivot_tol: float) -> LpOutcome:
             duals=(),
         )
 
-    # phase 1: minimize the artificial total
+    # phase 1: minimize the artificial total from the all-artificial basis,
+    # whose inverse is the identity
     A1 = np.hstack([std.A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n_cols), -np.ones(m)])
     basis = list(range(n_cols, n_cols + m))
-    status, basis, x_basic, y, _, _ = _revised_simplex(A1, std.b, c1, basis, n_cols, pivot_tol)
+    status, basis, x_basic, y, _, _, binv = _revised_simplex(
+        A1, std.b, c1, basis, np.eye(m), n_cols, pivot_tol
+    )
     if status != "optimal":
         raise NumericalBreakdown("phase 1 terminated abnormally")
     feas_tol = 1e-9 * (1.0 + float(np.abs(std.b).sum()))
@@ -277,33 +336,32 @@ def _solve_dense(inst: LpInstance, pivot_tol: float) -> LpOutcome:
         farkas = std.duals_original(y)
         return LpOutcome(status="infeasible", farkas=tuple(float(v) for v in farkas))
 
-    # drive artificial variables out of the basis; fully dependent rows are dropped
+    # drive artificial variables out of the basis, reading each row of the
+    # inverse off the fresh one phase 1 ends with; fully dependent rows are
+    # dropped
+    in_basis = np.zeros(n_cols, dtype=bool)
+    in_basis[[j for j in basis if j < n_cols]] = True
     redundant: list[int] = []
     for pos in range(m):
         if basis[pos] < n_cols:
             continue
-        B = A1[:, basis]
-        unit = np.zeros(m)
-        unit[pos] = 1.0
-        binv_row = _solve_linear(B.T, unit)
-        entered = False
-        for j in range(n_cols):
-            if j in basis:
-                continue
-            if abs(float(binv_row @ A1[:, j])) > pivot_tol:
-                basis[pos] = j
-                entered = True
-                break
-        if not entered:
+        entries = binv[pos] @ A1[:, :n_cols]
+        movable = np.flatnonzero(~in_basis & (np.abs(entries) > pivot_tol))
+        if movable.size == 0:
             redundant.append(pos)
+            continue
+        j = int(movable[0])
+        basis[pos] = j
+        in_basis[j] = True
+        binv = _factorize(A1, basis)  # the pivot may be as small as pivot_tol
     if redundant:
         std.drop_rows(redundant)
-        basis = [basis[i] for i in range(m) if i not in set(redundant)]
-        m = std.A.shape[0]
+        dropped = set(redundant)
+        basis = [j for pos, j in enumerate(basis) if pos not in dropped]
 
     # phase 2 on the original objective
-    status, basis, x_basic, y, enter, direction = _revised_simplex(
-        std.A, std.b, std.c, basis, n_cols, pivot_tol
+    status, basis, x_basic, y, enter, direction, _ = _revised_simplex(
+        std.A, std.b, std.c, basis, _factorize(std.A, basis), n_cols, pivot_tol
     )
     x_std = np.zeros(n_cols)
     for pos, j in enumerate(basis):
@@ -333,7 +391,7 @@ def _solve_dense(inst: LpInstance, pivot_tol: float) -> LpOutcome:
 # ---------------------------------------------------------------------------
 # row activation for tall instances
 
-def _restrict(inst: LpInstance, rows: list[int]) -> LpInstance:
+def _restrict(inst: LpInstance, rows: np.ndarray) -> LpInstance:
     return lp_instance(
         inst.c,
         inst.A[rows],
@@ -344,33 +402,15 @@ def _restrict(inst: LpInstance, rows: list[int]) -> LpInstance:
     )
 
 
-def _row_violations(inst: LpInstance, x: np.ndarray) -> np.ndarray:
-    resid = inst.A @ x - inst.b
-    viol = np.zeros(inst.num_rows)
-    for i, rel in enumerate(inst.relations):
-        if rel == LE:
-            viol[i] = resid[i]
-        elif rel == GE:
-            viol[i] = -resid[i]
-        else:
-            viol[i] = abs(resid[i])
-    return viol
+def _excess(growth: np.ndarray, ge: np.ndarray, eq: np.ndarray) -> np.ndarray:
+    """How far each row's left-hand side ``growth`` exceeds its relation:
+    itself for <=, its negation for >=, its magnitude for =."""
+    out = np.where(ge, -growth, growth)
+    out[eq] = np.abs(growth[eq])
+    return out
 
 
-def _ray_blockers(inst: LpInstance, ray: np.ndarray) -> np.ndarray:
-    growth = inst.A @ ray
-    block = np.zeros(inst.num_rows)
-    for i, rel in enumerate(inst.relations):
-        if rel == LE:
-            block[i] = growth[i]
-        elif rel == GE:
-            block[i] = -growth[i]
-        else:
-            block[i] = abs(growth[i])
-    return block
-
-
-def _scatter(values, rows: list[int], size: int) -> tuple[float, ...]:
+def _scatter(values, rows: np.ndarray, size: int) -> tuple[float, ...]:
     full = np.zeros(size)
     full[rows] = np.asarray(values)
     return tuple(float(v) for v in full)
@@ -395,25 +435,30 @@ def solve_lp(
     if m <= activation_threshold:
         return _solve_dense(instance, pivot_tol)
 
-    active = [i for i in range(m) if instance.relations[i] == EQ]
-    for i in range(m):
-        if len(active) >= min(m, 32):
-            break
-        if instance.relations[i] != EQ:
-            active.append(i)
-    active = sorted(set(active))
+    relations = np.asarray(instance.relations)
+    ge = relations == GE
+    eq = relations == EQ
+    # every equality row, then inequality rows in order up to 32 rows in all
+    fill = max(0, min(m, 32) - int(eq.sum()))
+    active = np.union1d(np.flatnonzero(eq), np.flatnonzero(~eq)[:fill])
     for _ in range(m + 8):
         sub = _restrict(instance, active)
         out = _solve_dense(sub, pivot_tol)
         if out.status == "infeasible":
             return LpOutcome(status="infeasible", farkas=_scatter(out.farkas, active, m))
-        if out.status == "optimal":
-            viol = _row_violations(instance, np.asarray(out.x))
-        else:
-            viol = _ray_blockers(instance, np.asarray(out.ray))
+        viol = _excess(instance.A @ np.asarray(out.x) - instance.b, ge, eq)
+        if out.status == "unbounded":
+            # the rows blocking the ray first; once it runs free, the rows
+            # its starting point violates
+            blocking = _excess(instance.A @ np.asarray(out.ray), ge, eq)
+            blocking[active] = 0.0
+            if np.any(blocking > tol):
+                viol = blocking
         viol[active] = 0.0
-        worst = [i for i in np.argsort(-viol, kind="stable") if viol[i] > tol]
-        if not worst:
+        # most violated first, ties by row index
+        order = np.argsort(-viol, kind="stable")
+        worst = order[viol[order] > tol]
+        if worst.size == 0:
             if out.status == "optimal":
                 return LpOutcome(
                     status="optimal",
@@ -423,7 +468,7 @@ def solve_lp(
                     duals=_scatter(out.duals, active, m),
                 )
             return out
-        active = sorted(set(active) | set(int(i) for i in worst[:activation_batch]))
+        active = np.union1d(active, worst[:activation_batch])
     raise NumericalBreakdown("row activation did not converge")
 
 

@@ -209,6 +209,11 @@ def _grid_axes(problem: AnalyticProblem, grid: GridSpec) -> list[list[float]]:
     return axis_values
 
 
+def grid_nodes(problem: AnalyticProblem, grid: GridSpec) -> list[tuple[float, ...]]:
+    """The decisions of ``grid`` in lexicographic order, evaluating nothing."""
+    return list(itertools.product(*_grid_axes(problem, grid)))
+
+
 def sample_criterion_space(
     problem: AnalyticProblem, grid: GridSpec, *, tol_feas: float = 1e-9
 ) -> PointCloud:
@@ -220,7 +225,7 @@ def sample_criterion_space(
     """
     points: list[tuple[float, ...]] = []
     decisions: list[tuple[float, ...]] = []
-    for x in itertools.product(*_grid_axes(problem, grid)):
+    for x in grid_nodes(problem, grid):
         y = problem.criteria_at(x)
         if problem.has_constraints:
             g, h = problem.constraint_values(y)

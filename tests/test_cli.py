@@ -346,3 +346,37 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     code, _, err = _run(capsys, "classify", str(path), "--point-decision", "0.5")
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_witness_sample_is_the_cloud_written_to_csv(tmp_path, capsys):
+    csv_dir = tmp_path / "csv"
+    code, out, _ = _run(
+        capsys, "witness", "builtin:soland", "--point-decision", "1",
+        "--point-decision", "2.5", "--csv", str(csv_dir),
+    )
+    assert code == 0
+    rows = (csv_dir / "sample_points.csv").read_text().splitlines()[1:]
+    assert json.loads(out)["sample"]["size"] == len(rows)
+
+
+@pytest.mark.parametrize("command", ["report", "kkt"])
+def test_default_probes_are_placed_without_sampling(tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "plane2d.json"
+    path.write_text(json.dumps(PLANE2D))
+    calls = []
+    sample = cli.sample_criterion_space
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_criterion_space", counting)
+    code, out, err = _run(capsys, command, str(path), "--grid", "5", "--levels", "3")
+    assert code == 0, err
+    assert len(calls) == 1
+    problem = load_problem(json.dumps(PLANE2D))
+    records = json.loads(out)["points"]
+    axis = [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert [tuple(r["decision"]) for r in records] == [(a, b) for a in axis for b in axis]
+    for record in records:
+        assert tuple(record["criterion"]) == problem.criteria_at(record["decision"])
