@@ -1,7 +1,7 @@
 """Self-contained dense linear programming with verifiable certificates.
 
-Primal simplex (two-phase, Bland's rule, lowest-index tie breaking) over
-instances in the general form
+Primal simplex (two-phase, deterministic pricing) over instances in the
+general form
 
     maximize c @ x   subject to   A_i x {<=, =, >=} b_i,   lower <= x <= upper
 
@@ -20,14 +20,19 @@ taken and before a phase concludes. Basic values, duals and directions are
 products with the inverse; every factorization goes through
 :func:`_solve_linear`, the module's one call into ``numpy.linalg``.
 
-Instances with many rows are solved through deterministic row activation:
-start from a small prefix, solve, add the most violated rows, repeat. Dense
-arithmetic is fine at the intended scale (around ten variables).
+Columns price in by the largest reduced cost, ties to the lowest index.
+After a degenerate pivot (the leaving variable was at 0) pricing follows
+Bland's rule (Bland 1977: lowest entering index, lowest leaving basis index
+among the minimal ratios) until a pivot makes progress; a cycle would consist
+of degenerate pivots only, all of them Bland's, so the simplex cannot cycle.
+Dense arithmetic is fine at the intended scale: a few rows, up to thousands
+of columns.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +48,7 @@ _UNBOUNDED_GUARD = 1e-6  # a no-pivot column below this reduced cost is numerica
 _MAX_ITER = 10000
 _REFACTOR_EVERY = 32  # pivots between fresh factorizations of the basis inverse
 _SMALL_PIVOT = 1e-3  # relative to the direction's largest entry
+_PIVOT_TOL = 1e-12  # a direction entry at or below this never pivots
 
 
 @dataclass(frozen=True)
@@ -108,86 +114,69 @@ class _Standardized:
 
     def __init__(self, inst: LpInstance):
         m, n = inst.num_rows, inst.num_vars
-        col_var: list[int] = []
-        col_sign: list[float] = []
-        shift = np.zeros(n)
-        cap_rows: list[tuple[int, float]] = []  # (structural column, cap)
-        for j in range(n):
-            lo, up = inst.lower[j], inst.upper[j]
-            if np.isinf(lo) and np.isinf(up):
-                col_var += [j, j]
-                col_sign += [1.0, -1.0]
-            elif not np.isinf(lo):
-                shift[j] = lo
-                col_var.append(j)
-                col_sign.append(1.0)
-                if not np.isinf(up):
-                    cap_rows.append((len(col_var) - 1, up - lo))
-            else:
-                shift[j] = up
-                col_var.append(j)
-                col_sign.append(-1.0)
-        ns = len(col_var)
-        mt = m + len(cap_rows)
-        structural = np.zeros((mt, ns))
-        for t, (j, sgn) in enumerate(zip(col_var, col_sign)):
-            structural[:m, t] = inst.A[:, j] * sgn
-        b_std = np.concatenate([inst.b - inst.A @ shift, np.zeros(len(cap_rows))])
-        relations = list(inst.relations) + [LE] * len(cap_rows)
-        for r, (t, cap) in enumerate(cap_rows):
-            structural[m + r, t] = 1.0
-            b_std[m + r] = cap
-        slack_cols = [i for i, rel in enumerate(relations) if rel != EQ]
-        slacks = np.zeros((mt, len(slack_cols)))
-        for s, i in enumerate(slack_cols):
-            slacks[i, s] = 1.0 if relations[i] == LE else -1.0
-        A_std = np.hstack([structural, slacks])
-        row_sign = np.ones(mt)
-        flip = b_std < 0
-        A_std[flip] *= -1.0
-        b_std[flip] *= -1.0
-        row_sign[flip] = -1.0
+        no_lower, no_upper = np.isinf(inst.lower), np.isinf(inst.upper)
+        free = no_lower & no_upper
+        # one column per variable, two for a free one (x = x+ - x-); a
+        # variable bounded above only is mirrored (x = upper - column)
+        col_var = np.repeat(np.arange(n), np.where(free, 2, 1))
+        col_sign = np.where(no_lower & ~no_upper, -1.0, 1.0)[col_var]
+        col_sign[1:][col_var[1:] == col_var[:-1]] = -1.0
+        shift = np.where(no_lower, np.where(no_upper, 0.0, inst.upper), inst.lower)
+        # a variable bounded on both sides gets a cap row: column <= width
+        cap_cols = np.flatnonzero(~(no_lower | no_upper)[col_var])
+        ns, k = len(col_var), len(cap_cols)
+        mt = m + k
+        relations = np.asarray(inst.relations + (LE,) * k)
+        slack_rows = np.flatnonzero(relations != EQ)
+        A_std = np.zeros((mt, ns + len(slack_rows)))
+        A_std[:m, :ns] = inst.A[:, col_var] * col_sign
+        A_std[m + np.arange(k), cap_cols] = 1.0
+        A_std[slack_rows, ns + np.arange(len(slack_rows))] = np.where(
+            relations[slack_rows] == LE, 1.0, -1.0
+        )
+        b_std = np.concatenate(
+            [inst.b - inst.A @ shift, (inst.upper - inst.lower)[col_var[cap_cols]]]
+        )
+        row_sign = np.where(b_std < 0, -1.0, 1.0)
+        A_std *= row_sign[:, None]
+        b_std *= row_sign
 
         c_std = np.zeros(A_std.shape[1])
-        for t, (j, sgn) in enumerate(zip(col_var, col_sign)):
-            c_std[t] += inst.c[j] * sgn
+        c_std[:ns] = inst.c[col_var] * col_sign
 
         self.inst = inst
         self.A = A_std
         self.b = b_std
         self.c = c_std
         self.row_sign = row_sign
-        self.row_orig = list(range(m)) + [-1] * len(cap_rows)  # -1 marks cap rows
+        self.row_orig = np.concatenate([np.arange(m), np.full(k, -1)])  # -1 marks cap rows
         self.col_var = col_var
         self.col_sign = col_sign
         self.shift = shift
 
     def x_original(self, x_std: np.ndarray) -> np.ndarray:
         x = self.shift.copy()
-        for t, (j, sgn) in enumerate(zip(self.col_var, self.col_sign)):
-            x[j] += sgn * x_std[t]
+        np.add.at(x, self.col_var, self.col_sign * x_std[: len(self.col_var)])
         return x
 
     def ray_original(self, ray_std: np.ndarray) -> np.ndarray:
         ray = np.zeros(self.inst.num_vars)
-        for t, (j, sgn) in enumerate(zip(self.col_var, self.col_sign)):
-            ray[j] += sgn * ray_std[t]
+        np.add.at(ray, self.col_var, self.col_sign * ray_std[: len(self.col_var)])
         return ray
 
     def duals_original(self, y_std: np.ndarray) -> np.ndarray:
         y = np.zeros(self.inst.num_rows)
-        for pos, i in enumerate(self.row_orig):
-            if i >= 0:
-                y[i] = self.row_sign[pos] * y_std[pos]
+        kept = self.row_orig >= 0
+        y[self.row_orig[kept]] = (self.row_sign * y_std)[kept]
         return y
 
     def drop_rows(self, positions: list[int]) -> None:
-        dropped = set(positions)
-        keep = [i for i in range(self.A.shape[0]) if i not in dropped]
+        keep = np.ones(self.A.shape[0], dtype=bool)
+        keep[positions] = False
         self.A = self.A[keep]
         self.b = self.b[keep]
         self.row_sign = self.row_sign[keep]
-        self.row_orig = [self.row_orig[i] for i in keep]
+        self.row_orig = self.row_orig[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -213,35 +202,48 @@ def _pivot(binv: np.ndarray, d: np.ndarray, pos: int) -> None:
     binv[pos] = row
 
 
-def _entering(A, reduced, enterable, binv, x_basic, basis, pivot_tol):
+def _entering(A, reduced, enterable, binv, x_basic, basis, bland):
     """The entering column, its direction ``binv @ A[:, j]`` and the leaving
     position, which is None when no row blocks the direction; None when no
-    column prices in."""
-    for j in (enterable & (reduced > _ENTER_TOL)).nonzero()[0]:
+    column prices in.
+
+    Columns price in by the largest reduced cost, ties to the lowest index,
+    or with ``bland`` by the lowest index alone, and the leaving row is then
+    the lowest basis index among the minimal ratios (Bland's rule).
+    """
+    eligible = enterable & (reduced > _ENTER_TOL)
+    while eligible.any():
+        j = int(np.argmax(eligible if bland else np.where(eligible, reduced, -np.inf)))
+        eligible[j] = False
         d = binv @ A[:, j]
-        rows = (d > pivot_tol).nonzero()[0]
+        rows = (d > _PIVOT_TOL).nonzero()[0]
         ratios = np.maximum(x_basic[rows], 0.0) / d[rows]
         theta = ratios.min(initial=np.inf)
         if not math.isfinite(theta):
             if reduced[j] > _UNBOUNDED_GUARD:
-                return int(j), d, None
+                return j, d, None
             continue  # numerically null column; its reduced cost is noise
+        ties = rows[ratios <= theta + 1e-12]
+        if bland:
+            return j, d, int(ties[np.argmin(np.asarray(basis)[ties])])
         # among (near-)minimal ratios take the largest pivot element for
         # conditioning, then the lowest basis index for determinism
-        ties = rows[ratios <= theta + 1e-12]
         pos, d_pos = int(ties[0]), float(d[ties[0]])
         for i, d_i in zip(ties[1:].tolist(), d[ties[1:]].tolist()):
             if d_i > d_pos * (1.0 + 1e-12) or (
                 abs(d_i - d_pos) <= 1e-12 * d_pos and basis[i] < basis[pos]
             ):
                 pos, d_pos = i, d_i
-        return int(j), d, pos
+        return j, d, pos
     return None
 
 
-def _revised_simplex(A, b, c, basis, binv, num_enterable, pivot_tol):
+def _revised_simplex(A, b, c, basis, binv, num_enterable):
     """Run primal simplex from a feasible basis with inverse ``binv``; columns
     >= num_enterable never enter.
+
+    A degenerate pivot (leaving value 0) switches pricing to Bland's rule
+    until a pivot makes progress.
 
     ``binv`` is updated per pivot and factorized afresh every
     ``_REFACTOR_EVERY`` pivots, before a pivot below ``_SMALL_PIVOT`` of its
@@ -256,11 +258,12 @@ def _revised_simplex(A, b, c, basis, binv, num_enterable, pivot_tol):
     enterable[:num_enterable] = True
     enterable[basis] = False
     pivots = 0  # since binv was last factorized
+    bland = False
     for _ in range(_MAX_ITER):
         x_basic = binv @ b
         y = c_basis @ binv
         reduced = c - y @ A
-        choice = _entering(A, reduced, enterable, binv, x_basic, basis, pivot_tol)
+        choice = _entering(A, reduced, enterable, binv, x_basic, basis, bland)
         if choice is None or choice[2] is None:
             if pivots:
                 binv = _factorize(A, basis)
@@ -269,11 +272,11 @@ def _revised_simplex(A, b, c, basis, binv, num_enterable, pivot_tol):
             if choice is None:
                 return "optimal", basis, x_basic, y, None, None, binv
             j, d, _ = choice
-            if float(np.max(d)) > pivot_tol * 1e-2:
+            if float(np.max(d)) > _PIVOT_TOL * 1e-2:
                 # a blocking row exists but its pivot sits below tolerance;
                 # refuse to absorb that silently
                 raise NumericalBreakdown(
-                    f"pivot below {pivot_tol} with no alternative in column {j}"
+                    f"pivot below {_PIVOT_TOL} with no alternative in column {j}"
                 )
             return "unbounded", basis, x_basic, y, j, d, binv
         j, d, pos = choice
@@ -283,6 +286,7 @@ def _revised_simplex(A, b, c, basis, binv, num_enterable, pivot_tol):
             binv = _factorize(A, basis)
             pivots = 0
             continue
+        bland = not x_basic[pos] > 0.0
         enterable[basis[pos]] = basis[pos] < num_enterable
         enterable[j] = False
         basis[pos] = j
@@ -296,18 +300,32 @@ def _revised_simplex(A, b, c, basis, binv, num_enterable, pivot_tol):
     raise NumericalBreakdown("simplex iteration limit exceeded")
 
 
-def _solve_dense(inst: LpInstance, pivot_tol: float) -> LpOutcome:
-    std = _Standardized(inst)
+@contextmanager
+def _phase(number: int, std: _Standardized):
+    """Name the simplex phase and the standardized LP's shape in a breakdown."""
+    try:
+        yield
+    except NumericalBreakdown as exc:
+        rows, cols = std.A.shape
+        raise NumericalBreakdown(
+            f"{exc} in phase {number} of a {rows} x {cols} standardized LP"
+        ) from None
+
+
+def solve_lp(instance: LpInstance) -> LpOutcome:
+    """Solve an instance, deterministically."""
+    std = _Standardized(instance)
     m, n_cols = std.A.shape
 
     if m == 0:
         # bounds only; optimum sits at the bound favored by the objective
-        x = np.where(inst.c > 0, inst.upper, inst.lower)
-        x = np.where(inst.c == 0, np.where(np.isinf(inst.lower), np.minimum(inst.upper, 0.0), inst.lower), x)
-        if np.any(np.isinf(x[inst.c > 0])) or np.any(np.isinf(x[inst.c < 0])):
-            ray = np.where((inst.c > 0) & np.isinf(inst.upper), 1.0, 0.0)
-            ray += np.where((inst.c < 0) & np.isinf(inst.lower), -1.0, 0.0)
-            feas = np.where(np.isinf(inst.lower), np.minimum(inst.upper, 0.0), inst.lower)
+        c, lower, upper = instance.c, instance.lower, instance.upper
+        x = np.where(c > 0, upper, lower)
+        x = np.where(c == 0, np.where(np.isinf(lower), np.minimum(upper, 0.0), lower), x)
+        if np.any(np.isinf(x[c > 0])) or np.any(np.isinf(x[c < 0])):
+            ray = np.where((c > 0) & np.isinf(upper), 1.0, 0.0)
+            ray += np.where((c < 0) & np.isinf(lower), -1.0, 0.0)
+            feas = np.where(np.isinf(lower), np.minimum(upper, 0.0), lower)
             return LpOutcome(
                 status="unbounded",
                 x=tuple(float(v) for v in feas),
@@ -316,62 +334,61 @@ def _solve_dense(inst: LpInstance, pivot_tol: float) -> LpOutcome:
         return LpOutcome(
             status="optimal",
             x=tuple(float(v) for v in x),
-            value=float(inst.c @ x),
+            value=float(c @ x),
             basis=(),
             duals=(),
         )
 
-    # phase 1: minimize the artificial total from the all-artificial basis,
-    # whose inverse is the identity
-    A1 = np.hstack([std.A, np.eye(m)])
-    c1 = np.concatenate([np.zeros(n_cols), -np.ones(m)])
-    basis = list(range(n_cols, n_cols + m))
-    status, basis, x_basic, y, _, _, binv = _revised_simplex(
-        A1, std.b, c1, basis, np.eye(m), n_cols, pivot_tol
-    )
-    if status != "optimal":
-        raise NumericalBreakdown("phase 1 terminated abnormally")
-    feas_tol = 1e-9 * (1.0 + float(np.abs(std.b).sum()))
-    if float(c1[basis] @ x_basic) < -feas_tol:
-        farkas = std.duals_original(y)
-        return LpOutcome(status="infeasible", farkas=tuple(float(v) for v in farkas))
+    with _phase(1, std):
+        # minimize the artificial total from the all-artificial basis, whose
+        # inverse is the identity
+        A1 = np.hstack([std.A, np.eye(m)])
+        c1 = np.concatenate([np.zeros(n_cols), -np.ones(m)])
+        basis = list(range(n_cols, n_cols + m))
+        status, basis, x_basic, y, _, _, binv = _revised_simplex(
+            A1, std.b, c1, basis, np.eye(m), n_cols
+        )
+        if status != "optimal":
+            raise NumericalBreakdown("phase 1 terminated abnormally")
+        feas_tol = 1e-9 * (1.0 + float(np.abs(std.b).sum()))
+        if float(c1[basis] @ x_basic) < -feas_tol:
+            farkas = std.duals_original(y)
+            return LpOutcome(status="infeasible", farkas=tuple(float(v) for v in farkas))
 
-    # drive artificial variables out of the basis, reading each row of the
-    # inverse off the fresh one phase 1 ends with; fully dependent rows are
-    # dropped
-    in_basis = np.zeros(n_cols, dtype=bool)
-    in_basis[[j for j in basis if j < n_cols]] = True
-    redundant: list[int] = []
-    for pos in range(m):
-        if basis[pos] < n_cols:
-            continue
-        entries = binv[pos] @ A1[:, :n_cols]
-        movable = np.flatnonzero(~in_basis & (np.abs(entries) > pivot_tol))
-        if movable.size == 0:
-            redundant.append(pos)
-            continue
-        j = int(movable[0])
-        basis[pos] = j
-        in_basis[j] = True
-        binv = _factorize(A1, basis)  # the pivot may be as small as pivot_tol
-    if redundant:
-        std.drop_rows(redundant)
-        dropped = set(redundant)
-        basis = [j for pos, j in enumerate(basis) if pos not in dropped]
+        # drive artificial variables out of the basis, reading each row of
+        # the inverse off the fresh one phase 1 ends with; fully dependent
+        # rows are dropped
+        in_basis = np.zeros(n_cols, dtype=bool)
+        in_basis[[j for j in basis if j < n_cols]] = True
+        redundant: list[int] = []
+        for pos in range(m):
+            if basis[pos] < n_cols:
+                continue
+            entries = binv[pos] @ A1[:, :n_cols]
+            movable = np.flatnonzero(~in_basis & (np.abs(entries) > _PIVOT_TOL))
+            if movable.size == 0:
+                redundant.append(pos)
+                continue
+            j = int(movable[0])
+            basis[pos] = j
+            in_basis[j] = True
+            binv = _factorize(A1, basis)  # the pivot may be as small as _PIVOT_TOL
+        if redundant:
+            std.drop_rows(redundant)
+            dropped = set(redundant)
+            basis = [j for pos, j in enumerate(basis) if pos not in dropped]
 
-    # phase 2 on the original objective
-    status, basis, x_basic, y, enter, direction, _ = _revised_simplex(
-        std.A, std.b, std.c, basis, _factorize(std.A, basis), n_cols, pivot_tol
-    )
+    with _phase(2, std):
+        status, basis, x_basic, y, enter, direction, _ = _revised_simplex(
+            std.A, std.b, std.c, basis, _factorize(std.A, basis), n_cols
+        )
     x_std = np.zeros(n_cols)
-    for pos, j in enumerate(basis):
-        x_std[j] = max(x_basic[pos], 0.0)
+    x_std[basis] = np.maximum(x_basic, 0.0)
     x = std.x_original(x_std)
     if status == "unbounded":
         ray_std = np.zeros(n_cols)
         ray_std[enter] = 1.0
-        for pos, j in enumerate(basis):
-            ray_std[j] -= direction[pos]
+        ray_std[basis] = -direction
         ray = std.ray_original(ray_std)
         return LpOutcome(
             status="unbounded",
@@ -382,94 +399,10 @@ def _solve_dense(inst: LpInstance, pivot_tol: float) -> LpOutcome:
     return LpOutcome(
         status="optimal",
         x=tuple(float(v) for v in x),
-        value=float(inst.c @ x),
+        value=float(instance.c @ x),
         basis=tuple(sorted(basis)),
         duals=tuple(float(v) for v in duals),
     )
-
-
-# ---------------------------------------------------------------------------
-# row activation for tall instances
-
-def _restrict(inst: LpInstance, rows: np.ndarray) -> LpInstance:
-    return lp_instance(
-        inst.c,
-        inst.A[rows],
-        inst.b[rows],
-        tuple(inst.relations[i] for i in rows),
-        inst.lower,
-        inst.upper,
-    )
-
-
-def _excess(growth: np.ndarray, ge: np.ndarray, eq: np.ndarray) -> np.ndarray:
-    """How far each row's left-hand side ``growth`` exceeds its relation:
-    itself for <=, its negation for >=, its magnitude for =."""
-    out = np.where(ge, -growth, growth)
-    out[eq] = np.abs(growth[eq])
-    return out
-
-
-def _scatter(values, rows: np.ndarray, size: int) -> tuple[float, ...]:
-    full = np.zeros(size)
-    full[rows] = np.asarray(values)
-    return tuple(float(v) for v in full)
-
-
-def solve_lp(
-    instance: LpInstance,
-    *,
-    tol: float = 1e-8,
-    pivot_tol: float = 1e-12,
-    activation_threshold: int = 96,
-    activation_batch: int = 8,
-) -> LpOutcome:
-    """Solve an instance, deterministically.
-
-    Below ``activation_threshold`` rows the dense solver runs directly;
-    otherwise rows are activated in batches of the most violated (ties broken
-    by row index) until the solution of the restricted instance satisfies or
-    certifies everything.
-    """
-    m = instance.num_rows
-    if m <= activation_threshold:
-        return _solve_dense(instance, pivot_tol)
-
-    relations = np.asarray(instance.relations)
-    ge = relations == GE
-    eq = relations == EQ
-    # every equality row, then inequality rows in order up to 32 rows in all
-    fill = max(0, min(m, 32) - int(eq.sum()))
-    active = np.union1d(np.flatnonzero(eq), np.flatnonzero(~eq)[:fill])
-    for _ in range(m + 8):
-        sub = _restrict(instance, active)
-        out = _solve_dense(sub, pivot_tol)
-        if out.status == "infeasible":
-            return LpOutcome(status="infeasible", farkas=_scatter(out.farkas, active, m))
-        viol = _excess(instance.A @ np.asarray(out.x) - instance.b, ge, eq)
-        if out.status == "unbounded":
-            # the rows blocking the ray first; once it runs free, the rows
-            # its starting point violates
-            blocking = _excess(instance.A @ np.asarray(out.ray), ge, eq)
-            blocking[active] = 0.0
-            if np.any(blocking > tol):
-                viol = blocking
-        viol[active] = 0.0
-        # most violated first, ties by row index
-        order = np.argsort(-viol, kind="stable")
-        worst = order[viol[order] > tol]
-        if worst.size == 0:
-            if out.status == "optimal":
-                return LpOutcome(
-                    status="optimal",
-                    x=out.x,
-                    value=out.value,
-                    basis=out.basis,
-                    duals=_scatter(out.duals, active, m),
-                )
-            return out
-        active = np.union1d(active, worst[:activation_batch])
-    raise NumericalBreakdown("row activation did not converge")
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,22 @@ point on the non-positive side of the hyperplane through the reference:
 
     maximize t   s.t.   sum(w) = 1,   w_i >= t,   <w, y - y_ref> <= 0  for all y
 
+With C the matrix of normalized cuts (y - y_ref)/max|y - y_ref|, the LP is
+solved through its dual, which has p + 1 rows however many cuts there are:
+
+    minimize u   s.t.   u * 1 - lambda + C^T nu = 0,   sum(lambda) = 1,
+                        lambda >= 0,   nu >= 0
+
+The margin is t* = u*, and the weights are the duals of the first p rows,
+negated. The dual is always feasible (u = lambda_i = 1/p, nu = 0), so it is
+unbounded exactly when no weights satisfy every cut. The margin is then
+recomputed with soft cuts <w, y - y_ref> + t <= 0, whose dual adds nu to the
+mass row (sum(lambda) + sum(nu) = 1), yielding a negative margin that
+quantifies the violation trend.
+
 A margin t* > 0 certifies a strictly increasing linear value function that is
 maximized at the reference over the sample; we then upgrade it to a strictly
 concave witness v(y) = <w, y> - eps * ||y - y_ref||^2 certified on a box.
-When the hard constraints are infeasible the margin is recomputed with soft
-cuts, yielding a negative margin that quantifies the violation trend.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoxTooSmall, NotSupported, NumericalBreakdown, SchemaError
-from .linprog import EQ, GE, LE, lp_instance, solve_lp
+from .linprog import EQ, lp_instance, solve_lp
 from .problems import point_rows
 
 VANISHING = "vanishing"
@@ -97,11 +108,11 @@ def support_margin(cloud, y_ref, *, tol: float = 1e-8) -> MarginReport:
         out = _margin_lp(diffs, p, soft=True)
         if out.status != "optimal":
             raise NumericalBreakdown("support margin relaxation did not solve")
-    margin = float(out.value)
+    margin = -float(out.value)
     weights: tuple[float, ...] | None = None
     binding: tuple[int, ...] = ()
     if feasible and margin > tol:
-        w = np.asarray(out.x[:p])
+        w = -np.asarray(out.duals[:p])
         weights = tuple(float(v) for v in w)
         slack = diffs @ w
         binding = tuple(int(i) for i in np.flatnonzero(np.abs(slack) <= tol))
@@ -116,32 +127,28 @@ def support_margin(cloud, y_ref, *, tol: float = 1e-8) -> MarginReport:
 
 
 def _margin_lp(diffs: np.ndarray, p: int, soft: bool):
-    n = p + 1  # weights plus the margin variable
-    # each cut has zero right-hand side, so per-row normalization changes
-    # nothing mathematically and keeps pivots well away from the tolerance
+    """The dual margin LP of the module docstring over ``(u, lambda, nu)``."""
+    # each cut is homogeneous in w, so normalizing it changes no hard margin
+    # and keeps pivots well away from the tolerance; soft margins are those
+    # of the normalized cuts
     scale = np.max(np.abs(diffs), axis=1)
     scale[scale == 0.0] = 1.0
     cuts = np.unique(diffs / scale[:, None], axis=0)  # duplicate rays are redundant
     m = cuts.shape[0]
-    A = np.zeros((1 + p + m, n))
-    b = np.zeros(1 + p + m)
-    relations = []
-    A[0, :p] = 1.0
-    b[0] = 1.0
-    relations.append(EQ)
-    for i in range(p):
-        A[1 + i, i] = 1.0
-        A[1 + i, p] = -1.0
-        relations.append(GE)
-    A[1 + p :, :p] = cuts
+    A = np.zeros((p + 1, 1 + p + m))
+    A[:p, 0] = 1.0
+    A[:p, 1 : 1 + p] = -np.eye(p)
+    A[:p, 1 + p :] = cuts.T
+    A[p, 1 : 1 + p] = 1.0
     if soft:
-        A[1 + p :, p] = 1.0
-    relations.extend([LE] * m)
-    c = np.zeros(n)
-    c[p] = 1.0
-    inst = lp_instance(
-        c, A, b, tuple(relations), lower=np.full(n, -np.inf), upper=np.full(n, np.inf)
-    )
+        A[p, 1 + p :] = 1.0
+    b = np.zeros(p + 1)
+    b[p] = 1.0
+    c = np.zeros(1 + p + m)
+    c[0] = -1.0
+    lower = np.zeros(1 + p + m)
+    lower[0] = -np.inf
+    inst = lp_instance(c, A, b, (EQ,) * (p + 1), lower=lower, upper=np.full(1 + p + m, np.inf))
     return solve_lp(inst)
 
 

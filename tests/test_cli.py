@@ -348,6 +348,31 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+def test_deep_soland_ladder_follows_the_margin_to_its_limit(capsys):
+    # at depth 40 the cuts near the origin differ by about 1e-12
+    code, out, _ = _run(capsys, "report", "builtin:soland", "--levels", "40")
+    assert code == 0
+    for record in json.loads(out)["points"]:
+        x = record["decision"][0]
+        trend = record["support"]["trend"]
+        if x == 0.0:
+            offset = 2.0 ** -40
+            assert trend["verdict"] == "vanishing"
+            assert abs(trend["margins"][-1] - offset / (1.0 + offset)) <= 1e-15
+        else:
+            expected = min(1.5 * x, 1.0) / (1.5 * x + 1.0)
+            assert trend["verdict"] == "persistent"
+            assert abs(trend["margins"][-1] - expected) <= 1e-9
+            assert abs(record["support"]["margin"]["margin"] - expected) <= 1e-9
+
+
+def test_plane2d_deep_ladders_solve(tmp_path, capsys):
+    path = tmp_path / "plane2d.json"
+    path.write_text(json.dumps(PLANE2D))
+    code, _, err = _run(capsys, "report", str(path), "--grid", "9", "--levels", "11")
+    assert code == 0, err
+
+
 def test_witness_sample_is_the_cloud_written_to_csv(tmp_path, capsys):
     csv_dir = tmp_path / "csv"
     code, out, _ = _run(

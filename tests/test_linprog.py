@@ -195,20 +195,79 @@ def test_certificates_verify_on_unbounded_random_instances():
     assert seen_unbounded > 20
 
 
-def test_row_activation_matches_dense_solve():
-    rng = np.random.default_rng(4242)
-    n = 3
-    m = 400
-    A = rng.normal(size=(m, n))
-    b = np.abs(rng.normal(size=m)) + 0.5
-    c = np.abs(rng.normal(size=n)) + 0.1
-    relations = tuple(lp.LE for _ in range(m))
-    inst = lp.lp_instance(c, A, b, relations)
-    tall = lp.solve_lp(inst)  # activation path (m > threshold)
-    dense = lp._solve_dense(inst, 1e-12)
-    assert tall.status == dense.status == "optimal"
-    assert tall.value == pytest.approx(dense.value, rel=1e-9, abs=1e-9)
-    assert lp.verify_outcome(inst, tall).ok
+def _reference_standard_form(inst):
+    """The standard form built column by column in Python: A, b, c and the
+    variable and sign of each structural column."""
+    m, n = inst.num_rows, inst.num_vars
+    col_var, col_sign, caps = [], [], []
+    shift = np.zeros(n)
+    for j in range(n):
+        lo, up = inst.lower[j], inst.upper[j]
+        if np.isinf(lo) and np.isinf(up):
+            col_var += [j, j]
+            col_sign += [1.0, -1.0]
+        elif np.isinf(lo):
+            shift[j] = up
+            col_var.append(j)
+            col_sign.append(-1.0)
+        else:
+            shift[j] = lo
+            col_var.append(j)
+            col_sign.append(1.0)
+            if not np.isinf(up):
+                caps.append((len(col_var) - 1, up - lo))
+    relations = list(inst.relations) + [lp.LE] * len(caps)
+    A = np.zeros((m + len(caps), len(col_var)))
+    for t, (j, sgn) in enumerate(zip(col_var, col_sign)):
+        A[:m, t] = inst.A[:, j] * sgn
+    b = list(inst.b - inst.A @ shift)
+    for r, (t, cap) in enumerate(caps):
+        A[m + r, t] = 1.0
+        b.append(cap)
+    slack_rows = [i for i, rel in enumerate(relations) if rel != lp.EQ]
+    slacks = np.zeros((len(relations), len(slack_rows)))
+    for s, i in enumerate(slack_rows):
+        slacks[i, s] = 1.0 if relations[i] == lp.LE else -1.0
+    A = np.hstack([A, slacks])
+    b = np.asarray(b)
+    flip = b < 0
+    A[flip] *= -1.0
+    b[flip] *= -1.0
+    c = np.zeros(A.shape[1])
+    for t, (j, sgn) in enumerate(zip(col_var, col_sign)):
+        c[t] = inst.c[j] * sgn
+    return A, b, c, col_var, col_sign, shift
+
+
+def test_standard_form_matches_column_by_column_reference():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 6))
+        # free, bounded below, bounded above, or both
+        kind = rng.integers(0, 4, size=n)
+        lower = np.where(kind % 2 == 1, rng.integers(-3, 2, size=n), -np.inf)
+        upper = np.where(kind >= 2, rng.integers(2, 6, size=n), np.inf)
+        relations = tuple(str(r) for r in rng.choice([lp.LE, lp.EQ, lp.GE], size=m))
+        inst = lp.lp_instance(
+            rng.normal(size=n), rng.normal(size=(m, n)), rng.normal(size=m), relations,
+            lower=lower, upper=upper,
+        )
+        A, b, c, col_var, col_sign, shift = _reference_standard_form(inst)
+        std = lp._Standardized(inst)
+        assert np.array_equal(std.A, A) and np.array_equal(std.b, b)
+        assert np.array_equal(std.c, c)
+        x_std = rng.random(A.shape[1])
+        x = shift.copy()
+        ray = np.zeros(n)
+        for t, (j, sgn) in enumerate(zip(col_var, col_sign)):
+            x[j] += sgn * x_std[t]
+            ray[j] += sgn * x_std[t]
+        assert np.array_equal(std.x_original(x_std), x)
+        assert np.array_equal(std.ray_original(x_std), ray)
+        y_std = rng.normal(size=A.shape[0])
+        flipped = inst.b - inst.A @ shift < 0
+        assert np.array_equal(std.duals_original(y_std), np.where(flipped, -y_std[:m], y_std[:m]))
 
 
 def test_determinism_identical_outcomes():
@@ -234,6 +293,22 @@ def test_iteration_limit_reports_breakdown(monkeypatch):
         lp.solve_lp(inst)
 
 
+def test_breakdown_names_the_phase_and_the_standardized_shape(monkeypatch):
+    # each row gets a slack column: 2 rows x 4 columns, then 1 row x 2 columns
+    inst = lp.lp_instance([1.0, 1.0], [[1.0, 2.0], [2.0, 1.0]], [4.0, 4.0], (lp.LE, lp.LE))
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_MAX_ITER", 1)
+        with pytest.raises(NumericalBreakdown) as limit:
+            lp.solve_lp(inst)
+    assert str(limit.value) == (
+        "simplex iteration limit exceeded in phase 1 of a 2 x 4 standardized LP"
+    )
+    # phase 1 prices the slack in; phase 2 meets the 1e-13 pivot
+    with pytest.raises(NumericalBreakdown) as pivot:
+        lp.solve_lp(lp.lp_instance([1.0], [[1e-13]], [1.0], (lp.LE,)))
+    assert str(pivot.value).endswith("in phase 2 of a 1 x 2 standardized LP")
+
+
 def test_blocking_pivot_below_tolerance_is_reported():
     # the only blocking row has a 1e-13 pivot: refuse rather than call it unbounded
     inst = lp.lp_instance([1.0], [[1e-13]], [1.0], (lp.LE,))
@@ -242,10 +317,10 @@ def test_blocking_pivot_below_tolerance_is_reported():
 
 
 def _many_pivot_instance():
-    """A dense instance (60 rows, 12 bounded variables) that takes several
+    """A dense instance (100 rows, 20 bounded variables) that takes several
     hundred pivots, far more than the refactorization interval."""
     rng = np.random.default_rng(5)
-    n, m = 12, 60
+    n, m = 20, 100
     A = rng.normal(size=(m, n))
     relations = tuple(lp.LE if i % 3 else lp.GE for i in range(m))
     b = (rng.random(m) + 0.5) * np.where(np.asarray(relations) == lp.GE, -1.0, 1.0)
@@ -290,86 +365,6 @@ def test_long_solve_refactorizes_periodically(monkeypatch):
     assert sum(updates_between) > 5 * lp._REFACTOR_EVERY
 
 
-def _reference_excess(inst, growth, active):
-    viol = []
-    for i, rel in enumerate(inst.relations):
-        if i in active:
-            viol.append(0.0)
-        elif rel == lp.LE:
-            viol.append(growth[i])
-        elif rel == lp.GE:
-            viol.append(-growth[i])
-        else:
-            viol.append(abs(growth[i]))
-    return viol
-
-
-def _reference_activation(inst, tol=1e-8, batch=8):
-    """The active row sets of the row activation loop, row by row in Python."""
-    m = inst.num_rows
-    active = [i for i in range(m) if inst.relations[i] == lp.EQ]
-    for i in range(m):
-        if len(active) >= min(m, 32):
-            break
-        if inst.relations[i] != lp.EQ:
-            active.append(i)
-    sets = [sorted(set(active))]
-    while True:
-        out = lp._solve_dense(lp._restrict(inst, np.asarray(sets[-1])), 1e-12)
-        if out.status == "infeasible":
-            return sets
-        viol = _reference_excess(inst, inst.A @ np.asarray(out.x) - inst.b, sets[-1])
-        if out.status == "unbounded":
-            blocking = _reference_excess(inst, inst.A @ np.asarray(out.ray), sets[-1])
-            if any(v > tol for v in blocking):
-                viol = blocking
-        # most violated first, ties by row index (sorted is stable)
-        worst = [i for i in sorted(range(m), key=lambda i: -viol[i]) if viol[i] > tol]
-        if not worst:
-            return sets
-        sets.append(sorted(set(sets[-1]) | set(worst[:batch])))
-
-
-def test_activation_order_matches_row_by_row_reference(monkeypatch):
-    rng = np.random.default_rng(31)
-    instances = []
-    for k in range(30):
-        n = int(rng.integers(2, 5))
-        m = int(rng.integers(100, 200))
-        x0 = rng.integers(0, 3, size=n).astype(float)
-        c = rng.integers(-3, 4, size=n).astype(float)
-        if k % 3 == 0:
-            # covering rows with a nonnegative objective: unbounded
-            A = rng.integers(0, 4, size=(m, n)).astype(float)
-            relations = (lp.GE,) * m
-            b = A @ x0 - rng.integers(0, 3, size=m)
-            c = np.abs(c) + 1.0
-        else:
-            # integer rows through or near an integer point: many tied violations
-            A = rng.integers(-3, 4, size=(m, n)).astype(float)
-            relations = tuple(str(r) for r in rng.choice([lp.LE, lp.GE], size=m, p=[0.8, 0.2]))
-            if k % 3 == 1:
-                relations = (lp.EQ,) + relations[1:]
-            slack = rng.integers(0, 3, size=m) * (1 if k % 5 else -1)
-            b = A @ x0 + np.where(np.asarray(relations) == lp.GE, -slack, slack)
-            b[0] = A[0] @ x0
-        instances.append(lp.lp_instance(c, A, b, relations, upper=np.full(n, np.inf)))
-    expected = [_reference_activation(inst) for inst in instances]
-    recorded = []
-    restrict = lp._restrict
-    monkeypatch.setattr(
-        lp, "_restrict", lambda inst, rows: recorded[-1].append(list(rows)) or restrict(inst, rows)
-    )
-    seen = set()
-    for inst, sets in zip(instances, expected):
-        recorded.append([])
-        out = lp.solve_lp(inst)
-        assert recorded[-1] == sets
-        assert lp.verify_outcome(inst, out).ok
-        seen.add(out.status)
-    assert seen == {"optimal", "unbounded", "infeasible"}
-
-
 def _highs_value(inst):
     """The optimum of ``inst`` by HiGHS, or its status name when there is none."""
     from scipy.optimize import linprog
@@ -394,15 +389,16 @@ def _highs_value(inst):
     return {0: None, 2: "infeasible", 3: "unbounded"}[res.status] or -res.fun
 
 
+def _recording_margin_lps(monkeypatch):
+    """The list every LP ``support._margin_lp`` solves from now on is added to."""
+    solved = []
+    monkeypatch.setattr(support, "solve_lp", lambda inst: solved.append(inst) or lp.solve_lp(inst))
+    return solved
+
+
 def _margin_instances(monkeypatch, problem, anchors, levels):
     """Every LP ``support.support_margin`` solves along the anchors' ladders."""
-    solved = []
-
-    def recording(inst, **kwargs):
-        solved.append(inst)
-        return lp.solve_lp(inst, **kwargs)
-
-    monkeypatch.setattr(support, "solve_lp", recording)
+    solved = _recording_margin_lps(monkeypatch)
     for anchor in anchors:
         cloud = sample_criterion_space(problem, GridSpec.geometric(anchor, levels))
         y_ref = problem.criteria_at(anchor)
@@ -411,19 +407,18 @@ def _margin_instances(monkeypatch, problem, anchors, levels):
     return solved
 
 
-def _near_degenerate_tall_instance(rng):
-    """Hundreds of rows, each a copy of one of six, tilted by about 1e-4:
-    many rows pass near each vertex."""
-    n = int(rng.integers(2, 5))
-    m = int(rng.integers(120, 400))
-    base = rng.integers(-3, 4, size=(6, n)).astype(float)
-    pick = rng.integers(0, len(base), size=m)
-    A = base[pick] + 1e-4 * rng.normal(size=(m, n))
-    b = rng.integers(0, 3, size=6).astype(float)[pick]
-    relations = tuple(lp.GE if r < 0.2 else lp.LE for r in rng.random(m))
-    b = np.where(np.asarray(relations) == lp.GE, -b - 1.0, b)
-    c = rng.integers(-3, 4, size=n).astype(float)
-    return lp.lp_instance(c, A, b, relations, lower=np.full(n, -2.0), upper=np.full(n, 2.0))
+def _near_parallel_margin_instances(monkeypatch, rng, count):
+    """Hard and soft margin LPs over 50 to 400 cuts, each a copy of one of six
+    directions tilted by about 1e-4: many columns pass near each vertex."""
+    solved = _recording_margin_lps(monkeypatch)
+    for _ in range(count):
+        p = int(rng.integers(2, 4))
+        m = int(rng.integers(50, 401))
+        base = rng.integers(-3, 4, size=(6, p)).astype(float)
+        diffs = base[rng.integers(0, len(base), size=m)] + 1e-4 * rng.normal(size=(m, p))
+        for soft in (False, True):
+            support._margin_lp(diffs, p, soft)
+    return solved
 
 
 @pytest.mark.parametrize("case", ["soland", "plane2d", "near_degenerate"])
@@ -439,23 +434,20 @@ def test_agrees_with_highs(monkeypatch, case):
         })
         anchors = [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5)]
         instances = _margin_instances(monkeypatch, problem, anchors, 8)
-        assert max(inst.num_rows for inst in instances) > 96  # row activation runs
+        assert {inst.num_rows for inst in instances} == {4}  # p + 1 rows, p = 3
     else:
-        # on these two seeds a solver without either safeguard of the
-        # maintained inverse (a fresh factorization before a verdict or a
-        # small pivot) returns a wrong optimum
-        instances = [
-            _near_degenerate_tall_instance(rng)
-            for rng in (np.random.default_rng(1983), np.random.default_rng(1986))
-            for _ in range(40)
-        ]
+        instances = _near_parallel_margin_instances(monkeypatch, np.random.default_rng(1983), 200)
+    statuses = set()
     for inst in instances:
         out = lp.solve_lp(inst)
         check = lp.verify_outcome(inst, out)
         assert check.ok, (out.status, check.failures)
+        statuses.add(out.status)
         expected = _highs_value(inst)
         if isinstance(expected, str):
             assert out.status == expected
         else:
             assert out.status == "optimal"
             assert out.value == pytest.approx(expected, abs=1e-9)
+    if case == "near_degenerate":
+        assert statuses == {"optimal", "unbounded"}  # hard margins both feasible and not
