@@ -259,68 +259,13 @@ def _ladder(
 # ---------------------------------------------------------------------------
 # record builders
 
-def _proper_dict(report: geoffrion.ProperEfficiencyReport) -> dict:
-    out = {
-        "status": report.status,
-        "m_hat": report.m_hat,
-        "worst": None,
-        "dominating_index": report.dominating_index,
-    }
-    if report.worst is not None:
-        out["worst"] = {
-            "point_index": report.worst.point_index,
-            "gain_index": report.worst.gain_index,
-            "loss_index": report.worst.loss_index,
-            "ratio": report.worst.ratio,
-        }
+def _as_record(report, *drop: str) -> dict:
+    """A report dataclass as a dict for the JSON report, nested dataclasses
+    included and the named fields left out."""
+    out = asdict(report)
+    for name in drop:
+        del out[name]
     return out
-
-
-def _divergence_dict(evidence: geoffrion.DivergenceEvidence) -> dict:
-    return {
-        "levels": list(evidence.levels),
-        "offsets": list(evidence.offsets),
-        "ratios": list(evidence.ratios),
-        "growth": evidence.growth,
-        "fitted_exponent": evidence.fitted_exponent,
-    }
-
-
-def _margin_dict(report: support.MarginReport) -> dict:
-    return {
-        "margin": report.margin,
-        "weights": list(report.weights) if report.weights is not None else None,
-        "binding": list(report.binding),
-        "feasible": report.feasible,
-        "sample_size": report.sample_size,
-    }
-
-
-def _trend_dict(trend: support.TrendReport) -> dict:
-    return {
-        "levels": list(trend.levels),
-        "offsets": list(trend.offsets),
-        "margins": list(trend.margins),
-        "verdict": trend.verdict,
-        "threshold": trend.threshold,
-        "fitted_exponent": trend.fitted_exponent,
-    }
-
-
-def _witness_dict(witness: support.ValueFunctionWitness, verification: support.WitnessVerification) -> dict:
-    return {
-        "weights": list(witness.weights),
-        "curvature": witness.curvature,
-        "anchor": list(witness.anchor),
-        "box": [list(pair) for pair in witness.box],
-        "verification": {
-            "all_passed": verification.all_passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in verification.checks
-            ],
-        },
-    }
 
 
 def _kkt_dicts(problem, spec: _PointSpec, cfg: Config) -> dict:
@@ -332,24 +277,12 @@ def _kkt_dicts(problem, spec: _PointSpec, cfg: Config) -> dict:
         "active_inequalities": list(active.active_ineq),
         "equalities": list(active.eq),
         "gradients": [[float(v) for v in row] for row in active.gradients],
-        "licq": {
-            "rows": licq.rows,
-            "rank": licq.rank,
-            "singular_values": list(licq.singular_values),
-            "holds": licq.holds,
-        },
+        "licq": _as_record(licq, "tol"),
     }
     cert = kkt.obstruction_test(active, licq=licq, tol=cfg.tol_obstruction)
-    payload["certificate"] = {
-        "conclusion": cert.conclusion,
-        "s_star": cert.s_star,
-        "sigma": list(cert.sigma),
-        "mu": list(cert.mu),
-        "lambda": list(cert.lam),
-        "probe_direction": cert.probe_direction,
-        "probe_line": cert.probe_line,
-        "assumptions": list(cert.assumptions),
-    }
+    certificate = _as_record(cert, "licq", "tol")
+    certificate["lambda"] = certificate.pop("lam")
+    payload["certificate"] = certificate
     return payload
 
 
@@ -372,21 +305,21 @@ def _classify_record(problem, cloud, spec: _PointSpec, cfg: Config, ladder) -> d
             ladder, problem.criteria_at(spec.decision), growth_factor=cfg.growth_factor
         )
         report = geoffrion.combine_with_divergence(report, evidence)
-        divergence = _divergence_dict(evidence)
-    record["proper_efficiency"] = _proper_dict(report)
+        divergence = _as_record(evidence)
+    record["proper_efficiency"] = _as_record(report, "divergence")
     record["divergence"] = divergence
     return record
 
 
 def _support_record(problem, cloud, spec: _PointSpec, cfg: Config, ladder) -> dict:
     margin = support.support_margin(cloud, spec.criterion, tol=cfg.tol_lp)
-    record: dict = {"margin": _margin_dict(margin), "trend": None, "witness": None}
+    record: dict = {"margin": _as_record(margin, "y_ref"), "trend": None, "witness": None}
     supported = margin.weights is not None
     if ladder is not None:
         trend = support.support_trend(
             ladder, spec.criterion, persistent_threshold=cfg.persistent_threshold
         )
-        record["trend"] = _trend_dict(trend)
+        record["trend"] = _as_record(trend, "last")
         supported = trend.verdict == support.PERSISTENT
     if supported:
         sample, _, witness = _build_witness_dict(problem, spec, cfg, cloud, margin)
@@ -424,13 +357,13 @@ def _build_witness_dict(
     box = _witness_box(cloud, spec.criterion)
     witness = support.build_witness(spec.criterion, margin.weights, box, cloud)
     verification = support.verify_witness(witness, cloud, tie_tol=cfg.tie_tol)
-    return cloud, margin, _witness_dict(witness, verification)
+    return cloud, margin, {**_as_record(witness), "verification": _as_record(verification)}
 
 
 def _witness_box(cloud: PointCloud, y_ref) -> tuple[tuple[float, float], ...]:
-    pts = np.vstack([cloud.as_array(), np.asarray(y_ref, dtype=float)])
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+    pts = cloud.as_array()
+    lo = np.minimum(pts.min(axis=0), y_ref)
+    hi = np.maximum(pts.max(axis=0), y_ref)
     pad = 0.05 * np.maximum(hi - lo, 1.0)
     return tuple((float(l - p), float(h + p)) for l, h, p in zip(lo, hi, pad))
 
@@ -493,7 +426,7 @@ def _cmd_witness(problem, source, specs, cfg: Config, cloud: PointCloud):
                 f"no positive support at {spec.criterion}: margin {margin.margin}"
             )
         record = _record_head(spec)
-        record.update({"margin": _margin_dict(margin), "witness": witness})
+        record.update({"margin": _as_record(margin, "y_ref"), "witness": witness})
         records.append(record)
     return _payload("witness", problem, source, cfg, records, cloud)
 

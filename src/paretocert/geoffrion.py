@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, NotAGain, SchemaError
-from .problems import point_rows
+from .problems import point_array
 
 DOMINATED = "dominated"
 PROPER = "proper"
@@ -70,14 +70,31 @@ def tradeoff_ratio(y_ref, y, gain_index: int) -> float | None:
         raise NotAGain(
             f"criterion {gain_index}: {pt[gain_index]} is not a gain over {ref[gain_index]}"
         )
+    return _smallest_ratio(gain, ref, pt)[0]
+
+
+def _smallest_ratio(gain: float, ref, y) -> tuple[float | None, int]:
+    """The smallest ratio ``gain / (ref_j - y_j)`` over the criteria j that
+    lose, and the first j attaining it; ``(None, -1)`` when none loses."""
     best: float | None = None
-    for j, (rj, pj) in enumerate(zip(ref, pt)):
-        loss = rj - pj
+    best_j = -1
+    for j, (rj, yj) in enumerate(zip(ref, y)):
+        loss = rj - yj
         if loss > 0:
             ratio = gain / loss
             if best is None or ratio < best:
                 best = ratio
-    return best
+                best_j = j
+    return best, best_j
+
+
+def _row_pairs(ref, y):
+    """(ratio, gain index, loss index) of each criterion in which ``y`` gains
+    on ``ref``, by the scalar rule; a NaN coordinate counts as a gain."""
+    for i, (ri, yi) in enumerate(zip(ref, y)):
+        if not yi <= ri:
+            ratio, j = _smallest_ratio(yi - ri, ref, y)
+            yield ratio, i, j
 
 
 def proper_efficiency_report(cloud, y_ref) -> ProperEfficiencyReport:
@@ -85,38 +102,39 @@ def proper_efficiency_report(cloud, y_ref) -> ProperEfficiencyReport:
 
     Status is 'dominated' as soon as some point gains in a criterion with no
     compensating loss anywhere; otherwise 'proper' with the finite bound.
+
+    A point's best ratio for gain i is gain_i / max_j loss_j, and the point's
+    bound is max_i gain_i / max_j loss_j: rounding is monotone, so this equals
+    the max-min over (i, j) of the rounded ratios bit for bit. Only the
+    points whose bound comes out NaN (no gain and no loss, or inf / inf) and
+    the worst point are evaluated by the scalar rule.
     """
-    rows = point_rows(cloud)
+    pts = point_array(cloud)
     ref = tuple(float(v) for v in y_ref)
     p = len(ref)
-    if len(rows[0]) != p:
-        raise DimensionError(
-            f"reference has dimension {p}, cloud has {len(rows[0])}"
+    if pts.shape[1] != p:
+        raise DimensionError(f"reference has dimension {p}, cloud has {pts.shape[1]}")
+    with np.errstate(all="ignore"):  # inf and NaN follow IEEE rules, as in the loop
+        diffs = pts - np.asarray(ref)
+        losing = diffs < 0  # ref_j - y_j = -(y_j - ref_j) exactly
+        gain = np.where(diffs > 0, diffs, 0.0).max(axis=1)
+        bounds = gain / np.where(losing, -diffs, 0.0).max(axis=1)
+    dominating = np.flatnonzero(~(pts <= ref).all(axis=1) & ~losing.any(axis=1))
+    if dominating.size:
+        return ProperEfficiencyReport(
+            status=DOMINATED, m_hat=None, worst=None, dominating_index=int(dominating[0])
         )
-    m_hat = 0.0
-    worst: WorstPair | None = None
-    for idx, y in enumerate(rows):
-        for i in range(p):
-            if y[i] <= ref[i]:
-                continue
-            gain = y[i] - ref[i]
-            best_ratio: float | None = None
-            best_j = -1
-            for j in range(p):
-                loss = ref[j] - y[j]
-                if loss > 0:
-                    ratio = gain / loss
-                    if best_ratio is None or ratio < best_ratio:
-                        best_ratio = ratio
-                        best_j = j
-            if best_ratio is None:
-                return ProperEfficiencyReport(
-                    status=DOMINATED, m_hat=None, worst=None, dominating_index=idx
-                )
-            if best_ratio > m_hat:
-                m_hat = best_ratio
-                worst = WorstPair(idx, i, best_j, best_ratio)
-    return ProperEfficiencyReport(status=PROPER, m_hat=m_hat, worst=worst)
+    for k in np.flatnonzero(np.isnan(bounds)).tolist():
+        # no gain and no loss (0 / 0), or an inf / inf ratio that the scalar
+        # rule drops or keeps depending on which loss comes first
+        ratios = [r for r, _, _ in _row_pairs(ref, pts[k].tolist()) if r > 0]
+        bounds[k] = max(ratios, default=0.0)
+    m_hat = float(bounds.max())
+    if not m_hat > 0:
+        return ProperEfficiencyReport(status=PROPER, m_hat=0.0, worst=None)
+    idx = int(np.argmax(bounds))
+    ratio, i, j = next(t for t in _row_pairs(ref, pts[idx].tolist()) if t[0] == m_hat)
+    return ProperEfficiencyReport(status=PROPER, m_hat=m_hat, worst=WorstPair(idx, i, j, ratio))
 
 
 def combine_with_divergence(
@@ -155,7 +173,7 @@ def divergence_probe(ladder, y_ref, *, growth_factor: float = 1e3) -> Divergence
         growth = nondecreasing and ratios[-1] > growth_factor * ratios[0]
     else:
         growth = nondecreasing and ratios[-1] > 0
-    fitted = _fit_exponent(offsets, ratios)
+    fitted = fit_exponent(offsets, ratios)
     return DivergenceEvidence(
         levels=levels,
         offsets=offsets,
@@ -165,7 +183,9 @@ def divergence_probe(ladder, y_ref, *, growth_factor: float = 1e3) -> Divergence
     )
 
 
-def _fit_exponent(offsets, values) -> float | None:
+def fit_exponent(offsets, values) -> float | None:
+    """The slope of log(values) against log(offsets), None unless there are
+    two or more values, all positive."""
     if len(values) < 2 or any(v <= 0 for v in values):
         return None
     slope = np.polyfit(np.log(np.asarray(offsets)), np.log(np.asarray(values)), 1)[0]

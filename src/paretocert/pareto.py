@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError
-from .problems import point_rows
+from .problems import point_array
 
 
 class Dominance(Enum):
@@ -60,7 +60,7 @@ def pareto_filter(cloud) -> list[int]:
     kept front, O(N F p) for a front of F vectors. ``+-inf`` coordinates are
     ordinary values; a NaN coordinate raises ``ValueError`` naming its row.
     """
-    pts = np.asarray(point_rows(cloud), dtype=float)
+    pts = point_array(cloud)
     nan_rows = np.flatnonzero(np.isnan(pts).any(axis=1))
     if nan_rows.size:
         raise ValueError(f"point {int(nan_rows[0])} has a NaN coordinate")

@@ -12,7 +12,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,12 +85,26 @@ class PointCloud:
     points: tuple[tuple[float, ...], ...]
     decisions: tuple[tuple[float, ...], ...] | None = None
     provenance: str = "external"
+    # read-only arrays of ``points`` and ``decisions``, built on first use or
+    # sliced from the parent's by cut_grid
+    _arrays: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.points)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
+        """The points as one read-only (N, p) float array, the same object on
+        every call."""
+        return self._array("points")
+
+    def decision_array(self) -> np.ndarray | None:
+        """The decisions as one read-only (N, n) float array, or None."""
+        return None if self.decisions is None else self._array("decisions")
+
+    def _array(self, name: str) -> np.ndarray:
+        if name not in self._arrays:
+            self._arrays[name] = point_array(getattr(self, name))
+        return self._arrays[name]
 
     def to_document(self) -> dict:
         doc = {
@@ -107,19 +121,19 @@ class PointCloud:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def point_rows(cloud) -> tuple[tuple[float, ...], ...]:
-    """Coerce a PointCloud or a plain sequence of vectors to tuples of floats."""
+def point_array(cloud) -> np.ndarray:
+    """The (N, p) float array of a PointCloud (its cached array) or of a plain
+    sequence of vectors; read-only either way."""
     if isinstance(cloud, PointCloud):
-        rows = cloud.points
-    else:
-        rows = tuple(tuple(float(v) for v in row) for row in cloud)
+        return cloud.as_array()
+    rows = list(cloud)
     if not rows:
         raise ValueError("empty point cloud")
-    width = len(rows[0])
-    for row in rows:
-        if len(row) != width:
-            raise DimensionError("cloud points have inconsistent dimensions")
-    return rows
+    if len({len(row) for row in rows}) > 1:
+        raise DimensionError("cloud points have inconsistent dimensions")
+    array = np.array(rows, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +271,9 @@ def cut_grid(problem: AnalyticProblem, cloud: PointCloud, grid: GridSpec) -> Poi
     lexicographic order survives subsetting. Returns ``cloud`` itself when the
     grid covers all of it; raises SchemaError when a node is missing.
     """
-    if cloud.decisions is None:
+    decisions = cloud.decision_array()
+    if decisions is None:
         raise SchemaError("only a cloud with decisions can be cut")
-    decisions = np.asarray(cloud.decisions, dtype=float)
     axis_values = _grid_axes(problem, grid)
     keep = np.logical_and.reduce([np.isin(decisions[:, d], v) for d, v in enumerate(axis_values)])
     rows = np.flatnonzero(keep)
@@ -267,12 +281,16 @@ def cut_grid(problem: AnalyticProblem, cloud: PointCloud, grid: GridSpec) -> Poi
         raise SchemaError("the grid is not contained in the sampled cloud")
     if len(rows) == len(cloud):
         return cloud
-    return PointCloud(
+    cut = PointCloud(
         criterion_dim=cloud.criterion_dim,
         points=tuple(cloud.points[i] for i in rows),
         decisions=tuple(cloud.decisions[i] for i in rows),
         provenance=cloud.provenance,
     )
+    cut._arrays.update(points=cloud.as_array()[rows], decisions=decisions[rows])
+    for array in cut._arrays.values():
+        array.flags.writeable = False
+    return cut
 
 
 def refinement_ladder(

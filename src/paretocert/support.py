@@ -25,14 +25,14 @@ concave witness v(y) = <w, y> - eps * ||y - y_ref||^2 certified on a box.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoxTooSmall, NotSupported, NumericalBreakdown, SchemaError
+from .errors import BoxTooSmall, DimensionError, NotSupported, NumericalBreakdown, SchemaError
+from .geoffrion import fit_exponent
 from .linprog import EQ, lp_instance, solve_lp
-from .problems import point_rows
+from .problems import point_array
 
 VANISHING = "vanishing"
 PERSISTENT = "persistent"
@@ -74,11 +74,13 @@ class ValueFunctionWitness:
         yv = np.asarray(y, dtype=float)
         return float(w @ yv - self.curvature * float((yv - a) @ (yv - a)))
 
-    def gradient(self, y) -> tuple[float, ...]:
+    def gradient(self, y) -> np.ndarray:
+        """The gradient at ``y``, or at each row of an (n, p) array ``y``.
+        Component i depends on y_i alone."""
         w = np.asarray(self.weights)
         a = np.asarray(self.anchor)
         yv = np.asarray(y, dtype=float)
-        return tuple(w - 2.0 * self.curvature * (yv - a))
+        return w - 2.0 * self.curvature * (yv - a)
 
 
 @dataclass(frozen=True)
@@ -96,12 +98,12 @@ class WitnessVerification:
 
 def support_margin(cloud, y_ref, *, tol: float = 1e-8) -> MarginReport:
     """Solve the support margin LP for a sample against a reference point."""
-    rows = point_rows(cloud)
+    rows = point_array(cloud)
     ref = tuple(float(v) for v in y_ref)
     p = len(ref)
-    if len(rows[0]) != p:
-        raise SchemaError(f"reference has dimension {p}, cloud has {len(rows[0])}")
-    diffs = np.asarray(rows, dtype=float) - np.asarray(ref)
+    if rows.shape[1] != p:
+        raise SchemaError(f"reference has dimension {p}, cloud has {rows.shape[1]}")
+    diffs = rows - np.asarray(ref)
     out = _margin_lp(diffs, p, soft=False)
     feasible = out.status == "optimal"
     if not feasible:
@@ -167,19 +169,13 @@ def support_trend(ladder, y_ref, *, persistent_threshold: float = 1e-3) -> Trend
     reports = [support_margin(cloud_k, y_ref) for cloud_k in ladder]
     margins = tuple(r.margin for r in reports)
     verdict = PERSISTENT if margins[-1] >= persistent_threshold else VANISHING
-    positive = [m for m in margins if m > 0]
-    fitted = None
-    if len(positive) == len(margins) and len(margins) >= 2:
-        fitted = float(
-            np.polyfit(np.log(np.asarray(offsets)), np.log(np.asarray(margins)), 1)[0]
-        )
     return TrendReport(
         levels=levels,
         offsets=offsets,
         margins=margins,
         verdict=verdict,
         threshold=persistent_threshold,
-        fitted_exponent=fitted,
+        fitted_exponent=fit_exponent(offsets, margins),
         last=reports[-1],
     )
 
@@ -209,10 +205,14 @@ def build_witness(
     for i, (lo, hi) in enumerate(box_t):
         if not lo <= anchor[i] <= hi:
             raise BoxTooSmall(f"anchor coordinate {i} outside the box")
-    for idx, y in enumerate(point_rows(cloud)):
-        for i, (lo, hi) in enumerate(box_t):
-            if not lo <= y[i] <= hi:
-                raise BoxTooSmall(f"cloud point {idx} outside the box in dimension {i}")
+    pts = point_array(cloud)
+    if pts.shape[1] != p:
+        raise DimensionError(f"cloud has dimension {pts.shape[1]}, expected {p}")
+    lo, hi = np.asarray(box_t).T
+    outside = np.argwhere(~((lo <= pts) & (pts <= hi)))
+    if len(outside):
+        idx, i = outside[0].tolist()
+        raise BoxTooSmall(f"cloud point {idx} outside the box in dimension {i}")
     if curvature is None:
         curvature = 0.5 * min(w[i] / (2.0 * widths[i]) for i in range(p))
     elif curvature < 0:
@@ -237,11 +237,9 @@ def verify_witness(
     ``grid_resolution`` adds a redundant gradient scan over a box grid.
     """
     checks: list[WitnessCheck] = []
-    corners = itertools.product(*witness.box)
-    worst_component = np.inf
-    for corner in corners:
-        grad = witness.gradient(corner)
-        worst_component = min(worst_component, min(grad))
+    # gradient component i depends on y_i alone, so the components over all
+    # corners (or grid nodes) are those at the box's per-axis values
+    worst_component = float(witness.gradient(np.asarray(witness.box).T).min())
     checks.append(
         WitnessCheck(
             name="strictly_increasing_on_box",
@@ -261,17 +259,7 @@ def verify_witness(
         checks.append(
             WitnessCheck(name="strictly_concave", passed=False, detail="concave, not strictly")
         )
-    anchor_value = witness.value(witness.anchor)
-    worst_gap = np.inf
-    worst_index = None
-    anchor = tuple(witness.anchor)
-    for idx, y in enumerate(point_rows(cloud)):
-        if tuple(y) == anchor:
-            continue
-        gap = anchor_value - witness.value(y)
-        if gap < worst_gap:
-            worst_gap = gap
-            worst_index = idx
+    worst_index, worst_gap = _smallest_gap(witness, point_array(cloud))
     if worst_index is None:
         checks.append(
             WitnessCheck(
@@ -289,10 +277,8 @@ def verify_witness(
             )
         )
     if grid_resolution > 0:
-        axes = [np.linspace(lo, hi, grid_resolution) for lo, hi in witness.box]
-        min_grid = np.inf
-        for node in itertools.product(*axes):
-            min_grid = min(min_grid, min(witness.gradient(node)))
+        axes = np.column_stack([np.linspace(lo, hi, grid_resolution) for lo, hi in witness.box])
+        min_grid = float(witness.gradient(axes).min())
         checks.append(
             WitnessCheck(
                 name="gradient_positive_on_grid",
@@ -301,3 +287,43 @@ def verify_witness(
             )
         )
     return WitnessVerification(checks=tuple(checks), all_passed=all(c.passed for c in checks))
+
+
+def _smallest_gap(witness: ValueFunctionWitness, pts: np.ndarray) -> tuple[int | None, float]:
+    """The first index of the smallest ``value(anchor) - value(y)`` over the
+    points other than the anchor, and that gap, as the scalar ``value`` gives
+    them; ``(None, inf)`` when there is no such point.
+
+    The gaps are computed in numpy first. With u = 2^-53, the scalar and the
+    numpy value of v(y) = <w, y> - c ||d||^2 (d = y - a, rounded the same in
+    both) are each within gamma_{p+2} (|w|.|y| + |c| ||d||^2) of its exact
+    value, whatever the order of the sums (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, section 3.1), so their gaps differ by less
+    than delta = 2 (p + 4) eps (|w|.|y| + |c| ||d||^2 + |gap|) + tiny, with
+    eps = 2u and tiny the smallest normal number, which covers roundings in
+    the subnormal range. Only the rows whose numpy gap minus its delta does
+    not exceed the numpy minimum plus its delta can hold the scalar minimum;
+    they are evaluated again by ``value``, in index order.
+    """
+    w = np.asarray(witness.weights)
+    a = np.asarray(witness.anchor)
+    c = witness.curvature
+    anchor_value = witness.value(witness.anchor)
+    d = pts - a
+    sq = np.einsum("ij,ij->i", d, d)
+    gaps = anchor_value - (pts @ w - c * sq)
+    info = np.finfo(float)
+    scale = np.abs(pts) @ np.abs(w) + abs(c) * sq + np.abs(gaps)
+    delta = 2 * (len(a) + 4) * info.eps * scale + info.tiny
+    others = np.flatnonzero(~(pts == a).all(axis=1))
+    if not others.size:
+        return None, np.inf
+    k = others[np.argmin(gaps[others])]
+    # a NaN comparison keeps its row: only provably larger gaps are dropped
+    keep = others[~(gaps[others] - delta[others] > gaps[k] + delta[k])]
+    worst_index, worst_gap = None, np.inf
+    for idx in keep.tolist():
+        gap = anchor_value - witness.value(pts[idx])
+        if gap < worst_gap:
+            worst_index, worst_gap = idx, gap
+    return worst_index, worst_gap

@@ -366,6 +366,19 @@ def test_deep_soland_ladder_follows_the_margin_to_its_limit(capsys):
             assert abs(record["support"]["margin"]["margin"] - expected) <= 1e-9
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="from level 41 on, the 1e-12 tie window of the ratio test in linprog._entering "
+    "lets the wrong row leave and the origin's margin reads -0.0 (ROADMAP item 2)",
+)
+def test_deepest_soland_origin_margins_stay_positive(capsys):
+    # the margin at level k is 2^-k / (1 + 2^-k)
+    code, out, _ = _run(capsys, "report", "builtin:soland", "--levels", "60", "--point-decision", "0")
+    assert code == 0
+    margins = json.loads(out)["points"][0]["support"]["trend"]["margins"]
+    assert all(m > 0 for m in margins[40:])
+
+
 def test_plane2d_deep_ladders_solve(tmp_path, capsys):
     path = tmp_path / "plane2d.json"
     path.write_text(json.dumps(PLANE2D))

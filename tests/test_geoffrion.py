@@ -13,24 +13,53 @@ def ladder(problem, anchor, levels):
 
 
 def brute_force_report(points, y_ref):
-    """Triple loop over (point, gain index, loss index); independent oracle."""
+    """Triple loop over (point, gain index, loss index); independent oracle.
+
+    The first point that gains somewhere and loses nowhere dominates; else the
+    bound is the largest over (point, gain) of the smallest ratio over losses,
+    the first triple attaining it being the worst. Returns
+    (m_hat, (point, gain, loss) or None, dominating index or None)."""
     p = len(y_ref)
     m_hat = 0.0
-    dominated = False
-    for y in points:
+    worst = None
+    for idx, y in enumerate(points):
         for i in range(p):
             if y[i] <= y_ref[i]:
                 continue
-            ratios = [
-                (y[i] - y_ref[i]) / (y_ref[j] - y[j])
-                for j in range(p)
-                if y_ref[j] > y[j]
-            ]
-            if not ratios:
-                dominated = True
-            else:
-                m_hat = max(m_hat, min(ratios))
-    return dominated, m_hat
+            gain = y[i] - y_ref[i]
+            best_ratio = None
+            best_j = -1
+            for j in range(p):
+                loss = y_ref[j] - y[j]
+                if loss > 0:
+                    ratio = gain / loss
+                    if best_ratio is None or ratio < best_ratio:
+                        best_ratio = ratio
+                        best_j = j
+            if best_ratio is None:
+                return None, None, idx
+            if best_ratio > m_hat:
+                m_hat = best_ratio
+                worst = (idx, i, best_j)
+    return m_hat, worst, None
+
+
+def assert_matches_brute_force(points, y_ref):
+    m_hat, worst, dominating = brute_force_report(points, y_ref)
+    report = geoffrion.proper_efficiency_report(points, y_ref)
+    assert report.dominating_index == dominating
+    if dominating is not None:
+        assert report.status == geoffrion.DOMINATED
+        assert report.m_hat is None and report.worst is None
+        return
+    assert report.status == geoffrion.PROPER
+    assert repr(report.m_hat) == repr(m_hat)  # bit for bit
+    if worst is None:
+        assert report.worst is None
+    else:
+        got = report.worst
+        assert (got.point_index, got.gain_index, got.loss_index) == worst
+        assert repr(got.ratio) == repr(m_hat)
 
 
 def test_ratio_reproduces_inverse_decision_blowup():
@@ -94,13 +123,71 @@ def test_report_matches_brute_force_on_random_clouds():
         p = int(rng.integers(2, 5))
         pts = [tuple(float(v) for v in rng.normal(size=p)) for _ in range(n)]
         y_ref = tuple(float(v) for v in rng.normal(size=p))
-        dominated, m_hat = brute_force_report(pts, y_ref)
-        report = geoffrion.proper_efficiency_report(pts, y_ref)
-        if dominated:
-            assert report.status == geoffrion.DOMINATED
-        else:
-            assert report.status == geoffrion.PROPER
-            assert report.m_hat == pytest.approx(m_hat, rel=1e-12, abs=1e-12)
+        assert_matches_brute_force(pts, y_ref)
+
+
+TINY, HUGE, BIG = 1e-300, 1e300, 1.7e308
+
+
+@pytest.mark.parametrize(
+    "points, y_ref",
+    [
+        # duplicate rows: the first copy is the worst point
+        ([(1.0, -1.0), (2.0, -1.0), (2.0, -1.0), (1.0, -1.0)], (0.0, 0.0)),
+        # equal ratios from different losses: the first loss index wins
+        ([(1.0, -2.0, -2.0), (-2.0, 1.0, -2.0)], (0.0, 0.0, 0.0)),
+        # equal ratios from different gains: the first gain index wins
+        ([(1.0, 1.0, -1.0)], (0.0, 0.0, 0.0)),
+        # signed zeros are neither gains nor losses
+        ([(-0.0, 0.0), (0.0, -0.0), (1.0, -0.0), (-0.0, -1.0)], (0.0, -0.0)),
+        # a dominated row after a proper one
+        ([(1.0, -1.0), (3.0, -0.5), (0.5, 0.0)], (0.0, 0.0)),
+        # a dominating row before a proper one
+        ([(0.5, 0.0), (1.0, -1.0)], (0.0, 0.0)),
+        # ratios that underflow to zero leave the bound at 0 and no worst pair
+        ([(TINY, -HUGE), (2 * TINY, -HUGE)], (0.0, 0.0)),
+        # a ratio that overflows to inf
+        ([(HUGE, -TINY), (1.0, -1.0)], (0.0, 0.0)),
+        # differences that overflow to inf, and inf / inf after a finite loss
+        ([(BIG, -BIG, -1.0), (1.0, -1.0, -1.0)], (-BIG, BIG, 0.0)),
+        ([(BIG, -1.0, -BIG), (1.0, -1.0, -1.0)], (-BIG, 0.0, BIG)),
+        ([(np.inf, -np.inf), (1.0, -1.0)], (0.0, 0.0)),
+        # the reference is in the cloud (no gain, no loss)
+        ([(0.0, 0.0), (1.0, -2.0)], (0.0, 0.0)),
+        # a NaN coordinate counts as a gain, as in the loop
+        ([(np.nan, -1.0), (1.0, -1.0)], (0.0, 0.0)),
+        ([(1.0, -1.0), (np.nan, 0.0)], (0.0, 0.0)),
+    ],
+)
+def test_report_matches_brute_force_on_edge_cases(points, y_ref):
+    assert_matches_brute_force(points, y_ref)
+
+
+def test_report_matches_brute_force_on_generated_clouds():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # a small pool makes duplicates, ties, signed zeros, underflow and
+    # overflow common
+    pool = [-np.inf, -BIG, -HUGE, -2.0, -1.0, -TINY, -0.0, 0.0, TINY, 0.5, 1.0, 2.0, HUGE, BIG,
+            np.inf, np.nan]
+    coordinate = st.sampled_from(pool) | st.floats(allow_nan=False, allow_infinity=False)
+    reference = st.sampled_from([-BIG, -1.0, -0.0, 0.0, 1.0, BIG]) | st.floats(
+        allow_nan=False, allow_infinity=False
+    )
+    cases = st.integers(2, 4).flatmap(
+        lambda p: st.tuples(
+            st.lists(st.tuples(*[coordinate] * p), min_size=1, max_size=30),
+            st.tuples(*[reference] * p),
+        )
+    )
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(cases)
+    def check(case):
+        points, y_ref = case
+        assert_matches_brute_force(points, y_ref)
+
+    check()
 
 
 def test_common_positive_scaling_leaves_ratios_unchanged():

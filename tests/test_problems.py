@@ -174,6 +174,10 @@ def assert_same_cloud(cut, fresh):
     assert repr(cut.points) == repr(fresh.points)  # bit for bit, signed zeros included
     assert repr(cut.decisions) == repr(fresh.decisions)
     assert cut.provenance == fresh.provenance
+    pairs = [(cut.as_array(), fresh.as_array()), (cut.decision_array(), fresh.decision_array())]
+    for got, want in pairs:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -221,8 +225,23 @@ def test_cutting_a_grid_the_cloud_lacks_raises():
         problems.cut_grid(problem, bare, problems.GridSpec.uniform(1, 3))
 
 
-def test_point_rows_rejects_ragged_input():
+def test_point_array_rejects_ragged_input():
     with pytest.raises(DimensionError):
-        problems.point_rows([(0.0, 1.0), (1.0,)])
+        problems.point_array([(0.0, 1.0), (1.0,)])
     with pytest.raises(ValueError):
-        problems.point_rows([])
+        problems.point_array([])
+
+
+def test_cloud_arrays_are_built_once_and_read_only():
+    soland = problems.builtin("soland")
+    cloud = problems.sample_criterion_space(soland, problems.GridSpec.uniform(1, 5))
+    points = cloud.as_array()
+    assert points is cloud.as_array() is problems.point_array(cloud)
+    assert points.tolist() == [list(y) for y in cloud.points]
+    decisions = cloud.decision_array()
+    assert decisions is cloud.decision_array()
+    assert decisions.tolist() == [list(x) for x in cloud.decisions]
+    for array in (points, decisions):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    assert problems.PointCloud(criterion_dim=2, points=cloud.points).decision_array() is None

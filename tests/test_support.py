@@ -1,7 +1,10 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 
-from paretocert import support
+from paretocert import cli, support
 from paretocert.errors import BoxTooSmall, NotSupported, SchemaError
 from paretocert.problems import (
     AxisSpec,
@@ -192,6 +195,12 @@ def test_witness_rejects_cloud_outside_box():
         support.build_witness(
             (0.0, 0.0), (0.5, 0.5), [(-1.0, 1.0), (-1.0, 1.0)], [(2.0, 0.0)]
         )
+    # the first offending point, then its first offending dimension
+    with pytest.raises(BoxTooSmall, match="^cloud point 1 outside the box in dimension 0$"):
+        support.build_witness(
+            (0.0, 0.0), (0.5, 0.5), [(-1.0, 1.0), (-1.0, 1.0)],
+            [(0.0, 0.0), (-2.0, 2.0), (0.0, -2.0)],
+        )
 
 
 def test_witness_verification_passes_on_supported_anchor():
@@ -251,3 +260,89 @@ def test_margin_scales_to_ten_thousand_cuts():
     report = support.support_margin(pts, y_ref)
     assert report.margin > 0
     assert report.margin == pytest.approx(margin_grid_oracle(pts, y_ref), abs=1e-6)
+
+
+def scalar_verification_details(witness, points, grid_resolution):
+    """The per-corner, per-point and per-node loops of the three checks, with
+    the scalar ``value`` and ``gradient``: the reference for their details."""
+    corner = min(min(witness.gradient(y)) for y in itertools.product(*witness.box))
+    anchor_value = witness.value(witness.anchor)
+    worst_gap, worst_index = np.inf, None
+    for idx, y in enumerate(points):
+        if tuple(y) == tuple(witness.anchor):
+            continue
+        gap = anchor_value - witness.value(y)
+        if gap < worst_gap:
+            worst_gap, worst_index = gap, idx
+    axes = [np.linspace(lo, hi, grid_resolution) for lo, hi in witness.box]
+    grid = min(min(witness.gradient(node)) for node in itertools.product(*axes))
+    return {
+        "strictly_increasing_on_box": f"minimum gradient component over box corners: {corner}",
+        "unique_maximum_over_sample": (
+            "sample contains no point other than the anchor" if worst_index is None
+            else f"smallest value gap {worst_gap} at sample index {worst_index}"
+        ),
+        "gradient_positive_on_grid": (
+            f"minimum gradient component over {grid_resolution}^p grid: {grid}"
+        ),
+    }
+
+
+def assert_details_match_scalar_loops(witness, points, grid_resolution=3):
+    expected = scalar_verification_details(witness, points, grid_resolution)
+    verification = support.verify_witness(witness, points, grid_resolution=grid_resolution)
+    details = {c.name: c.detail for c in verification.checks if c.name in expected}
+    assert details == expected
+    return details
+
+
+def test_witness_gap_on_the_plane2d_mirror_tie():
+    # the probe at decision (0.5, 0.5): the points at decisions (0.49609375,
+    # 0.5) and (0.5, 0.49609375) tie in exact arithmetic; the scalar value
+    # puts index 179 below 161 in the last bit
+    doc = {
+        "type": "analytic", "decision_dim": 2, "criterion_dim": 3,
+        "domain": [[0, 1], [0, 1]], "criteria": ["x0", "x1", "-(x0^2 + x1^2)"],
+    }
+    problem = load_problem(json.dumps(doc))
+    grid = GridSpec(tuple((AxisSpec.uniform(9), AxisSpec.geometric(0.5, 8)) for _ in range(2)))
+    cloud = sample_criterion_space(problem, grid)
+    y_ref = problem.criteria_at((0.5, 0.5))
+    weights = support.support_margin(cloud, y_ref).weights
+    witness = support.build_witness(y_ref, weights, cli._witness_box(cloud, y_ref), cloud)
+    details = assert_details_match_scalar_loops(witness, cloud.points)
+    assert details["unique_maximum_over_sample"] == (
+        "smallest value gap 6.2377252051382115e-06 at sample index 179"
+    )
+    assert cloud.decisions[161] == (0.49609375, 0.5)
+    assert cloud.decisions[179] == (0.5, 0.49609375)
+
+
+def test_witness_gap_matches_scalar_loop_on_mirrored_clouds():
+    # permuting the offset of a point from the anchor leaves its exact value
+    # unchanged under equal weights, so every cloud is full of exact ties that
+    # rounding breaks; the anchor itself appears up to three times
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        p = int(rng.integers(2, 4))
+        anchor = rng.normal(size=p)
+        scale = 10.0 ** rng.uniform(-7, 1)
+        offsets = rng.normal(scale=scale, size=(int(rng.integers(1, 6)), p))
+        rows = [anchor + np.asarray(perm) for t in offsets for perm in itertools.permutations(t)]
+        rows += [anchor] * int(rng.integers(0, 4))
+        points = [tuple(float(v) for v in rows[k]) for k in rng.permutation(len(rows))]
+        equal = rng.random() < 0.5
+        weights = np.full(p, 1.0 / p) if equal else rng.uniform(0.1, 1.0, size=p)
+        witness = support.ValueFunctionWitness(
+            weights=tuple(float(v) for v in weights),
+            curvature=float(rng.uniform(0.0, 2.0)),
+            anchor=tuple(float(v) for v in anchor),
+            box=tuple((float(a) - 1.0, float(a) + 2.0) for a in anchor),
+        )
+        assert_details_match_scalar_loops(witness, points, int(rng.integers(1, 5)))
+
+
+def test_witness_gap_with_only_the_anchor():
+    witness = support.ValueFunctionWitness((0.5, 0.5), 0.1, (1.0, -0.0), ((0.0, 2.0), (-1.0, 1.0)))
+    details = assert_details_match_scalar_loops(witness, [(1.0, 0.0), (1.0, -0.0)])
+    assert details["unique_maximum_over_sample"] == "sample contains no point other than the anchor"
