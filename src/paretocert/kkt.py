@@ -4,13 +4,16 @@ For a point with an active constraint description of the criterion space,
 any concave value function v maximized there must have a supergradient of the
 form sigma = sum mu_k grad g_k + sum lambda_j grad h_j with mu >= 0 (the
 stationarity condition, valid under LICQ). If v is also strictly increasing,
-sigma must be strictly positive. The obstruction LP maximizes the smallest
-component of sigma over the normalized multiplier set
+sigma must be strictly positive. Writing lambda = lambda+ - lambda- with both
+parts nonnegative, the obstruction LP maximizes the smallest component of
+sigma over the normalized multiplier set
 
-    sum mu + sum |lambda| = 1,
+    sum mu + sum lambda+ + sum lambda- = 1,
 
-so a nonpositive optimum proves that no strictly increasing concave value
-function attains its maximum over the described set at the reference point.
+a Gordan alternative solved by ``linprog.cone_margin`` over the rows
+[G_ineq; G_eq; -G_eq] with the mass on their multipliers. A nonpositive
+optimum proves that no strictly increasing concave value function attains its
+maximum over the described set at the reference point.
 Conclusions are conditional on LICQ and on the constraints being smooth at
 the point; both assumptions are embedded in the certificate.
 """
@@ -29,7 +32,7 @@ from .errors import (
     NoConstraintDescription,
     NumericalBreakdown,
 )
-from .linprog import EQ, GE, lp_instance, solve_lp
+from .linprog import cone_margin
 from .problems import AnalyticProblem
 
 OBSTRUCTION = "obstruction"
@@ -159,9 +162,10 @@ def obstruction_test(
     """Decide whether any KKT-admissible supergradient is strictly positive.
 
     Solves: maximize s subject to sigma_i >= s for every criterion i, with
-    sigma = mu @ G_ineq + lambda @ G_eq, mu >= 0, and the multipliers
-    normalized to unit total mass. The boundary optimum s* = 0 is classified
-    as an obstruction because strict increase demands strict positivity.
+    sigma = mu @ G_ineq + lambda @ G_eq, mu >= 0, and mu, lambda+ and lambda-
+    normalized to unit total mass (see the module docstring). The boundary
+    optimum s* = 0 is classified as an obstruction because strict increase
+    demands strict positivity.
     """
     if licq is None:
         licq = licq_check(active)
@@ -188,68 +192,34 @@ def obstruction_test(
         )
     g_ineq = active.gradients[:nk]
     g_eq = active.gradients[nk:]
-    nvar = nk + 2 * nj + 1  # mu, lambda+, lambda-, s
-    A = np.zeros((p + 1, nvar))
-    b = np.zeros(p + 1)
-    relations = []
-    for i in range(p):
-        A[i, :nk] = g_ineq[:, i]
-        A[i, nk : nk + nj] = g_eq[:, i]
-        A[i, nk + nj : nk + 2 * nj] = -g_eq[:, i]
-        A[i, -1] = -1.0
-        relations.append(GE)
-    A[p, : nk + 2 * nj] = 1.0
-    b[p] = 1.0
-    relations.append(EQ)
-    c = np.zeros(nvar)
-    c[-1] = 1.0
-    lower = np.zeros(nvar)
-    lower[-1] = -np.inf
-    inst = lp_instance(c, A, b, tuple(relations), lower=lower, upper=np.full(nvar, np.inf))
-    out = solve_lp(inst)
+    out = cone_margin(np.vstack([g_ineq, g_eq, -g_eq]), mass="nu")
     if out.status != "optimal":
         raise NumericalBreakdown(f"obstruction LP terminated with status {out.status}")
-    s_star = float(out.value)
-    mu = tuple(float(v) for v in out.x[:nk])
-    lam = tuple(float(a - bb) for a, bb in zip(out.x[nk : nk + nj], out.x[nk + nj : nk + 2 * nj]))
+    s_star = float(out.value)  # -u*
+    nu = np.asarray(out.x[1 + p :])  # mu, lambda+, lambda-
+    mu = tuple(nu[:nk].tolist())
+    lam = tuple((nu[nk : nk + nj] - nu[nk + nj :]).tolist())
     sigma = np.zeros(p)
     if nk:
         sigma += np.asarray(mu) @ g_ineq
     if nj:
         sigma += np.asarray(lam) @ g_eq
-    if s_star > tol:
-        return ObstructionCertificate(
-            conclusion=NO_OBSTRUCTION,
-            s_star=s_star,
-            licq=licq,
-            sigma=tuple(float(v) for v in sigma),
-            mu=mu,
-            lam=lam,
-            tol=tol,
-            probe_direction=None,
-            probe_line=None,
-        )
     direction = None
-    for i in range(p):
-        best = 0.0
-        if nk:
-            best = max(best, float(np.max(g_ineq[:, i])))
-        if nj:
-            best = max(best, float(np.max(np.abs(g_eq[:, i]))))
-        if best <= tol:
-            direction = i
-            break
-    line = _probe_line(active.y_ref, direction) if direction is not None else None
+    if not s_star > tol:
+        # the first criterion that no active gradient can raise
+        reach = np.vstack([g_ineq, np.abs(g_eq), np.zeros((1, p))]).max(axis=0)
+        stuck = np.flatnonzero(reach <= tol)
+        direction = int(stuck[0]) if stuck.size else None
     return ObstructionCertificate(
-        conclusion=OBSTRUCTION,
+        conclusion=NO_OBSTRUCTION if s_star > tol else OBSTRUCTION,
         s_star=s_star,
         licq=licq,
-        sigma=tuple(float(v) for v in sigma),
+        sigma=tuple(sigma.tolist()),
         mu=mu,
         lam=lam,
         tol=tol,
         probe_direction=direction,
-        probe_line=line,
+        probe_line=None if direction is None else _probe_line(active.y_ref, direction),
     )
 
 

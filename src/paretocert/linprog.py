@@ -11,6 +11,11 @@ infeasibility (Farkas row multipliers) or unboundedness (a feasible point and
 an improving ray). :func:`verify_outcome` re-checks any certificate
 numerically and is independent of the solution path.
 
+:func:`cone_margin` builds the one LP the rest of the package solves: the
+largest smallest component of a unit-mass combination of a cone's generators,
+a Gordan alternative (Gordan 1873). The support margin asks it of the sampled
+cuts, the KKT obstruction test of the active gradients.
+
 Each simplex phase keeps one dense basis inverse (the product form of the
 inverse, Dantzig and Orchard-Hays 1954): phase 1 starts from the identity of
 the artificial basis and phase 2 from a fresh factorization; every pivot
@@ -328,12 +333,12 @@ def solve_lp(instance: LpInstance) -> LpOutcome:
             feas = np.where(np.isinf(lower), np.minimum(upper, 0.0), lower)
             return LpOutcome(
                 status="unbounded",
-                x=tuple(float(v) for v in feas),
-                ray=tuple(float(v) for v in ray),
+                x=tuple(feas.tolist()),
+                ray=tuple(ray.tolist()),
             )
         return LpOutcome(
             status="optimal",
-            x=tuple(float(v) for v in x),
+            x=tuple(x.tolist()),
             value=float(c @ x),
             basis=(),
             duals=(),
@@ -353,7 +358,7 @@ def solve_lp(instance: LpInstance) -> LpOutcome:
         feas_tol = 1e-9 * (1.0 + float(np.abs(std.b).sum()))
         if float(c1[basis] @ x_basic) < -feas_tol:
             farkas = std.duals_original(y)
-            return LpOutcome(status="infeasible", farkas=tuple(float(v) for v in farkas))
+            return LpOutcome(status="infeasible", farkas=tuple(farkas.tolist()))
 
         # drive artificial variables out of the basis, reading each row of
         # the inverse off the fresh one phase 1 ends with; fully dependent
@@ -392,17 +397,54 @@ def solve_lp(instance: LpInstance) -> LpOutcome:
         ray = std.ray_original(ray_std)
         return LpOutcome(
             status="unbounded",
-            x=tuple(float(v) for v in x),
-            ray=tuple(float(v) for v in ray),
+            x=tuple(x.tolist()),
+            ray=tuple(ray.tolist()),
         )
     duals = std.duals_original(y)
     return LpOutcome(
         status="optimal",
-        x=tuple(float(v) for v in x),
+        x=tuple(x.tolist()),
         value=float(instance.c @ x),
         basis=tuple(sorted(basis)),
-        duals=tuple(float(v) for v in duals),
+        duals=tuple(duals.tolist()),
     )
+
+
+# ---------------------------------------------------------------------------
+# the cone-margin LP
+
+_MASS_ROWS = {"lambda": (True, False), "lambda+nu": (True, True), "nu": (False, True)}
+
+
+def cone_margin(cuts, *, mass: str) -> LpOutcome:
+    """Solve the cone-margin LP over the rows of ``cuts`` (an m x p matrix C):
+
+        minimize u   s.t.   u * 1 - lambda + C^T nu = 0,   mass row = 1,
+                            u free,   lambda >= 0,   nu >= 0
+
+    over the columns (u, lambda, nu), in that order; the outcome's value is
+    -u*. The mass row sums lambda (``mass="lambda"``: the dual of the support
+    margin LP, whose weights are the negated duals of the first p rows), nu
+    (``"nu"``: -u* is the largest smallest component of a unit-mass
+    combination nu @ C, the KKT obstruction test) or both (``"lambda+nu"``:
+    the soft support margin).
+    """
+    on_lambda, on_nu = _MASS_ROWS[mass]
+    cuts = np.asarray(cuts, dtype=float)
+    m, p = cuts.shape
+    A = np.zeros((p + 1, 1 + p + m))
+    A[:p, 0] = 1.0
+    A[:p, 1 : 1 + p] = -np.eye(p)
+    A[:p, 1 + p :] = cuts.T
+    A[p, 1 : 1 + p] = float(on_lambda)
+    A[p, 1 + p :] = float(on_nu)
+    b = np.zeros(p + 1)
+    b[p] = 1.0
+    c = np.zeros(1 + p + m)
+    c[0] = -1.0
+    lower = np.zeros(1 + p + m)
+    lower[0] = -np.inf
+    return solve_lp(lp_instance(c, A, b, (EQ,) * (p + 1), lower=lower))
 
 
 # ---------------------------------------------------------------------------

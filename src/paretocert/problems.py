@@ -323,7 +323,10 @@ def _expect(doc: dict, key: str, types, path: str):
 def _finite_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise SchemaError(f"{path}: non-finite value")
     return out

@@ -6,7 +6,8 @@ point on the non-positive side of the hyperplane through the reference:
     maximize t   s.t.   sum(w) = 1,   w_i >= t,   <w, y - y_ref> <= 0  for all y
 
 With C the matrix of normalized cuts (y - y_ref)/max|y - y_ref|, the LP is
-solved through its dual, which has p + 1 rows however many cuts there are:
+solved through its dual, ``linprog.cone_margin`` with the mass on lambda,
+which has p + 1 rows however many cuts there are:
 
     minimize u   s.t.   u * 1 - lambda + C^T nu = 0,   sum(lambda) = 1,
                         lambda >= 0,   nu >= 0
@@ -16,7 +17,8 @@ negated. The dual is always feasible (u = lambda_i = 1/p, nu = 0), so it is
 unbounded exactly when no weights satisfy every cut. The margin is then
 recomputed with soft cuts <w, y - y_ref> + t <= 0, whose dual adds nu to the
 mass row (sum(lambda) + sum(nu) = 1), yielding a negative margin that
-quantifies the violation trend.
+quantifies the violation trend. Both solves share one normalized,
+deduplicated cut matrix.
 
 A margin t* > 0 certifies a strictly increasing linear value function that is
 maximized at the reference over the sample; we then upgrade it to a strictly
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import BoxTooSmall, DimensionError, NotSupported, NumericalBreakdown, SchemaError
 from .geoffrion import fit_exponent
-from .linprog import EQ, lp_instance, solve_lp
+from .linprog import cone_margin
 from .problems import point_array
 
 VANISHING = "vanishing"
@@ -104,10 +106,16 @@ def support_margin(cloud, y_ref, *, tol: float = 1e-8) -> MarginReport:
     if rows.shape[1] != p:
         raise SchemaError(f"reference has dimension {p}, cloud has {rows.shape[1]}")
     diffs = rows - np.asarray(ref)
-    out = _margin_lp(diffs, p, soft=False)
+    # each cut is homogeneous in w, so normalizing it changes no hard margin
+    # and keeps pivots well away from the tolerance; soft margins are those
+    # of the normalized cuts
+    scale = np.max(np.abs(diffs), axis=1)
+    scale[scale == 0.0] = 1.0
+    cuts = np.unique(diffs / scale[:, None], axis=0)  # duplicate rays are redundant
+    out = cone_margin(cuts, mass="lambda")
     feasible = out.status == "optimal"
     if not feasible:
-        out = _margin_lp(diffs, p, soft=True)
+        out = cone_margin(cuts, mass="lambda+nu")
         if out.status != "optimal":
             raise NumericalBreakdown("support margin relaxation did not solve")
     margin = -float(out.value)
@@ -126,32 +134,6 @@ def support_margin(cloud, y_ref, *, tol: float = 1e-8) -> MarginReport:
         y_ref=ref,
         sample_size=len(rows),
     )
-
-
-def _margin_lp(diffs: np.ndarray, p: int, soft: bool):
-    """The dual margin LP of the module docstring over ``(u, lambda, nu)``."""
-    # each cut is homogeneous in w, so normalizing it changes no hard margin
-    # and keeps pivots well away from the tolerance; soft margins are those
-    # of the normalized cuts
-    scale = np.max(np.abs(diffs), axis=1)
-    scale[scale == 0.0] = 1.0
-    cuts = np.unique(diffs / scale[:, None], axis=0)  # duplicate rays are redundant
-    m = cuts.shape[0]
-    A = np.zeros((p + 1, 1 + p + m))
-    A[:p, 0] = 1.0
-    A[:p, 1 : 1 + p] = -np.eye(p)
-    A[:p, 1 + p :] = cuts.T
-    A[p, 1 : 1 + p] = 1.0
-    if soft:
-        A[p, 1 + p :] = 1.0
-    b = np.zeros(p + 1)
-    b[p] = 1.0
-    c = np.zeros(1 + p + m)
-    c[0] = -1.0
-    lower = np.zeros(1 + p + m)
-    lower[0] = -np.inf
-    inst = lp_instance(c, A, b, (EQ,) * (p + 1), lower=lower, upper=np.full(1 + p + m, np.inf))
-    return solve_lp(inst)
 
 
 def support_trend(ladder, y_ref, *, persistent_threshold: float = 1e-3) -> TrendReport:

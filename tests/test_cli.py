@@ -182,6 +182,22 @@ def test_non_finite_point_exits_2(cloud_file, capsys, text):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"type": "cloud", "criterion_dim": 2, "points": [[0, 10**400]]}, "cloud.points[0][1]"),
+        (dict(SOLAND, domain=[[0, -(10**400)]]), "problem.domain[0][1]"),
+    ],
+    ids=["cloud_point", "domain_bound"],
+)
+def test_integer_beyond_the_float_range_exits_2(tmp_path, capsys, doc, where):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, "classify", str(path), "--point", "0,0")
+    assert code == 2
+    assert f"{where}: non-finite value" in err
+
+
 def test_efficient_matches_pairwise_dominance_loop(tmp_path, capsys):
     rng = np.random.default_rng(11)
     for case in range(40):

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from paretocert import kkt, support
+from paretocert import linprog as lp
 from paretocert.errors import (
     InfeasiblePoint,
     LicqNotVerified,
@@ -184,6 +186,80 @@ def test_verdict_matches_multiplier_grid_on_100_random_two_row_systems():
         assert (cert.s_star > 1e-9) == (oracle_best > 1e-9), (g, kinds, cert.s_star, oracle_best)
         if cert.conclusion == kkt.NO_OBSTRUCTION:
             assert cert.s_star == pytest.approx(oracle_best, abs=1e-4)
+        checked += 1
+
+
+def _reference_obstruction_lp(g_ineq, g_eq):
+    """The obstruction LP written out over (mu, lambda+, lambda-, s): maximize
+    s s.t. sigma_i - s >= 0 for every criterion i, unit multiplier mass."""
+    nk, nj, p = len(g_ineq), len(g_eq), g_ineq.shape[1]
+    A = np.zeros((p + 1, nk + 2 * nj + 1))
+    A[:p, :-1] = np.vstack([g_ineq, g_eq, -g_eq]).T
+    A[:p, -1] = -1.0
+    A[p, :-1] = 1.0
+    b = np.zeros(p + 1)
+    b[p] = 1.0
+    c = np.zeros(nk + 2 * nj + 1)
+    c[-1] = 1.0
+    lower = np.zeros_like(c)
+    lower[-1] = -np.inf
+    return lp.lp_instance(c, A, b, (lp.GE,) * p + (lp.EQ,), lower=lower)
+
+
+def _highs_obstruction_value(g_ineq, g_eq):
+    from scipy.optimize import linprog
+
+    rows = np.vstack([g_ineq, g_eq, -g_eq])
+    k, p = rows.shape
+    res = linprog(
+        np.concatenate([np.zeros(k), [-1.0]]),
+        A_ub=np.hstack([-rows.T, np.ones((p, 1))]),
+        b_ub=np.zeros(p),
+        A_eq=np.concatenate([np.ones(k), [0.0]])[None, :],
+        b_eq=[1.0],
+        bounds=[(0, None)] * k + [(None, None)],
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+def test_obstruction_lp_matches_its_reference_formulation(monkeypatch):
+    try:
+        import scipy.optimize  # noqa: F401
+        highs = True
+    except ImportError:
+        highs = False
+    solved = []
+    solve = lp.solve_lp
+    monkeypatch.setattr(lp, "solve_lp", lambda inst: solved.append(inst) or solve(inst))
+    rng = np.random.default_rng(20251018)
+    checked = 0
+    while checked < 150:
+        p, nk, nj = int(rng.integers(2, 5)), int(rng.integers(0, 4)), int(rng.integers(0, 3))
+        if nk + nj == 0:
+            continue
+        g = rng.normal(size=(nk + nj, p))
+        if rng.random() < 0.5:
+            g = np.round(g)  # small integers: ties, zero columns, degenerate vertices
+        active = _active_from_matrix(g, nk, y_ref=(0.0,) * p)
+        # the LP needs no LICQ: cover dependent and over-determined sets too
+        licq = dataclasses.replace(kkt.licq_check(active), holds=True)
+        solved.clear()
+        cert = kkt.obstruction_test(active, licq=licq)
+        (inst,) = solved
+        out = solve(inst)
+        check = lp.verify_outcome(inst, out)
+        assert check.ok, check.failures
+        reference = solve(_reference_obstruction_lp(g[:nk], g[nk:]))
+        assert reference.status == "optimal"
+        assert cert.s_star == pytest.approx(reference.value, abs=1e-9)
+        if highs:
+            assert cert.s_star == pytest.approx(_highs_obstruction_value(g[:nk], g[nk:]), abs=1e-9)
+        sigma = np.asarray(cert.mu) @ g[:nk] + np.asarray(cert.lam) @ g[nk:]
+        assert cert.sigma == pytest.approx(tuple(sigma), abs=1e-12)
+        assert min(cert.sigma) == pytest.approx(cert.s_star, abs=1e-9)
         checked += 1
 
 

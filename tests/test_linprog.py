@@ -390,9 +390,10 @@ def _highs_value(inst):
 
 
 def _recording_margin_lps(monkeypatch):
-    """The list every LP ``support._margin_lp`` solves from now on is added to."""
+    """The list every LP ``linprog.cone_margin`` solves from now on is added to."""
     solved = []
-    monkeypatch.setattr(support, "solve_lp", lambda inst: solved.append(inst) or lp.solve_lp(inst))
+    solve = lp.solve_lp
+    monkeypatch.setattr(lp, "solve_lp", lambda inst: solved.append(inst) or solve(inst))
     return solved
 
 
@@ -416,8 +417,10 @@ def _near_parallel_margin_instances(monkeypatch, rng, count):
         m = int(rng.integers(50, 401))
         base = rng.integers(-3, 4, size=(6, p)).astype(float)
         diffs = base[rng.integers(0, len(base), size=m)] + 1e-4 * rng.normal(size=(m, p))
-        for soft in (False, True):
-            support._margin_lp(diffs, p, soft)
+        # the normalized, deduplicated cuts of support.support_margin
+        cuts = np.unique(diffs / np.max(np.abs(diffs), axis=1)[:, None], axis=0)
+        for mass in ("lambda", "lambda+nu"):
+            lp.cone_margin(cuts, mass=mass)
     return solved
 
 
@@ -437,6 +440,8 @@ def test_agrees_with_highs(monkeypatch, case):
         assert {inst.num_rows for inst in instances} == {4}  # p + 1 rows, p = 3
     else:
         instances = _near_parallel_margin_instances(monkeypatch, np.random.default_rng(1983), 200)
+    monkeypatch.undo()
+    assert instances
     statuses = set()
     for inst in instances:
         out = lp.solve_lp(inst)
