@@ -40,6 +40,7 @@ from .problems import (
     AnalyticProblem,
     AxisSpec,
     GridSpec,
+    Ladder,
     PointCloud,
     builtin,
     cut_grid,
@@ -247,10 +248,8 @@ def _place_probes(
     return [_PointSpec(decision=d, criterion=y) for d, y in zip(probes.decisions, probes.points)]
 
 
-def _ladder(
-    problem, cloud: PointCloud, spec: _PointSpec, cfg: Config
-) -> tuple[PointCloud, ...] | None:
-    """The anchor's level clouds, or None when there is no decision anchor."""
+def _ladder(problem, cloud: PointCloud, spec: _PointSpec, cfg: Config) -> Ladder | None:
+    """The anchor's refinement ladder, or None when there is no decision anchor."""
     if not isinstance(problem, AnalyticProblem) or spec.decision is None:
         return None
     return refinement_ladder(problem, cloud, spec.decision, cfg.levels)

@@ -109,8 +109,25 @@ def proper_efficiency_report(cloud, y_ref) -> ProperEfficiencyReport:
     points whose bound comes out NaN (no gain and no loss, or inf / inf) and
     the worst point are evaluated by the scalar rule.
     """
-    pts = point_array(cloud)
     ref = tuple(float(v) for v in y_ref)
+    pts = point_array(cloud)
+    bounds, dominating = _row_bounds(pts, ref)
+    if dominating.any():
+        return ProperEfficiencyReport(
+            status=DOMINATED, m_hat=None, worst=None, dominating_index=int(np.argmax(dominating))
+        )
+    m_hat = float(bounds.max())
+    if not m_hat > 0:
+        return ProperEfficiencyReport(status=PROPER, m_hat=0.0, worst=None)
+    idx = int(np.argmax(bounds))
+    ratio, i, j = next(t for t in _row_pairs(ref, pts[idx].tolist()) if t[0] == m_hat)
+    return ProperEfficiencyReport(status=PROPER, m_hat=m_hat, worst=WorstPair(idx, i, j, ratio))
+
+
+def _row_bounds(pts: np.ndarray, ref: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's trade-off bound against ``ref`` (see
+    ``proper_efficiency_report``), and whether it dominates ``ref``: gains
+    somewhere and loses nowhere. A dominating point's bound is inf."""
     p = len(ref)
     if pts.shape[1] != p:
         raise DimensionError(f"reference has dimension {p}, cloud has {pts.shape[1]}")
@@ -119,22 +136,14 @@ def proper_efficiency_report(cloud, y_ref) -> ProperEfficiencyReport:
         losing = diffs < 0  # ref_j - y_j = -(y_j - ref_j) exactly
         gain = np.where(diffs > 0, diffs, 0.0).max(axis=1)
         bounds = gain / np.where(losing, -diffs, 0.0).max(axis=1)
-    dominating = np.flatnonzero(~(pts <= ref).all(axis=1) & ~losing.any(axis=1))
-    if dominating.size:
-        return ProperEfficiencyReport(
-            status=DOMINATED, m_hat=None, worst=None, dominating_index=int(dominating[0])
-        )
+    dominating = ~(pts <= ref).all(axis=1) & ~losing.any(axis=1)
+    bounds[dominating] = np.inf  # a gain with no loss to set against it
     for k in np.flatnonzero(np.isnan(bounds)).tolist():
         # no gain and no loss (0 / 0), or an inf / inf ratio that the scalar
         # rule drops or keeps depending on which loss comes first
         ratios = [r for r, _, _ in _row_pairs(ref, pts[k].tolist()) if r > 0]
         bounds[k] = max(ratios, default=0.0)
-    m_hat = float(bounds.max())
-    if not m_hat > 0:
-        return ProperEfficiencyReport(status=PROPER, m_hat=0.0, worst=None)
-    idx = int(np.argmax(bounds))
-    ratio, i, j = next(t for t in _row_pairs(ref, pts[idx].tolist()) if t[0] == m_hat)
-    return ProperEfficiencyReport(status=PROPER, m_hat=m_hat, worst=WorstPair(idx, i, j, ratio))
+    return bounds, dominating
 
 
 def combine_with_divergence(
@@ -161,11 +170,17 @@ def divergence_probe(ladder, y_ref, *, growth_factor: float = 1e3) -> Divergence
         raise SchemaError("refinement ladder needs at least one level")
     levels = tuple(range(1, len(ladder) + 1))
     offsets = tuple(2.0 ** (-k) for k in levels)
-    ratios = []
-    for cloud_k in ladder:
-        report = proper_efficiency_report(cloud_k, y_ref)
-        # the bound over compensated directions; dominated levels contribute 0
-        ratios.append(report.m_hat if report.m_hat is not None else 0.0)
+    # level k's bound is the largest over the rows entering at or before k,
+    # and 0 from the first level holding a dominating row on
+    bounds, dominating = _row_bounds(ladder.deepest.as_array(), tuple(float(v) for v in y_ref))
+    entry = ladder.entry
+    level_max = np.full(len(levels), -np.inf)
+    np.maximum.at(level_max, entry - 1, bounds)
+    dominated_from = int(entry[dominating].min(initial=len(levels) + 1))
+    ratios = [
+        float(m_hat) if m_hat > 0 and k < dominated_from else 0.0
+        for k, m_hat in zip(levels, np.maximum.accumulate(level_max).tolist())
+    ]
     nondecreasing = all(
         ratios[k + 1] >= ratios[k] * (1.0 - 1e-12) for k in range(len(ratios) - 1)
     )

@@ -1,7 +1,6 @@
 """Self-contained dense linear programming with verifiable certificates.
 
-Primal simplex (two-phase, deterministic pricing) over instances in the
-general form
+Primal simplex (deterministic pricing) over instances in the general form
 
     maximize c @ x   subject to   A_i x {<=, =, >=} b_i,   lower <= x <= upper
 
@@ -11,10 +10,16 @@ infeasibility (Farkas row multipliers) or unboundedness (a feasible point and
 an improving ray). :func:`verify_outcome` re-checks any certificate
 numerically and is independent of the solution path.
 
+A caller that knows a primal feasible basis passes it as the start of
+:func:`solve_lp`, which then runs phase 2 from it alone. Phase 1 (minimizing
+a sum of artificial variables) serves only the instances solved without a
+start, and is where infeasibility is detected and certified.
+
 :func:`cone_margin` builds the one LP the rest of the package solves: the
 largest smallest component of a unit-mass combination of a cone's generators,
 a Gordan alternative (Gordan 1873). The support margin asks it of the sampled
-cuts, the KKT obstruction test of the active gradients.
+cuts, the KKT obstruction test of the active gradients. It always passes a
+start, feasible by construction, except for the one instance that has none.
 
 Each simplex phase keeps one dense basis inverse (the product form of the
 inverse, Dantzig and Orchard-Hays 1954): phase 1 starts from the identity of
@@ -317,8 +322,36 @@ def _phase(number: int, std: _Standardized):
         ) from None
 
 
-def solve_lp(instance: LpInstance) -> LpOutcome:
-    """Solve an instance, deterministically."""
+def _start_basis(std: _Standardized, start) -> tuple[list[int], np.ndarray]:
+    """The standardized basis of the variables named by ``start`` and its
+    inverse. A free variable whose basic value comes out negative takes its
+    negative part's column; raises ValueError unless the basis is primal
+    feasible."""
+    n = std.inst.num_vars
+    start = np.asarray(start, dtype=int)
+    if start.shape != (std.A.shape[0],) or len(set(start.tolist())) != len(start) or not (
+        (0 <= start) & (start < n)
+    ).all():
+        raise ValueError("a start names one distinct variable per standardized row")
+    cols = np.searchsorted(std.col_var, start)  # each variable's first column
+    binv = _factorize(std.A, cols)
+    x_basic = binv @ std.b
+    negative = (x_basic < 0) & (np.bincount(std.col_var, minlength=n)[start] == 2)
+    cols[negative] += 1  # x = x+ - x-: the column of x- is the negated one
+    binv[negative] *= -1.0
+    x_basic[negative] *= -1.0
+    if (x_basic < -1e-9 * (1.0 + float(np.abs(std.b).sum()))).any():
+        raise ValueError("the start basis is not primal feasible")
+    return cols.tolist(), binv
+
+
+def solve_lp(instance: LpInstance, start=None) -> LpOutcome:
+    """Solve an instance, deterministically.
+
+    ``start`` names the variables of a primal feasible basis, one per row of
+    the standardized instance; phase 2 then runs from it and phase 1 is
+    skipped. Without a start, phase 1 finds a feasible basis.
+    """
     std = _Standardized(instance)
     m, n_cols = std.A.shape
 
@@ -344,48 +377,53 @@ def solve_lp(instance: LpInstance) -> LpOutcome:
             duals=(),
         )
 
-    with _phase(1, std):
-        # minimize the artificial total from the all-artificial basis, whose
-        # inverse is the identity
-        A1 = np.hstack([std.A, np.eye(m)])
-        c1 = np.concatenate([np.zeros(n_cols), -np.ones(m)])
-        basis = list(range(n_cols, n_cols + m))
-        status, basis, x_basic, y, _, _, binv = _revised_simplex(
-            A1, std.b, c1, basis, np.eye(m), n_cols
-        )
-        if status != "optimal":
-            raise NumericalBreakdown("phase 1 terminated abnormally")
-        feas_tol = 1e-9 * (1.0 + float(np.abs(std.b).sum()))
-        if float(c1[basis] @ x_basic) < -feas_tol:
-            farkas = std.duals_original(y)
-            return LpOutcome(status="infeasible", farkas=tuple(farkas.tolist()))
+    if start is None:
+        with _phase(1, std):
+            # minimize the artificial total from the all-artificial basis, whose
+            # inverse is the identity
+            A1 = np.hstack([std.A, np.eye(m)])
+            c1 = np.concatenate([np.zeros(n_cols), -np.ones(m)])
+            basis = list(range(n_cols, n_cols + m))
+            status, basis, x_basic, y, _, _, binv = _revised_simplex(
+                A1, std.b, c1, basis, np.eye(m), n_cols
+            )
+            if status != "optimal":
+                raise NumericalBreakdown("phase 1 terminated abnormally")
+            feas_tol = 1e-9 * (1.0 + float(np.abs(std.b).sum()))
+            if float(c1[basis] @ x_basic) < -feas_tol:
+                farkas = std.duals_original(y)
+                return LpOutcome(status="infeasible", farkas=tuple(farkas.tolist()))
 
-        # drive artificial variables out of the basis, reading each row of
-        # the inverse off the fresh one phase 1 ends with; fully dependent
-        # rows are dropped
-        in_basis = np.zeros(n_cols, dtype=bool)
-        in_basis[[j for j in basis if j < n_cols]] = True
-        redundant: list[int] = []
-        for pos in range(m):
-            if basis[pos] < n_cols:
-                continue
-            entries = binv[pos] @ A1[:, :n_cols]
-            movable = np.flatnonzero(~in_basis & (np.abs(entries) > _PIVOT_TOL))
-            if movable.size == 0:
-                redundant.append(pos)
-                continue
-            j = int(movable[0])
-            basis[pos] = j
-            in_basis[j] = True
-            binv = _factorize(A1, basis)  # the pivot may be as small as _PIVOT_TOL
-        if redundant:
-            std.drop_rows(redundant)
-            dropped = set(redundant)
-            basis = [j for pos, j in enumerate(basis) if pos not in dropped]
+            # drive artificial variables out of the basis, reading each row of
+            # the inverse off the fresh one phase 1 ends with; fully dependent
+            # rows are dropped
+            in_basis = np.zeros(n_cols, dtype=bool)
+            in_basis[[j for j in basis if j < n_cols]] = True
+            redundant: list[int] = []
+            for pos in range(m):
+                if basis[pos] < n_cols:
+                    continue
+                entries = binv[pos] @ A1[:, :n_cols]
+                movable = np.flatnonzero(~in_basis & (np.abs(entries) > _PIVOT_TOL))
+                if movable.size == 0:
+                    redundant.append(pos)
+                    continue
+                j = int(movable[0])
+                basis[pos] = j
+                in_basis[j] = True
+                binv = _factorize(A1, basis)  # the pivot may be as small as _PIVOT_TOL
+            if redundant:
+                std.drop_rows(redundant)
+                dropped = set(redundant)
+                basis = [j for pos, j in enumerate(basis) if pos not in dropped]
 
     with _phase(2, std):
+        if start is None:
+            binv = _factorize(std.A, basis)
+        else:
+            basis, binv = _start_basis(std, start)
         status, basis, x_basic, y, enter, direction, _ = _revised_simplex(
-            std.A, std.b, std.c, basis, _factorize(std.A, basis), n_cols
+            std.A, std.b, std.c, basis, binv, n_cols
         )
     x_std = np.zeros(n_cols)
     x_std[basis] = np.maximum(x_basic, 0.0)
@@ -428,6 +466,12 @@ def cone_margin(cuts, *, mass: str) -> LpOutcome:
     (``"nu"``: -u* is the largest smallest component of a unit-mass
     combination nu @ C, the KKT obstruction test) or both (``"lambda+nu"``:
     the soft support margin).
+
+    The solve starts from a basis feasible by construction: {u, lambda} with
+    u = lambda_i = 1/p when the mass row holds lambda, and otherwise
+    {u, nu_1, lambda_i for i != i*} with u = -C_1i* = -min_i C_1i and
+    lambda_i = C_1i - C_1i*. Only the "nu" mass over no cuts, which is
+    infeasible, goes through phase 1.
     """
     on_lambda, on_nu = _MASS_ROWS[mass]
     cuts = np.asarray(cuts, dtype=float)
@@ -444,7 +488,14 @@ def cone_margin(cuts, *, mass: str) -> LpOutcome:
     c[0] = -1.0
     lower = np.zeros(1 + p + m)
     lower[0] = -np.inf
-    return solve_lp(lp_instance(c, A, b, (EQ,) * (p + 1), lower=lower))
+    if on_lambda:
+        start = range(1 + p)
+    elif m:
+        low = int(np.argmin(cuts[0]))
+        start = [0, *(1 + i for i in range(p) if i != low), 1 + p]
+    else:
+        start = None
+    return solve_lp(lp_instance(c, A, b, (EQ,) * (p + 1), lower=lower), start)
 
 
 # ---------------------------------------------------------------------------

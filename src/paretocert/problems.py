@@ -186,17 +186,7 @@ def _axis_values(spec: AxisSpec, lo: float, hi: float) -> list[float]:
             raise SchemaError("uniform grid resolution must be at least 1")
         return [float(v) for v in np.linspace(lo, hi, spec.count)]
     if spec.kind == "geometric":
-        if spec.levels < 1:
-            raise SchemaError("geometric refinement needs at least one level")
-        if not lo <= spec.anchor <= hi:
-            raise SchemaError(f"geometric anchor {spec.anchor} outside domain [{lo}, {hi}]")
-        vals = [spec.anchor]
-        for k in range(1, spec.levels + 1):
-            off = 2.0 ** (-k)
-            for v in (spec.anchor - off, spec.anchor + off):
-                if lo <= v <= hi:
-                    vals.append(v)
-        return vals
+        return [v for v, _ in _geometric_values(spec, lo, hi)]
     if spec.kind == "explicit":
         if not spec.values:
             raise SchemaError("explicit axis needs at least one value")
@@ -205,6 +195,23 @@ def _axis_values(spec: AxisSpec, lo: float, hi: float) -> list[float]:
                 raise SchemaError(f"grid value {v} outside domain [{lo}, {hi}]")
         return list(spec.values)
     raise SchemaError(f"unknown axis kind {spec.kind!r}")
+
+
+def _geometric_values(spec: AxisSpec, lo: float, hi: float) -> list[tuple[float, int]]:
+    """The values of a geometric axis, each with the level k whose offset 2^-k
+    made it (1 for the anchor), in order of level; a value may repeat when an
+    offset is lost to rounding."""
+    if spec.levels < 1:
+        raise SchemaError("geometric refinement needs at least one level")
+    if not lo <= spec.anchor <= hi:
+        raise SchemaError(f"geometric anchor {spec.anchor} outside domain [{lo}, {hi}]")
+    vals = [(spec.anchor, 1)]
+    for k in range(1, spec.levels + 1):
+        off = 2.0 ** (-k)
+        for v in (spec.anchor - off, spec.anchor + off):
+            if lo <= v <= hi:
+                vals.append((v, k))
+    return vals
 
 
 def _grid_axes(problem: AnalyticProblem, grid: GridSpec) -> list[list[float]]:
@@ -279,6 +286,12 @@ def cut_grid(problem: AnalyticProblem, cloud: PointCloud, grid: GridSpec) -> Poi
     rows = np.flatnonzero(keep)
     if not np.array_equal(decisions[rows], list(itertools.product(*axis_values))):
         raise SchemaError("the grid is not contained in the sampled cloud")
+    return _subcloud(cloud, rows)
+
+
+def _subcloud(cloud: PointCloud, rows: np.ndarray) -> PointCloud:
+    """The rows of ``cloud`` at the sorted indices ``rows``, with slices of its
+    arrays; ``cloud`` itself when that is all of it."""
     if len(rows) == len(cloud):
         return cloud
     cut = PointCloud(
@@ -287,25 +300,55 @@ def cut_grid(problem: AnalyticProblem, cloud: PointCloud, grid: GridSpec) -> Poi
         decisions=tuple(cloud.decisions[i] for i in rows),
         provenance=cloud.provenance,
     )
-    cut._arrays.update(points=cloud.as_array()[rows], decisions=decisions[rows])
+    cut._arrays.update(points=cloud.as_array()[rows], decisions=cloud.decision_array()[rows])
     for array in cut._arrays.values():
         array.flags.writeable = False
     return cut
 
 
-def refinement_ladder(
-    problem: AnalyticProblem, cloud: PointCloud, anchor, levels: int
-) -> tuple[PointCloud, ...]:
-    """The nested level clouds toward a decision anchor, cut from ``cloud``.
+@dataclass(frozen=True, eq=False)
+class Ladder:
+    """The nested level clouds of a refinement toward a decision anchor, held
+    as the deepest level and the level at which each of its rows enters.
 
-    Level k (at index k - 1) is the grid ``GridSpec.geometric(anchor, k)``:
-    the anchor and its offsets 2^-j, j = 1..k, on both sides, clipped to the
-    domain. ``cloud`` must contain level ``levels``.
+    Iterating (or indexing, level k at index k - 1) gives the level clouds:
+    level k is the rows with ``entry <= k``, in order, which is the grid
+    ``GridSpec.geometric(anchor, k)`` cut from the deepest level.
+    """
+
+    deepest: PointCloud
+    entry: np.ndarray  # read-only ints in 1..levels, one per row of ``deepest``
+    levels: int
+
+    def __len__(self) -> int:
+        return self.levels
+
+    def __getitem__(self, index: int) -> PointCloud:
+        k = range(1, self.levels + 1)[index]
+        return _subcloud(self.deepest, np.flatnonzero(self.entry <= k))
+
+    def __iter__(self):
+        return (self[i] for i in range(self.levels))
+
+
+def refinement_ladder(problem: AnalyticProblem, cloud: PointCloud, anchor, levels: int) -> Ladder:
+    """The ladder of level clouds toward a decision anchor, cut from ``cloud``.
+
+    Level k is the grid ``GridSpec.geometric(anchor, k)``: the anchor and its
+    offsets 2^-j, j = 1..k, on both sides, clipped to the domain. ``cloud``
+    must contain level ``levels``. That level is cut once; a row enters at
+    the largest, over its decision's coordinates, of the first level whose
+    clipped axis values hold the coordinate.
     """
     deepest = cut_grid(problem, cloud, GridSpec.geometric(anchor, levels))
-    return tuple(
-        cut_grid(problem, deepest, GridSpec.geometric(anchor, k)) for k in range(1, levels)
-    ) + (deepest,)
+    entry = np.ones(len(deepest), dtype=int)
+    for d, column in enumerate(deepest.decision_array().T):
+        first: dict[float, int] = {}
+        for v, k in _geometric_values(AxisSpec.geometric(anchor[d], levels), *problem.domain[d]):
+            first.setdefault(v, k)
+        entry = np.maximum(entry, [first[v] for v in column.tolist()])
+    entry.flags.writeable = False
+    return Ladder(deepest=deepest, entry=entry, levels=levels)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +373,35 @@ def _finite_number(value, path: str) -> float:
     if not math.isfinite(out):
         raise SchemaError(f"{path}: non-finite value")
     return out
+
+
+def _number_rows(raw: list, width: int | None, path: str) -> tuple[tuple, np.ndarray | None]:
+    """The rows of finite numbers in ``raw``, each of length ``width`` unless
+    that is None, and their read-only float array.
+
+    Well-formed input is checked and converted in one numpy pass; otherwise
+    the row-by-row loop names the first bad row or entry, and no array is
+    returned.
+    """
+    regular = all(isinstance(row, list) for row in raw) and len({len(row) for row in raw}) == 1
+    if (
+        regular
+        and width in (None, len(raw[0]))
+        and {type(v) for row in raw for v in row} <= {int, float}
+    ):
+        try:
+            array = np.array(raw, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            array = None
+        if array is not None and np.isfinite(array).all():
+            array.flags.writeable = False
+            return tuple(tuple(map(float, row)) for row in raw), array
+    rows = []
+    for i, row in enumerate(raw):
+        if width is not None and (not isinstance(row, list) or len(row) != width):
+            raise SchemaError(f"{path}[{i}]: expected a vector of length {width}")
+        rows.append(tuple(_finite_number(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)))
+    return tuple(rows), None
 
 
 def _parse_exprs(sources, decision_dim: int, criterion_dim: int, path: str):
@@ -396,26 +468,24 @@ def _load_cloud(doc: dict, label: str = "") -> PointCloud:
     raw_points = _expect(doc, "points", list, "cloud")
     if not raw_points:
         raise SchemaError("cloud.points: must not be empty")
-    points = []
-    for i, row in enumerate(raw_points):
-        if not isinstance(row, list) or len(row) != p:
-            raise SchemaError(f"cloud.points[{i}]: expected a vector of length {p}")
-        points.append(tuple(_finite_number(v, f"cloud.points[{i}][{j}]") for j, v in enumerate(row)))
-    decisions = None
+    points, points_array = _number_rows(raw_points, p, "cloud.points")
+    decisions, decisions_array = None, None
     if "decisions" in doc:
         raw_dec = doc["decisions"]
         if not isinstance(raw_dec, list) or len(raw_dec) != len(points):
             raise SchemaError("cloud.decisions: must parallel cloud.points")
-        decisions = tuple(
-            tuple(_finite_number(v, f"cloud.decisions[{i}][{j}]") for j, v in enumerate(row))
-            for i, row in enumerate(raw_dec)
-        )
-    return PointCloud(
+        decisions, decisions_array = _number_rows(raw_dec, None, "cloud.decisions")
+    cloud = PointCloud(
         criterion_dim=p,
-        points=tuple(points),
+        points=points,
         decisions=decisions,
         provenance=label or "external",
     )
+    # the arrays of the conversion pass, so that as_array() builds none
+    for name, array in (("points", points_array), ("decisions", decisions_array)):
+        if array is not None:
+            cloud._arrays[name] = array
+    return cloud
 
 
 def load_document(doc: dict, label: str = ""):

@@ -14,11 +14,18 @@ which has p + 1 rows however many cuts there are:
 
 The margin is t* = u*, and the weights are the duals of the first p rows,
 negated. The dual is always feasible (u = lambda_i = 1/p, nu = 0), so it is
-unbounded exactly when no weights satisfy every cut. The margin is then
-recomputed with soft cuts <w, y - y_ref> + t <= 0, whose dual adds nu to the
-mass row (sum(lambda) + sum(nu) = 1), yielding a negative margin that
-quantifies the violation trend. Both solves share one normalized,
-deduplicated cut matrix.
+unbounded exactly when no weights satisfy every cut; every solve starts from
+that basis. The margin is then recomputed with soft cuts
+<w, y - y_ref> + t <= 0, whose dual adds nu to the mass row
+(sum(lambda) + sum(nu) = 1), yielding a negative margin that quantifies the
+violation trend. Both solves share one normalized, deduplicated cut matrix.
+
+Along a refinement ladder the cuts are those of the deepest level, cut once
+from the sample, normalized and deduplicated once. Each distinct cut is
+placed by the level at which its first row enters, so level k's LP runs over
+a prefix of the columns. Each level is still solved from the start basis:
+level k's optimum is not carried into level k + 1, because pricing stops at
+an absolute reduced cost of 1e-9 while the origin's margins shrink like 2^-k.
 
 A margin t* > 0 certifies a strictly increasing linear value function that is
 maximized at the reference over the sample; we then upgrade it to a strictly
@@ -38,6 +45,7 @@ from .problems import point_array
 
 VANISHING = "vanishing"
 PERSISTENT = "persistent"
+_TOL = 1e-8  # a margin at or below this gets no weights
 
 
 @dataclass(frozen=True)
@@ -98,42 +106,10 @@ class WitnessVerification:
     all_passed: bool
 
 
-def support_margin(cloud, y_ref, *, tol: float = 1e-8) -> MarginReport:
+def support_margin(cloud, y_ref, *, tol: float = _TOL) -> MarginReport:
     """Solve the support margin LP for a sample against a reference point."""
     rows = point_array(cloud)
-    ref = tuple(float(v) for v in y_ref)
-    p = len(ref)
-    if rows.shape[1] != p:
-        raise SchemaError(f"reference has dimension {p}, cloud has {rows.shape[1]}")
-    diffs = rows - np.asarray(ref)
-    # each cut is homogeneous in w, so normalizing it changes no hard margin
-    # and keeps pivots well away from the tolerance; soft margins are those
-    # of the normalized cuts
-    scale = np.max(np.abs(diffs), axis=1)
-    scale[scale == 0.0] = 1.0
-    cuts = np.unique(diffs / scale[:, None], axis=0)  # duplicate rays are redundant
-    out = cone_margin(cuts, mass="lambda")
-    feasible = out.status == "optimal"
-    if not feasible:
-        out = cone_margin(cuts, mass="lambda+nu")
-        if out.status != "optimal":
-            raise NumericalBreakdown("support margin relaxation did not solve")
-    margin = -float(out.value)
-    weights: tuple[float, ...] | None = None
-    binding: tuple[int, ...] = ()
-    if feasible and margin > tol:
-        w = -np.asarray(out.duals[:p])
-        weights = tuple(float(v) for v in w)
-        slack = diffs @ w
-        binding = tuple(int(i) for i in np.flatnonzero(np.abs(slack) <= tol))
-    return MarginReport(
-        margin=margin,
-        weights=weights,
-        binding=binding,
-        feasible=feasible,
-        y_ref=ref,
-        sample_size=len(rows),
-    )
+    return _level_margins(rows, np.ones(len(rows), dtype=int), 1, y_ref, tol)[1]
 
 
 def support_trend(ladder, y_ref, *, persistent_threshold: float = 1e-3) -> TrendReport:
@@ -148,8 +124,9 @@ def support_trend(ladder, y_ref, *, persistent_threshold: float = 1e-3) -> Trend
         raise SchemaError("refinement ladder needs at least one level")
     levels = tuple(range(1, len(ladder) + 1))
     offsets = tuple(2.0 ** (-k) for k in levels)
-    reports = [support_margin(cloud_k, y_ref) for cloud_k in ladder]
-    margins = tuple(r.margin for r in reports)
+    margins, last = _level_margins(
+        ladder.deepest.as_array(), ladder.entry, len(ladder), y_ref, _TOL
+    )
     verdict = PERSISTENT if margins[-1] >= persistent_threshold else VANISHING
     return TrendReport(
         levels=levels,
@@ -158,8 +135,64 @@ def support_trend(ladder, y_ref, *, persistent_threshold: float = 1e-3) -> Trend
         verdict=verdict,
         threshold=persistent_threshold,
         fitted_exponent=fit_exponent(offsets, margins),
-        last=reports[-1],
+        last=last,
     )
+
+
+def _level_margins(
+    rows: np.ndarray, entry: np.ndarray, levels: int, y_ref, tol: float
+) -> tuple[tuple[float, ...], MarginReport]:
+    """The margin of ``y_ref`` over each level k = 1..levels of a ladder whose
+    deepest cloud has the points ``rows``, row i entering at level
+    ``entry[i]``, and the report of the deepest level.
+
+    The cuts of the deepest level are normalized and deduplicated once, and
+    the distinct cuts are ordered by the level at which they first enter
+    (sorted within a level), so each level's LP is over a prefix of them.
+    """
+    ref = tuple(float(v) for v in y_ref)
+    p = len(ref)
+    if rows.shape[1] != p:
+        raise SchemaError(f"reference has dimension {p}, cloud has {rows.shape[1]}")
+    diffs = rows - np.asarray(ref)
+    # each cut is homogeneous in w, so normalizing it changes no hard margin
+    # and keeps pivots well away from the tolerance; soft margins are those
+    # of the normalized cuts
+    scale = np.max(np.abs(diffs), axis=1)
+    scale[scale == 0.0] = 1.0
+    # duplicate rays are redundant
+    cuts, inverse = np.unique(diffs / scale[:, None], axis=0, return_inverse=True)
+    first = np.full(len(cuts), levels)
+    np.minimum.at(first, inverse.ravel(), entry)
+    order = np.argsort(first, kind="stable")
+    cuts = cuts[order]
+    ends = np.searchsorted(first[order], np.arange(1, levels + 1), side="right")
+    margins = []
+    for end in ends.tolist():
+        out = cone_margin(cuts[:end], mass="lambda")
+        feasible = out.status == "optimal"
+        if not feasible:
+            out = cone_margin(cuts[:end], mass="lambda+nu")
+            if out.status != "optimal":
+                raise NumericalBreakdown("support margin relaxation did not solve")
+        margins.append(-float(out.value))
+    margin = margins[-1]
+    weights: tuple[float, ...] | None = None
+    binding: tuple[int, ...] = ()
+    if feasible and margin > tol:
+        w = -np.asarray(out.duals[:p])
+        weights = tuple(float(v) for v in w)
+        slack = diffs @ w
+        binding = tuple(int(i) for i in np.flatnonzero(np.abs(slack) <= tol))
+    last = MarginReport(
+        margin=margin,
+        weights=weights,
+        binding=binding,
+        feasible=feasible,
+        y_ref=ref,
+        sample_size=len(rows),
+    )
+    return tuple(margins), last
 
 
 def build_witness(

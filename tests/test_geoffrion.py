@@ -226,6 +226,59 @@ def test_divergence_probe_at_interior_point_converges():
     assert evidence.ratios[-1] == pytest.approx(1.5, abs=1e-4)
 
 
+def hand_ladder(points, entry, levels):
+    """A ladder over ``points`` whose row i enters at level ``entry[i]``."""
+    cloud = problems.PointCloud(
+        criterion_dim=len(points[0]),
+        points=tuple(tuple(float(v) for v in y) for y in points),
+        decisions=tuple((float(i),) for i in range(len(points))),
+    )
+    return problems.Ladder(deepest=cloud, entry=np.asarray(entry), levels=levels)
+
+
+def level_ratios(steps, y_ref):
+    """Each level's bound from a report of its own, 0 where it is dominated."""
+    reports = [geoffrion.proper_efficiency_report(level, y_ref) for level in steps]
+    return [repr(r.m_hat if r.m_hat is not None else 0.0) for r in reports]
+
+
+def test_divergence_ratios_equal_each_level_report():
+    inf, nan = float("inf"), float("nan")
+    rows = [
+        ((0, 0), 1),  # the reference itself: bound 0 / 0
+        ((1, -2), 1),
+        ((inf, -inf), 2),  # inf / inf
+        ((3, -1), 3),
+        ((nan, -1), 3),  # a NaN gain
+        ((1, 0), 4),  # dominates from level 4 on
+        ((nan, 0), 5),  # dominates with a NaN bound
+    ]
+    steps = hand_ladder([y for y, _ in rows], [k for _, k in rows], 6)
+    evidence = geoffrion.divergence_probe(steps, (0.0, 0.0))
+    assert evidence.ratios == (0.5, 0.5, 3.0, 0.0, 0.0, 0.0)
+    assert [repr(r) for r in evidence.ratios] == level_ratios(steps, (0.0, 0.0))
+    # random ladders: small integers for ties and repeats, rows that dominate
+    # entering at any level, and levels that add no row
+    rng = np.random.default_rng(1011)
+    for _ in range(300):
+        p, n, levels = int(rng.integers(2, 5)), int(rng.integers(1, 25)), int(rng.integers(1, 7))
+        points = rng.integers(-3, 3, size=(n, p)).astype(float)
+        points[rng.random(n) < 0.7, rng.integers(p)] = -4.0  # most rows lose somewhere
+        entry = rng.integers(1, levels + 1, size=n)
+        entry[0] = 1
+        steps = hand_ladder(points.tolist(), entry, levels)
+        y_ref = tuple(rng.integers(-1, 2, size=p).astype(float))
+        ratios = geoffrion.divergence_probe(steps, y_ref).ratios
+        assert [repr(r) for r in ratios] == level_ratios(steps, y_ref)
+    # and the soland ladders, bit for bit
+    problem = builtin("soland")
+    for anchor in (0.0, 1.6875, 4.0):
+        steps = ladder(problem, (anchor,), 40)
+        y_ref = problem.criteria_at((anchor,))
+        ratios = geoffrion.divergence_probe(steps, y_ref).ratios
+        assert [repr(r) for r in ratios] == level_ratios(steps, y_ref)
+
+
 def test_probe_rejects_empty_schedule():
     with pytest.raises(SchemaError):
         geoffrion.divergence_probe((), (0.0, 0.0))

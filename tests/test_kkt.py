@@ -233,7 +233,9 @@ def test_obstruction_lp_matches_its_reference_formulation(monkeypatch):
         highs = False
     solved = []
     solve = lp.solve_lp
-    monkeypatch.setattr(lp, "solve_lp", lambda inst: solved.append(inst) or solve(inst))
+    monkeypatch.setattr(
+        lp, "solve_lp", lambda inst, start=None: solved.append(inst) or solve(inst, start)
+    )
     rng = np.random.default_rng(20251018)
     checked = 0
     while checked < 150:

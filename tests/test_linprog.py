@@ -316,6 +316,66 @@ def test_blocking_pivot_below_tolerance_is_reported():
         lp.solve_lp(inst)
 
 
+def _random_cuts(rng):
+    """Up to 8 cut rows over p = 1..5 criteria: normal and small-integer rows,
+    zero rows, duplicates, and rows all negative or all positive."""
+    p, m = int(rng.integers(1, 6)), int(rng.integers(0, 9))
+    rows = []
+    for _ in range(m):
+        kind = int(rng.integers(6))
+        if kind == 0:
+            rows.append(rng.normal(size=p))
+        elif kind == 1:
+            rows.append(rng.integers(-2, 3, size=p).astype(float))
+        elif kind == 2:
+            rows.append(np.zeros(p))
+        elif kind == 3 and rows:
+            rows.append(rows[int(rng.integers(len(rows)))].copy())
+        else:
+            rows.append(np.abs(rng.normal(size=p)) * (-1.0 if kind == 4 else 1.0))
+    return np.asarray(rows, dtype=float).reshape(m, p)
+
+
+def test_cone_margin_start_matches_the_two_phase_solve(monkeypatch):
+    solve = lp.solve_lp
+    started = []
+    monkeypatch.setattr(
+        lp, "solve_lp", lambda inst, start=None: started.append((inst, start)) or solve(inst, start)
+    )
+    rng = np.random.default_rng(1018)
+    for _ in range(400):
+        cuts = _random_cuts(rng)
+        m, p = cuts.shape
+        for mass in ("lambda", "lambda+nu", "nu"):
+            out = lp.cone_margin(cuts, mass=mass)
+            inst, start = started.pop()
+            two_phase = solve(inst)
+            assert out.status == two_phase.status, (cuts, mass)
+            if out.status == "optimal":
+                assert abs(out.value - two_phase.value) <= 1e-12
+            assert lp.verify_outcome(inst, out).ok
+            if mass == "nu" and m == 0:
+                assert start is None and out.status == "infeasible"
+                continue
+            # the start is the vertex the docstring names, and it is feasible
+            std = lp._Standardized(inst)
+            basis, binv = lp._start_basis(std, start)
+            x_std = np.zeros(std.A.shape[1])
+            x_std[basis] = binv @ std.b
+            x = std.x_original(x_std)
+            assert not lp._feasibility_failures(inst, x, 1e-12)
+            u = 1.0 / p if mass != "nu" else -cuts[0].min()
+            assert x[0] == pytest.approx(u, abs=1e-15)
+
+
+def test_infeasible_or_malformed_start_raises():
+    inst = lp.lp_instance([-1.0, -1.0], [[1.0, -1.0]], [1.0], (lp.EQ,))
+    assert lp.solve_lp(inst, [0]).value == -1.0
+    for start in ([1], [0, 1], [2], []):  # x1 = -1; then not one variable per row
+        with pytest.raises(ValueError):
+            lp.solve_lp(inst, start)
+
+
 def _many_pivot_instance():
     """A dense instance (100 rows, 20 bounded variables) that takes several
     hundred pivots, far more than the refactorization interval."""
@@ -393,7 +453,9 @@ def _recording_margin_lps(monkeypatch):
     """The list every LP ``linprog.cone_margin`` solves from now on is added to."""
     solved = []
     solve = lp.solve_lp
-    monkeypatch.setattr(lp, "solve_lp", lambda inst: solved.append(inst) or solve(inst))
+    monkeypatch.setattr(
+        lp, "solve_lp", lambda inst, start=None: solved.append(inst) or solve(inst, start)
+    )
     return solved
 
 

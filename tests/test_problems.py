@@ -85,6 +85,49 @@ def test_non_finite_point_rejected():
         problems.load_problem(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "field, rows, message",
+    [
+        ("points", [[0, 1], [1]], "cloud.points[1]: expected a vector of length 2"),
+        ("points", [[0, 1], 5], "cloud.points[1]: expected a vector of length 2"),
+        ("points", [[0, 1], [True, 1]], "cloud.points[1][0]: expected a number"),
+        ("points", [[0, 1], [1, "2"]], "cloud.points[1][1]: expected a number"),
+        ("points", [[0, None], [1, 2]], "cloud.points[0][1]: expected a number"),
+        ("points", [[0, 1], [float("nan"), 1]], "cloud.points[1][0]: non-finite value"),
+        ("points", [[0, 1], [1, float("-inf")]], "cloud.points[1][1]: non-finite value"),
+        ("points", [[0, 1], [10**400, 1]], "cloud.points[1][0]: non-finite value"),
+        ("decisions", [[0], [False]], "cloud.decisions[1][0]: expected a number"),
+        ("decisions", [[0], ["1"]], "cloud.decisions[1][0]: expected a number"),
+        ("decisions", [[0], [1, "x"]], "cloud.decisions[1][1]: expected a number"),
+        ("decisions", [[0], [float("inf")]], "cloud.decisions[1][0]: non-finite value"),
+        ("decisions", [[0], [-(10**400)]], "cloud.decisions[1][0]: non-finite value"),
+    ],
+)
+def test_cloud_entries_are_named_when_rejected(field, rows, message):
+    doc = {"type": "cloud", "criterion_dim": 2, "points": [[0, 1], [2, 3]]}
+    doc[field] = rows
+    with pytest.raises(SchemaError) as err:
+        problems.load_document(doc)
+    assert str(err.value) == message
+
+
+def test_cloud_numbers_convert_as_floats():
+    values = [[0, -0.0], [2**53 + 1, 2**70 + 3], [-(10**300) - 7, 0.1], [1e308, -5]]
+    cloud = problems.load_document(
+        {"type": "cloud", "criterion_dim": 2, "points": values, "decisions": values}
+    )
+    want = tuple(tuple(float(v) for v in row) for row in values)
+    assert repr(cloud.points) == repr(want) == repr(cloud.decisions)
+    for array in (cloud.as_array(), cloud.decision_array()):
+        assert array.tobytes() == problems.point_array(want).tobytes()
+        assert array.shape == (4, 2) and not array.flags.writeable
+    # decision rows may differ in length, as they always could
+    ragged = problems.load_document(
+        {"type": "cloud", "criterion_dim": 1, "points": [[0], [1]], "decisions": [[0], [1, 2]]}
+    )
+    assert ragged.decisions == ((0.0,), (1.0, 2.0))
+
+
 def test_builtin_soland_matches_document_form():
     problem = problems.builtin("soland")
     assert problem.criteria_at([2.0]) == (4.0, -8.0)
@@ -184,6 +227,8 @@ def assert_same_cloud(cut, fresh):
     "problem, anchors, count, levels",
     [
         (problems.builtin("soland"), [(0.0,), (1.6875,), (4.0,)], 65, 24),
+        # from level 52 on, the offsets of 3.375 and 4 round back to the anchor
+        (problems.builtin("soland"), [(0.0,), (3.375,), (4.0,)], 9, 60),
         (
             problems.load_problem(json.dumps(PLANE2D_DOC)),
             [(0.0, 0.0), (1.0, 1.0), (0.0, 0.5), (1.0, 0.3), (0.25, 0.75), (0.3, 0.6)],
@@ -191,16 +236,19 @@ def assert_same_cloud(cut, fresh):
             8,
         ),
     ],
-    ids=["soland", "plane2d"],
+    ids=["soland", "soland_deep", "plane2d"],
 )
 def test_ladder_levels_equal_fresh_sampling(problem, anchors, count, levels):
     cloud = problems.sample_criterion_space(problem, joined_grid(problem, anchors, count, levels))
     for anchor in anchors:
         ladder = problems.refinement_ladder(problem, cloud, anchor, levels)
         assert len(ladder) == levels
+        assert not ladder.entry.flags.writeable
+        assert ladder[-1] is ladder.deepest
         for k, level in enumerate(ladder, start=1):
-            fresh = problems.sample_criterion_space(problem, problems.GridSpec.geometric(anchor, k))
-            assert_same_cloud(level, fresh)
+            grid = problems.GridSpec.geometric(anchor, k)
+            assert_same_cloud(level, problems.sample_criterion_space(problem, grid))
+            assert_same_cloud(level, problems.cut_grid(problem, cloud, grid))
 
 
 def test_cut_of_the_whole_grid_is_the_cloud():

@@ -167,6 +167,30 @@ def test_trend_requires_anchor_and_levels():
         refinement_ladder(problem, cloud, (), 3)
 
 
+PLANE2D = load_problem(json.dumps({
+    "type": "analytic", "decision_dim": 2, "criterion_dim": 3,
+    "domain": [[0, 1], [0, 1]], "criteria": ["x0", "x1", "-(x0^2 + x1^2)"],
+}))
+
+
+@pytest.mark.parametrize(
+    "problem, anchor, levels",
+    [(builtin("soland"), (x,), k) for x in (0.0, 1.6875, 3.375, 4.0) for k in (24, 40, 60)]
+    + [(PLANE2D, a, k) for a in ((0.0, 0.0), (1.0, 0.5), (0.25, 0.75)) for k in (8, 11)],
+    ids=lambda v: repr(v) if isinstance(v, (tuple, int)) else "",
+)
+def test_trend_margins_equal_cold_solves_per_level(problem, anchor, levels):
+    # the trend solves each level over a prefix of the deepest level's cuts;
+    # every margin, the -0.0 ones of the origin past level 41 included, must
+    # be the one a cold solve of that level cloud gives
+    steps = ladder(problem, anchor, levels)
+    y_ref = problem.criteria_at(anchor)
+    trend = support.support_trend(steps, y_ref)
+    cold = [support.support_margin(level, y_ref) for level in steps]
+    assert [repr(m) for m in trend.margins] == [repr(r.margin) for r in cold]
+    assert trend.last == cold[-1]
+
+
 def test_witness_curvature_formula():
     witness = support.build_witness(
         (1.0, -1.0), (0.6, 0.4), [(0.0, 4.0), (-8.0, 0.0)], [(1.0, -1.0)]
