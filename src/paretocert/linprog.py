@@ -1,32 +1,29 @@
-"""Self-contained dense linear programming with verifiable certificates.
+"""The cone-margin LP: a dense revised simplex with verifiable certificates.
 
-Primal simplex (deterministic pricing) over instances in the general form
+Every LP the package solves is the cone-margin LP over the rows of an m x p
+matrix C, a Gordan alternative (Gordan 1873):
 
-    maximize c @ x   subject to   A_i x {<=, =, >=} b_i,   lower <= x <= upper
+    minimize u   s.t.   u * 1 - lambda + C^T nu = 0,   mass row = 1,
+                        u free,   lambda >= 0,   nu >= 0
 
-with bounds allowed to be infinite. Every outcome carries a certificate:
-optimality (primal point + row duals for a complementary-slackness check),
-infeasibility (Farkas row multipliers) or unboundedness (a feasible point and
-an improving ray). :func:`verify_outcome` re-checks any certificate
-numerically and is independent of the solution path.
+over the columns (u, lambda, nu): p + 1 equality rows however many rows C
+has. The support margin asks it of the sampled cuts, the KKT obstruction
+test of the active gradients; :func:`cone_margin` builds and solves it.
 
-A caller that knows a primal feasible basis passes it as the start of
-:func:`solve_lp`, which then runs phase 2 from it alone. Phase 1 (minimizing
-a sum of artificial variables) serves only the instances solved without a
-start, and is where infeasibility is detected and certified.
+Each mass has a start basis feasible in closed form, and u is basic in it,
+so no search for a feasible basis is needed. A free basic variable blocks no
+direction, so u's row takes no part in the ratio test and u never leaves
+(Maros, Computational Techniques of the Simplex Method, 2003). An outcome is
+optimal (a primal point and the row duals) or unbounded (a feasible point
+and an improving ray); an unbounded hard support margin LP is how an
+infeasible margin shows up. :func:`verify_outcome` re-checks either from the
+cuts alone, independent of the solution path.
 
-:func:`cone_margin` builds the one LP the rest of the package solves: the
-largest smallest component of a unit-mass combination of a cone's generators,
-a Gordan alternative (Gordan 1873). The support margin asks it of the sampled
-cuts, the KKT obstruction test of the active gradients. It always passes a
-start, feasible by construction, except for the one instance that has none.
-
-Each simplex phase keeps one dense basis inverse (the product form of the
-inverse, Dantzig and Orchard-Hays 1954): phase 1 starts from the identity of
-the artificial basis and phase 2 from a fresh factorization; every pivot
+The solver keeps one dense basis inverse (the product form of the inverse,
+Dantzig and Orchard-Hays 1954), factorized from the start basis: every pivot
 applies a rank-one (eta) update, and the inverse is factorized afresh from
 the basis columns every ``_REFACTOR_EVERY`` pivots, before a small pivot is
-taken and before a phase concludes. Basic values, duals and directions are
+taken and before the solve concludes. Basic values, duals and directions are
 products with the inverse; every factorization goes through
 :func:`_solve_linear`, the module's one call into ``numpy.linalg``.
 
@@ -42,71 +39,56 @@ of columns.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalBreakdown
 
-LE = "<="
-EQ = "="
-GE = ">="
-
 _ENTER_TOL = 1e-9
-_UNBOUNDED_GUARD = 1e-6  # a no-pivot column below this reduced cost is numerical noise
+# a column no row blocks is taken for noise below this reduced cost per unit
+# of its largest entry
+_UNBOUNDED_GUARD = 1e-6
 _MAX_ITER = 10000
 _REFACTOR_EVERY = 32  # pivots between fresh factorizations of the basis inverse
 _SMALL_PIVOT = 1e-3  # relative to the direction's largest entry
 _PIVOT_TOL = 1e-12  # a direction entry at or below this never pivots
 
+# whether the mass row sums (lambda, nu)
+_MASS_ROWS = {"lambda": (True, False), "lambda+nu": (True, True), "nu": (False, True)}
+
 
 @dataclass(frozen=True)
-class LpInstance:
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    relations: tuple[str, ...]
-    lower: np.ndarray
-    upper: np.ndarray
+class ConeInstance:
+    """The cone-margin LP over the rows of ``cuts`` (m x p, finite, read-only)
+    with the mass row on ``mass``; raises ValueError on any other input."""
+
+    cuts: np.ndarray
+    mass: str
+
+    def __post_init__(self):
+        if self.mass not in _MASS_ROWS:
+            raise ValueError(f"mass must be one of {', '.join(_MASS_ROWS)}")
+        cuts = np.asarray(self.cuts, dtype=float).view()
+        if cuts.ndim != 2 or cuts.shape[1] == 0 or not np.all(np.isfinite(cuts)):
+            raise ValueError("cuts must be a finite m x p matrix with p >= 1")
+        if self.mass == "nu" and len(cuts) == 0:
+            raise ValueError("the nu mass over no cuts has no feasible point")
+        cuts.setflags(write=False)
+        object.__setattr__(self, "cuts", cuts)
 
     @property
     def num_rows(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def num_vars(self) -> int:
-        return self.A.shape[1]
-
-
-def lp_instance(c, A, b, relations, lower=None, upper=None) -> LpInstance:
-    """Build a validated instance. Default bounds are 0 <= x < infinity."""
-    c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float).reshape(len(b), len(c))
-    b = np.asarray(b, dtype=float)
-    n = len(c)
-    lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
-    upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-        raise ValueError("objective, matrix and right-hand side must be finite")
-    if np.any(np.isnan(lower)) or np.any(np.isnan(upper)) or np.any(lower > upper):
-        raise ValueError("inconsistent variable bounds")
-    relations = tuple(relations)
-    if len(relations) != len(b) or any(r not in (LE, EQ, GE) for r in relations):
-        raise ValueError("relations must be one of <=, =, >= per row")
-    for arr in (c, A, b, lower, upper):
-        arr.setflags(write=False)
-    return LpInstance(c=c, A=A, b=b, relations=relations, lower=lower, upper=upper)
+        return self.cuts.shape[1] + 1
 
 
 @dataclass(frozen=True)
 class LpOutcome:
-    status: str  # 'optimal' | 'infeasible' | 'unbounded'
-    x: tuple[float, ...] | None = None
-    value: float | None = None
+    status: str  # 'optimal' | 'unbounded'
+    x: tuple[float, ...]  # (u, lambda, nu)
+    value: float | None = None  # -u
     basis: tuple[int, ...] | None = None
     duals: tuple[float, ...] | None = None
-    farkas: tuple[float, ...] | None = None
     ray: tuple[float, ...] | None = None
 
 
@@ -114,79 +96,6 @@ class LpOutcome:
 class LpVerification:
     ok: bool
     failures: tuple[str, ...]
-
-
-# ---------------------------------------------------------------------------
-# standard-form conversion
-
-class _Standardized:
-    """Ax = b with x >= 0, plus the bookkeeping needed to translate back."""
-
-    def __init__(self, inst: LpInstance):
-        m, n = inst.num_rows, inst.num_vars
-        no_lower, no_upper = np.isinf(inst.lower), np.isinf(inst.upper)
-        free = no_lower & no_upper
-        # one column per variable, two for a free one (x = x+ - x-); a
-        # variable bounded above only is mirrored (x = upper - column)
-        col_var = np.repeat(np.arange(n), np.where(free, 2, 1))
-        col_sign = np.where(no_lower & ~no_upper, -1.0, 1.0)[col_var]
-        col_sign[1:][col_var[1:] == col_var[:-1]] = -1.0
-        shift = np.where(no_lower, np.where(no_upper, 0.0, inst.upper), inst.lower)
-        # a variable bounded on both sides gets a cap row: column <= width
-        cap_cols = np.flatnonzero(~(no_lower | no_upper)[col_var])
-        ns, k = len(col_var), len(cap_cols)
-        mt = m + k
-        relations = np.asarray(inst.relations + (LE,) * k)
-        slack_rows = np.flatnonzero(relations != EQ)
-        A_std = np.zeros((mt, ns + len(slack_rows)))
-        A_std[:m, :ns] = inst.A[:, col_var] * col_sign
-        A_std[m + np.arange(k), cap_cols] = 1.0
-        A_std[slack_rows, ns + np.arange(len(slack_rows))] = np.where(
-            relations[slack_rows] == LE, 1.0, -1.0
-        )
-        b_std = np.concatenate(
-            [inst.b - inst.A @ shift, (inst.upper - inst.lower)[col_var[cap_cols]]]
-        )
-        row_sign = np.where(b_std < 0, -1.0, 1.0)
-        A_std *= row_sign[:, None]
-        b_std *= row_sign
-
-        c_std = np.zeros(A_std.shape[1])
-        c_std[:ns] = inst.c[col_var] * col_sign
-
-        self.inst = inst
-        self.A = A_std
-        self.b = b_std
-        self.c = c_std
-        self.row_sign = row_sign
-        self.row_orig = np.concatenate([np.arange(m), np.full(k, -1)])  # -1 marks cap rows
-        self.col_var = col_var
-        self.col_sign = col_sign
-        self.shift = shift
-
-    def x_original(self, x_std: np.ndarray) -> np.ndarray:
-        x = self.shift.copy()
-        np.add.at(x, self.col_var, self.col_sign * x_std[: len(self.col_var)])
-        return x
-
-    def ray_original(self, ray_std: np.ndarray) -> np.ndarray:
-        ray = np.zeros(self.inst.num_vars)
-        np.add.at(ray, self.col_var, self.col_sign * ray_std[: len(self.col_var)])
-        return ray
-
-    def duals_original(self, y_std: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.inst.num_rows)
-        kept = self.row_orig >= 0
-        y[self.row_orig[kept]] = (self.row_sign * y_std)[kept]
-        return y
-
-    def drop_rows(self, positions: list[int]) -> None:
-        keep = np.ones(self.A.shape[0], dtype=bool)
-        keep[positions] = False
-        self.A = self.A[keep]
-        self.b = self.b[keep]
-        self.row_sign = self.row_sign[keep]
-        self.row_orig = self.row_orig[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +124,7 @@ def _pivot(binv: np.ndarray, d: np.ndarray, pos: int) -> None:
 def _entering(A, reduced, enterable, binv, x_basic, basis, bland):
     """The entering column, its direction ``binv @ A[:, j]`` and the leaving
     position, which is None when no row blocks the direction; None when no
-    column prices in.
+    column prices in. Position 0 holds the free u and never blocks.
 
     Columns price in by the largest reduced cost, ties to the lowest index,
     or with ``bland`` by the lowest index alone, and the leaving row is then
@@ -226,11 +135,11 @@ def _entering(A, reduced, enterable, binv, x_basic, basis, bland):
         j = int(np.argmax(eligible if bland else np.where(eligible, reduced, -np.inf)))
         eligible[j] = False
         d = binv @ A[:, j]
-        rows = (d > _PIVOT_TOL).nonzero()[0]
+        rows = (d[1:] > _PIVOT_TOL).nonzero()[0] + 1
         ratios = np.maximum(x_basic[rows], 0.0) / d[rows]
         theta = ratios.min(initial=np.inf)
         if not math.isfinite(theta):
-            if reduced[j] > _UNBOUNDED_GUARD:
+            if reduced[j] > _UNBOUNDED_GUARD * np.abs(A[:, j]).max():
                 return j, d, None
             continue  # numerically null column; its reduced cost is noise
         ties = rows[ratios <= theta + 1e-12]
@@ -248,31 +157,31 @@ def _entering(A, reduced, enterable, binv, x_basic, basis, bland):
     return None
 
 
-def _revised_simplex(A, b, c, basis, binv, num_enterable):
-    """Run primal simplex from a feasible basis with inverse ``binv``; columns
-    >= num_enterable never enter.
+def _revised_simplex(A, b, c, basis):
+    """Run primal simplex from the feasible ``basis``, whose position 0 holds
+    the free u for good; returns the status, the final basis, its values and
+    duals, and for an unbounded LP the entering column and its direction.
 
     A degenerate pivot (leaving value 0) switches pricing to Bland's rule
     until a pivot makes progress.
 
-    ``binv`` is updated per pivot and factorized afresh every
+    The basis inverse is updated per pivot and factorized afresh every
     ``_REFACTOR_EVERY`` pivots, before a pivot below ``_SMALL_PIVOT`` of its
     direction is taken, and before the run concludes optimal or unbounded,
-    so that no verdict rests on accumulated update error and the inverse
-    returned carries no updates.
+    so that no verdict rests on accumulated update error.
     """
-    n = A.shape[1]
     basis = list(basis)
+    binv = _factorize(A, basis)
     c_basis = c[basis]
-    enterable = np.zeros(n, dtype=bool)
-    enterable[:num_enterable] = True
+    enterable = np.ones(A.shape[1], dtype=bool)
     enterable[basis] = False
     pivots = 0  # since binv was last factorized
     bland = False
     for _ in range(_MAX_ITER):
         x_basic = binv @ b
         y = c_basis @ binv
-        reduced = c - y @ A
+        # summed row by row, so that equal columns get equal reduced costs
+        reduced = c - (y[:, None] * A).sum(axis=0)
         choice = _entering(A, reduced, enterable, binv, x_basic, basis, bland)
         if choice is None or choice[2] is None:
             if pivots:
@@ -280,15 +189,15 @@ def _revised_simplex(A, b, c, basis, binv, num_enterable):
                 pivots = 0
                 continue
             if choice is None:
-                return "optimal", basis, x_basic, y, None, None, binv
+                return "optimal", basis, x_basic, y, None, None
             j, d, _ = choice
-            if float(np.max(d)) > _PIVOT_TOL * 1e-2:
-                # a blocking row exists but its pivot sits below tolerance;
-                # refuse to absorb that silently
+            if float(np.max(d[1:])) > _PIVOT_TOL * 1e-2 * max(1.0, float(np.abs(d).max())):
+                # a blocking row exists but its pivot sits below tolerance,
+                # above the rounding of the direction; refuse to absorb that
                 raise NumericalBreakdown(
                     f"pivot below {_PIVOT_TOL} with no alternative in column {j}"
                 )
-            return "unbounded", basis, x_basic, y, j, d, binv
+            return "unbounded", basis, x_basic, y, j, d
         j, d, pos = choice
         if pivots and abs(d[pos]) < _SMALL_PIVOT * np.max(np.abs(d)):
             # a small pivot magnifies the update error: confirm it with a
@@ -297,7 +206,7 @@ def _revised_simplex(A, b, c, basis, binv, num_enterable):
             pivots = 0
             continue
         bland = not x_basic[pos] > 0.0
-        enterable[basis[pos]] = basis[pos] < num_enterable
+        enterable[basis[pos]] = True
         enterable[j] = False
         basis[pos] = j
         c_basis[pos] = c[j]
@@ -310,148 +219,55 @@ def _revised_simplex(A, b, c, basis, binv, num_enterable):
     raise NumericalBreakdown("simplex iteration limit exceeded")
 
 
-@contextmanager
-def _phase(number: int, std: _Standardized):
-    """Name the simplex phase and the standardized LP's shape in a breakdown."""
+def _start_basis(inst: ConeInstance) -> list[int]:
+    """The columns of the start basis :func:`cone_margin` names, u first."""
+    p = inst.cuts.shape[1]
+    if _MASS_ROWS[inst.mass][0]:
+        return list(range(1 + p))
+    low = int(np.argmin(inst.cuts[0]))
+    return [0, *(1 + i for i in range(p) if i != low), 1 + p]
+
+
+def solve_lp(instance: ConeInstance) -> LpOutcome:
+    """Solve a cone-margin instance from its start basis, deterministically."""
+    cuts = instance.cuts
+    m, p = cuts.shape
+    on_lambda, on_nu = _MASS_ROWS[instance.mass]
+    n = 1 + p + m
+    A = np.zeros((p + 1, n))
+    A[:p, 0] = 1.0
+    A[:p, 1 : 1 + p] = -np.eye(p)
+    A[:p, 1 + p :] = cuts.T
+    A[p, 1 : 1 + p] = float(on_lambda)
+    A[p, 1 + p :] = float(on_nu)
+    b = np.zeros(p + 1)
+    b[p] = 1.0
+    c = np.zeros(n)
+    c[0] = -1.0
     try:
-        yield
+        status, basis, x_basic, y, enter, direction = _revised_simplex(
+            A, b, c, _start_basis(instance)
+        )
     except NumericalBreakdown as exc:
-        rows, cols = std.A.shape
         raise NumericalBreakdown(
-            f"{exc} in phase {number} of a {rows} x {cols} standardized LP"
+            f"{exc} in a {p + 1} x {n} cone-margin LP (mass {instance.mass})"
         ) from None
-
-
-def _start_basis(std: _Standardized, start) -> tuple[list[int], np.ndarray]:
-    """The standardized basis of the variables named by ``start`` and its
-    inverse. A free variable whose basic value comes out negative takes its
-    negative part's column; raises ValueError unless the basis is primal
-    feasible."""
-    n = std.inst.num_vars
-    start = np.asarray(start, dtype=int)
-    if start.shape != (std.A.shape[0],) or len(set(start.tolist())) != len(start) or not (
-        (0 <= start) & (start < n)
-    ).all():
-        raise ValueError("a start names one distinct variable per standardized row")
-    cols = np.searchsorted(std.col_var, start)  # each variable's first column
-    binv = _factorize(std.A, cols)
-    x_basic = binv @ std.b
-    negative = (x_basic < 0) & (np.bincount(std.col_var, minlength=n)[start] == 2)
-    cols[negative] += 1  # x = x+ - x-: the column of x- is the negated one
-    binv[negative] *= -1.0
-    x_basic[negative] *= -1.0
-    if (x_basic < -1e-9 * (1.0 + float(np.abs(std.b).sum()))).any():
-        raise ValueError("the start basis is not primal feasible")
-    return cols.tolist(), binv
-
-
-def solve_lp(instance: LpInstance, start=None) -> LpOutcome:
-    """Solve an instance, deterministically.
-
-    ``start`` names the variables of a primal feasible basis, one per row of
-    the standardized instance; phase 2 then runs from it and phase 1 is
-    skipped. Without a start, phase 1 finds a feasible basis.
-    """
-    std = _Standardized(instance)
-    m, n_cols = std.A.shape
-
-    if m == 0:
-        # bounds only; optimum sits at the bound favored by the objective
-        c, lower, upper = instance.c, instance.lower, instance.upper
-        x = np.where(c > 0, upper, lower)
-        x = np.where(c == 0, np.where(np.isinf(lower), np.minimum(upper, 0.0), lower), x)
-        if np.any(np.isinf(x[c > 0])) or np.any(np.isinf(x[c < 0])):
-            ray = np.where((c > 0) & np.isinf(upper), 1.0, 0.0)
-            ray += np.where((c < 0) & np.isinf(lower), -1.0, 0.0)
-            feas = np.where(np.isinf(lower), np.minimum(upper, 0.0), lower)
-            return LpOutcome(
-                status="unbounded",
-                x=tuple(feas.tolist()),
-                ray=tuple(ray.tolist()),
-            )
-        return LpOutcome(
-            status="optimal",
-            x=tuple(x.tolist()),
-            value=float(c @ x),
-            basis=(),
-            duals=(),
-        )
-
-    if start is None:
-        with _phase(1, std):
-            # minimize the artificial total from the all-artificial basis, whose
-            # inverse is the identity
-            A1 = np.hstack([std.A, np.eye(m)])
-            c1 = np.concatenate([np.zeros(n_cols), -np.ones(m)])
-            basis = list(range(n_cols, n_cols + m))
-            status, basis, x_basic, y, _, _, binv = _revised_simplex(
-                A1, std.b, c1, basis, np.eye(m), n_cols
-            )
-            if status != "optimal":
-                raise NumericalBreakdown("phase 1 terminated abnormally")
-            feas_tol = 1e-9 * (1.0 + float(np.abs(std.b).sum()))
-            if float(c1[basis] @ x_basic) < -feas_tol:
-                farkas = std.duals_original(y)
-                return LpOutcome(status="infeasible", farkas=tuple(farkas.tolist()))
-
-            # drive artificial variables out of the basis, reading each row of
-            # the inverse off the fresh one phase 1 ends with; fully dependent
-            # rows are dropped
-            in_basis = np.zeros(n_cols, dtype=bool)
-            in_basis[[j for j in basis if j < n_cols]] = True
-            redundant: list[int] = []
-            for pos in range(m):
-                if basis[pos] < n_cols:
-                    continue
-                entries = binv[pos] @ A1[:, :n_cols]
-                movable = np.flatnonzero(~in_basis & (np.abs(entries) > _PIVOT_TOL))
-                if movable.size == 0:
-                    redundant.append(pos)
-                    continue
-                j = int(movable[0])
-                basis[pos] = j
-                in_basis[j] = True
-                binv = _factorize(A1, basis)  # the pivot may be as small as _PIVOT_TOL
-            if redundant:
-                std.drop_rows(redundant)
-                dropped = set(redundant)
-                basis = [j for pos, j in enumerate(basis) if pos not in dropped]
-
-    with _phase(2, std):
-        if start is None:
-            binv = _factorize(std.A, basis)
-        else:
-            basis, binv = _start_basis(std, start)
-        status, basis, x_basic, y, enter, direction, _ = _revised_simplex(
-            std.A, std.b, std.c, basis, binv, n_cols
-        )
-    x_std = np.zeros(n_cols)
-    x_std[basis] = np.maximum(x_basic, 0.0)
-    x = std.x_original(x_std)
+    x = np.zeros(n)
+    x[basis] = np.where(x_basic > 0.0, x_basic, 0.0)
+    x[0] = x_basic[0]  # u is free
     if status == "unbounded":
-        ray_std = np.zeros(n_cols)
-        ray_std[enter] = 1.0
-        ray_std[basis] = -direction
-        ray = std.ray_original(ray_std)
-        return LpOutcome(
-            status="unbounded",
-            x=tuple(x.tolist()),
-            ray=tuple(ray.tolist()),
-        )
-    duals = std.duals_original(y)
+        ray = np.zeros(n)
+        ray[enter] = 1.0
+        ray[basis] = -direction
+        ray /= np.abs(A[:, enter]).max()  # per unit of the entering column's largest entry
+        return LpOutcome(status="unbounded", x=tuple(x.tolist()), ray=tuple(ray.tolist()))
     return LpOutcome(
         status="optimal",
         x=tuple(x.tolist()),
-        value=float(instance.c @ x),
+        value=0.0 - float(x[0]),  # -u, and 0.0 rather than -0.0 when u is 0
         basis=tuple(sorted(basis)),
-        duals=tuple(duals.tolist()),
+        duals=tuple(y.tolist()),
     )
-
-
-# ---------------------------------------------------------------------------
-# the cone-margin LP
-
-_MASS_ROWS = {"lambda": (True, False), "lambda+nu": (True, True), "nu": (False, True)}
 
 
 def cone_margin(cuts, *, mass: str) -> LpOutcome:
@@ -470,125 +286,58 @@ def cone_margin(cuts, *, mass: str) -> LpOutcome:
     The solve starts from a basis feasible by construction: {u, lambda} with
     u = lambda_i = 1/p when the mass row holds lambda, and otherwise
     {u, nu_1, lambda_i for i != i*} with u = -C_1i* = -min_i C_1i and
-    lambda_i = C_1i - C_1i*. Only the "nu" mass over no cuts, which is
-    infeasible, goes through phase 1.
+    lambda_i = C_1i - C_1i*. The "nu" mass over no cuts has no feasible point
+    and raises ValueError, as do non-finite cuts and an unknown mass.
     """
-    on_lambda, on_nu = _MASS_ROWS[mass]
-    cuts = np.asarray(cuts, dtype=float)
-    m, p = cuts.shape
-    A = np.zeros((p + 1, 1 + p + m))
-    A[:p, 0] = 1.0
-    A[:p, 1 : 1 + p] = -np.eye(p)
-    A[:p, 1 + p :] = cuts.T
-    A[p, 1 : 1 + p] = float(on_lambda)
-    A[p, 1 + p :] = float(on_nu)
-    b = np.zeros(p + 1)
-    b[p] = 1.0
-    c = np.zeros(1 + p + m)
-    c[0] = -1.0
-    lower = np.zeros(1 + p + m)
-    lower[0] = -np.inf
-    if on_lambda:
-        start = range(1 + p)
-    elif m:
-        low = int(np.argmin(cuts[0]))
-        start = [0, *(1 + i for i in range(p) if i != low), 1 + p]
-    else:
-        start = None
-    return solve_lp(lp_instance(c, A, b, (EQ,) * (p + 1), lower=lower), start)
+    return solve_lp(ConeInstance(cuts, mass))
 
 
 # ---------------------------------------------------------------------------
 # independent certificate verification
 
-def _feasibility_failures(inst: LpInstance, x: np.ndarray, tol: float) -> list[str]:
-    failures = []
-    for j in range(inst.num_vars):
-        scale = tol * (1.0 + abs(x[j]))
-        if x[j] < inst.lower[j] - scale or x[j] > inst.upper[j] + scale:
-            failures.append(f"variable {j} = {x[j]} violates bounds")
-    resid = inst.A @ x - inst.b
-    for i, rel in enumerate(inst.relations):
-        scale = tol * (1.0 + abs(inst.b[i]))
-        if rel == LE and resid[i] > scale:
-            failures.append(f"row {i} violated by {resid[i]}")
-        elif rel == GE and resid[i] < -scale:
-            failures.append(f"row {i} violated by {-resid[i]}")
-        elif rel == EQ and abs(resid[i]) > scale:
-            failures.append(f"row {i} violated by {abs(resid[i])}")
-    return failures
+def verify_outcome(inst: ConeInstance, outcome: LpOutcome, *, tol: float = 1e-8) -> LpVerification:
+    """Re-check an outcome's certificate numerically from the cuts alone,
+    independent of the solver: equality residuals, signs, and the reduced
+    costs of an optimum or the ray of an unbounded outcome."""
+    cuts = inst.cuts
+    p = cuts.shape[1]
+    on_lambda, on_nu = _MASS_ROWS[inst.mass]
 
+    def rows(v):
+        """The left-hand sides of the p + 1 equality rows at v = (u, lambda, nu)."""
+        u, lam, nu = v[0], v[1 : 1 + p], v[1 + p :]
+        return np.append(u - lam + nu @ cuts, on_lambda * lam.sum() + on_nu * nu.sum())
 
-def verify_outcome(inst: LpInstance, outcome: LpOutcome, *, tol: float = 1e-8) -> LpVerification:
-    """Re-check an outcome's certificate numerically, independent of the solver."""
+    if outcome.status not in ("optimal", "unbounded"):
+        return LpVerification(ok=False, failures=(f"unknown status {outcome.status!r}",))
     failures: list[str] = []
+    b = np.zeros(p + 1)
+    b[p] = 1.0
+    x = np.asarray(outcome.x)
+    resid = np.abs(rows(x) - b)
+    for i in np.flatnonzero(resid > tol * (1.0 + b)):
+        failures.append(f"row {i} violated by {resid[i]}")
+    for j in np.flatnonzero(x[1:] < -tol * (1.0 + np.abs(x[1:]))) + 1:
+        failures.append(f"variable {j} = {x[j]} is negative")
     if outcome.status == "optimal":
-        x = np.asarray(outcome.x)
-        y = np.asarray(outcome.duals)
-        failures += _feasibility_failures(inst, x, tol)
-        if abs(float(inst.c @ x) - outcome.value) > tol * (1.0 + abs(outcome.value)):
+        if abs(-x[0] - outcome.value) > tol * (1.0 + abs(outcome.value)):
             failures.append("objective value mismatch")
-        resid = inst.A @ x - inst.b
-        for i, rel in enumerate(inst.relations):
-            if rel == LE and y[i] < -tol:
-                failures.append(f"dual {i} has the wrong sign")
-            if rel == GE and y[i] > tol:
-                failures.append(f"dual {i} has the wrong sign")
-            if abs(y[i]) > tol and abs(resid[i]) > tol * (1.0 + abs(inst.b[i])):
-                failures.append(f"complementary slackness fails on row {i}")
-        reduced = inst.c - y @ inst.A
-        for j in range(inst.num_vars):
-            scale = tol * (1.0 + abs(x[j]))
-            if reduced[j] > tol and not (
-                np.isfinite(inst.upper[j]) and x[j] >= inst.upper[j] - scale
-            ):
-                failures.append(f"reduced cost {j} positive off its upper bound")
-            if reduced[j] < -tol and not (
-                np.isfinite(inst.lower[j]) and x[j] <= inst.lower[j] + scale
-            ):
-                failures.append(f"reduced cost {j} negative off its lower bound")
-    elif outcome.status == "infeasible":
-        y = np.asarray(outcome.farkas)
-        for i, rel in enumerate(inst.relations):
-            if rel == LE and y[i] < -tol:
-                failures.append(f"farkas multiplier {i} has the wrong sign")
-            if rel == GE and y[i] > tol:
-                failures.append(f"farkas multiplier {i} has the wrong sign")
-        d = y @ inst.A
-        lower_sum = 0.0
-        for j in range(inst.num_vars):
-            if d[j] > tol:
-                if np.isinf(inst.lower[j]):
-                    failures.append(f"farkas aggregate unbounded below in variable {j}")
-                else:
-                    lower_sum += d[j] * inst.lower[j]
-            elif d[j] < -tol:
-                if np.isinf(inst.upper[j]):
-                    failures.append(f"farkas aggregate unbounded below in variable {j}")
-                else:
-                    lower_sum += d[j] * inst.upper[j]
-        rhs = float(y @ inst.b)
-        if not lower_sum > rhs + tol:
-            failures.append(f"farkas aggregate not violating: {lower_sum} vs {rhs}")
-    elif outcome.status == "unbounded":
-        x = np.asarray(outcome.x)
-        ray = np.asarray(outcome.ray)
-        failures += _feasibility_failures(inst, x, tol)
-        growth = inst.A @ ray
-        for i, rel in enumerate(inst.relations):
-            if rel == LE and growth[i] > tol:
-                failures.append(f"ray leaves row {i}")
-            if rel == GE and growth[i] < -tol:
-                failures.append(f"ray leaves row {i}")
-            if rel == EQ and abs(growth[i]) > tol:
-                failures.append(f"ray leaves row {i}")
-        for j in range(inst.num_vars):
-            if np.isfinite(inst.lower[j]) and ray[j] < -tol:
-                failures.append(f"ray leaves lower bound of variable {j}")
-            if np.isfinite(inst.upper[j]) and ray[j] > tol:
-                failures.append(f"ray leaves upper bound of variable {j}")
-        if not float(inst.c @ ray) > tol:
-            failures.append("ray does not improve the objective")
+        y = np.asarray(outcome.duals)
+        # reduced costs c - y @ A of the columns u, lambda and nu
+        if abs(-1.0 - y[:p].sum()) > tol:
+            failures.append("reduced cost of the free u is not zero")
+        reduced = np.concatenate([y[:p] - on_lambda * y[p], -(cuts @ y[:p] + on_nu * y[p])])
+        for j in np.flatnonzero(reduced > tol) + 1:
+            failures.append(f"reduced cost {j} positive")
+        off_bound = x[1:] > tol * (1.0 + np.abs(x[1:]))
+        for j in np.flatnonzero((reduced < -tol) & off_bound) + 1:
+            failures.append(f"reduced cost {j} negative off its lower bound")
     else:
-        failures.append(f"unknown status {outcome.status!r}")
+        ray = np.asarray(outcome.ray)
+        for i in np.flatnonzero(np.abs(rows(ray)) > tol):
+            failures.append(f"ray leaves row {i}")
+        for j in np.flatnonzero(ray[1:] < -tol) + 1:
+            failures.append(f"ray leaves the lower bound of variable {j}")
+        if not -ray[0] > tol:
+            failures.append("ray does not improve the objective")
     return LpVerification(ok=not failures, failures=tuple(failures))

@@ -144,79 +144,56 @@ def test_criterion_6a_pareto_oracle():
     _report("6a efficient-set filter matches the pairwise brute force")
 
 
-def _vertex_enumeration(inst):
-    n = inst.num_vars
-    normals, offsets, forced = [], [], []
-    for i in range(inst.num_rows):
-        normals.append(inst.A[i])
-        offsets.append(inst.b[i])
-        if inst.relations[i] == lp.EQ:
-            forced.append(len(normals) - 1)
-    for j in range(n):
-        for bound in (inst.lower[j], inst.upper[j]):
-            if np.isfinite(bound):
-                e = np.zeros(n)
-                e[j] = 1.0
-                normals.append(e)
-                offsets.append(bound)
-    free = [k for k in range(len(normals)) if k not in forced]
-    best = None
-    for extra in itertools.combinations(free, n - len(forced)):
-        rows = list(forced) + list(extra)
-        try:
-            x = np.linalg.solve(
-                np.asarray([normals[k] for k in rows]),
-                np.asarray([offsets[k] for k in rows]),
-            )
-        except np.linalg.LinAlgError:
-            continue
-        if np.any(x < inst.lower - 1e-7) or np.any(x > inst.upper + 1e-7):
-            continue
-        resid = inst.A @ x - inst.b
-        ok = all(
-            (rel == lp.LE and resid[i] <= 1e-7)
-            or (rel == lp.GE and resid[i] >= -1e-7)
-            or (rel == lp.EQ and abs(resid[i]) <= 1e-7)
-            for i, rel in enumerate(inst.relations)
-        )
-        if ok:
-            value = float(inst.c @ x)
-            best = value if best is None else max(best, value)
-    return best
+def _basic_feasible_points(M, r):
+    """Every basic feasible solution of {z >= 0 : M z = r}, one row each."""
+    k, n = M.shape
+    bases = np.asarray(list(itertools.combinations(range(n), k)))
+    B = np.moveaxis(M[:, bases], 0, 1)  # one k x k basis matrix per row of bases
+    nonsingular = np.abs(np.linalg.det(B)) > 1e-9
+    bases, B = bases[nonsingular], B[nonsingular]
+    z = np.linalg.solve(B, np.broadcast_to(r, (len(B), k))[..., None])[..., 0]
+    feasible = np.all(z >= -1e-9, axis=1)
+    points = np.zeros((int(feasible.sum()), n))
+    points[np.arange(len(points))[:, None], bases[feasible]] = z[feasible]
+    return points
+
+
+def _vertex_enumeration(cuts, mass):
+    """The cone-margin LP over (u+, u-, lambda, nu) >= 0 by enumeration:
+    'unbounded' when the improving directions, scaled to u- - u+ = 1, have a
+    vertex, else the largest -u = u- - u+ over the vertices."""
+    m, p = cuts.shape
+    M = np.zeros((p + 1, 2 + p + m))
+    M[:p, 0], M[:p, 1] = 1.0, -1.0
+    M[:p, 2 : 2 + p] = -np.eye(p)
+    M[:p, 2 + p :] = cuts.T
+    M[p, 2 : 2 + p] = float(mass in ("lambda", "lambda+nu"))
+    M[p, 2 + p :] = float(mass in ("nu", "lambda+nu"))
+    improving = np.zeros(2 + p + m)
+    improving[:2] = -1.0, 1.0
+    if len(_basic_feasible_points(np.vstack([M, improving]), np.eye(p + 2)[p + 1])):
+        return "unbounded"
+    points = _basic_feasible_points(M, np.eye(p + 1)[p])
+    return float(np.max(points[:, 1] - points[:, 0]))
 
 
 def test_criterion_6b_lp_oracle():
     rng = np.random.default_rng(20250819)
+    statuses = {"optimal": 0, "unbounded": 0}
     for _ in range(500):
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 7))
-        A = rng.integers(-4, 5, size=(m, n)).astype(float)
-        b = rng.integers(-5, 6, size=m).astype(float)
-        c = rng.integers(-4, 5, size=n).astype(float)
-        relations = []
-        n_eq = 0
-        for i in range(m):
-            roll = rng.random()
-            if roll < 0.15 and n_eq < min(2, n) and np.any(A[i] != 0):
-                relations.append(lp.EQ)
-                n_eq += 1
-            else:
-                relations.append(lp.LE if roll < 0.6 else lp.GE)
-        eq_rows = [i for i, r in enumerate(relations) if r == lp.EQ]
-        if len(eq_rows) == 2 and np.linalg.matrix_rank(A[eq_rows]) < 2:
-            relations[eq_rows[1]] = lp.LE
-        inst = lp.lp_instance(
-            c, A, b, tuple(relations),
-            lower=np.zeros(n), upper=np.full(n, float(rng.integers(3, 11))),
-        )
-        out = lp.solve_lp(inst)
-        oracle = _vertex_enumeration(inst)
-        if oracle is None:
-            assert out.status == "infeasible"
+        p, m = int(rng.integers(1, 5)), int(rng.integers(0, 7))
+        cuts = rng.integers(-4, 5, size=(m, p)).astype(float)
+        mass = ("lambda", "lambda+nu", "nu")[int(rng.integers(3 if m else 2))]
+        out = lp.cone_margin(cuts, mass=mass)
+        oracle = _vertex_enumeration(cuts, mass)
+        if oracle == "unbounded":
+            assert out.status == "unbounded"
         else:
             assert out.status == "optimal"
             assert abs(out.value - oracle) <= 1e-7
-        assert lp.verify_outcome(inst, out).ok
+        statuses[out.status] += 1
+        assert lp.verify_outcome(lp.ConeInstance(cuts, mass), out).ok
+    assert min(statuses.values()) > 50  # both verdicts are well exercised
     _report("6b simplex matches vertex enumeration and all certificates verify")
 
 

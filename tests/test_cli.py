@@ -382,10 +382,23 @@ def test_deep_soland_ladder_follows_the_margin_to_its_limit(capsys):
             assert abs(record["support"]["margin"]["margin"] - expected) <= 1e-9
 
 
+def test_deep_soland_origin_margins_follow_the_closed_form(capsys):
+    # u is free and never leaves the basis, so no ratio tie can zero the
+    # margin 2^-k / (1 + 2^-k); rounding of the cuts costs a relative 1.5e-11
+    # at level 18, and from about level 30 the LP returns 2^-k itself
+    code, out, _ = _run(capsys, "report", "builtin:soland", "--levels", "60", "--point-decision", "0")
+    assert code == 0
+    margins = json.loads(out)["points"][0]["support"]["trend"]["margins"]
+    for k, margin in enumerate(margins[:52], start=1):
+        truth = 2.0 ** -k / (1.0 + 2.0 ** -k)
+        assert margin > 0 and abs(margin - truth) <= (2.0 ** -k + 1e-12) * truth, k
+
+
 @pytest.mark.xfail(
     strict=True,
-    reason="from level 41 on, the 1e-12 tie window of the ratio test in linprog._entering "
-    "lets the wrong row leave and the origin's margin reads -0.0 (ROADMAP item 2)",
+    reason="from level 53 on the margin 2^-k is below the rounding of the normalized float "
+    "cuts (an ulp of 1 is 2^-52), so they hold no positive margin and it reads -0.0: "
+    "the float data limit (ROADMAP item 2)",
 )
 def test_deepest_soland_origin_margins_stay_positive(capsys):
     # the margin at level k is 2^-k / (1 + 2^-k)

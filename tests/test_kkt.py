@@ -19,6 +19,7 @@ from paretocert.problems import (
     refinement_ladder,
     sample_criterion_space,
 )
+from test_linprog import brute_force_optimum
 
 
 def ladder(problem, anchor, levels):
@@ -190,20 +191,16 @@ def test_verdict_matches_multiplier_grid_on_100_random_two_row_systems():
 
 
 def _reference_obstruction_lp(g_ineq, g_eq):
-    """The obstruction LP written out over (mu, lambda+, lambda-, s): maximize
-    s s.t. sigma_i - s >= 0 for every criterion i, unit multiplier mass."""
-    nk, nj, p = len(g_ineq), len(g_eq), g_ineq.shape[1]
-    A = np.zeros((p + 1, nk + 2 * nj + 1))
-    A[:p, :-1] = np.vstack([g_ineq, g_eq, -g_eq]).T
-    A[:p, -1] = -1.0
-    A[p, :-1] = 1.0
-    b = np.zeros(p + 1)
-    b[p] = 1.0
-    c = np.zeros(nk + 2 * nj + 1)
+    """The obstruction LP written out over (mu, lambda+, lambda-, s) for
+    ``brute_force_optimum``: maximize s s.t. sigma_i - s >= 0 for every
+    criterion i, multipliers >= 0 with unit mass."""
+    rows = np.vstack([g_ineq, g_eq, -g_eq])
+    k, p = rows.shape
+    c = np.zeros(k + 1)
     c[-1] = 1.0
-    lower = np.zeros_like(c)
-    lower[-1] = -np.inf
-    return lp.lp_instance(c, A, b, (lp.GE,) * p + (lp.EQ,), lower=lower)
+    A = np.concatenate([np.ones(k), [0.0]])[None, :]
+    G = np.vstack([np.hstack([rows.T, -np.ones((p, 1))]), np.eye(k + 1)[:k]])
+    return c, A, np.ones(1), G, np.zeros(p + k)
 
 
 def _highs_obstruction_value(g_ineq, g_eq):
@@ -233,9 +230,7 @@ def test_obstruction_lp_matches_its_reference_formulation(monkeypatch):
         highs = False
     solved = []
     solve = lp.solve_lp
-    monkeypatch.setattr(
-        lp, "solve_lp", lambda inst, start=None: solved.append(inst) or solve(inst, start)
-    )
+    monkeypatch.setattr(lp, "solve_lp", lambda inst: solved.append(inst) or solve(inst))
     rng = np.random.default_rng(20251018)
     checked = 0
     while checked < 150:
@@ -254,9 +249,8 @@ def test_obstruction_lp_matches_its_reference_formulation(monkeypatch):
         out = solve(inst)
         check = lp.verify_outcome(inst, out)
         assert check.ok, check.failures
-        reference = solve(_reference_obstruction_lp(g[:nk], g[nk:]))
-        assert reference.status == "optimal"
-        assert cert.s_star == pytest.approx(reference.value, abs=1e-9)
+        reference = brute_force_optimum(*_reference_obstruction_lp(g[:nk], g[nk:]))
+        assert cert.s_star == pytest.approx(reference, abs=1e-9)
         if highs:
             assert cert.s_star == pytest.approx(_highs_obstruction_value(g[:nk], g[nk:]), abs=1e-9)
         sigma = np.asarray(cert.mu) @ g[:nk] + np.asarray(cert.lam) @ g[nk:]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -14,315 +15,56 @@ from paretocert.problems import (
     sample_criterion_space,
 )
 
+MASSES = ("lambda", "lambda+nu", "nu")
 
-def brute_force_optimum(inst: lp.LpInstance, tol=1e-7):
-    """Vertex enumeration oracle: intersect every n-subset of constraints
-    (equalities always included) and keep the best feasible point."""
-    n = inst.num_vars
-    normals = []
-    offsets = []
-    forced = []
-    for i in range(inst.num_rows):
-        normals.append(inst.A[i])
-        offsets.append(inst.b[i])
-        if inst.relations[i] == lp.EQ:
-            forced.append(len(normals) - 1)
-    for j in range(n):
-        if np.isfinite(inst.lower[j]):
-            e = np.zeros(n)
-            e[j] = 1.0
-            normals.append(e)
-            offsets.append(inst.lower[j])
-        if np.isfinite(inst.upper[j]):
-            e = np.zeros(n)
-            e[j] = 1.0
-            normals.append(e)
-            offsets.append(inst.upper[j])
-    free = [k for k in range(len(normals)) if k not in forced]
-    if len(forced) > n:
-        return None
+
+def brute_force_optimum(c, A, b, G, h, tol=1e-7):
+    """Vertex enumeration oracle: the largest c @ x over the vertices of
+    {x : A x = b, G x >= h}, each the solution of the equalities and of
+    len(c) - len(b) inequalities held tight; None when no vertex is feasible.
+    It cannot see unboundedness: an unbounded LP needs a verified ray."""
+    n = len(c)
     best = None
-    for extra in itertools.combinations(free, n - len(forced)):
-        rows = list(forced) + list(extra)
-        M = np.asarray([normals[k] for k in rows])
-        rhs = np.asarray([offsets[k] for k in rows])
+    for tight in itertools.combinations(range(len(h)), n - len(b)):
+        rows = list(tight)
         try:
-            x = np.linalg.solve(M, rhs)
+            x = np.linalg.solve(np.vstack([A, G[rows]]), np.concatenate([b, h[rows]]))
         except np.linalg.LinAlgError:
             continue
-        if _feasible(inst, x, tol):
-            value = float(inst.c @ x)
-            if best is None or value > best:
-                best = value
+        if np.all(np.abs(A @ x - b) <= tol) and np.all(G @ x >= h - tol):
+            value = float(c @ x)
+            best = value if best is None else max(best, value)
     return best
 
 
-def _feasible(inst, x, tol):
-    if np.any(x < inst.lower - tol) or np.any(x > inst.upper + tol):
-        return False
-    resid = inst.A @ x - inst.b
-    for i, rel in enumerate(inst.relations):
-        if rel == lp.LE and resid[i] > tol:
-            return False
-        if rel == lp.GE and resid[i] < -tol:
-            return False
-        if rel == lp.EQ and abs(resid[i]) > tol:
-            return False
-    return True
-
-
-def test_simple_maximum():
-    inst = lp.lp_instance([1.0], [[1.0]], [3.0], (lp.LE,))
-    out = lp.solve_lp(inst)
-    assert out.status == "optimal"
-    assert out.x[0] == pytest.approx(3.0)
-    assert out.value == pytest.approx(3.0)
-    assert lp.verify_outcome(inst, out).ok
-
-
-def test_infeasible_with_farkas_certificate():
-    inst = lp.lp_instance([1.0], [[1.0]], [-1.0], (lp.LE,))
-    out = lp.solve_lp(inst)
-    assert out.status == "infeasible"
-    check = lp.verify_outcome(inst, out)
-    assert check.ok, check.failures
-
-
-def test_unbounded_with_ray():
-    inst = lp.lp_instance([1.0, 0.0], [[1.0, 1.0]], [1.0], (lp.GE,))
-    out = lp.solve_lp(inst)
-    assert out.status == "unbounded"
-    check = lp.verify_outcome(inst, out)
-    assert check.ok, check.failures
-
-
-def test_equality_and_free_variables():
-    # max t with w1 + w2 = 1, w_i >= t: the uniform weights win
-    c = [0.0, 0.0, 1.0]
-    A = [[1.0, 1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, -1.0]]
-    b = [1.0, 0.0, 0.0]
-    inst = lp.lp_instance(
-        c, A, b, (lp.EQ, lp.GE, lp.GE), lower=[-np.inf] * 3, upper=[np.inf] * 3
-    )
-    out = lp.solve_lp(inst)
-    assert out.status == "optimal"
-    assert out.value == pytest.approx(0.5)
-    assert out.x[0] == pytest.approx(0.5)
-    assert lp.verify_outcome(inst, out).ok
-
-
-def test_negative_lower_bounds():
-    inst = lp.lp_instance(
-        [-1.0], [[1.0]], [5.0], (lp.LE,), lower=[-4.0], upper=[np.inf]
-    )
-    out = lp.solve_lp(inst)
-    assert out.status == "optimal"
-    assert out.x[0] == pytest.approx(-4.0)
-
-
-def test_bounded_above_variable_flip():
-    inst = lp.lp_instance(
-        [1.0], [[1.0]], [10.0], (lp.LE,), lower=[-np.inf], upper=[2.0]
-    )
-    out = lp.solve_lp(inst)
-    assert out.status == "optimal"
-    assert out.x[0] == pytest.approx(2.0)
-    assert lp.verify_outcome(inst, out).ok
-
-
-def _random_instance(rng):
-    n = int(rng.integers(1, 5))
-    m = int(rng.integers(1, 7))
-    A = rng.integers(-4, 5, size=(m, n)).astype(float)
-    b = rng.integers(-5, 6, size=m).astype(float)
-    c = rng.integers(-4, 5, size=n).astype(float)
-    relations = []
-    n_eq = 0
-    for i in range(m):
-        roll = rng.random()
-        if roll < 0.15 and n_eq < min(2, n) and np.any(A[i] != 0):
-            relations.append(lp.EQ)
-            n_eq += 1
-        elif roll < 0.6:
-            relations.append(lp.LE)
-        else:
-            relations.append(lp.GE)
-    # two equality rows must be independent or the vertex oracle goes blind
-    eq_rows = [i for i, r in enumerate(relations) if r == lp.EQ]
-    if len(eq_rows) == 2 and np.linalg.matrix_rank(A[eq_rows]) < 2:
-        relations[eq_rows[1]] = lp.LE
-    lower = np.zeros(n)
-    upper = np.full(n, float(rng.integers(3, 11)))
-    return lp.lp_instance(c, A, b, tuple(relations), lower=lower, upper=upper)
-
-
-def test_agrees_with_vertex_enumeration_on_500_random_instances():
-    rng = np.random.default_rng(20250813)
-    solved = 0
-    infeasible = 0
-    for _ in range(500):
-        inst = _random_instance(rng)
-        out = lp.solve_lp(inst)
-        oracle = brute_force_optimum(inst)
-        if oracle is None:
-            assert out.status == "infeasible", (inst.A, inst.b, inst.relations)
-            infeasible += 1
-        else:
-            assert out.status == "optimal"
-            assert out.value == pytest.approx(oracle, abs=1e-7)
-            solved += 1
-        check = lp.verify_outcome(inst, out)
-        assert check.ok, check.failures
-    assert solved > 150 and infeasible > 50  # both verdicts are well exercised
-
-
-def test_certificates_verify_on_unbounded_random_instances():
-    rng = np.random.default_rng(77)
-    seen_unbounded = 0
-    for _ in range(200):
-        n = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 4))
-        A = rng.integers(-3, 4, size=(m, n)).astype(float)
-        b = rng.integers(-3, 4, size=m).astype(float)
-        c = rng.integers(-3, 4, size=n).astype(float)
-        relations = tuple(lp.LE if rng.random() < 0.7 else lp.GE for _ in range(m))
-        inst = lp.lp_instance(c, A, b, relations)  # x >= 0, no upper bounds
-        out = lp.solve_lp(inst)
-        check = lp.verify_outcome(inst, out)
-        assert check.ok, (out.status, check.failures)
-        if out.status == "unbounded":
-            seen_unbounded += 1
-    assert seen_unbounded > 20
-
-
-def _reference_standard_form(inst):
-    """The standard form built column by column in Python: A, b, c and the
-    variable and sign of each structural column."""
-    m, n = inst.num_rows, inst.num_vars
-    col_var, col_sign, caps = [], [], []
-    shift = np.zeros(n)
-    for j in range(n):
-        lo, up = inst.lower[j], inst.upper[j]
-        if np.isinf(lo) and np.isinf(up):
-            col_var += [j, j]
-            col_sign += [1.0, -1.0]
-        elif np.isinf(lo):
-            shift[j] = up
-            col_var.append(j)
-            col_sign.append(-1.0)
-        else:
-            shift[j] = lo
-            col_var.append(j)
-            col_sign.append(1.0)
-            if not np.isinf(up):
-                caps.append((len(col_var) - 1, up - lo))
-    relations = list(inst.relations) + [lp.LE] * len(caps)
-    A = np.zeros((m + len(caps), len(col_var)))
-    for t, (j, sgn) in enumerate(zip(col_var, col_sign)):
-        A[:m, t] = inst.A[:, j] * sgn
-    b = list(inst.b - inst.A @ shift)
-    for r, (t, cap) in enumerate(caps):
-        A[m + r, t] = 1.0
-        b.append(cap)
-    slack_rows = [i for i, rel in enumerate(relations) if rel != lp.EQ]
-    slacks = np.zeros((len(relations), len(slack_rows)))
-    for s, i in enumerate(slack_rows):
-        slacks[i, s] = 1.0 if relations[i] == lp.LE else -1.0
-    A = np.hstack([A, slacks])
-    b = np.asarray(b)
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-    c = np.zeros(A.shape[1])
-    for t, (j, sgn) in enumerate(zip(col_var, col_sign)):
-        c[t] = inst.c[j] * sgn
-    return A, b, c, col_var, col_sign, shift
-
-
-def test_standard_form_matches_column_by_column_reference():
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 6))
-        # free, bounded below, bounded above, or both
-        kind = rng.integers(0, 4, size=n)
-        lower = np.where(kind % 2 == 1, rng.integers(-3, 2, size=n), -np.inf)
-        upper = np.where(kind >= 2, rng.integers(2, 6, size=n), np.inf)
-        relations = tuple(str(r) for r in rng.choice([lp.LE, lp.EQ, lp.GE], size=m))
-        inst = lp.lp_instance(
-            rng.normal(size=n), rng.normal(size=(m, n)), rng.normal(size=m), relations,
-            lower=lower, upper=upper,
-        )
-        A, b, c, col_var, col_sign, shift = _reference_standard_form(inst)
-        std = lp._Standardized(inst)
-        assert np.array_equal(std.A, A) and np.array_equal(std.b, b)
-        assert np.array_equal(std.c, c)
-        x_std = rng.random(A.shape[1])
-        x = shift.copy()
-        ray = np.zeros(n)
-        for t, (j, sgn) in enumerate(zip(col_var, col_sign)):
-            x[j] += sgn * x_std[t]
-            ray[j] += sgn * x_std[t]
-        assert np.array_equal(std.x_original(x_std), x)
-        assert np.array_equal(std.ray_original(x_std), ray)
-        y_std = rng.normal(size=A.shape[0])
-        flipped = inst.b - inst.A @ shift < 0
-        assert np.array_equal(std.duals_original(y_std), np.where(flipped, -y_std[:m], y_std[:m]))
-
-
-def test_determinism_identical_outcomes():
-    rng = np.random.default_rng(11)
-    A = rng.integers(-3, 4, size=(5, 3)).astype(float)
-    b = rng.integers(0, 6, size=5).astype(float)
-    c = rng.integers(-3, 4, size=3).astype(float)
-    inst = lp.lp_instance(c, A, b, (lp.LE,) * 5, upper=np.full(3, 9.0))
-    one = lp.solve_lp(inst)
-    two = lp.solve_lp(inst)
-    assert one == two
-
-
-def test_rejects_non_finite_data():
-    with pytest.raises(ValueError):
-        lp.lp_instance([np.inf], [[1.0]], [1.0], (lp.LE,))
-
-
-def test_iteration_limit_reports_breakdown(monkeypatch):
-    monkeypatch.setattr(lp, "_MAX_ITER", 1)
-    inst = lp.lp_instance([1.0, 1.0], [[1.0, 2.0], [2.0, 1.0]], [4.0, 4.0], (lp.LE, lp.LE))
-    with pytest.raises(NumericalBreakdown):
-        lp.solve_lp(inst)
-
-
-def test_breakdown_names_the_phase_and_the_standardized_shape(monkeypatch):
-    # each row gets a slack column: 2 rows x 4 columns, then 1 row x 2 columns
-    inst = lp.lp_instance([1.0, 1.0], [[1.0, 2.0], [2.0, 1.0]], [4.0, 4.0], (lp.LE, lp.LE))
-    with monkeypatch.context() as patch:
-        patch.setattr(lp, "_MAX_ITER", 1)
-        with pytest.raises(NumericalBreakdown) as limit:
-            lp.solve_lp(inst)
-    assert str(limit.value) == (
-        "simplex iteration limit exceeded in phase 1 of a 2 x 4 standardized LP"
-    )
-    # phase 1 prices the slack in; phase 2 meets the 1e-13 pivot
-    with pytest.raises(NumericalBreakdown) as pivot:
-        lp.solve_lp(lp.lp_instance([1.0], [[1e-13]], [1.0], (lp.LE,)))
-    assert str(pivot.value).endswith("in phase 2 of a 1 x 2 standardized LP")
-
-
-def test_blocking_pivot_below_tolerance_is_reported():
-    # the only blocking row has a 1e-13 pivot: refuse rather than call it unbounded
-    inst = lp.lp_instance([1.0], [[1e-13]], [1.0], (lp.LE,))
-    with pytest.raises(NumericalBreakdown):
-        lp.solve_lp(inst)
+def general_form(inst):
+    """The cone-margin LP of ``inst`` written out entry by entry: maximize
+    c @ x subject to A x = b and G x >= h over x = (u, lambda, nu)."""
+    m, p = inst.cuts.shape
+    n = 1 + p + m
+    A = np.zeros((p + 1, n))
+    for i in range(p):
+        A[i, 0] = 1.0  # u
+        A[i, 1 + i] = -1.0  # lambda_i
+        for k in range(m):
+            A[i, 1 + p + k] = inst.cuts[k, i]  # nu_k
+    A[p, 1 : 1 + p] = 1.0 if inst.mass in ("lambda", "lambda+nu") else 0.0
+    A[p, 1 + p :] = 1.0 if inst.mass in ("nu", "lambda+nu") else 0.0
+    b = np.zeros(p + 1)
+    b[p] = 1.0
+    c = np.zeros(n)
+    c[0] = -1.0  # minimize u
+    return c, A, b, np.eye(n)[1:], np.zeros(n - 1)  # lambda, nu >= 0
 
 
 def _random_cuts(rng):
     """Up to 8 cut rows over p = 1..5 criteria: normal and small-integer rows,
-    zero rows, duplicates, and rows all negative or all positive."""
+    zero rows, duplicates, near-parallel copies, and rows all negative or all
+    positive."""
     p, m = int(rng.integers(1, 6)), int(rng.integers(0, 9))
     rows = []
     for _ in range(m):
-        kind = int(rng.integers(6))
+        kind = int(rng.integers(7))
         if kind == 0:
             rows.append(rng.normal(size=p))
         elif kind == 1:
@@ -331,84 +73,306 @@ def _random_cuts(rng):
             rows.append(np.zeros(p))
         elif kind == 3 and rows:
             rows.append(rows[int(rng.integers(len(rows)))].copy())
+        elif kind == 4 and rows:
+            row = rows[int(rng.integers(len(rows)))]
+            rows.append(row + 1e-7 * rng.normal(size=p))
         else:
-            rows.append(np.abs(rng.normal(size=p)) * (-1.0 if kind == 4 else 1.0))
+            rows.append(np.abs(rng.normal(size=p)) * (-1.0 if kind == 5 else 1.0))
     return np.asarray(rows, dtype=float).reshape(m, p)
 
 
-def test_cone_margin_start_matches_the_two_phase_solve(monkeypatch):
-    solve = lp.solve_lp
-    started = []
+def _random_instance(rng):
+    """A cone-margin instance over ``_random_cuts`` with a random mass."""
+    while True:
+        cuts, mass = _random_cuts(rng), MASSES[int(rng.integers(3))]
+        if len(cuts) or mass != "nu":  # the nu mass over no cuts is infeasible
+            return lp.ConeInstance(cuts, mass)
+
+
+def test_simple_maximum():
+    # no cuts: u = lambda_i = 1/p, and the maximum of -u is -1/2
+    inst = lp.ConeInstance(np.zeros((0, 2)), "lambda")
+    out = lp.solve_lp(inst)
+    assert out.status == "optimal"
+    assert out.x == pytest.approx((0.5, 0.5, 0.5))
+    assert out.value == pytest.approx(-0.5)
+    assert lp.verify_outcome(inst, out).ok
+
+
+def test_unbounded_with_ray():
+    # no unit-sum weights keep the cut (1, 1) non-positive: the dual is unbounded
+    inst = lp.ConeInstance([[1.0, 1.0]], "lambda")
+    out = lp.solve_lp(inst)
+    assert out.status == "unbounded"
+    check = lp.verify_outcome(inst, out)
+    assert check.ok, check.failures
+
+
+def test_equality_and_free_variables():
+    # the soft margin of the cut (2, 1): lambda_i = u + C_i nu with unit mass
+    # is least at nu = 1/2, lambda = (1/2, 0), where the free u is -1/2
+    inst = lp.ConeInstance([[2.0, 1.0]], "lambda+nu")
+    out = lp.solve_lp(inst)
+    assert out.status == "optimal"
+    assert out.value == pytest.approx(0.5)
+    assert out.x == pytest.approx((-0.5, 0.5, 0.0, 0.5))
+    assert lp.verify_outcome(inst, out).ok
+
+
+def test_agrees_with_vertex_enumeration_on_500_random_instances():
+    rng = np.random.default_rng(20250813)
+    solved = unbounded = 0
+    for _ in range(500):
+        inst = _random_instance(rng)
+        out = lp.solve_lp(inst)
+        check = lp.verify_outcome(inst, out)
+        assert check.ok, (inst, check.failures)
+        if out.status == "unbounded":  # the verified ray proves it
+            unbounded += 1
+            continue
+        assert out.status == "optimal" and 0 in out.basis  # the free u never leaves
+        assert out.value == pytest.approx(brute_force_optimum(*general_form(inst)), abs=1e-7)
+        solved += 1
+    assert solved > 300 and unbounded > 30  # both verdicts are well exercised
+
+
+def test_certificates_verify_on_unbounded_random_instances():
+    rng = np.random.default_rng(77)
+    seen_unbounded = 0
+    for _ in range(200):
+        cuts = _random_cuts(rng)
+        p = cuts.shape[1]
+        # up to p + 1 positive cuts, whose cone often holds the direction (1, ..., 1)
+        cuts = np.vstack([cuts, np.abs(rng.normal(size=(int(rng.integers(0, p + 2)), p)))])
+        inst = lp.ConeInstance(cuts, "lambda")
+        out = lp.solve_lp(inst)
+        check = lp.verify_outcome(inst, out)
+        assert check.ok, (out.status, check.failures)
+        if out.status == "unbounded":
+            seen_unbounded += 1
+            # no weights satisfy every cut: the soft margin is negative
+            soft = lp.cone_margin(cuts, mass="lambda+nu")
+            assert soft.status == "optimal" and soft.value > 0.0
+    assert seen_unbounded > 60
+
+
+def test_verify_outcome_rejects_tampered_certificates():
+    inst = lp.ConeInstance([[2.0, -1.0], [-1.0, 0.5]], "lambda")
+    out = lp.solve_lp(inst)
+    assert out.status == "optimal" and lp.verify_outcome(inst, out).ok
+    x, duals = np.asarray(out.x), np.asarray(out.duals)
+    for bad in (
+        dataclasses.replace(out, x=tuple(x + 1e-3 * np.eye(len(x))[1])),
+        dataclasses.replace(out, value=out.value + 1e-3),
+        dataclasses.replace(out, duals=tuple(duals + 1e-3 * np.eye(len(duals))[0])),
+        dataclasses.replace(out, status="infeasible"),
+    ):
+        assert not lp.verify_outcome(inst, bad).ok
+    ray_inst = lp.ConeInstance([[1.0, 1.0]], "lambda")
+    ray_out = lp.solve_lp(ray_inst)
+    ray = np.asarray(ray_out.ray)
+    assert lp.verify_outcome(ray_inst, ray_out).ok
+    for bad in (tuple(-ray), tuple(ray + np.eye(len(ray))[1])):
+        assert not lp.verify_outcome(ray_inst, dataclasses.replace(ray_out, ray=bad)).ok
+
+
+def test_determinism_identical_outcomes():
+    cuts = np.random.default_rng(11).integers(-3, 4, size=(40, 3)).astype(float)
+    for mass in MASSES:
+        assert lp.cone_margin(cuts, mass=mass) == lp.cone_margin(cuts, mass=mass)
+
+
+def test_rejects_non_finite_data():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            lp.cone_margin([[1.0, bad]], mass="lambda")
+
+
+def test_infeasible_or_malformed_start_raises():
+    # the nu mass over no cuts has no feasible point, so no start basis
+    with pytest.raises(ValueError, match="no feasible point"):
+        lp.cone_margin(np.zeros((0, 2)), mass="nu")
+    with pytest.raises(ValueError, match="mass"):
+        lp.cone_margin([[1.0, 2.0]], mass="mu")
+    for cuts in ([1.0, 2.0], np.zeros((3, 0))):  # not an m x p matrix with p >= 1
+        with pytest.raises(ValueError):
+            lp.cone_margin(cuts, mass="lambda")
+
+
+def test_instance_holds_a_read_only_view_of_the_cuts():
+    cuts = np.array([[1.0, -2.0], [0.5, 0.5]])
+    inst = lp.ConeInstance(cuts, "lambda+nu")
+    assert np.shares_memory(inst.cuts, cuts) and not inst.cuts.flags.writeable
+    assert cuts.flags.writeable  # the caller's array is left as it was
+    assert inst.num_rows == 3  # p + 1 rows however many cuts
+
+
+def test_every_cone_margin_solve_passes_solve_lp_and_solve_linear(monkeypatch):
+    # bench/tracer.py counts LP solves, their rows and basis factorizations
+    # by wrapping these two names
+    solved, factorized = [], []
+    solve, solve_linear = lp.solve_lp, lp._solve_linear
+    monkeypatch.setattr(lp, "solve_lp", lambda inst: solved.append(inst.num_rows) or solve(inst))
     monkeypatch.setattr(
-        lp, "solve_lp", lambda inst, start=None: started.append((inst, start)) or solve(inst, start)
+        lp, "_solve_linear", lambda *args: factorized.append(1) or solve_linear(*args)
     )
+    cuts = np.random.default_rng(3).normal(size=(50, 4))
+    for mass in MASSES:
+        lp.cone_margin(cuts, mass=mass)
+    assert solved == [5, 5, 5] and len(factorized) >= 3
+
+
+def test_iteration_limit_reports_breakdown(monkeypatch):
+    # the cut (2, -1) takes one pivot from the start basis to the margin 1/3
+    assert lp.cone_margin([[2.0, -1.0]], mass="lambda").value == pytest.approx(-1.0 / 3.0)
+    monkeypatch.setattr(lp, "_MAX_ITER", 1)
+    with pytest.raises(NumericalBreakdown):
+        lp.cone_margin([[2.0, -1.0]], mass="lambda")
+
+
+def test_breakdown_names_the_cone_shape_and_mass(monkeypatch):
+    # p = 2 criteria and one cut: 3 rows over the columns (u, lambda_1, lambda_2, nu)
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_MAX_ITER", 1)
+        with pytest.raises(NumericalBreakdown) as limit:
+            lp.cone_margin([[2.0, -1.0]], mass="lambda")
+    assert str(limit.value) == (
+        "simplex iteration limit exceeded in a 3 x 4 cone-margin LP (mass lambda)"
+    )
+    with pytest.raises(NumericalBreakdown) as pivot:
+        lp.cone_margin([[1.0, 1.0 - 2e-13]], mass="lambda")
+    assert str(pivot.value) == (
+        "pivot below 1e-12 with no alternative in column 3 in a 3 x 4 cone-margin LP "
+        "(mass lambda)"
+    )
+
+
+def test_blocking_pivot_below_tolerance_is_reported():
+    # nu's direction moves lambda_2 by 1e-13 per unit: the only blocking row's
+    # pivot is below tolerance, so refuse rather than call the LP unbounded
+    with pytest.raises(NumericalBreakdown):
+        lp.cone_margin([[1.0, 1.0 - 2e-13]], mass="lambda")
+
+
+def test_rounding_below_the_direction_scale_blocks_no_pivot():
+    # after two pivots nu_1's direction has entries near 400 and 1.8e-14 in
+    # lambda_1's row: rounding, not a blocking pivot, so the LP is unbounded
+    cuts = [
+        [-1.7669013773655462, 1.4494983136057766, 0.8962844409666224],
+        [0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0],
+        [1.2435526602180633, 0.0930034127674028, 1.618085975080798],
+        [-1.0, 2.0, -2.0],
+    ]
+    inst = lp.ConeInstance(cuts, "lambda")
+    out = lp.solve_lp(inst)
+    assert out.status == "unbounded" and lp.verify_outcome(inst, out).ok
+
+
+def test_tiny_cuts_are_not_taken_for_noise():
+    # the reduced cost of a cut scales with the cut: cuts of size 4e-9 or
+    # 1e-7 whose cone holds the direction (1, ..., 1) still make the hard
+    # margin LP unbounded
+    for cuts in ([[0.0], [3.9e-9]], [[1e-7, 1e-7]], [[1.0, -1.0], [1e-7, 1.2e-7]]):
+        inst = lp.ConeInstance(cuts, "lambda")
+        out = lp.solve_lp(inst)
+        check = lp.verify_outcome(inst, out)
+        assert out.status == "unbounded" and check.ok, (cuts, out.status, check.failures)
+
+
+def test_cone_margin_start_basis_is_primal_feasible():
     rng = np.random.default_rng(1018)
     for _ in range(400):
         cuts = _random_cuts(rng)
         m, p = cuts.shape
-        for mass in ("lambda", "lambda+nu", "nu"):
-            out = lp.cone_margin(cuts, mass=mass)
-            inst, start = started.pop()
-            two_phase = solve(inst)
-            assert out.status == two_phase.status, (cuts, mass)
-            if out.status == "optimal":
-                assert abs(out.value - two_phase.value) <= 1e-12
-            assert lp.verify_outcome(inst, out).ok
+        for mass in MASSES:
             if mass == "nu" and m == 0:
-                assert start is None and out.status == "infeasible"
                 continue
-            # the start is the vertex the docstring names, and it is feasible
-            std = lp._Standardized(inst)
-            basis, binv = lp._start_basis(std, start)
-            x_std = np.zeros(std.A.shape[1])
-            x_std[basis] = binv @ std.b
-            x = std.x_original(x_std)
-            assert not lp._feasibility_failures(inst, x, 1e-12)
+            inst = lp.ConeInstance(cuts, mass)
+            basis = lp._start_basis(inst)
+            assert basis[0] == 0 and len(set(basis)) == p + 1  # u first, one column per row
+            _, A, b, _, _ = general_form(inst)
+            x = np.zeros(A.shape[1])
+            x[basis] = np.linalg.solve(A[:, basis], b)
+            assert np.all(x[1:] >= -1e-12), (cuts, mass)
+            # the vertex the docstring names
             u = 1.0 / p if mass != "nu" else -cuts[0].min()
             assert x[0] == pytest.approx(u, abs=1e-15)
-
-
-def test_infeasible_or_malformed_start_raises():
-    inst = lp.lp_instance([-1.0, -1.0], [[1.0, -1.0]], [1.0], (lp.EQ,))
-    assert lp.solve_lp(inst, [0]).value == -1.0
-    for start in ([1], [0, 1], [2], []):  # x1 = -1; then not one variable per row
-        with pytest.raises(ValueError):
-            lp.solve_lp(inst, start)
+            assert lp.verify_outcome(inst, lp.solve_lp(inst)).ok
 
 
 def _many_pivot_instance():
-    """A dense instance (100 rows, 20 bounded variables) that takes several
-    hundred pivots, far more than the refactorization interval."""
-    rng = np.random.default_rng(5)
-    n, m = 20, 100
-    A = rng.normal(size=(m, n))
-    relations = tuple(lp.LE if i % 3 else lp.GE for i in range(m))
-    b = (rng.random(m) + 0.5) * np.where(np.asarray(relations) == lp.GE, -1.0, 1.0)
-    c = rng.random(n) + 0.1
-    return lp.lp_instance(c, A, b, relations, upper=np.full(n, 5.0))
+    """A cone-margin instance (p = 8, 1,000 normal cuts, mass on nu) that
+    takes 20 pivots, five times a refactorization interval of 4."""
+    cuts = np.random.default_rng(0).normal(size=(1000, 8))
+    return lp.ConeInstance(cuts, "nu")
 
 
 def _assert_same_outcome(one, two):
     assert one.status == two.status
     assert one.basis == two.basis
-    for name in ("x", "value", "duals", "farkas", "ray"):
+    for name in ("x", "value", "duals", "ray"):
         a, b = getattr(one, name), getattr(two, name)
         assert (a is None) == (b is None), name
         if a is not None:
             assert np.max(np.abs(np.subtract(a, b)), initial=0.0) <= 1e-12, name
 
 
+def _generic_instance(rng):
+    """A cone-margin instance over up to 40 normal cuts: no ties, no degeneracy."""
+    p, m = int(rng.integers(1, 6)), int(rng.integers(0, 41))
+    return lp.ConeInstance(rng.normal(size=(m, p)), MASSES[int(rng.integers(3 if m else 2))])
+
+
 def test_fresh_factorization_at_every_pivot_changes_nothing(monkeypatch):
+    # degenerate instances, whose rounding-level near-ties may end at another
+    # optimal basis, are checked by the two tests below
     rng = np.random.default_rng(20250813)
-    instances = [_random_instance(rng) for _ in range(500)] + [_many_pivot_instance()]
-    maintained = [lp.solve_lp(inst) for inst in instances]
+    generic = [_generic_instance(rng) for _ in range(300)] + [_many_pivot_instance()]
+    maintained = [lp.solve_lp(inst) for inst in generic]
     monkeypatch.setattr(lp, "_REFACTOR_EVERY", 1)
-    fresh = [lp.solve_lp(inst) for inst in instances]
+    fresh = [lp.solve_lp(inst) for inst in generic]
     for one, two in zip(maintained, fresh):
         _assert_same_outcome(one, two)
 
 
+@pytest.fixture(scope="module")
+def degenerate_solves():
+    """20,000 ``_random_cuts`` instances solved with the maintained inverse and
+    with a fresh factorization at every pivot."""
+    rng = np.random.default_rng(2)
+    instances = [_random_instance(rng) for _ in range(20000)]
+    maintained = [lp.solve_lp(inst) for inst in instances]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_REFACTOR_EVERY", 1)
+        fresh = [lp.solve_lp(inst) for inst in instances]
+    return maintained, fresh
+
+
+def test_fresh_factorization_keeps_status_and_value_on_degenerate_cuts(degenerate_solves):
+    for one, two in zip(*degenerate_solves):
+        assert one.status == two.status
+        if one.status == "optimal":
+            assert abs(one.value - two.value) <= 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="near-ties at the rounding level (reduced costs of different columns, "
+    "ratios of near-parallel cuts, a leaving value of 1e-17 against 0) pick "
+    "another optimal basis under another inverse: CHANGES.md FOUND, degenerate "
+    "cone instances",
+)
+def test_fresh_factorization_keeps_the_basis_on_degenerate_cuts(degenerate_solves):
+    # about 1 in 3,000 of these instances ends at another optimal basis;
+    # 20,000 make that all but sure
+    for one, two in zip(*degenerate_solves):
+        _assert_same_outcome(one, two)
+
+
 def test_long_solve_refactorizes_periodically(monkeypatch):
+    # cone solves take at most about 30 pivots, so shorten the interval
+    monkeypatch.setattr(lp, "_REFACTOR_EVERY", 4)
     inst = _many_pivot_instance()
     events = []
     update, factorize = lp._pivot, lp._factorize
@@ -422,25 +386,19 @@ def test_long_solve_refactorizes_periodically(monkeypatch):
     updates_between = [run.split().count("update") for run in runs]
     assert max(updates_between) <= lp._REFACTOR_EVERY - 1
     assert updates_between.count(lp._REFACTOR_EVERY - 1) >= 3
-    assert sum(updates_between) > 5 * lp._REFACTOR_EVERY
+    assert sum(updates_between) > 3 * lp._REFACTOR_EVERY
 
 
 def _highs_value(inst):
     """The optimum of ``inst`` by HiGHS, or its status name when there is none."""
     from scipy.optimize import linprog
 
-    relations = np.asarray(inst.relations)
-    le, ge, eq = relations == lp.LE, relations == lp.GE, relations == lp.EQ
+    c, A, b, _, _ = general_form(inst)
     res = linprog(
-        -inst.c,
-        A_ub=np.vstack([inst.A[le], -inst.A[ge]]),
-        b_ub=np.concatenate([inst.b[le], -inst.b[ge]]),
-        A_eq=inst.A[eq] if eq.any() else None,
-        b_eq=inst.b[eq] if eq.any() else None,
-        bounds=[
-            (None if np.isinf(lo) else lo, None if np.isinf(up) else up)
-            for lo, up in zip(inst.lower, inst.upper)
-        ],
+        -c,
+        A_eq=A,
+        b_eq=b,
+        bounds=[(None, None)] + [(0, None)] * (len(c) - 1),
         method="highs",
         # HiGHS's default 1e-7 tolerances leave rows violated by more than
         # the 1e-9 the margins are compared at
@@ -454,7 +412,7 @@ def _recording_margin_lps(monkeypatch):
     solved = []
     solve = lp.solve_lp
     monkeypatch.setattr(
-        lp, "solve_lp", lambda inst, start=None: solved.append(inst) or solve(inst, start)
+        lp, "solve_lp", lambda inst: solved.append(inst) or solve(inst)
     )
     return solved
 
