@@ -164,14 +164,16 @@ def _parse_vector(text: str, expected: int, what: str) -> tuple[float, ...]:
     return values
 
 
-def _locate_decision(problem: AnalyticProblem, y_ref, cfg: Config) -> tuple[float, ...]:
-    """Nearest decision (by image) on a fixed fine grid; deterministic."""
+def _locating_cloud(problem: AnalyticProblem, cfg: Config) -> PointCloud:
+    """The fixed fine grid that ``--point`` vectors are located on."""
     resolution = {1: 1025, 2: 65}.get(problem.decision_dim, 17)
     grid = GridSpec.uniform(problem.decision_dim, resolution)
-    cloud = sample_criterion_space(problem, grid, tol_feas=cfg.tol_feas)
-    target = np.asarray(y_ref, dtype=float)
-    images = cloud.as_array()
-    errors = np.max(np.abs(images - target), axis=1)
+    return sample_criterion_space(problem, grid, tol_feas=cfg.tol_feas)
+
+
+def _locate_decision(cloud: PointCloud, y_ref) -> tuple[float, ...]:
+    """Nearest decision (by image) in the locating cloud; deterministic."""
+    errors = np.max(np.abs(cloud.as_array() - np.asarray(y_ref, dtype=float)), axis=1)
     return cloud.decisions[int(np.argmin(errors))]
 
 
@@ -197,9 +199,14 @@ def _resolve_points(problem, args: argparse.Namespace, cfg: Config) -> list[_Poi
             if not lo <= x[d] <= hi:
                 raise SchemaError(f"--point-decision: coordinate {d} outside [{lo}, {hi}]")
         points.append(_PointSpec(decision=x, criterion=problem.criteria_at(x)))
+    locating = None  # sampled once, when the first --point needs it
     for text in args.point:
         y = _parse_vector(text, problem.criterion_dim, "--point")
-        decision = _locate_decision(problem, y, cfg) if analytic else None
+        decision = None
+        if analytic:
+            if locating is None:
+                locating = _locating_cloud(problem, cfg)
+            decision = _locate_decision(locating, y)
         points.append(_PointSpec(decision=decision, criterion=y))
     if points:
         return points

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError
-from .problems import point_array
+from .problems import distinct_rows, point_array
 
 
 class Dominance(Enum):
@@ -52,10 +52,12 @@ def dominates(a, b) -> bool:
 def pareto_filter(cloud) -> list[int]:
     """Indices of points not dominated by any other point, in ascending order.
 
-    Equal vectors are merged first (``-0.0`` equals ``0.0``) and the distinct
-    vectors are visited in lexicographically descending order, so every
-    vector that dominates ``v`` is visited before ``v``; ``v`` is kept unless
-    an already-kept vector dominates it. For p <= 3 that test is a search in a
+    Equal vectors are merged first by ``problems.distinct_rows``: one stable
+    lexicographic sort, with ``-0.0`` equal to ``0.0`` and a group's first
+    vector in input order standing for it. The distinct vectors are visited
+    in lexicographically descending order, so every vector that dominates
+    ``v`` is visited before ``v``; ``v`` is kept unless an already-kept
+    vector dominates it. For p <= 3 that test is a search in a
     2-D staircase, O(N log N) in all; for p >= 4 it is one numpy pass over the
     kept front, O(N F p) for a front of F vectors. ``+-inf`` coordinates are
     ordinary values; a NaN coordinate raises ``ValueError`` naming its row.
@@ -64,10 +66,10 @@ def pareto_filter(cloud) -> list[int]:
     nan_rows = np.flatnonzero(np.isnan(pts).any(axis=1))
     if nan_rows.size:
         raise ValueError(f"point {int(nan_rows[0])} has a NaN coordinate")
-    distinct, inverse = np.unique(pts, axis=0, return_inverse=True)
+    order, starts, groups = distinct_rows(pts)
     sweep = _staircase_sweep if pts.shape[1] <= 3 else _front_sweep
-    kept = sweep(distinct[::-1])[::-1]
-    return np.flatnonzero(kept[inverse.reshape(-1)]).tolist()
+    kept = sweep(pts[order[starts[::-1]]])[::-1]
+    return np.flatnonzero(kept[groups]).tolist()
 
 
 def _staircase_sweep(desc: np.ndarray) -> np.ndarray:

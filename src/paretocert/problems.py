@@ -136,6 +136,31 @@ def point_array(cloud) -> np.ndarray:
     return array
 
 
+def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The groups of equal rows of an (N, p) array, in lexicographic order:
+    ``(order, starts, groups)``.
+
+    ``order`` sorts the rows stably with column 0 as the primary key, group g
+    is ``order[starts[g]:starts[g + 1]]``, and row i is in group
+    ``groups[i]``. ``a[order[starts]]`` are the distinct rows in the order
+    numpy's row-wise unique gives them, and ``groups`` is its inverse.
+    ``0.0`` equals ``-0.0``, and the representative of a group is its first
+    row in input order.
+    """
+    n, p = a.shape
+    order = np.lexsort(a.T[::-1])
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    # one sorted column at a time: no sorted copy of the whole array
+    for j in range(p):
+        column = a[order, j]
+        new[1:] |= column[1:] != column[:-1]
+    starts = np.flatnonzero(new)
+    groups = np.empty(n, dtype=np.intp)
+    groups[order] = np.cumsum(new) - 1
+    return order, starts, groups
+
+
 # ---------------------------------------------------------------------------
 # grids
 

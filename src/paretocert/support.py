@@ -21,8 +21,11 @@ that basis. The margin is then recomputed with soft cuts
 violation trend. Both solves share one normalized, deduplicated cut matrix.
 
 Along a refinement ladder the cuts are those of the deepest level, cut once
-from the sample, normalized and deduplicated once. Each distinct cut is
-placed by the level at which its first row enters, so level k's LP runs over
+from the sample, normalized and deduplicated once. Deduplication is one
+stable lexicographic sort (``problems.distinct_rows``): ``-0.0`` equals
+``0.0``, and the first cut of a group in input order represents it. Each
+distinct cut is placed by the level at which its first row enters, and the
+cuts of one level keep their lexicographic order, so level k's LP runs over
 a prefix of the columns. Each level is still solved from the start basis:
 level k's optimum is not carried into level k + 1, because pricing stops at
 an absolute reduced cost of 1e-9 while the origin's margins shrink like 2^-k.
@@ -41,7 +44,7 @@ import numpy as np
 from .errors import BoxTooSmall, DimensionError, NotSupported, NumericalBreakdown, SchemaError
 from .geoffrion import fit_exponent
 from .linprog import cone_margin
-from .problems import point_array
+from .problems import distinct_rows, point_array
 
 VANISHING = "vanishing"
 PERSISTENT = "persistent"
@@ -146,9 +149,12 @@ def _level_margins(
     deepest cloud has the points ``rows``, row i entering at level
     ``entry[i]``, and the report of the deepest level.
 
-    The cuts of the deepest level are normalized and deduplicated once, and
-    the distinct cuts are ordered by the level at which they first enter
-    (sorted within a level), so each level's LP is over a prefix of them.
+    The cuts of the deepest level are normalized and deduplicated once by
+    ``problems.distinct_rows``: one stable lexicographic sort, in which
+    ``-0.0`` equals ``0.0`` and a group's first cut in input order stands for
+    it. A distinct cut enters at the smallest entry level of its group, and
+    the distinct cuts are ordered by that level (lexicographically within a
+    level), so each level's LP is over a prefix of them.
     """
     ref = tuple(float(v) for v in y_ref)
     p = len(ref)
@@ -160,13 +166,13 @@ def _level_margins(
     # of the normalized cuts
     scale = np.max(np.abs(diffs), axis=1)
     scale[scale == 0.0] = 1.0
+    cuts = diffs / scale[:, None]
     # duplicate rays are redundant
-    cuts, inverse = np.unique(diffs / scale[:, None], axis=0, return_inverse=True)
-    first = np.full(len(cuts), levels)
-    np.minimum.at(first, inverse.ravel(), entry)
-    order = np.argsort(first, kind="stable")
-    cuts = cuts[order]
-    ends = np.searchsorted(first[order], np.arange(1, levels + 1), side="right")
+    order, starts, _ = distinct_rows(cuts)
+    first = np.minimum.reduceat(entry[order], starts)
+    by_level = np.argsort(first, kind="stable")
+    cuts = cuts[order[starts[by_level]]]
+    ends = np.searchsorted(first[by_level], np.arange(1, levels + 1), side="right")
     margins = []
     for end in ends.tolist():
         out = cone_margin(cuts[:end], mass="lambda")

@@ -282,6 +282,39 @@ def test_report_samples_once(soland_file, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_points_share_one_locating_cloud(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "plane2d.json"
+    path.write_text(json.dumps(PLANE2D))
+    problem = load_problem(json.dumps(PLANE2D))
+    locating = GridSpec.uniform(2, 65)
+    argv = ["classify", str(path), "--grid", "9", "--levels", "4"] + [
+        f"--point={y}" for y in ("0.3,0.6,-0.45", "1,0,-1", "0.5,0.5,-0.5")
+    ]
+
+    def per_point(cloud, y_ref):
+        # each point located on a fresh sample of the locating grid
+        fresh = sample_criterion_space(problem, locating, tol_feas=cli.Config().tol_feas)
+        errors = np.max(np.abs(fresh.as_array() - np.asarray(y_ref)), axis=1)
+        return fresh.decisions[int(np.argmin(errors))]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_locate_decision", per_point)
+        code, want, err = _run(capsys, *argv)
+    assert code == 0, err
+    grids = []
+    sample = cli.sample_criterion_space
+
+    def recording(problem, grid, **kwargs):
+        grids.append(grid)
+        return sample(problem, grid, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_criterion_space", recording)
+    code, out, err = _run(capsys, *argv)
+    assert code == 0, err
+    assert grids.count(locating) == 1
+    assert out == want
+
+
 @pytest.mark.parametrize(
     "doc, anchors, grid",
     [

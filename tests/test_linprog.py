@@ -10,6 +10,7 @@ from paretocert.errors import NumericalBreakdown
 from paretocert.problems import (
     GridSpec,
     builtin,
+    distinct_rows,
     load_document,
     refinement_ladder,
     sample_criterion_space,
@@ -438,7 +439,9 @@ def _near_parallel_margin_instances(monkeypatch, rng, count):
         base = rng.integers(-3, 4, size=(6, p)).astype(float)
         diffs = base[rng.integers(0, len(base), size=m)] + 1e-4 * rng.normal(size=(m, p))
         # the normalized, deduplicated cuts of support.support_margin
-        cuts = np.unique(diffs / np.max(np.abs(diffs), axis=1)[:, None], axis=0)
+        normalized = diffs / np.max(np.abs(diffs), axis=1)[:, None]
+        order, starts, _ = distinct_rows(normalized)
+        cuts = normalized[order[starts]]
         for mass in ("lambda", "lambda+nu"):
             lp.cone_margin(cuts, mass=mass)
     return solved

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from paretocert import problems
@@ -278,6 +279,67 @@ def test_point_array_rejects_ragged_input():
         problems.point_array([(0.0, 1.0), (1.0,)])
     with pytest.raises(ValueError):
         problems.point_array([])
+
+
+def assert_matches_unique(a):
+    """``distinct_rows`` against ``np.unique(axis=0)``: the same distinct rows
+    in the same order, the same group for every row, and each group stood for
+    by its first row in input order."""
+    a = np.asarray(a, dtype=float)
+    order, starts, groups = problems.distinct_rows(a)
+    want, inverse = np.unique(a, axis=0, return_inverse=True)
+    assert np.array_equal(a[order[starts]], want)
+    assert np.array_equal(groups, inverse.reshape(-1))
+    firsts = [int(np.flatnonzero(groups == g)[0]) for g in range(len(starts))]
+    assert order[starts].tolist() == firsts
+    assert np.all(np.diff(groups[order]) >= 0)
+
+
+def test_distinct_rows_match_unique_on_duplicate_heavy_matrices():
+    rng = np.random.default_rng(1975)
+    for p in range(1, 6):
+        for n in (2, 7, 40, 300):
+            assert_matches_unique(rng.integers(-2, 3, size=(n, p)))
+
+
+def test_distinct_rows_match_unique_on_edge_shapes():
+    rng = np.random.default_rng(3)
+    assert_matches_unique([[1.5, -2.0, 0.0]])
+    rows = np.unique(rng.integers(-3, 4, size=(50, 3)), axis=0).astype(float)
+    assert_matches_unique(rows)
+    assert_matches_unique(rows[::-1])
+    assert_matches_unique(np.repeat(rows, 3, axis=0)[::-1])
+    inf = np.inf
+    assert_matches_unique(
+        [[inf, 0.0], [-inf, 1.0], [1.0, inf], [inf, 0.0], [-inf, -inf], [1.0, inf], [0.0, -inf]]
+    )
+
+
+def test_distinct_rows_merge_signed_zeros_into_the_first_row():
+    a = np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, -0.0], [1.0, 0.0], [0.0, 0.0], [1.0, -0.0]])
+    assert_matches_unique(a)
+    order, starts, groups = problems.distinct_rows(a)
+    assert groups.tolist() == [1, 1, 0, 2, 0, 2]
+    assert order[starts].tolist() == [2, 0, 3]
+    assert np.signbit(a[order[starts]]).tolist() == [[True, True], [False, False], [False, False]]
+
+
+def test_distinct_rows_match_unique_on_generated_matrices():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # a small pool makes duplicates, signed zeros and infinities common
+    pool = [-np.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 0.5, 1.0, np.inf]
+    value = st.sampled_from(pool) | st.floats(allow_nan=False)
+    matrices = st.integers(1, 5).flatmap(
+        lambda p: st.lists(st.tuples(*[value] * p), min_size=1, max_size=40)
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(matrices)
+    def check(rows):
+        assert_matches_unique(rows)
+
+    check()
 
 
 def test_cloud_arrays_are_built_once_and_read_only():

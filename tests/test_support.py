@@ -9,6 +9,7 @@ from paretocert.errors import BoxTooSmall, NotSupported, SchemaError
 from paretocert.problems import (
     AxisSpec,
     GridSpec,
+    Ladder,
     PointCloud,
     builtin,
     load_problem,
@@ -189,6 +190,82 @@ def test_trend_margins_equal_cold_solves_per_level(problem, anchor, levels):
     cold = [support.support_margin(level, y_ref) for level in steps]
     assert [repr(m) for m in trend.margins] == [repr(r.margin) for r in cold]
     assert trend.last == cold[-1]
+
+
+def old_level_cuts(rows, entry, levels, y_ref):
+    """Each level's cut matrix as ``support`` built it with ``np.unique``,
+    ``np.minimum.at`` over the inverse and a stable argsort by entry level."""
+    diffs = rows - np.asarray(tuple(float(v) for v in y_ref))
+    scale = np.max(np.abs(diffs), axis=1)
+    scale[scale == 0.0] = 1.0
+    cuts, inverse = np.unique(diffs / scale[:, None], axis=0, return_inverse=True)
+    first = np.full(len(cuts), levels)
+    np.minimum.at(first, inverse.ravel(), entry)
+    order = np.argsort(first, kind="stable")
+    ends = np.searchsorted(first[order], np.arange(1, levels + 1), side="right")
+    return [cuts[order][:end] for end in ends]
+
+
+def recorded_level_cuts(monkeypatch, solve):
+    """The cut matrix of each level ``solve()`` passes to ``cone_margin``; a
+    soft solve must reuse the hard solve's matrix."""
+    calls = []
+    cone_margin = support.cone_margin
+    monkeypatch.setattr(
+        support,
+        "cone_margin",
+        lambda cuts, mass: calls.append((cuts.copy(), mass)) or cone_margin(cuts, mass=mass),
+    )
+    solve()
+    monkeypatch.undo()
+    levels = []
+    for cuts, mass in calls:
+        if mass == "lambda":
+            levels.append(cuts)
+        else:
+            assert mass == "lambda+nu" and cuts.tobytes() == levels[-1].tobytes()
+    return levels
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def continuous_cloud_ladder(levels):
+    """A seeded 3,000 x 3 normal cloud with 600 rows copied over others, each
+    row entering at a random level: duplicates that enter at different
+    levels."""
+    rng = np.random.default_rng(2026)
+    rows = rng.normal(size=(3000, 3))
+    rows[rng.integers(0, 3000, size=600)] = rows[rng.integers(0, 3000, size=600)]
+    cloud = PointCloud(criterion_dim=3, points=tuple(map(tuple, rows.tolist())))
+    entry = rng.integers(1, levels + 1, size=3000)
+    return Ladder(deepest=cloud, entry=entry, levels=levels)
+
+
+@pytest.mark.parametrize(
+    "problem, anchor, levels",
+    [(builtin("soland"), (x,), 24) for x in (0.0, 1.6875, 4.0)]
+    + [(PLANE2D, a, 8) for a in ((0.25, 0.75), (0.0, 1.0))]
+    + [(None, None, 5)],
+    ids=["soland-0", "soland-1.6875", "soland-4", "plane2d-(0.25,0.75)", "plane2d-(0,1)", "cloud"],
+)
+def test_margin_lp_columns_keep_their_order(monkeypatch, problem, anchor, levels):
+    # column order decides ties and Bland's rule in the simplex, so the cut
+    # matrices must be those of the np.unique pipeline bit for bit
+    steps = continuous_cloud_ladder(levels) if problem is None else ladder(problem, anchor, levels)
+    rows = steps.deepest.as_array()
+    if problem is None:
+        references = [tuple(rows[17]), (0.5, -0.25, 3.0)]
+    else:
+        references = [problem.criteria_at(anchor)]
+    for y_ref in references:
+        trend = recorded_level_cuts(monkeypatch, lambda: support.support_trend(steps, y_ref))
+        assert_same_bits(trend, old_level_cuts(rows, steps.entry, len(steps), y_ref))
+        deepest = recorded_level_cuts(monkeypatch, lambda: support.support_margin(rows, y_ref))
+        assert_same_bits(deepest, old_level_cuts(rows, np.ones(len(rows), dtype=int), 1, y_ref))
 
 
 def test_witness_curvature_formula():
