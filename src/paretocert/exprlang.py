@@ -4,10 +4,12 @@ Grammar:
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
-    factor := atom ['^' number]
-    atom   := number | ident | '-' atom | '(' expr ')'
-    ident  := ('x' | 'y') digits
-    number := integer or decimal literal; exponents may also be fractions like 3/2
+    factor   := atom ['^' exponent]
+    exponent := ratio | '(' ratio ')'
+    ratio    := number ['/' number]
+    atom     := number | ident | '-' atom | '(' expr ')'
+    ident    := ('x' | 'y') digits
+    number   := integer or decimal literal within the float range
 
 Variables ``x0..x{n-1}`` live in the decision space and ``y0..y{p-1}`` in the
 criterion space. Exponents must be constants and are kept as exact rationals:
@@ -15,8 +17,10 @@ criterion space. Exponents must be constants and are kept as exact rationals:
 negative bases when ``s`` is even. Derivatives are exact forward-mode duals
 over the AST, not finite differences.
 
-Expressions are immutable after :func:`parse`; :func:`evaluate` and
-:func:`gradient` are pure and safe to call from any number of threads.
+Expressions are immutable after :func:`parse`; :func:`evaluate`,
+:func:`evaluate_array` and :func:`gradient` are pure and safe to call from
+any number of threads. :func:`evaluate_array` walks the tree once for a whole
+array of points and gives :func:`evaluate`'s float bits at every point.
 """
 
 from __future__ import annotations
@@ -25,7 +29,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Union
+
+import numpy as np
 
 from .errors import (
     DimensionError,
@@ -114,6 +121,8 @@ def _tokenize(source: str) -> list[_Token]:
             m = _NUMBER_RE.match(source, pos)
             if m is None:
                 raise ExprSyntaxError("malformed number", pos, expected=("number",))
+            if not math.isfinite(float(m.group())):
+                raise ExprSyntaxError("numeric literal beyond the float range", pos)
             tokens.append(_Token("number", m.group(), pos))
             pos = m.end()
         elif ch.isalpha():
@@ -180,6 +189,14 @@ class _Parser:
         return base
 
     def parse_exponent(self) -> Fraction:
+        if self.peek().kind != "(":
+            return self.parse_ratio()
+        self.take()
+        value = self.parse_ratio()
+        self.expect(")")
+        return value
+
+    def parse_ratio(self) -> Fraction:
         tok = self.peek()
         if tok.kind != "number":
             raise NonConstantExponent(
@@ -274,17 +291,29 @@ def _pow_value(base: float, q: Fraction) -> float:
         raise DomainError(f"overflow computing {base} ^ {q}") from None
 
 
-def _eval(node: Node, point: tuple[float, ...]) -> float:
+def _divide(left: float, right: float) -> float:
+    if right == 0.0:
+        raise DomainError("division by zero")
+    return left / right
+
+
+def _eval(node: Node, point, power=_pow_value, divide=_divide):
+    """The value of ``node`` at ``point``, one entry per variable.
+
+    ``+ - *`` and negation are the operators of the entries, floats or numpy
+    arrays alike; ``power(base, q)`` and ``divide(left, right)`` apply the
+    rules that differ between the two.
+    """
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
         return point[node.index]
     if isinstance(node, Neg):
-        return -_eval(node.operand, point)
+        return -_eval(node.operand, point, power, divide)
     if isinstance(node, Pow):
-        return _pow_value(_eval(node.base, point), node.exponent)
-    left = _eval(node.left, point)
-    right = _eval(node.right, point)
+        return power(_eval(node.base, point, power, divide), node.exponent)
+    left = _eval(node.left, point, power, divide)
+    right = _eval(node.right, point, power, divide)
     op = node.op
     if op == "+":
         return left + right
@@ -292,9 +321,7 @@ def _eval(node: Node, point: tuple[float, ...]) -> float:
         return left - right
     if op == "*":
         return left * right
-    if right == 0.0:
-        raise DomainError("division by zero")
-    return left / right
+    return divide(left, right)
 
 
 def _check_point(expr: Expression, point) -> tuple[float, ...]:
@@ -315,6 +342,67 @@ def evaluate(expr: Expression, point) -> float:
     if not math.isfinite(value):
         raise DomainError(f"evaluation produced a non-finite value at {point}")
     return value
+
+
+def _pow_column(base: np.ndarray, q: Fraction) -> tuple[np.ndarray, np.ndarray]:
+    """``_pow_value`` at every entry of ``base`` and the mask of the entries
+    where it raises.
+
+    The power itself is Python's ``**``, one entry at a time: ``np.power``
+    rounds differently on a few percent of inputs.
+    """
+    failed = np.zeros(len(base), dtype=bool)
+    if q == 0:
+        return np.ones(len(base)), failed
+    out = np.zeros(len(base))  # a zero base gives +0.0
+    if q < 0:
+        failed |= base == 0.0
+    positive = base > 0.0
+    rest = ~positive & (base != 0.0)  # negative and NaN bases
+    try:
+        exponent = q.numerator if q.denominator == 1 else float(q)
+        out[positive] = list(map(pow, base[positive].tolist(), repeat(exponent)))
+    except OverflowError:
+        rest |= positive
+    where = np.flatnonzero(rest)
+    for i, b in zip(where.tolist(), base[where].tolist()):
+        try:
+            out[i] = _pow_value(b, q)
+        except DomainError:
+            failed[i] = True
+    return out, failed
+
+
+def evaluate_array(expr: Expression, points) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate ``expr`` at every row of the (N, d) array ``points`` in one
+    walk of the tree: ``(values, bad)``.
+
+    ``bad[i]`` is True exactly where ``evaluate(expr, points[i])`` raises
+    DomainError; everywhere else ``values[i]`` has that call's float bits,
+    signed zeros included.
+    """
+    columns = np.asarray(points, dtype=float)
+    if columns.ndim != 2 or columns.shape[1] != expr.point_dim:
+        raise DimensionError(
+            f"expected points of length {expr.point_dim}, got shape {columns.shape}"
+        )
+    n = len(columns)
+    bad = np.zeros(n, dtype=bool)
+
+    def power(base, q):
+        values, failed = _pow_column(np.broadcast_to(base, (n,)), q)
+        np.logical_or(bad, failed, out=bad)
+        return values
+
+    def divide(left, right):
+        np.logical_or(bad, right == 0.0, out=bad)
+        return np.divide(left, right)
+
+    # inf and NaN are expected in the rows that go bad
+    with np.errstate(all="ignore"):
+        values = np.array(np.broadcast_to(_eval(expr.root, tuple(columns.T), power, divide), (n,)))
+        np.logical_or(bad, ~np.isfinite(values), out=bad)
+    return values, bad
 
 
 # ---------------------------------------------------------------------------

@@ -268,31 +268,62 @@ def sample_criterion_space(
     When the problem carries a constraint description, every sampled image is
     checked against it (within ``tol_feas``) so inconsistent descriptions
     surface immediately.
+
+    Each expression is evaluated once over the whole grid, with the float bits
+    of evaluating it point by point. The first grid point where that would
+    fail, in grid order and with criteria before constraints, is evaluated
+    and checked again on its own, so the error and the point it names are
+    those of a point-by-point pass.
     """
-    points: list[tuple[float, ...]] = []
-    decisions: list[tuple[float, ...]] = []
-    for x in grid_nodes(problem, grid):
-        y = problem.criteria_at(x)
-        if problem.has_constraints:
-            g, h = problem.constraint_values(y)
-            for k, val in enumerate(g):
-                if val > tol_feas:
-                    raise SchemaError(
-                        f"constraint description inconsistent: g[{k}]({y}) = {val} > {tol_feas} at x = {x}"
-                    )
-            for j, val in enumerate(h):
-                if abs(val) > tol_feas:
-                    raise SchemaError(
-                        f"constraint description inconsistent: h[{j}]({y}) = {val} at x = {x}"
-                    )
-        points.append(y)
-        decisions.append(tuple(x))
-    return PointCloud(
+    axis_values = _grid_axes(problem, grid)
+    nodes = list(itertools.product(*axis_values))
+    # the same rows as ``nodes``: the last axis varies fastest
+    decisions = np.stack(np.meshgrid(*axis_values, indexing="ij"), axis=-1).reshape(len(nodes), -1)
+    decisions.flags.writeable = False
+    columns = []
+    bad = np.zeros(len(nodes), dtype=bool)
+    for f in problem.criteria:
+        values, failed = exprlang.evaluate_array(f, decisions)
+        columns.append(values)
+        bad |= failed
+    points = np.column_stack(columns)
+    with np.errstate(invalid="ignore"):  # the images of bad nodes may be NaN
+        for e in problem.ineq:
+            values, failed = exprlang.evaluate_array(e, points)
+            bad |= failed | (values > tol_feas)
+        for e in problem.eq:
+            values, failed = exprlang.evaluate_array(e, points)
+            bad |= failed | (np.abs(values) > tol_feas)
+    if bad.any():
+        _check_node(problem, nodes[int(np.argmax(bad))], tol_feas)
+        raise RuntimeError("a grid node failed as an array but passes on its own")
+    points.flags.writeable = False
+    cloud = PointCloud(
         criterion_dim=problem.criterion_dim,
-        points=tuple(points),
-        decisions=tuple(decisions),
+        points=tuple(zip(*(column.tolist() for column in columns))),
+        decisions=tuple(nodes),
         provenance=f"sampled:{problem.digest()[:12]}",
     )
+    cloud._arrays.update(points=points, decisions=decisions)
+    return cloud
+
+
+def _check_node(problem: AnalyticProblem, x: tuple[float, ...], tol_feas: float) -> None:
+    """Evaluate the criteria at one grid node and check the image against the
+    constraint description; raise where sampling must stop."""
+    y = problem.criteria_at(x)
+    if problem.has_constraints:
+        g, h = problem.constraint_values(y)
+        for k, val in enumerate(g):
+            if val > tol_feas:
+                raise SchemaError(
+                    f"constraint description inconsistent: g[{k}]({y}) = {val} > {tol_feas} at x = {x}"
+                )
+        for j, val in enumerate(h):
+            if abs(val) > tol_feas:
+                raise SchemaError(
+                    f"constraint description inconsistent: h[{j}]({y}) = {val} at x = {x}"
+                )
 
 
 def cut_grid(problem: AnalyticProblem, cloud: PointCloud, grid: GridSpec) -> PointCloud:

@@ -198,6 +198,23 @@ def test_integer_beyond_the_float_range_exits_2(tmp_path, capsys, doc, where):
     assert f"{where}: non-finite value" in err
 
 
+@pytest.mark.parametrize(
+    "criterion, position",
+    [("x0/1" + "0" * 400 + " - x0", 3), ("1" + "0" * 400 + "*x0", 0)],
+    ids=["divisor", "factor"],
+)
+def test_literal_beyond_the_float_range_exits_2(tmp_path, capsys, criterion, position):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(SOLAND, criteria=["x0^2", criterion], constraints={})))
+    code, out, err = _run(capsys, "report", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: problem.criteria[1]: numeric literal beyond the float range"
+        f" (at position {position})\n"
+    )
+
+
 def test_efficient_matches_pairwise_dominance_loop(tmp_path, capsys):
     rng = np.random.default_rng(11)
     for case in range(40):

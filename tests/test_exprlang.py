@@ -30,6 +30,36 @@ def test_parse_fraction_exponent():
     assert expr.root == ex.Pow(ex.Var("y", 0), Fraction(3, 2))
 
 
+def test_parenthesized_exponent_is_the_same_constant():
+    assert ex.parse("y0^(3/2)", 0, 1).root == ex.parse("y0^3/2", 0, 1).root
+    assert ex.parse("y0^(1.5) + 1", 0, 1).root == ex.parse("y0^1.5 + 1", 0, 1).root
+    # the parenthesized exponent ends at ')': the '/' after it divides
+    expr = ex.parse("x0^(2)/4", 1, 0)
+    assert expr.root == ex.BinOp("/", ex.Pow(ex.Var("x", 0), Fraction(2)), ex.Const(4.0))
+    assert ex.to_source(ex.parse("y0^(3/2)", 0, 1)) == "y0^3/2"
+
+
+def test_parenthesized_exponent_must_be_constant():
+    with pytest.raises(NonConstantExponent) as err:
+        ex.parse("y0^(x0)", 1, 1)
+    assert err.value.position == 4
+    with pytest.raises(ExprSyntaxError, match="zero denominator in exponent") as err:
+        ex.parse("y0^(3/0)", 0, 1)
+    assert err.value.position == 6
+    with pytest.raises(ExprSyntaxError):
+        ex.parse("y0^(3/2", 0, 1)
+
+
+def test_literal_beyond_the_float_range_is_a_syntax_error():
+    huge = "1" + "0" * 400
+    for source, position in [(f"x0/{huge} - x0", 3), (f"{huge}*x0", 0), (f"x0^{huge}", 3)]:
+        with pytest.raises(ExprSyntaxError, match="beyond the float range") as err:
+            ex.parse(source, 1, 0)
+        assert err.value.position == position
+    # the largest finite literals still parse
+    assert ex.parse("1" + "0" * 308, 0, 1).root == ex.Const(1e308)
+
+
 def test_exponent_slash_does_not_eat_division_by_variable():
     expr = ex.parse("x0^2/x1", 2, 0)
     assert expr.root == ex.BinOp("/", ex.Pow(ex.Var("x", 0), Fraction(2)), ex.Var("x", 1))
@@ -228,3 +258,100 @@ def test_expressions_are_immutable():
     expr = ex.parse("x0^2", 1, 0)
     with pytest.raises(Exception):
         expr.root = ex.Const(1.0)
+
+
+# ---------------------------------------------------------------------------
+# array evaluation against the scalar path
+
+# zeros of both signs, negative bases for odd and even denominators, values
+# whose powers and products overflow, and multiples of 1/8 that make the
+# random trees' divisors vanish
+_BASES = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, -3.375, 2.0, 4.875, -4.875, 5e-324, -5e-324,
+          1e155, -1e155, 1e300, -1e300, math.inf, -math.inf, math.nan]
+
+_EDGE_TREES = [
+    ex.Pow(ex.Var("y", 0), Fraction(-1)),  # zero base, negative exponent
+    ex.Pow(ex.Var("y", 0), Fraction(-3, 2)),
+    ex.Pow(ex.Var("y", 0), Fraction(0)),
+    ex.Pow(ex.Var("y", 0), Fraction(11, 10)),
+    ex.Pow(ex.BinOp("-", ex.Var("y", 0), ex.Var("y", 1)), Fraction(1, 3)),
+    ex.Pow(ex.Neg(ex.Var("y", 1)), Fraction(5, 3)),
+    ex.Pow(ex.Var("y", 0), Fraction(10**400)),  # an exponent beyond the float range
+    ex.Pow(ex.Var("y", 0), Fraction(10**400, 3)),
+    ex.Pow(ex.Const(-2.0), Fraction(1, 2)),  # constant bases broadcast
+    ex.BinOp("/", ex.Const(1.0), ex.BinOp("-", ex.Var("y", 0), ex.Const(0.5))),
+    ex.BinOp("/", ex.Var("y", 1), ex.Neg(ex.Var("y", 0))),
+    ex.Pow(ex.BinOp("/", ex.Const(1.0), ex.Var("y", 0)), Fraction(0)),
+    ex.BinOp("*", ex.Var("y", 0), ex.Var("y", 1)),
+    ex.Const(0.25),
+]
+
+
+def _scalar_values(expr, points):
+    """``evaluate`` at each row: the value, or None where it raises."""
+    out = []
+    for row in points:
+        try:
+            out.append(ex.evaluate(expr, row))
+        except DomainError:
+            out.append(None)
+    return out
+
+
+def _assert_array_matches_scalar(expr, points):
+    points = np.asarray(points, dtype=float)
+    values, bad = ex.evaluate_array(expr, points)
+    want = _scalar_values(expr, points)
+    assert bad.tolist() == [w is None for w in want], ex.to_source(expr)
+    for got, w in zip(values.tolist(), want):
+        if w is not None:  # the same bits, signed zeros included
+            assert np.float64(got).view(np.int64) == np.float64(w).view(np.int64), (
+                f"{ex.to_source(expr)}: {got!r} != {w!r}"
+            )
+
+
+def _random_points(rng, n, dim=2):
+    pool = np.array(_BASES + [k / 8.0 for k in range(-40, 41)])
+    points = rng.choice(pool, size=(n, dim))
+    wide = rng.random(n) < 0.3  # generic values between the pool's
+    points[wide] = rng.uniform(-5.0, 5.0, size=(int(wide.sum()), dim))
+    return points
+
+
+def test_array_evaluation_matches_scalar_bits():
+    rng = np.random.default_rng(20251019)
+    trees = _EDGE_TREES + [_random_node(rng, 3, 2) for _ in range(400)]
+    points = _random_points(rng, 300)
+    for node in trees:
+        _assert_array_matches_scalar(ex.Expression(node, 0, 2, "y"), points)
+
+
+def test_array_evaluation_matches_scalar_bits_generated():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    value = st.sampled_from(_BASES) | st.floats() | st.integers(-40, 40).map(lambda k: k / 8.0)
+    rows = st.lists(st.tuples(value, value), min_size=1, max_size=30)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, 2**32 - 1), rows)
+    def check(seed, points):
+        node = _random_node(np.random.default_rng(seed), 3, 2)
+        _assert_array_matches_scalar(ex.Expression(node, 0, 2, "y"), points)
+
+    check()
+
+
+def test_array_evaluation_signals_nothing():
+    expr = ex.parse("1/y0 + (y1 - 1)^1/2 + y0^300 * (y1 - 1)^300", 0, 2)
+    with np.errstate(all="raise"):
+        values, bad = ex.evaluate_array(expr, [[0.0, 2.0], [1.0, 0.0], [1e200, 1e200], [1.0, 2.0]])
+    assert bad.tolist() == [True, True, True, False]
+    assert values[3] == 3.0
+
+
+def test_array_evaluation_checks_point_width():
+    expr = ex.parse("x0 + x1", 2, 0)
+    with pytest.raises(DimensionError):
+        ex.evaluate_array(expr, np.zeros((3, 1)))
+    with pytest.raises(DimensionError):
+        ex.evaluate_array(expr, np.zeros(3))

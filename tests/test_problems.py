@@ -6,6 +6,7 @@ import pytest
 from paretocert import problems
 from paretocert.errors import (
     DimensionError,
+    DomainError,
     ExprSyntaxError,
     SchemaError,
     UnknownBuiltin,
@@ -272,6 +273,102 @@ def test_cutting_a_grid_the_cloud_lacks_raises():
     bare = problems.PointCloud(criterion_dim=2, points=coarse.points)
     with pytest.raises(SchemaError):
         problems.cut_grid(problem, bare, problems.GridSpec.uniform(1, 3))
+
+
+def scalar_sample(problem, grid, tol_feas=1e-9):
+    """Point-by-point sampling, the reference for sample_criterion_space:
+    the points and decisions, or the error it raises."""
+    points, decisions = [], []
+    try:
+        for x in problems.grid_nodes(problem, grid):
+            y = problem.criteria_at(x)
+            g, h = problem.constraint_values(y)
+            for k, val in enumerate(g):
+                if val > tol_feas:
+                    raise SchemaError(
+                        f"constraint description inconsistent: g[{k}]({y}) = {val} > {tol_feas} at x = {x}"
+                    )
+            for j, val in enumerate(h):
+                if abs(val) > tol_feas:
+                    raise SchemaError(
+                        f"constraint description inconsistent: h[{j}]({y}) = {val} at x = {x}"
+                    )
+            points.append(y)
+            decisions.append(x)
+    except (DomainError, SchemaError) as exc:
+        return exc
+    return tuple(points), tuple(decisions)
+
+
+def _analytic(criteria, ineq=(), eq=(), domain=((-2, 2),)):
+    doc = {
+        "type": "analytic",
+        "decision_dim": len(domain),
+        "criterion_dim": len(criteria),
+        "domain": [list(d) for d in domain],
+        "criteria": list(criteria),
+        "constraints": {"ineq": list(ineq), "eq": list(eq)},
+    }
+    return problems.load_problem(json.dumps(doc))
+
+
+SOLAND = problems.builtin("soland")
+# the slow Soland problem: the support margin at the origin vanishes like x^(1/10)
+SLOW_SOLAND = _analytic(["x0", "-(x0^11/10)"], ineq=["-y0"], eq=["y1 + y0^11/10"], domain=((0, 2),))
+PLANE2D = problems.load_problem(json.dumps(PLANE2D_DOC))
+
+GRID9 = problems.GridSpec.uniform(1, 9)  # -2, -1.5, ..., 2 on [-2, 2]
+
+
+@pytest.mark.parametrize(
+    "problem, grid, first",
+    [
+        # a violation at x = -0.5 before a division by zero at x = 1, and one at
+        # x = 1 after a division by zero at x = -1
+        (_analytic(["x0", "1/(x0 - 1)"], ineq=["y0 + 1"]), GRID9, "g[0]((-0.5, -0.6666666666666666))"),
+        (_analytic(["x0", "1/(x0 + 1)"], ineq=["y0 - 0.5"]), GRID9, "division by zero"),
+        # a constraint's own domain error at x = 1, after a violation at x = 0.5
+        # and before one at x = 1.5
+        (_analytic(["x0", "x0"], ineq=["y0 - 0.25"], eq=["(0.5 - y1)^1/2 * 0"]), GRID9, "g[0]((0.5, 0.5))"),
+        (_analytic(["x0", "x0"], ineq=["y0 - 1.25"], eq=["(0.5 - y1)^1/2 * 0"]), GRID9, "negative base -0.5"),
+        # at one point, an equality's domain error comes before an inequality's violation
+        (_analytic(["x0", "x0"], ineq=["y0 - 0.75"], eq=["(0.75 - y1)^1/2 * 0"]), GRID9, "negative base -0.25"),
+        # an overflowing power at x = -0.5, and a non-finite product at x = -1
+        (_analytic(["x0", "(10*(x0 + 2))^300"], ineq=["y0 - 1"]), GRID9, "overflow computing 15.0 ^ 300"),
+        (_analytic(["x0", "(10*(x0 + 2))^200 * (10*(x0 + 2))^200"]), GRID9, "non-finite value at (-1.0,)"),
+        # violations of the second equality, then of the first, in grid order
+        (_analytic(["x0", "x0^2"], eq=["y1 - y0^2", "y0 + 1.5"]), GRID9, "h[1]((-2.0, 4.0))"),
+        (
+            _analytic(["x0", "x1", "x0*x1"], ineq=["y2 - 0.5"], domain=((0, 1), (0, 1))),
+            problems.GridSpec.uniform(2, 17),
+            "g[0]((0.5625, 0.9375, 0.52734375))",
+        ),
+        (
+            _analytic(["x0", "1/(x1 - 0.5)"], domain=((0, 1), (0, 1))),
+            problems.GridSpec.uniform(2, 9),
+            "division by zero",
+        ),
+        # clouds: negative bases, fractional powers at a zero base, a 2-D grid
+        (SOLAND, joined_grid(SOLAND, [(0.0,), (3.375,)], 65, 40), None),
+        (SLOW_SOLAND, joined_grid(SLOW_SOLAND, [(0.0,)], 33, 40), None),
+        (PLANE2D, joined_grid(PLANE2D, [(0.0, 0.5), (0.25, 0.75)], 9, 8), None),
+    ],
+)
+def test_sampling_equals_the_point_by_point_loop(problem, grid, first):
+    want = scalar_sample(problem, grid)
+    if isinstance(want, Exception):
+        assert first in str(want)
+        with pytest.raises(type(want)) as err:
+            problems.sample_criterion_space(problem, grid)
+        assert str(err.value) == str(want)
+        return
+    assert first is None
+    cloud = problems.sample_criterion_space(problem, grid)
+    points, decisions = want
+    assert repr(cloud.points) == repr(points)  # bit for bit, signed zeros included
+    assert cloud.decisions == decisions
+    assert cloud.as_array().tobytes() == np.array(points).tobytes()
+    assert cloud.decision_array().tobytes() == np.array(decisions).tobytes()
 
 
 def test_point_array_rejects_ragged_input():
