@@ -232,7 +232,8 @@ def _analysis_grid(
 
 
 def _analysis_cloud(problem, specs: list[_PointSpec], cfg: Config) -> PointCloud:
-    """The one cloud a command samples; every ladder and witness cloud is cut from it."""
+    """The one cloud a command samples; every ladder and witness sample is a
+    row set of it."""
     if isinstance(problem, PointCloud):
         return problem
     grid = _analysis_grid(problem, specs, cfg.grid, cfg.levels)
@@ -242,17 +243,18 @@ def _analysis_cloud(problem, specs: list[_PointSpec], cfg: Config) -> PointCloud
 def _place_probes(
     problem, specs: list[_PointSpec], cloud: PointCloud | None, cfg: Config
 ) -> list[_PointSpec]:
-    """The specs with the default probes' criteria cut from the analysis
+    """The specs with the default probes' criteria read from the analysis
     cloud, which holds every probe decision; a command without a cloud
     samples the probe grid alone."""
     if all(s.criterion is not None for s in specs):
         return specs
     grid = _probe_grid(problem)
     if cloud is None:
-        probes = sample_criterion_space(problem, grid, tol_feas=cfg.tol_feas)
-    else:
-        probes = cut_grid(problem, cloud, grid)
-    return [_PointSpec(decision=d, criterion=y) for d, y in zip(probes.decisions, probes.points)]
+        cloud = sample_criterion_space(problem, grid, tol_feas=cfg.tol_feas)
+    return [
+        _PointSpec(decision=cloud.decisions[i], criterion=cloud.points[i])
+        for i in cut_grid(problem, cloud, grid).tolist()
+    ]
 
 
 def _ladder(problem, cloud: PointCloud, spec: _PointSpec, cfg: Config) -> Ladder | None:
@@ -308,7 +310,7 @@ def _classify_record(problem, cloud, spec: _PointSpec, cfg: Config, ladder) -> d
     divergence = None
     if ladder is not None:
         evidence = geoffrion.divergence_probe(
-            ladder, problem.criteria_at(spec.decision), growth_factor=cfg.growth_factor
+            cloud, ladder, problem.criteria_at(spec.decision), growth_factor=cfg.growth_factor
         )
         report = geoffrion.combine_with_divergence(report, evidence)
         divergence = _as_record(evidence)
@@ -318,56 +320,61 @@ def _classify_record(problem, cloud, spec: _PointSpec, cfg: Config, ladder) -> d
 
 
 def _support_record(problem, cloud, spec: _PointSpec, cfg: Config, ladder) -> dict:
-    margin = support.support_margin(cloud, spec.criterion, tol=cfg.tol_lp)
+    # the point's one cut matrix: its margin, trend and witness margin are
+    # LPs over row sets of it
+    cuts = support.prepare_cuts(cloud, spec.criterion)
+    margin = support.support_margin(cuts, tol=cfg.tol_lp)
     record: dict = {"margin": _as_record(margin, "y_ref"), "trend": None, "witness": None}
     supported = margin.weights is not None
     if ladder is not None:
         trend = support.support_trend(
-            ladder, spec.criterion, persistent_threshold=cfg.persistent_threshold
+            cuts, ladder, persistent_threshold=cfg.persistent_threshold
         )
         record["trend"] = _as_record(trend, "last")
         supported = trend.verdict == support.PERSISTENT
     if supported:
-        sample, _, witness = _build_witness_dict(problem, spec, cfg, cloud, margin)
+        witness_margin, witness = _build_witness_dict(problem, spec, cfg, cloud, cuts, margin)
         if witness is not None:
-            witness["sample_size"] = len(sample)
+            witness["sample_size"] = witness_margin.sample_size
         record["witness"] = witness
     return record
 
 
-def _witness_cloud(
-    problem, spec: _PointSpec, cfg: Config, analysis_cloud: PointCloud
-) -> PointCloud:
+def _witness_rows(problem, spec: _PointSpec, cfg: Config, analysis_cloud: PointCloud) -> np.ndarray:
+    """The sorted rows of the analysis cloud that form the witness sample of ``spec``."""
     # points closer than about 2^-12 to the anchor would shrink the quadratic
     # tie-break below the 1e-12 uniqueness tolerance, so the witness sample
     # caps its refinement depth (margins and trends keep the full depth)
     if isinstance(problem, PointCloud):  # input clouds are analysed as they are
-        return analysis_cloud
+        return np.arange(len(analysis_cloud))
     grid = _analysis_grid(problem, [spec], cfg.grid, min(cfg.levels, 12))
     return cut_grid(problem, analysis_cloud, grid)
 
 
 def _build_witness_dict(
     problem, spec: _PointSpec, cfg: Config, analysis_cloud: PointCloud,
-    analysis_margin: support.MarginReport | None = None,
-) -> tuple[PointCloud, support.MarginReport, dict | None]:
-    """The witness cloud of ``spec``, its margin, and the verified witness
-    (None without positive support weights)."""
-    cloud = _witness_cloud(problem, spec, cfg, analysis_cloud)
-    if cloud is analysis_cloud and analysis_margin is not None:
+    cuts: support.Cuts, analysis_margin: support.MarginReport | None = None,
+) -> tuple[support.MarginReport, dict | None]:
+    """The margin over the witness sample of ``spec``, and the verified
+    witness (None without positive support weights). ``cuts`` are those of
+    the analysis cloud against the point, and ``analysis_margin`` their
+    margin over every row, if already solved."""
+    rows = _witness_rows(problem, spec, cfg, analysis_cloud)
+    every = len(rows) == len(analysis_cloud)
+    if every and analysis_margin is not None:
         margin = analysis_margin
     else:
-        margin = support.support_margin(cloud, spec.criterion, tol=cfg.tol_lp)
+        margin = support.support_margin(cuts, tol=cfg.tol_lp, rows=rows)
     if margin.weights is None:
-        return cloud, margin, None
-    box = _witness_box(cloud, spec.criterion)
-    witness = support.build_witness(spec.criterion, margin.weights, box, cloud)
-    verification = support.verify_witness(witness, cloud, tie_tol=cfg.tie_tol)
-    return cloud, margin, {**_as_record(witness), "verification": _as_record(verification)}
+        return margin, None
+    sample = analysis_cloud.as_array() if every else analysis_cloud.as_array()[rows]
+    box = _witness_box(sample, spec.criterion)
+    witness = support.build_witness(spec.criterion, margin.weights, box, sample)
+    verification = support.verify_witness(witness, sample, tie_tol=cfg.tie_tol)
+    return margin, {**_as_record(witness), "verification": _as_record(verification)}
 
 
-def _witness_box(cloud: PointCloud, y_ref) -> tuple[tuple[float, float], ...]:
-    pts = cloud.as_array()
+def _witness_box(pts: np.ndarray, y_ref) -> tuple[tuple[float, float], ...]:
     lo = np.minimum(pts.min(axis=0), y_ref)
     hi = np.maximum(pts.max(axis=0), y_ref)
     pad = 0.05 * np.maximum(hi - lo, 1.0)
@@ -394,64 +401,41 @@ def _problem_dict(problem, source: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each builds the record of one point
 
-def _cmd_classify(problem, source, specs, cfg: Config, cloud: PointCloud):
-    records = [
-        _classify_record(problem, cloud, spec, cfg, _ladder(problem, cloud, spec, cfg))
-        for spec in specs
-    ]
-    return _payload("classify", problem, source, cfg, records, cloud)
+def _cmd_classify(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud) -> dict:
+    return _classify_record(problem, cloud, spec, cfg, _ladder(problem, cloud, spec, cfg))
 
 
-def _cmd_support(problem, source, specs, cfg: Config, cloud: PointCloud):
-    records = []
-    for spec in specs:
-        record = _record_head(spec)
-        ladder = _ladder(problem, cloud, spec, cfg)
-        record.update(_support_record(problem, cloud, spec, cfg, ladder))
-        records.append(record)
-    return _payload("support", problem, source, cfg, records, cloud)
+def _cmd_support(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud) -> dict:
+    ladder = _ladder(problem, cloud, spec, cfg)
+    return {**_record_head(spec), **_support_record(problem, cloud, spec, cfg, ladder)}
 
 
-def _cmd_kkt(problem, source, specs, cfg: Config, cloud: None):
-    records = []
-    for spec in specs:
-        record = _record_head(spec)
-        record.update(_kkt_dicts(problem, spec, cfg))
-        records.append(record)
-    return _payload("kkt", problem, source, cfg, records, None)
+def _cmd_kkt(problem, spec: _PointSpec, cfg: Config, cloud: None) -> dict:
+    return {**_record_head(spec), **_kkt_dicts(problem, spec, cfg)}
 
 
-def _cmd_witness(problem, source, specs, cfg: Config, cloud: PointCloud):
-    records = []
-    for spec in specs:
-        _, margin, witness = _build_witness_dict(problem, spec, cfg, cloud)
-        if witness is None:
-            raise NotSupported(
-                f"no positive support at {spec.criterion}: margin {margin.margin}"
-            )
-        record = _record_head(spec)
-        record.update({"margin": _as_record(margin, "y_ref"), "witness": witness})
-        records.append(record)
-    return _payload("witness", problem, source, cfg, records, cloud)
+def _cmd_witness(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud) -> dict:
+    cuts = support.prepare_cuts(cloud, spec.criterion)
+    margin, witness = _build_witness_dict(problem, spec, cfg, cloud, cuts)
+    if witness is None:
+        raise NotSupported(f"no positive support at {spec.criterion}: margin {margin.margin}")
+    return {**_record_head(spec), "margin": _as_record(margin, "y_ref"), "witness": witness}
 
 
-def _cmd_report(problem, source, specs, cfg: Config, cloud: PointCloud):
-    records = []
-    for spec in specs:
-        # one ladder per record, shared by both analyses and dropped after it
-        ladder = _ladder(problem, cloud, spec, cfg)
-        record = _classify_record(problem, cloud, spec, cfg, ladder)
-        record["support"] = _support_record(problem, cloud, spec, cfg, ladder)
-        try:
-            record["kkt"] = _kkt_dicts(problem, spec, cfg)
-        except (NoConstraintDescription, InfeasiblePoint) as exc:
-            record["kkt"] = {"error": str(exc)}
-        except LicqNotVerified as exc:
-            record["kkt"] = {"error": f"no conclusion: {exc}", "licq_failed": True}
-        records.append(record)
-    return _payload("report", problem, source, cfg, records, cloud)
+def _cmd_report(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud) -> dict:
+    # one ladder per record, shared by both analyses and dropped after it
+    ladder = _ladder(problem, cloud, spec, cfg)
+    record = _classify_record(problem, cloud, spec, cfg, ladder)
+    record["support"] = _support_record(problem, cloud, spec, cfg, ladder)
+    try:
+        record["kkt"] = _kkt_dicts(problem, spec, cfg)
+    except (NoConstraintDescription, InfeasiblePoint) as exc:
+        record["kkt"] = {"error": str(exc)}
+    except LicqNotVerified as exc:
+        record["kkt"] = {"error": f"no conclusion: {exc}", "licq_failed": True}
+    return record
 
 
 def _payload(command, problem, source, cfg: Config, records, cloud) -> dict:
@@ -528,7 +512,8 @@ def main(argv=None) -> int:
         # one cloud per command (kkt needs none); --csv writes it
         cloud = None if args.command == "kkt" else _analysis_cloud(problem, specs, cfg)
         specs = _place_probes(problem, specs, cloud, cfg)
-        payload = _COMMANDS[args.command](problem, source, specs, cfg, cloud)
+        records = [_COMMANDS[args.command](problem, spec, cfg, cloud) for spec in specs]
+        payload = _payload(args.command, problem, source, cfg, records, cloud)
     except LicqNotVerified as exc:
         print(f"no conclusion: {exc}", file=sys.stderr)
         return 4

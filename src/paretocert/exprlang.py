@@ -190,13 +190,27 @@ class _Parser:
 
     def parse_exponent(self) -> Fraction:
         if self.peek().kind != "(":
-            return self.parse_ratio()
+            return self.parse_ratio(grouped=False)
         self.take()
-        value = self.parse_ratio()
+        value = self.parse_ratio(grouped=True)
         self.expect(")")
         return value
 
-    def parse_ratio(self) -> Fraction:
+    def parse_ratio(self, *, grouped: bool) -> Fraction:
+        value = self.parse_exponent_literal()
+        # a '/' directly followed by a number is part of the exponent (e.g.
+        # y0^3/2); inside parentheses every '/' is, so a variable after it is
+        # a non-constant exponent
+        if self.peek().kind == "/" and (grouped or self.tokens[self.i + 1].kind == "number"):
+            self.take()
+            den_pos = self.peek().pos
+            den = self.parse_exponent_literal()
+            if den == 0:
+                raise ExprSyntaxError("zero denominator in exponent", den_pos)
+            value /= den
+        return value
+
+    def parse_exponent_literal(self) -> Fraction:
         tok = self.peek()
         if tok.kind != "number":
             raise NonConstantExponent(
@@ -205,16 +219,7 @@ class _Parser:
                 expected=("number",),
             )
         self.take()
-        value = Fraction(tok.text)
-        # a '/' directly followed by a number is part of the exponent (e.g. y0^3/2)
-        if self.peek().kind == "/" and self.tokens[self.i + 1].kind == "number":
-            self.take()
-            den_tok = self.take()
-            den = Fraction(den_tok.text)
-            if den == 0:
-                raise ExprSyntaxError("zero denominator in exponent", den_tok.pos)
-            value /= den
-        return value
+        return Fraction(tok.text)
 
     def parse_atom(self) -> Node:
         tok = self.take()

@@ -156,9 +156,9 @@ def combine_with_divergence(
     return replace(report, status=status, divergence=evidence)
 
 
-def divergence_probe(ladder, y_ref, *, growth_factor: float = 1e3) -> DivergenceEvidence:
+def divergence_probe(cloud, ladder, y_ref, *, growth_factor: float = 1e3) -> DivergenceEvidence:
     """Track the sup ratio bound of ``y_ref`` across the level clouds of a
-    refinement ladder (``problems.refinement_ladder``).
+    refinement ladder (``problems.refinement_ladder``) cut from ``cloud``.
 
     Level k holds the decisions at offsets 2^-j, j = 1..k, on both sides of
     the anchor (clipped to the domain). The growth flag fires when the
@@ -172,7 +172,9 @@ def divergence_probe(ladder, y_ref, *, growth_factor: float = 1e3) -> Divergence
     offsets = tuple(2.0 ** (-k) for k in levels)
     # level k's bound is the largest over the rows entering at or before k,
     # and 0 from the first level holding a dominating row on
-    bounds, dominating = _row_bounds(ladder.deepest.as_array(), tuple(float(v) for v in y_ref))
+    bounds, dominating = _row_bounds(
+        point_array(cloud)[ladder.rows], tuple(float(v) for v in y_ref)
+    )
     entry = ladder.entry
     level_max = np.full(len(levels), -np.inf)
     np.maximum.at(level_max, entry - 1, bounds)

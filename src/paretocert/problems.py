@@ -3,7 +3,8 @@ ingestion, builtin examples, and deterministic grid sampling.
 
 Both problem kinds are immutable after construction. Sampling always emits
 points in lexicographic grid order, so identical grids give bit-identical
-clouds, and a sub-grid cut out of a sampled cloud equals a fresh sample.
+clouds, and the rows of a sampled cloud that hold a sub-grid equal a fresh
+sample of it.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class PointCloud:
     decisions: tuple[tuple[float, ...], ...] | None = None
     provenance: str = "external"
     # read-only arrays of ``points`` and ``decisions``, built on first use or
-    # sliced from the parent's by cut_grid
+    # kept from sampling and loading
     _arrays: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -122,10 +123,15 @@ class PointCloud:
 
 
 def point_array(cloud) -> np.ndarray:
-    """The (N, p) float array of a PointCloud (its cached array) or of a plain
-    sequence of vectors; read-only either way."""
+    """The (N, p) float array of a PointCloud (its cached array), of a
+    non-empty 2-D array (a view) or of a plain sequence of vectors;
+    read-only in each case."""
     if isinstance(cloud, PointCloud):
         return cloud.as_array()
+    if isinstance(cloud, np.ndarray) and cloud.ndim == 2 and len(cloud):
+        view = np.asarray(cloud, dtype=float).view()
+        view.flags.writeable = False
+        return view
     rows = list(cloud)
     if not rows:
         raise ValueError("empty point cloud")
@@ -168,11 +174,10 @@ def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class AxisSpec:
     """One generator of grid values along a single decision dimension."""
 
-    kind: str  # 'uniform' | 'geometric' | 'explicit'
+    kind: str  # 'uniform' | 'geometric'
     count: int = 0
     anchor: float = 0.0
     levels: int = 0
-    values: tuple[float, ...] = ()
 
     @staticmethod
     def uniform(count: int) -> "AxisSpec":
@@ -182,10 +187,6 @@ class AxisSpec:
     def geometric(anchor: float, levels: int) -> "AxisSpec":
         """The anchor and its offsets 2^-k, k = 1..levels, on both sides."""
         return AxisSpec("geometric", anchor=float(anchor), levels=levels)
-
-    @staticmethod
-    def explicit(values) -> "AxisSpec":
-        return AxisSpec("explicit", values=tuple(float(v) for v in values))
 
 
 @dataclass(frozen=True)
@@ -212,13 +213,6 @@ def _axis_values(spec: AxisSpec, lo: float, hi: float) -> list[float]:
         return [float(v) for v in np.linspace(lo, hi, spec.count)]
     if spec.kind == "geometric":
         return [v for v, _ in _geometric_values(spec, lo, hi)]
-    if spec.kind == "explicit":
-        if not spec.values:
-            raise SchemaError("explicit axis needs at least one value")
-        for v in spec.values:
-            if not lo <= v <= hi:
-                raise SchemaError(f"grid value {v} outside domain [{lo}, {hi}]")
-        return list(spec.values)
     raise SchemaError(f"unknown axis kind {spec.kind!r}")
 
 
@@ -255,6 +249,12 @@ def _grid_axes(problem: AnalyticProblem, grid: GridSpec) -> list[list[float]]:
     return axis_values
 
 
+def _grid_array(axis_values: list[list[float]]) -> np.ndarray:
+    """The nodes of the product of the axes as the rows of one array, in the
+    order of ``itertools.product``: the last axis varies fastest."""
+    return np.stack(np.meshgrid(*axis_values, indexing="ij"), axis=-1).reshape(-1, len(axis_values))
+
+
 def grid_nodes(problem: AnalyticProblem, grid: GridSpec) -> list[tuple[float, ...]]:
     """The decisions of ``grid`` in lexicographic order, evaluating nothing."""
     return list(itertools.product(*_grid_axes(problem, grid)))
@@ -277,8 +277,7 @@ def sample_criterion_space(
     """
     axis_values = _grid_axes(problem, grid)
     nodes = list(itertools.product(*axis_values))
-    # the same rows as ``nodes``: the last axis varies fastest
-    decisions = np.stack(np.meshgrid(*axis_values, indexing="ij"), axis=-1).reshape(len(nodes), -1)
+    decisions = _grid_array(axis_values)
     decisions.flags.writeable = False
     columns = []
     bad = np.zeros(len(nodes), dtype=bool)
@@ -326,13 +325,14 @@ def _check_node(problem: AnalyticProblem, x: tuple[float, ...], tol_feas: float)
                 )
 
 
-def cut_grid(problem: AnalyticProblem, cloud: PointCloud, grid: GridSpec) -> PointCloud:
-    """The nodes of ``grid`` taken from a cloud that ``problem`` was sampled into.
+def cut_grid(problem: AnalyticProblem, cloud: PointCloud, grid: GridSpec) -> np.ndarray:
+    """The rows of a cloud that ``problem`` was sampled into that hold the
+    nodes of ``grid``, as sorted read-only indices.
 
-    Equals ``sample_criterion_space(problem, grid)`` point for point and in
-    order, without evaluating anything: axes are clipped the same way and the
-    lexicographic order survives subsetting. Returns ``cloud`` itself when the
-    grid covers all of it; raises SchemaError when a node is missing.
+    The cloud's points at those rows equal ``sample_criterion_space(problem,
+    grid)`` point for point and in order, and nothing is evaluated: axes are
+    clipped the same way and the lexicographic order survives subsetting.
+    Raises SchemaError when a node is missing.
     """
     decisions = cloud.decision_array()
     if decisions is None:
@@ -340,55 +340,32 @@ def cut_grid(problem: AnalyticProblem, cloud: PointCloud, grid: GridSpec) -> Poi
     axis_values = _grid_axes(problem, grid)
     keep = np.logical_and.reduce([np.isin(decisions[:, d], v) for d, v in enumerate(axis_values)])
     rows = np.flatnonzero(keep)
-    if not np.array_equal(decisions[rows], list(itertools.product(*axis_values))):
+    if not np.array_equal(decisions[rows], _grid_array(axis_values)):
         raise SchemaError("the grid is not contained in the sampled cloud")
-    return _subcloud(cloud, rows)
-
-
-def _subcloud(cloud: PointCloud, rows: np.ndarray) -> PointCloud:
-    """The rows of ``cloud`` at the sorted indices ``rows``, with slices of its
-    arrays; ``cloud`` itself when that is all of it."""
-    if len(rows) == len(cloud):
-        return cloud
-    cut = PointCloud(
-        criterion_dim=cloud.criterion_dim,
-        points=tuple(cloud.points[i] for i in rows),
-        decisions=tuple(cloud.decisions[i] for i in rows),
-        provenance=cloud.provenance,
-    )
-    cut._arrays.update(points=cloud.as_array()[rows], decisions=cloud.decision_array()[rows])
-    for array in cut._arrays.values():
-        array.flags.writeable = False
-    return cut
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
 class Ladder:
     """The nested level clouds of a refinement toward a decision anchor, held
-    as the deepest level and the level at which each of its rows enters.
+    as rows of the cloud they were cut from: the rows of the deepest level
+    and the level at which each of them enters.
 
-    Iterating (or indexing, level k at index k - 1) gives the level clouds:
-    level k is the rows with ``entry <= k``, in order, which is the grid
-    ``GridSpec.geometric(anchor, k)`` cut from the deepest level.
+    Level k is the rows with ``entry <= k``, in order: the grid
+    ``GridSpec.geometric(anchor, k)`` cut from that cloud.
     """
 
-    deepest: PointCloud
-    entry: np.ndarray  # read-only ints in 1..levels, one per row of ``deepest``
+    rows: np.ndarray  # read-only sorted indices into the cloud
+    entry: np.ndarray  # read-only ints in 1..levels, one per row
     levels: int
 
     def __len__(self) -> int:
         return self.levels
 
-    def __getitem__(self, index: int) -> PointCloud:
-        k = range(1, self.levels + 1)[index]
-        return _subcloud(self.deepest, np.flatnonzero(self.entry <= k))
-
-    def __iter__(self):
-        return (self[i] for i in range(self.levels))
-
 
 def refinement_ladder(problem: AnalyticProblem, cloud: PointCloud, anchor, levels: int) -> Ladder:
-    """The ladder of level clouds toward a decision anchor, cut from ``cloud``.
+    """The ladder of level clouds toward a decision anchor, as rows of ``cloud``.
 
     Level k is the grid ``GridSpec.geometric(anchor, k)``: the anchor and its
     offsets 2^-j, j = 1..k, on both sides, clipped to the domain. ``cloud``
@@ -396,15 +373,15 @@ def refinement_ladder(problem: AnalyticProblem, cloud: PointCloud, anchor, level
     the largest, over its decision's coordinates, of the first level whose
     clipped axis values hold the coordinate.
     """
-    deepest = cut_grid(problem, cloud, GridSpec.geometric(anchor, levels))
-    entry = np.ones(len(deepest), dtype=int)
-    for d, column in enumerate(deepest.decision_array().T):
+    rows = cut_grid(problem, cloud, GridSpec.geometric(anchor, levels))
+    entry = np.ones(len(rows), dtype=int)
+    for d, column in enumerate(cloud.decision_array()[rows].T):
         first: dict[float, int] = {}
         for v, k in _geometric_values(AxisSpec.geometric(anchor[d], levels), *problem.domain[d]):
             first.setdefault(v, k)
         entry = np.maximum(entry, [first[v] for v in column.tolist()])
     entry.flags.writeable = False
-    return Ladder(deepest=deepest, entry=entry, levels=levels)
+    return Ladder(rows=rows, entry=entry, levels=levels)
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,18 @@ that basis. The margin is then recomputed with soft cuts
 (sum(lambda) + sum(nu) = 1), yielding a negative margin that quantifies the
 violation trend. Both solves share one normalized, deduplicated cut matrix.
 
-Along a refinement ladder the cuts are those of the deepest level, cut once
-from the sample, normalized and deduplicated once. Deduplication is one
-stable lexicographic sort (``problems.distinct_rows``): ``-0.0`` equals
-``0.0``, and the first cut of a group in input order represents it. Each
-distinct cut is placed by the level at which its first row enters, and the
-cuts of one level keep their lexicographic order, so level k's LP runs over
-a prefix of the columns. Each level is still solved from the start basis:
-level k's optimum is not carried into level k + 1, because pricing stops at
-an absolute reduced cost of 1e-9 while the origin's margins shrink like 2^-k.
+A sample's cuts against a reference are normalized and deduplicated once
+(``prepare_cuts``), by one stable lexicographic sort in which ``-0.0``
+equals ``0.0`` (``problems.distinct_rows``). Every margin LP at that
+reference takes its columns from them as a row set: the whole sample, a
+refinement ladder's deepest level, or the CLI's witness sample. A group of
+equal cuts is represented by its first member in the row set, in input
+order, so the columns are those of normalizing and deduplicating the row
+set alone. Along a ladder the distinct cuts are ordered by the level at
+which their first row enters, lexicographically within a level, so level
+k's LP runs over a prefix of the columns. Each level is still solved from
+the start basis, because pricing stops at an absolute reduced cost of 1e-9
+while the origin's margins shrink like 2^-k.
 
 A margin t* > 0 certifies a strictly increasing linear value function that is
 maximized at the reference over the sample; we then upgrade it to a strictly
@@ -109,15 +112,56 @@ class WitnessVerification:
     all_passed: bool
 
 
-def support_margin(cloud, y_ref, *, tol: float = _TOL) -> MarginReport:
-    """Solve the support margin LP for a sample against a reference point."""
-    rows = point_array(cloud)
-    return _level_margins(rows, np.ones(len(rows), dtype=int), 1, y_ref, tol)[1]
+@dataclass(frozen=True, eq=False)
+class Cuts:
+    """The cuts of a sample against a reference, normalized and grouped once
+    for every margin over a row set of the sample (``prepare_cuts``)."""
+
+    y_ref: tuple[float, ...]
+    diffs: np.ndarray  # y - y_ref, one row per sample point
+    cuts: np.ndarray  # each row of ``diffs`` over its largest magnitude
+    order: np.ndarray  # the equal-cut groups of ``problems.distinct_rows``
+    starts: np.ndarray
+    groups: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.diffs)
 
 
-def support_trend(ladder, y_ref, *, persistent_threshold: float = 1e-3) -> TrendReport:
-    """Margin sequence of ``y_ref`` across the level clouds of a refinement
-    ladder (``problems.refinement_ladder``).
+def prepare_cuts(cloud, y_ref) -> Cuts:
+    """Normalize the cuts of a sample against ``y_ref`` and group the equal ones."""
+    ref = tuple(float(v) for v in y_ref)
+    points = point_array(cloud)
+    if points.shape[1] != len(ref):
+        raise SchemaError(f"reference has dimension {len(ref)}, cloud has {points.shape[1]}")
+    diffs = points - np.asarray(ref)
+    # each cut is homogeneous in w, so normalizing it changes no hard margin
+    # and keeps pivots well away from the tolerance; soft margins are those
+    # of the normalized cuts
+    scale = np.max(np.abs(diffs), axis=1)
+    scale[scale == 0.0] = 1.0
+    cuts = diffs / scale[:, None]
+    return Cuts(ref, diffs, cuts, *distinct_rows(cuts))
+
+
+def support_margin(cloud, y_ref=None, *, tol: float = _TOL, rows=None) -> MarginReport:
+    """Solve the support margin LP for a sample against a reference point.
+
+    ``cloud`` is the sample and ``y_ref`` the reference, or ``cloud`` is the
+    ``Cuts`` of a sample against its reference and ``y_ref`` is left out.
+    ``rows``, sorted indices, restricts the LP to those sample points; the
+    report's ``binding`` and ``sample_size`` are then relative to them.
+    """
+    cuts = cloud if isinstance(cloud, Cuts) else prepare_cuts(cloud, y_ref)
+    if rows is None:
+        rows = np.arange(len(cuts))
+    return _level_margins(cuts, rows, np.ones(len(rows), dtype=int), 1, tol)[1]
+
+
+def support_trend(cloud, ladder, y_ref=None, *, persistent_threshold: float = 1e-3) -> TrendReport:
+    """Margin sequence of a reference across the level clouds of a refinement
+    ladder (``problems.refinement_ladder``) cut from a sample; ``cloud`` and
+    ``y_ref`` are as for ``support_margin``.
 
     Level clouds are nested, so the sequence is nonincreasing; the verdict is
     'persistent' when the final margin stays above the threshold and
@@ -127,9 +171,8 @@ def support_trend(ladder, y_ref, *, persistent_threshold: float = 1e-3) -> Trend
         raise SchemaError("refinement ladder needs at least one level")
     levels = tuple(range(1, len(ladder) + 1))
     offsets = tuple(2.0 ** (-k) for k in levels)
-    margins, last = _level_margins(
-        ladder.deepest.as_array(), ladder.entry, len(ladder), y_ref, _TOL
-    )
+    cuts = cloud if isinstance(cloud, Cuts) else prepare_cuts(cloud, y_ref)
+    margins, last = _level_margins(cuts, ladder.rows, ladder.entry, len(ladder), _TOL)
     verdict = PERSISTENT if margins[-1] >= persistent_threshold else VANISHING
     return TrendReport(
         levels=levels,
@@ -143,42 +186,32 @@ def support_trend(ladder, y_ref, *, persistent_threshold: float = 1e-3) -> Trend
 
 
 def _level_margins(
-    rows: np.ndarray, entry: np.ndarray, levels: int, y_ref, tol: float
+    cuts: Cuts, rows: np.ndarray, entry: np.ndarray, levels: int, tol: float
 ) -> tuple[tuple[float, ...], MarginReport]:
-    """The margin of ``y_ref`` over each level k = 1..levels of a ladder whose
-    deepest cloud has the points ``rows``, row i entering at level
-    ``entry[i]``, and the report of the deepest level.
-
-    The cuts of the deepest level are normalized and deduplicated once by
-    ``problems.distinct_rows``: one stable lexicographic sort, in which
-    ``-0.0`` equals ``0.0`` and a group's first cut in input order stands for
-    it. A distinct cut enters at the smallest entry level of its group, and
-    the distinct cuts are ordered by that level (lexicographically within a
-    level), so each level's LP is over a prefix of them.
+    """The margin over each level k = 1..levels of the sorted sample rows
+    ``rows``, ``rows[i]`` entering at level ``entry[i]``, and the report of
+    the deepest level. A group of equal cuts enters at the smallest entry
+    level among its members in ``rows``.
     """
-    ref = tuple(float(v) for v in y_ref)
-    p = len(ref)
-    if rows.shape[1] != p:
-        raise SchemaError(f"reference has dimension {p}, cloud has {rows.shape[1]}")
-    diffs = rows - np.asarray(ref)
-    # each cut is homogeneous in w, so normalizing it changes no hard margin
-    # and keeps pivots well away from the tolerance; soft margins are those
-    # of the normalized cuts
-    scale = np.max(np.abs(diffs), axis=1)
-    scale[scale == 0.0] = 1.0
-    cuts = diffs / scale[:, None]
-    # duplicate rays are redundant
-    order, starts, _ = distinct_rows(cuts)
-    first = np.minimum.reduceat(entry[order], starts)
+    every = len(rows) == len(cuts)  # sorted distinct rows: all of them
+    if every:
+        ordered, starts, entry = cuts.order, cuts.starts, entry[cuts.order]
+    else:
+        # stable: a group's members stay in input order
+        by_group = np.argsort(cuts.groups[rows], kind="stable")
+        ordered, entry = rows[by_group], entry[by_group]
+        group = cuts.groups[ordered]
+        starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    first = np.minimum.reduceat(entry, starts)
     by_level = np.argsort(first, kind="stable")
-    cuts = cuts[order[starts[by_level]]]
+    columns = cuts.cuts[ordered[starts[by_level]]]
     ends = np.searchsorted(first[by_level], np.arange(1, levels + 1), side="right")
     margins = []
     for end in ends.tolist():
-        out = cone_margin(cuts[:end], mass="lambda")
+        out = cone_margin(columns[:end], mass="lambda")
         feasible = out.status == "optimal"
         if not feasible:
-            out = cone_margin(cuts[:end], mass="lambda+nu")
+            out = cone_margin(columns[:end], mass="lambda+nu")
             if out.status != "optimal":
                 raise NumericalBreakdown("support margin relaxation did not solve")
         margins.append(-float(out.value))
@@ -186,16 +219,16 @@ def _level_margins(
     weights: tuple[float, ...] | None = None
     binding: tuple[int, ...] = ()
     if feasible and margin > tol:
-        w = -np.asarray(out.duals[:p])
+        w = -np.asarray(out.duals[: len(cuts.y_ref)])
         weights = tuple(float(v) for v in w)
-        slack = diffs @ w
+        slack = (cuts.diffs if every else cuts.diffs[rows]) @ w
         binding = tuple(int(i) for i in np.flatnonzero(np.abs(slack) <= tol))
     last = MarginReport(
         margin=margin,
         weights=weights,
         binding=binding,
         feasible=feasible,
-        y_ref=ref,
+        y_ref=cuts.y_ref,
         sample_size=len(rows),
     )
     return tuple(margins), last
@@ -248,18 +281,16 @@ def verify_witness(
     cloud,
     *,
     tie_tol: float = 1e-12,
-    grid_resolution: int = 0,
 ) -> WitnessVerification:
     """Mechanically check the three witness properties against a sample.
 
     (a) strictly increasing on the box: the gradient is affine, so positivity
     at every corner suffices; (b) strict concavity is exactly curvature > 0;
-    (c) the anchor strictly beats every other sample point. A positive
-    ``grid_resolution`` adds a redundant gradient scan over a box grid.
+    (c) the anchor strictly beats every other sample point.
     """
     checks: list[WitnessCheck] = []
     # gradient component i depends on y_i alone, so the components over all
-    # corners (or grid nodes) are those at the box's per-axis values
+    # corners are those at the box's per-axis values
     worst_component = float(witness.gradient(np.asarray(witness.box).T).min())
     checks.append(
         WitnessCheck(
@@ -295,16 +326,6 @@ def verify_witness(
                 name="unique_maximum_over_sample",
                 passed=bool(worst_gap > tie_tol),
                 detail=f"smallest value gap {worst_gap} at sample index {worst_index}",
-            )
-        )
-    if grid_resolution > 0:
-        axes = np.column_stack([np.linspace(lo, hi, grid_resolution) for lo, hi in witness.box])
-        min_grid = float(witness.gradient(axes).min())
-        checks.append(
-            WitnessCheck(
-                name="gradient_positive_on_grid",
-                passed=bool(min_grid > 0),
-                detail=f"minimum gradient component over {grid_resolution}^p grid: {min_grid}",
             )
         )
     return WitnessVerification(checks=tuple(checks), all_passed=all(c.passed for c in checks))

@@ -14,15 +14,17 @@ from paretocert.problems import (
     AxisSpec,
     GridSpec,
     builtin,
+    load_document,
     refinement_ladder,
     sample_criterion_space,
 )
 
 
 def ladder(problem, anchor, levels):
-    """The refinement ladder toward ``anchor``, cut from its deepest level."""
+    """The deepest level of the refinement toward ``anchor`` and the ladder
+    cut from it."""
     cloud = sample_criterion_space(problem, GridSpec.geometric(anchor, levels))
-    return refinement_ladder(problem, cloud, anchor, levels)
+    return cloud, refinement_ladder(problem, cloud, anchor, levels)
 
 
 def _report(name, ok=True):
@@ -36,14 +38,16 @@ def soland():
 
 def test_criterion_1_every_sampled_point_is_efficient(soland):
     start = time.perf_counter()
-    grids = [
-        GridSpec.uniform(1, 101),
-        GridSpec(((AxisSpec.geometric(0.0, 20),),)),
-        GridSpec(((AxisSpec.uniform(64), AxisSpec.geometric(1.0, 12)),)),
-        GridSpec(((AxisSpec.explicit([0.0, 1.0, 2.0]),),)),
+    # the last grid is the nodes 0, 1 and 2
+    short = load_document(dict(soland.to_document(), domain=[[0, 2]]))
+    cases = [
+        (soland, GridSpec.uniform(1, 101)),
+        (soland, GridSpec(((AxisSpec.geometric(0.0, 20),),))),
+        (soland, GridSpec(((AxisSpec.uniform(64), AxisSpec.geometric(1.0, 12)),))),
+        (short, GridSpec.uniform(1, 3)),
     ]
-    for grid in grids:
-        cloud = sample_criterion_space(soland, grid)
+    for problem, grid in cases:
+        cloud = sample_criterion_space(problem, grid)
         assert pareto.pareto_filter(cloud) == list(range(len(cloud)))
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -56,7 +60,7 @@ def test_criterion_2_ratio_is_inverse_decision(soland):
         x = 2.0 ** -k
         ratio = geoffrion.tradeoff_ratio((0.0, 0.0), soland.criteria_at([x]), 0)
         assert abs(ratio - 1.0 / x) <= 1e-9 * (1.0 / x)
-    evidence = geoffrion.divergence_probe(ladder(soland, (0.0,), 20), (0.0, 0.0))
+    evidence = geoffrion.divergence_probe(*ladder(soland, (0.0,), 20), (0.0, 0.0))
     assert evidence.ratios == tuple(2.0 ** k for k in range(1, 21))
     assert evidence.growth
     elapsed = time.perf_counter() - start
@@ -110,7 +114,7 @@ def test_criterion_5_margin_law(soland):
         margin = support.support_margin(cloud, (0.0, 0.0)).margin
         x_min = 2.0 ** -k
         assert abs(margin - x_min / (1.0 + x_min)) <= 1e-6
-    trend = support.support_trend(ladder(soland, (0.0,), 20), (0.0, 0.0))
+    trend = support.support_trend(*ladder(soland, (0.0,), 20), (0.0, 0.0))
     assert trend.verdict == support.VANISHING
     _report("5 margin law: t* = x_min / (1 + x_min) and the support vanishes")
 

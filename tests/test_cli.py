@@ -3,8 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from paretocert import cli, pareto
-from paretocert.problems import AxisSpec, GridSpec, load_problem, sample_criterion_space
+from paretocert import cli, pareto, support
+from paretocert.problems import (
+    AxisSpec,
+    GridSpec,
+    PointCloud,
+    grid_nodes,
+    load_problem,
+    sample_criterion_space,
+)
 
 SOLAND = {
     "type": "analytic",
@@ -351,10 +358,106 @@ def test_witness_cloud_equals_fresh_sampling(doc, anchors, grid):
             for d in range(problem.decision_dim)
         )
         fresh = sample_criterion_space(problem, GridSpec(axes))
-        cut = cli._witness_cloud(problem, spec, cfg, cloud)
-        assert repr(cut.points) == repr(fresh.points)
-        assert repr(cut.decisions) == repr(fresh.decisions)
-        assert cut.provenance == fresh.provenance
+        rows = cli._witness_rows(problem, spec, cfg, cloud)
+        assert repr([cloud.points[i] for i in rows]) == repr(list(fresh.points))
+        assert repr([cloud.decisions[i] for i in rows]) == repr(list(fresh.decisions))
+        assert cloud.as_array()[rows].tobytes() == fresh.as_array().tobytes()
+
+
+def placed_probes(problem, cfg):
+    """The analysis cloud of a default-probe command and the placed probes."""
+    probes = [
+        cli._PointSpec(decision=x, criterion=None)
+        for x in grid_nodes(problem, cli._probe_grid(problem))
+    ]
+    cloud = cli._analysis_cloud(problem, probes, cfg)
+    return cloud, cli._place_probes(problem, probes, cloud, cfg)
+
+
+@pytest.mark.parametrize(
+    "doc, grid, levels",
+    [(SOLAND, 257, 24), (SOLAND, 257, 60), (PLANE2D, 9, 8)],
+    ids=["soland-24", "soland-60", "plane2d"],
+)
+def test_point_margins_equal_fresh_samples(doc, grid, levels):
+    # a point's margin, trend and witness margin are LPs over row sets of its
+    # one cut matrix; each must be the margin of a fresh sample of that row
+    # set's grid, binding rows and sample size included
+    problem = load_problem(json.dumps(doc))
+    cfg = cli.Config(levels=levels, grid=grid)
+    cloud, specs = placed_probes(problem, cfg)
+
+    def fresh(grid_spec, y):
+        return support.support_margin(sample_criterion_space(problem, grid_spec), y)
+
+    analysis = cli._analysis_grid(problem, specs, cfg.grid, cfg.levels)
+    for spec in specs:
+        y = spec.criterion
+        cuts = support.prepare_cuts(cloud, y)
+        assert repr(support.support_margin(cuts)) == repr(fresh(analysis, y))
+        ladder = cli._ladder(problem, cloud, spec, cfg)
+        trend = support.support_trend(cuts, ladder)
+        for k, margin in zip(trend.levels, trend.margins):
+            want = fresh(GridSpec.geometric(spec.decision, k), y)
+            assert repr(margin) == repr(want.margin)
+            level = ladder.rows[ladder.entry <= k]
+            assert repr(support.support_margin(cuts, rows=level)) == repr(want)
+        assert repr(trend.last) == repr(want)
+        witness_grid = cli._analysis_grid(problem, [spec], cfg.grid, min(cfg.levels, 12))
+        witness_margin, _ = cli._build_witness_dict(problem, spec, cfg, cloud, cuts)
+        assert repr(witness_margin) == repr(fresh(witness_grid, y))
+
+
+@pytest.mark.parametrize("command", ["report", "support"])
+def test_each_point_groups_its_cuts_once(tmp_path, monkeypatch, capsys, command):
+    # one normalization and grouping of the analysis cloud per point, and no
+    # cloud but the analysis cloud: ladders, witness samples and probes are
+    # row sets of it
+    path = tmp_path / "plane2d.json"
+    path.write_text(json.dumps(PLANE2D))
+    groupings, clouds = [], []
+    distinct_rows = support.distinct_rows
+    monkeypatch.setattr(
+        support, "distinct_rows", lambda a: groupings.append(len(a)) or distinct_rows(a)
+    )
+    init = PointCloud.__init__
+    monkeypatch.setattr(
+        PointCloud, "__init__", lambda self, *a, **k: clouds.append(1) or init(self, *a, **k)
+    )
+    code, out, err = _run(capsys, command, str(path), "--grid", "9", "--levels", "8")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert len(payload["points"]) == 25
+    assert groupings == [payload["sample"]["size"]] * 25
+    assert len(clouds) == 1
+
+
+def test_cloud_report_solves_one_margin_per_point(cloud_file, monkeypatch, capsys):
+    # an input cloud is its own witness sample, so the witness reuses the
+    # point's margin instead of solving it again
+    margins = []
+    support_margin = support.support_margin
+    monkeypatch.setattr(
+        support, "support_margin", lambda *a, **k: margins.append(1) or support_margin(*a, **k)
+    )
+    code, out, err = _run(capsys, "report", cloud_file)
+    assert code == 0, err
+    records = json.loads(out)["points"]
+    assert [r["support"]["witness"] is not None for r in records] == [False, True]
+    assert len(margins) == len(records)
+
+
+def test_non_constant_exponent_denominator_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    constraints = {"ineq": ["-y0"], "eq": ["y1 + y0^(3/x0)"]}
+    path.write_text(json.dumps(dict(SOLAND, constraints=constraints)))
+    code, out, err = _run(capsys, "report", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: problem.constraints.eq[0]: exponent must be a numeric constant,"
+        " found 'x0' (at position 11, expected number)\n"
+    )
 
 
 def test_report_is_byte_identical_across_runs(soland_file, tmp_path, capsys):

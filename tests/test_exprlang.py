@@ -43,6 +43,9 @@ def test_parenthesized_exponent_must_be_constant():
     with pytest.raises(NonConstantExponent) as err:
         ex.parse("y0^(x0)", 1, 1)
     assert err.value.position == 4
+    with pytest.raises(NonConstantExponent) as err:
+        ex.parse("y0^(3/x0)", 1, 1)
+    assert err.value.position == 6
     with pytest.raises(ExprSyntaxError, match="zero denominator in exponent") as err:
         ex.parse("y0^(3/0)", 0, 1)
     assert err.value.position == 6

@@ -7,9 +7,10 @@ from paretocert.problems import GridSpec, builtin, refinement_ladder, sample_cri
 
 
 def ladder(problem, anchor, levels):
-    """The refinement ladder toward ``anchor``, cut from its deepest level."""
+    """The deepest level of the refinement toward ``anchor`` and the ladder
+    cut from it."""
     cloud = sample_criterion_space(problem, GridSpec.geometric(anchor, levels))
-    return refinement_ladder(problem, cloud, anchor, levels)
+    return cloud, refinement_ladder(problem, cloud, anchor, levels)
 
 
 def brute_force_report(points, y_ref):
@@ -210,7 +211,7 @@ def test_common_positive_scaling_leaves_ratios_unchanged():
 
 def test_divergence_probe_at_zero_doubles_each_level():
     problem = builtin("soland")
-    evidence = geoffrion.divergence_probe(ladder(problem, (0.0,), 20), (0.0, 0.0))
+    evidence = geoffrion.divergence_probe(*ladder(problem, (0.0,), 20), (0.0, 0.0))
     assert evidence.ratios == tuple(2.0 ** k for k in range(1, 21))
     assert evidence.growth
     assert evidence.fitted_exponent == pytest.approx(-1.0, abs=0.05)
@@ -221,25 +222,34 @@ def test_divergence_probe_at_zero_doubles_each_level():
 
 def test_divergence_probe_at_interior_point_converges():
     problem = builtin("soland")
-    evidence = geoffrion.divergence_probe(ladder(problem, (1.0,), 20), (1.0, -1.0))
+    evidence = geoffrion.divergence_probe(*ladder(problem, (1.0,), 20), (1.0, -1.0))
     assert not evidence.growth
     assert evidence.ratios[-1] == pytest.approx(1.5, abs=1e-4)
 
 
 def hand_ladder(points, entry, levels):
-    """A ladder over ``points`` whose row i enters at level ``entry[i]``."""
-    cloud = problems.PointCloud(
-        criterion_dim=len(points[0]),
-        points=tuple(tuple(float(v) for v in y) for y in points),
-        decisions=tuple((float(i),) for i in range(len(points))),
-    )
-    return problems.Ladder(deepest=cloud, entry=np.asarray(entry), levels=levels)
+    """A cloud and a ladder over ``points`` whose row i enters at level
+    ``entry[i]``. Each point is preceded in the cloud by a point dominating
+    every reference, which the ladder leaves out."""
+    p = len(points[0])
+    rows = [row for y in points for row in ((1e9,) * p, tuple(float(v) for v in y))]
+    cloud = problems.PointCloud(criterion_dim=p, points=tuple(rows))
+    inside = np.arange(1, len(rows), 2)
+    return cloud, problems.Ladder(rows=inside, entry=np.asarray(entry), levels=levels)
 
 
-def level_ratios(steps, y_ref):
-    """Each level's bound from a report of its own, 0 where it is dominated."""
-    reports = [geoffrion.proper_efficiency_report(level, y_ref) for level in steps]
-    return [repr(r.m_hat if r.m_hat is not None else 0.0) for r in reports]
+def ratio_text(report):
+    return repr(report.m_hat if report.m_hat is not None else 0.0)
+
+
+def level_ratios(cloud, steps, y_ref):
+    """Each level's bound from a report over its rows alone, 0 where it is
+    dominated."""
+    points = cloud.as_array()
+    return [
+        ratio_text(geoffrion.proper_efficiency_report(points[steps.rows[steps.entry <= k]], y_ref))
+        for k in range(1, len(steps) + 1)
+    ]
 
 
 def test_divergence_ratios_equal_each_level_report():
@@ -253,10 +263,10 @@ def test_divergence_ratios_equal_each_level_report():
         ((1, 0), 4),  # dominates from level 4 on
         ((nan, 0), 5),  # dominates with a NaN bound
     ]
-    steps = hand_ladder([y for y, _ in rows], [k for _, k in rows], 6)
-    evidence = geoffrion.divergence_probe(steps, (0.0, 0.0))
+    cloud, steps = hand_ladder([y for y, _ in rows], [k for _, k in rows], 6)
+    evidence = geoffrion.divergence_probe(cloud, steps, (0.0, 0.0))
     assert evidence.ratios == (0.5, 0.5, 3.0, 0.0, 0.0, 0.0)
-    assert [repr(r) for r in evidence.ratios] == level_ratios(steps, (0.0, 0.0))
+    assert [repr(r) for r in evidence.ratios] == level_ratios(cloud, steps, (0.0, 0.0))
     # random ladders: small integers for ties and repeats, rows that dominate
     # entering at any level, and levels that add no row
     rng = np.random.default_rng(1011)
@@ -266,29 +276,32 @@ def test_divergence_ratios_equal_each_level_report():
         points[rng.random(n) < 0.7, rng.integers(p)] = -4.0  # most rows lose somewhere
         entry = rng.integers(1, levels + 1, size=n)
         entry[0] = 1
-        steps = hand_ladder(points.tolist(), entry, levels)
+        cloud, steps = hand_ladder(points.tolist(), entry, levels)
         y_ref = tuple(rng.integers(-1, 2, size=p).astype(float))
-        ratios = geoffrion.divergence_probe(steps, y_ref).ratios
-        assert [repr(r) for r in ratios] == level_ratios(steps, y_ref)
-    # and the soland ladders, bit for bit
+        ratios = geoffrion.divergence_probe(cloud, steps, y_ref).ratios
+        assert [repr(r) for r in ratios] == level_ratios(cloud, steps, y_ref)
+    # and the soland ladders, bit for bit, against a fresh sample of each level
     problem = builtin("soland")
     for anchor in (0.0, 1.6875, 4.0):
-        steps = ladder(problem, (anchor,), 40)
         y_ref = problem.criteria_at((anchor,))
-        ratios = geoffrion.divergence_probe(steps, y_ref).ratios
-        assert [repr(r) for r in ratios] == level_ratios(steps, y_ref)
+        ratios = geoffrion.divergence_probe(*ladder(problem, (anchor,), 40), y_ref).ratios
+        fresh = [
+            sample_criterion_space(problem, GridSpec.geometric((anchor,), k)) for k in range(1, 41)
+        ]
+        reports = [geoffrion.proper_efficiency_report(level, y_ref) for level in fresh]
+        assert [repr(r) for r in ratios] == [ratio_text(r) for r in reports]
 
 
 def test_probe_rejects_empty_schedule():
     with pytest.raises(SchemaError):
-        geoffrion.divergence_probe((), (0.0, 0.0))
+        geoffrion.divergence_probe([(0.0, 0.0)], (), (0.0, 0.0))
 
 
 def test_combine_with_divergence_flags_improperness():
     problem = builtin("soland")
     cloud = [problem.criteria_at([2.0 ** -k]) for k in range(1, 11)]
     report = geoffrion.proper_efficiency_report(cloud, (0.0, 0.0))
-    evidence = geoffrion.divergence_probe(ladder(problem, (0.0,), 15), (0.0, 0.0))
+    evidence = geoffrion.divergence_probe(*ladder(problem, (0.0,), 15), (0.0, 0.0))
     combined = geoffrion.combine_with_divergence(report, evidence)
     assert combined.status == geoffrion.IMPROPER_SUSPECTED
     assert combined.divergence is evidence

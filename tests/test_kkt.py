@@ -23,9 +23,10 @@ from test_linprog import brute_force_optimum
 
 
 def ladder(problem, anchor, levels):
-    """The refinement ladder toward ``anchor``, cut from its deepest level."""
+    """The deepest level of the refinement toward ``anchor`` and the ladder
+    cut from it."""
     cloud = sample_criterion_space(problem, GridSpec.geometric(anchor, levels))
-    return refinement_ladder(problem, cloud, anchor, levels)
+    return cloud, refinement_ladder(problem, cloud, anchor, levels)
 
 
 def grid_multiplier_oracle(gradients, kinds, resolution=100001):
@@ -262,12 +263,12 @@ def test_obstruction_lp_matches_its_reference_formulation(monkeypatch):
 def test_obstruction_agrees_with_support_trend_on_the_example():
     problem = builtin("soland")
     corner = kkt.obstruction_test(kkt.active_set(problem, (0.0, 0.0)))
-    trend0 = support.support_trend(ladder(problem, (0.0,), 18), (0.0, 0.0))
+    trend0 = support.support_trend(*ladder(problem, (0.0,), 18), (0.0, 0.0))
     assert corner.conclusion == kkt.OBSTRUCTION
     assert trend0.verdict == support.VANISHING
 
     interior = kkt.obstruction_test(kkt.active_set(problem, (1.0, -1.0)))
-    trend1 = support.support_trend(ladder(problem, (1.0,), 18), (1.0, -1.0))
+    trend1 = support.support_trend(*ladder(problem, (1.0,), 18), (1.0, -1.0))
     assert interior.conclusion == kkt.NO_OBSTRUCTION
     assert trend1.verdict == support.PERSISTENT
     sigma = np.asarray(interior.sigma)

@@ -12,7 +12,6 @@ from paretocert.problems import (
     builtin,
     distinct_rows,
     load_document,
-    refinement_ladder,
     sample_criterion_space,
 )
 
@@ -422,10 +421,9 @@ def _margin_instances(monkeypatch, problem, anchors, levels):
     """Every LP ``support.support_margin`` solves along the anchors' ladders."""
     solved = _recording_margin_lps(monkeypatch)
     for anchor in anchors:
-        cloud = sample_criterion_space(problem, GridSpec.geometric(anchor, levels))
         y_ref = problem.criteria_at(anchor)
-        for level_cloud in refinement_ladder(problem, cloud, anchor, levels):
-            support.support_margin(level_cloud, y_ref)
+        for k in range(1, levels + 1):
+            support.support_margin(sample_criterion_space(problem, GridSpec.geometric(anchor, k)), y_ref)
     return solved
 
 

@@ -142,9 +142,9 @@ def test_unknown_builtin():
         problems.builtin("nope")
 
 
-def test_sample_explicit_grid():
-    problem = problems.builtin("soland")
-    grid = problems.GridSpec(((problems.AxisSpec.explicit([0.0, 1.0, 2.0]),),))
+def test_sample_uniform_grid():
+    problem = problems.load_document(dict(problems.builtin("soland").to_document(), domain=[[0, 2]]))
+    grid = problems.GridSpec.uniform(1, 3)
     cloud = problems.sample_criterion_space(problem, grid)
     assert cloud.points == ((0.0, 0.0), (1.0, -1.0), (4.0, -8.0))
     assert cloud.decisions == ((0.0,), (1.0,), (2.0,))
@@ -215,14 +215,17 @@ def joined_grid(problem, anchors, count, levels):
     ))
 
 
-def assert_same_cloud(cut, fresh):
-    assert repr(cut.points) == repr(fresh.points)  # bit for bit, signed zeros included
-    assert repr(cut.decisions) == repr(fresh.decisions)
-    assert cut.provenance == fresh.provenance
-    pairs = [(cut.as_array(), fresh.as_array()), (cut.decision_array(), fresh.decision_array())]
-    for got, want in pairs:
+def assert_rows_are_the_sample(cloud, rows, fresh):
+    """The rows of ``cloud`` at ``rows`` equal the fresh sample bit for bit,
+    signed zeros included."""
+    assert not rows.flags.writeable
+    assert np.all(np.diff(rows) > 0)
+    assert repr([cloud.points[i] for i in rows]) == repr(list(fresh.points))
+    assert repr([cloud.decisions[i] for i in rows]) == repr(list(fresh.decisions))
+    pairs = [(cloud.as_array(), fresh.as_array()), (cloud.decision_array(), fresh.decision_array())]
+    for array, want in pairs:
+        got = array[rows]
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert not got.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -246,18 +249,20 @@ def test_ladder_levels_equal_fresh_sampling(problem, anchors, count, levels):
         ladder = problems.refinement_ladder(problem, cloud, anchor, levels)
         assert len(ladder) == levels
         assert not ladder.entry.flags.writeable
-        assert ladder[-1] is ladder.deepest
-        for k, level in enumerate(ladder, start=1):
+        for k in range(1, levels + 1):
             grid = problems.GridSpec.geometric(anchor, k)
-            assert_same_cloud(level, problems.sample_criterion_space(problem, grid))
-            assert_same_cloud(level, problems.cut_grid(problem, cloud, grid))
+            level = ladder.rows[ladder.entry <= k]
+            level.flags.writeable = False
+            assert_rows_are_the_sample(cloud, level, problems.sample_criterion_space(problem, grid))
+            assert np.array_equal(level, problems.cut_grid(problem, cloud, grid))
 
 
 def test_cut_of_the_whole_grid_is_the_cloud():
     problem = problems.builtin("soland")
     grid = joined_grid(problem, [(1.0,)], 17, 6)
     cloud = problems.sample_criterion_space(problem, grid)
-    assert problems.cut_grid(problem, cloud, grid) is cloud
+    rows = problems.cut_grid(problem, cloud, grid)
+    assert np.array_equal(rows, np.arange(len(cloud)))
 
 
 def test_cutting_a_grid_the_cloud_lacks_raises():
