@@ -30,7 +30,6 @@ from .errors import (
     LicqNotVerified,
     NoConstraintDescription,
     NonDifferentiable,
-    NotAGain,
     NotSupported,
     NumericalBreakdown,
     SchemaError,
@@ -57,7 +56,6 @@ _INPUT_ERRORS = (
     UnknownBuiltin,
     NoConstraintDescription,
     InfeasiblePoint,
-    NotAGain,
     NotSupported,
     BoxTooSmall,
 )
@@ -174,7 +172,7 @@ def _locating_cloud(problem: AnalyticProblem, cfg: Config) -> PointCloud:
 def _locate_decision(cloud: PointCloud, y_ref) -> tuple[float, ...]:
     """Nearest decision (by image) in the locating cloud; deterministic."""
     errors = np.max(np.abs(cloud.as_array() - np.asarray(y_ref, dtype=float)), axis=1)
-    return cloud.decisions[int(np.argmin(errors))]
+    return tuple(cloud.decision_array()[int(np.argmin(errors))].tolist())
 
 
 @dataclass(frozen=True)
@@ -213,11 +211,21 @@ def _resolve_points(problem, args: argparse.Namespace, cfg: Config) -> list[_Poi
     if analytic:
         # placed without sampling; _place_probes gives them their criteria
         return [
-            _PointSpec(decision=x, criterion=None)
-            for x in grid_nodes(problem, _probe_grid(problem))
+            _PointSpec(decision=tuple(x), criterion=None)
+            for x in grid_nodes(problem, _probe_grid(problem)).tolist()
         ]
-    decisions = problem.decisions or (None,) * len(problem.points)
-    return [_PointSpec(decision=d, criterion=y) for d, y in zip(decisions, problem.points)]
+    return _cloud_specs(problem, np.arange(len(problem)))
+
+
+def _cloud_specs(cloud: PointCloud, rows: np.ndarray) -> list[_PointSpec]:
+    """The points of ``cloud`` at ``rows``, with their decisions if it has any."""
+    criteria = cloud.as_array()[rows].tolist()
+    decisions = cloud.decision_array()
+    decisions = [None] * len(criteria) if decisions is None else decisions[rows].tolist()
+    return [
+        _PointSpec(decision=None if x is None else tuple(x), criterion=tuple(y))
+        for x, y in zip(decisions, criteria)
+    ]
 
 
 def _analysis_grid(
@@ -251,10 +259,7 @@ def _place_probes(
     grid = _probe_grid(problem)
     if cloud is None:
         cloud = sample_criterion_space(problem, grid, tol_feas=cfg.tol_feas)
-    return [
-        _PointSpec(decision=cloud.decisions[i], criterion=cloud.points[i])
-        for i in cut_grid(problem, cloud, grid).tolist()
-    ]
+    return _cloud_specs(cloud, cut_grid(problem, cloud, grid))
 
 
 def _ladder(problem, cloud: PointCloud, spec: _PointSpec, cfg: Config) -> Ladder | None:
@@ -460,14 +465,15 @@ def _write_csv(directory: str, payload: dict, cloud: PointCloud | None) -> None:
     if cloud is not None:
         with (out_dir / "sample_points.csv").open("w", newline="") as handle:
             writer = csv.writer(handle)
-            p = cloud.criterion_dim
-            dec_width = len(cloud.decisions[0]) if cloud.decisions else 0
+            points, decisions = cloud.as_array(), cloud.decision_array()
+            if decisions is None:
+                decisions = points[:, :0]
             writer.writerow(
-                [f"x{d}" for d in range(dec_width)] + [f"y{i}" for i in range(p)]
+                [f"x{d}" for d in range(decisions.shape[1])]
+                + [f"y{i}" for i in range(cloud.criterion_dim)]
             )
-            for idx, point in enumerate(cloud.points):
-                decision = cloud.decisions[idx] if cloud.decisions else ()
-                writer.writerow([repr(v) for v in decision] + [repr(v) for v in point])
+            rows = np.hstack([decisions, points]).tolist()
+            writer.writerows([repr(v) for v in row] for row in rows)
     for idx, record in enumerate(payload.get("points", [])):
         divergence = record.get("divergence")
         if divergence:

@@ -57,10 +57,6 @@ class InfeasiblePoint(AnalysisError):
     """The reference point violates the constraint description."""
 
 
-class NotAGain(AnalysisError):
-    """Trade-off ratios are only defined for a strict gain in the chosen criterion."""
-
-
 class NotSupported(AnalysisError):
     """Witness construction requires strictly positive support weights."""
 

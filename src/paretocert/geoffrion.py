@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, NotAGain, SchemaError
+from .errors import DimensionError, SchemaError
 from .problems import point_array
 
 DOMINATED = "dominated"
@@ -50,27 +50,6 @@ class ProperEfficiencyReport:
     worst: WorstPair | None
     dominating_index: int | None = None
     divergence: DivergenceEvidence | None = None
-
-
-def tradeoff_ratio(y_ref, y, gain_index: int) -> float | None:
-    """Smallest gain/loss ratio over criteria that compensate the gain.
-
-    Requires a strict gain in criterion ``gain_index``; returns None when no
-    other criterion decreases (then ``y`` dominates ``y_ref`` in that
-    direction).
-    """
-    ref = tuple(float(v) for v in y_ref)
-    pt = tuple(float(v) for v in y)
-    if len(ref) != len(pt):
-        raise DimensionError(f"points have lengths {len(ref)} and {len(pt)}")
-    if not 0 <= gain_index < len(ref):
-        raise DimensionError(f"criterion index {gain_index} out of range")
-    gain = pt[gain_index] - ref[gain_index]
-    if gain <= 0:
-        raise NotAGain(
-            f"criterion {gain_index}: {pt[gain_index]} is not a gain over {ref[gain_index]}"
-        )
-    return _smallest_ratio(gain, ref, pt)[0]
 
 
 def _smallest_ratio(gain: float, ref, y) -> tuple[float | None, int]:

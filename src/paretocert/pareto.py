@@ -13,7 +13,6 @@ are rejected, since a NaN vector is neither dominated nor dominating.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from enum import Enum
 
 import numpy as np
 
@@ -21,32 +20,13 @@ from .errors import DimensionError
 from .problems import distinct_rows, point_array
 
 
-class Dominance(Enum):
-    DOMINATES = "dominates"
-    DOMINATED = "dominated"
-    INCOMPARABLE = "incomparable"
-    EQUAL = "equal"
-
-
-def compare(a, b) -> Dominance:
-    av = tuple(float(v) for v in a)
-    bv = tuple(float(v) for v in b)
-    if len(av) != len(bv):
-        raise DimensionError(f"cannot compare vectors of lengths {len(av)} and {len(bv)}")
-    ge = all(x >= y for x, y in zip(av, bv))
-    le = all(x <= y for x, y in zip(av, bv))
-    if ge and le:
-        return Dominance.EQUAL
-    if ge:
-        return Dominance.DOMINATES
-    if le:
-        return Dominance.DOMINATED
-    return Dominance.INCOMPARABLE
-
-
 def dominates(a, b) -> bool:
     """True iff a >= b componentwise and a != b."""
-    return compare(a, b) is Dominance.DOMINATES
+    av = [float(v) for v in a]
+    bv = [float(v) for v in b]
+    if len(av) != len(bv):
+        raise DimensionError(f"cannot compare vectors of lengths {len(av)} and {len(bv)}")
+    return all(x >= y for x, y in zip(av, bv)) and av != bv
 
 
 def pareto_filter(cloud) -> list[int]:

@@ -10,7 +10,6 @@ sample of it.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -77,44 +76,52 @@ class AnalyticProblem:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PointCloud:
     """A finite set of criterion vectors, optionally tagged with the decisions
-    that produced them."""
+    that produced them: a read-only (N, p) float array of points and an
+    optional read-only (N, n) float array of decisions, fixed at
+    construction."""
 
     criterion_dim: int
-    points: tuple[tuple[float, ...], ...]
-    decisions: tuple[tuple[float, ...], ...] | None = None
-    provenance: str = "external"
-    # read-only arrays of ``points`` and ``decisions``, built on first use or
-    # kept from sampling and loading
-    _arrays: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    provenance: str
+    _points: np.ndarray = field(repr=False)
+    _decisions: np.ndarray | None = field(repr=False)
+
+    def __init__(self, criterion_dim: int, points, decisions=None, provenance: str = "external"):
+        """Points and decisions may be sequences of vectors or 2-D arrays; a
+        read-only float array is kept as it is, anything else is copied."""
+        object.__setattr__(self, "criterion_dim", criterion_dim)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "_points", _owned_array(points))
+        object.__setattr__(self, "_decisions", None if decisions is None else _owned_array(decisions))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._points)
 
     def as_array(self) -> np.ndarray:
         """The points as one read-only (N, p) float array, the same object on
         every call."""
-        return self._array("points")
+        return self._points
 
     def decision_array(self) -> np.ndarray | None:
         """The decisions as one read-only (N, n) float array, or None."""
-        return None if self.decisions is None else self._array("decisions")
+        return self._decisions
 
-    def _array(self, name: str) -> np.ndarray:
-        if name not in self._arrays:
-            self._arrays[name] = point_array(getattr(self, name))
-        return self._arrays[name]
+    @property
+    def decisions(self) -> tuple[tuple[float, ...], ...] | None:
+        """The decisions as tuple rows, built anew on each access; the
+        package itself reads ``decision_array()``."""
+        return None if self._decisions is None else tuple(map(tuple, self._decisions.tolist()))
 
     def to_document(self) -> dict:
         doc = {
             "type": "cloud",
             "criterion_dim": self.criterion_dim,
-            "points": [list(p) for p in self.points],
+            "points": self._points.tolist(),
         }
-        if self.decisions is not None:
-            doc["decisions"] = [list(d) for d in self.decisions]
+        if self._decisions is not None:
+            doc["decisions"] = self._decisions.tolist()
         return doc
 
     def digest(self) -> str:
@@ -122,16 +129,28 @@ class PointCloud:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _owned_array(rows) -> np.ndarray:
+    """``rows`` as a read-only float array that no caller can write: a
+    read-only float array as it is, a writable array copied, a sequence
+    converted."""
+    if isinstance(rows, np.ndarray) and rows.flags.writeable:
+        rows = rows.copy()
+    return point_array(rows)
+
+
 def point_array(cloud) -> np.ndarray:
-    """The (N, p) float array of a PointCloud (its cached array), of a
-    non-empty 2-D array (a view) or of a plain sequence of vectors;
-    read-only in each case."""
+    """The (N, p) float array of a PointCloud (its own array), of a
+    non-empty 2-D array (itself when read-only and float, else a read-only
+    view or conversion) or of a plain sequence of vectors; read-only in
+    each case."""
     if isinstance(cloud, PointCloud):
         return cloud.as_array()
     if isinstance(cloud, np.ndarray) and cloud.ndim == 2 and len(cloud):
-        view = np.asarray(cloud, dtype=float).view()
-        view.flags.writeable = False
-        return view
+        array = np.asarray(cloud, dtype=float)
+        if array.flags.writeable:
+            array = array.view()
+            array.flags.writeable = False
+        return array
     rows = list(cloud)
     if not rows:
         raise ValueError("empty point cloud")
@@ -255,9 +274,12 @@ def _grid_array(axis_values: list[list[float]]) -> np.ndarray:
     return np.stack(np.meshgrid(*axis_values, indexing="ij"), axis=-1).reshape(-1, len(axis_values))
 
 
-def grid_nodes(problem: AnalyticProblem, grid: GridSpec) -> list[tuple[float, ...]]:
-    """The decisions of ``grid`` in lexicographic order, evaluating nothing."""
-    return list(itertools.product(*_grid_axes(problem, grid)))
+def grid_nodes(problem: AnalyticProblem, grid: GridSpec) -> np.ndarray:
+    """The decisions of ``grid`` as the rows of one read-only array, in
+    lexicographic order, evaluating nothing."""
+    nodes = _grid_array(_grid_axes(problem, grid))
+    nodes.flags.writeable = False
+    return nodes
 
 
 def sample_criterion_space(
@@ -275,12 +297,9 @@ def sample_criterion_space(
     and checked again on its own, so the error and the point it names are
     those of a point-by-point pass.
     """
-    axis_values = _grid_axes(problem, grid)
-    nodes = list(itertools.product(*axis_values))
-    decisions = _grid_array(axis_values)
-    decisions.flags.writeable = False
+    decisions = grid_nodes(problem, grid)
     columns = []
-    bad = np.zeros(len(nodes), dtype=bool)
+    bad = np.zeros(len(decisions), dtype=bool)
     for f in problem.criteria:
         values, failed = exprlang.evaluate_array(f, decisions)
         columns.append(values)
@@ -294,17 +313,15 @@ def sample_criterion_space(
             values, failed = exprlang.evaluate_array(e, points)
             bad |= failed | (np.abs(values) > tol_feas)
     if bad.any():
-        _check_node(problem, nodes[int(np.argmax(bad))], tol_feas)
+        _check_node(problem, tuple(decisions[int(np.argmax(bad))].tolist()), tol_feas)
         raise RuntimeError("a grid node failed as an array but passes on its own")
     points.flags.writeable = False
-    cloud = PointCloud(
+    return PointCloud(
         criterion_dim=problem.criterion_dim,
-        points=tuple(zip(*(column.tolist() for column in columns))),
-        decisions=tuple(nodes),
+        points=points,
+        decisions=decisions,
         provenance=f"sampled:{problem.digest()[:12]}",
     )
-    cloud._arrays.update(points=points, decisions=decisions)
-    return cloud
 
 
 def _check_node(problem: AnalyticProblem, x: tuple[float, ...], tol_feas: float) -> None:
@@ -408,18 +425,23 @@ def _finite_number(value, path: str) -> float:
     return out
 
 
-def _number_rows(raw: list, width: int | None, path: str) -> tuple[tuple, np.ndarray | None]:
-    """The rows of finite numbers in ``raw``, each of length ``width`` unless
-    that is None, and their read-only float array.
+def _number_rows(raw: list, width: int | None, path: str) -> np.ndarray:
+    """The non-empty list ``raw`` of rows of finite numbers as one read-only
+    float array, every row of length ``width``.
 
-    Well-formed input is checked and converted in one numpy pass; otherwise
-    the row-by-row loop names the first bad row or entry, and no array is
-    returned.
+    When ``width`` is None the rows take the length of row 0, and a row's
+    entries are checked before its length, so that a bad entry is named
+    even in a row of the wrong length. Well-formed input is checked and
+    converted in one numpy pass; otherwise the row-by-row loop names the
+    first bad row or entry.
     """
-    regular = all(isinstance(row, list) for row in raw) and len({len(row) for row in raw}) == 1
+    entries_first = width is None
+    if entries_first:
+        if not isinstance(raw[0], list):
+            raise SchemaError(f"{path}[0]: expected a vector")
+        width = len(raw[0])
     if (
-        regular
-        and width in (None, len(raw[0]))
+        all(isinstance(row, list) and len(row) == width for row in raw)
         and {type(v) for row in raw for v in row} <= {int, float}
     ):
         try:
@@ -428,13 +450,14 @@ def _number_rows(raw: list, width: int | None, path: str) -> tuple[tuple, np.nda
             array = None
         if array is not None and np.isfinite(array).all():
             array.flags.writeable = False
-            return tuple(tuple(map(float, row)) for row in raw), array
+            return array
     rows = []
     for i, row in enumerate(raw):
-        if width is not None and (not isinstance(row, list) or len(row) != width):
+        if isinstance(row, list) and (entries_first or len(row) == width):
+            rows.append([_finite_number(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
+        if not isinstance(row, list) or len(row) != width:
             raise SchemaError(f"{path}[{i}]: expected a vector of length {width}")
-        rows.append(tuple(_finite_number(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)))
-    return tuple(rows), None
+    return point_array(rows)
 
 
 def _parse_exprs(sources, decision_dim: int, criterion_dim: int, path: str):
@@ -501,24 +524,19 @@ def _load_cloud(doc: dict, label: str = "") -> PointCloud:
     raw_points = _expect(doc, "points", list, "cloud")
     if not raw_points:
         raise SchemaError("cloud.points: must not be empty")
-    points, points_array = _number_rows(raw_points, p, "cloud.points")
-    decisions, decisions_array = None, None
+    points = _number_rows(raw_points, p, "cloud.points")
+    decisions = None
     if "decisions" in doc:
         raw_dec = doc["decisions"]
         if not isinstance(raw_dec, list) or len(raw_dec) != len(points):
             raise SchemaError("cloud.decisions: must parallel cloud.points")
-        decisions, decisions_array = _number_rows(raw_dec, None, "cloud.decisions")
-    cloud = PointCloud(
+        decisions = _number_rows(raw_dec, None, "cloud.decisions")
+    return PointCloud(
         criterion_dim=p,
         points=points,
         decisions=decisions,
         provenance=label or "external",
     )
-    # the arrays of the conversion pass, so that as_array() builds none
-    for name, array in (("points", points_array), ("decisions", decisions_array)):
-        if array is not None:
-            cloud._arrays[name] = array
-    return cloud
 
 
 def load_document(doc: dict, label: str = ""):

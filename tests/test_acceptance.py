@@ -58,7 +58,7 @@ def test_criterion_2_ratio_is_inverse_decision(soland):
     start = time.perf_counter()
     for k in range(1, 21):
         x = 2.0 ** -k
-        ratio = geoffrion.tradeoff_ratio((0.0, 0.0), soland.criteria_at([x]), 0)
+        ratio = geoffrion.proper_efficiency_report([soland.criteria_at([x])], (0.0, 0.0)).m_hat
         assert abs(ratio - 1.0 / x) <= 1e-9 * (1.0 / x)
     evidence = geoffrion.divergence_probe(*ladder(soland, (0.0,), 20), (0.0, 0.0))
     assert evidence.ratios == tuple(2.0 ** k for k in range(1, 21))

@@ -319,7 +319,7 @@ def test_points_share_one_locating_cloud(tmp_path, capsys, monkeypatch):
         # each point located on a fresh sample of the locating grid
         fresh = sample_criterion_space(problem, locating, tol_feas=cli.Config().tol_feas)
         errors = np.max(np.abs(fresh.as_array() - np.asarray(y_ref)), axis=1)
-        return fresh.decisions[int(np.argmin(errors))]
+        return tuple(fresh.decision_array()[int(np.argmin(errors))].tolist())
 
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_locate_decision", per_point)
@@ -359,16 +359,15 @@ def test_witness_cloud_equals_fresh_sampling(doc, anchors, grid):
         )
         fresh = sample_criterion_space(problem, GridSpec(axes))
         rows = cli._witness_rows(problem, spec, cfg, cloud)
-        assert repr([cloud.points[i] for i in rows]) == repr(list(fresh.points))
-        assert repr([cloud.decisions[i] for i in rows]) == repr(list(fresh.decisions))
         assert cloud.as_array()[rows].tobytes() == fresh.as_array().tobytes()
+        assert cloud.decision_array()[rows].tobytes() == fresh.decision_array().tobytes()
 
 
 def placed_probes(problem, cfg):
     """The analysis cloud of a default-probe command and the placed probes."""
     probes = [
-        cli._PointSpec(decision=x, criterion=None)
-        for x in grid_nodes(problem, cli._probe_grid(problem))
+        cli._PointSpec(decision=tuple(x), criterion=None)
+        for x in grid_nodes(problem, cli._probe_grid(problem)).tolist()
     ]
     cloud = cli._analysis_cloud(problem, probes, cfg)
     return cloud, cli._place_probes(problem, probes, cloud, cfg)
@@ -600,3 +599,55 @@ def test_default_probes_are_placed_without_sampling(tmp_path, capsys, monkeypatc
     assert [tuple(r["decision"]) for r in records] == [(a, b) for a in axis for b in axis]
     for record in records:
         assert tuple(record["criterion"]) == problem.criteria_at(record["decision"])
+
+
+@pytest.mark.parametrize(
+    "decisions", [[[0], 5], [[0], [1, 2]]], ids=["not_a_list", "ragged"]
+)
+def test_ragged_cloud_decisions_exit_2(tmp_path, capsys, decisions):
+    path = tmp_path / "cloud.json"
+    path.write_text(json.dumps(dict(CLOUD, decisions=decisions)))
+    code, out, err = _run(capsys, "report", str(path), "--csv", str(tmp_path / "csv"))
+    assert code == 2 and out == ""
+    assert err == "error: cloud.decisions[1]: expected a vector of length 1\n"
+    assert not (tmp_path / "csv").exists()
+
+
+def test_no_command_reads_the_decision_tuples(tmp_path, capsys, monkeypatch):
+    plane = tmp_path / "plane2d.json"
+    plane.write_text(json.dumps(PLANE2D))
+    x = np.random.default_rng(5).random((12, 2))
+    decided = tmp_path / "decided.json"
+    decided.write_text(json.dumps({
+        "type": "cloud", "criterion_dim": 3, "decisions": x.tolist(),
+        "points": np.column_stack([x, -(x ** 2).sum(axis=1)]).tolist(),
+    }))
+    small = ["--grid", "3", "--levels", "2"]
+    runs = [
+        ["report", str(plane), *small, "--csv"],
+        ["report", str(decided), "--csv"],
+        ["report", str(plane), *small, "--point=0.5,0.5,-0.5"],
+        ["kkt", str(plane)],
+        ["witness", str(plane), *small],
+    ]
+
+    def outputs(side):
+        texts = []
+        for k, argv in enumerate(runs):
+            if argv[-1] == "--csv":
+                argv = [*argv, str(tmp_path / f"csv_{side}_{k}")]
+            code, out, err = _run(capsys, *argv)
+            assert code == 0, err
+            texts.append(out)
+        return texts
+
+    want = outputs("plain")
+
+    def refuse(self):
+        raise AssertionError("PointCloud.decisions read")
+
+    monkeypatch.setattr(PointCloud, "decisions", property(refuse))
+    assert outputs("guarded") == want
+    for k in (0, 1):
+        for plain in sorted((tmp_path / f"csv_plain_{k}").iterdir()):
+            assert (tmp_path / f"csv_guarded_{k}" / plain.name).read_bytes() == plain.read_bytes()

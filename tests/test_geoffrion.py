@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from paretocert import geoffrion, problems
-from paretocert.errors import DimensionError, NotAGain, SchemaError
+from paretocert.errors import DimensionError, SchemaError
 from paretocert.problems import GridSpec, builtin, refinement_ladder, sample_criterion_space
 
 
@@ -67,28 +67,27 @@ def test_ratio_reproduces_inverse_decision_blowup():
     problem = builtin("soland")
     x = 0.01
     y = problem.criteria_at([x])
-    ratio = geoffrion.tradeoff_ratio((0.0, 0.0), y, 0)
-    assert ratio == pytest.approx(100.0, rel=1e-9)
+    report = geoffrion.proper_efficiency_report([y], (0.0, 0.0))
+    assert report.m_hat == pytest.approx(100.0, rel=1e-9)
+    assert (report.worst.gain_index, report.worst.loss_index) == (0, 1)
 
 
 def test_ratio_gain_in_second_criterion():
-    assert geoffrion.tradeoff_ratio((1.0, -1.0), (0.0, 0.0), 1) == pytest.approx(1.0)
+    report = geoffrion.proper_efficiency_report([(0.0, 0.0)], (1.0, -1.0))
+    assert report.status == geoffrion.PROPER
+    assert report.m_hat == pytest.approx(1.0)
+    assert (report.worst.gain_index, report.worst.loss_index) == (1, 0)
 
 
 def test_ratio_no_compensating_loss():
-    assert geoffrion.tradeoff_ratio((0.0, 0.0), (1.0, 0.0), 0) is None
-
-
-def test_ratio_requires_a_gain():
-    with pytest.raises(NotAGain):
-        geoffrion.tradeoff_ratio((0.0, 0.0), (0.0, -1.0), 0)
+    report = geoffrion.proper_efficiency_report([(1.0, 0.0)], (0.0, 0.0))
+    assert report.status == geoffrion.DOMINATED
+    assert report.dominating_index == 0 and report.m_hat is None
 
 
 def test_ratio_dimension_checks():
     with pytest.raises(DimensionError):
-        geoffrion.tradeoff_ratio((0.0,), (1.0, 1.0), 0)
-    with pytest.raises(DimensionError):
-        geoffrion.tradeoff_ratio((0.0, 0.0), (1.0, 1.0), 2)
+        geoffrion.proper_efficiency_report([(1.0, 1.0)], (0.0,))
 
 
 def test_report_on_geometric_grid_bound_is_inverse_of_smallest_offset():
@@ -202,11 +201,11 @@ def test_common_positive_scaling_leaves_ratios_unchanged():
         if not gains or not losses:
             continue
         scale = float(rng.uniform(0.1, 10.0))
-        base = geoffrion.tradeoff_ratio(y_ref, y, gains[0])
-        scaled = geoffrion.tradeoff_ratio(
-            tuple(scale * v for v in y_ref), tuple(scale * v for v in y), gains[0]
+        base = geoffrion.proper_efficiency_report([y], y_ref)
+        scaled = geoffrion.proper_efficiency_report(
+            [tuple(scale * v for v in y)], tuple(scale * v for v in y_ref)
         )
-        assert scaled == pytest.approx(base, rel=1e-9)
+        assert scaled.m_hat == pytest.approx(base.m_hat, rel=1e-9)
 
 
 def test_divergence_probe_at_zero_doubles_each_level():

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -50,7 +51,7 @@ def test_load_cloud():
     cloud = problems.load_problem(json.dumps(doc))
     assert isinstance(cloud, problems.PointCloud)
     assert len(cloud) == 2
-    assert cloud.points == ((0.0, 0.0), (1.0, -1.0))
+    assert repr(cloud.as_array().tolist()) == repr([[0.0, 0.0], [1.0, -1.0]])
 
 
 def test_missing_criteria_is_schema_error():
@@ -103,6 +104,13 @@ def test_non_finite_point_rejected():
         ("decisions", [[0], [1, "x"]], "cloud.decisions[1][1]: expected a number"),
         ("decisions", [[0], [float("inf")]], "cloud.decisions[1][0]: non-finite value"),
         ("decisions", [[0], [-(10**400)]], "cloud.decisions[1][0]: non-finite value"),
+        # every decision row is a vector of the length of row 0
+        ("decisions", [[0], 5], "cloud.decisions[1]: expected a vector of length 1"),
+        ("decisions", [[0], [1, 2]], "cloud.decisions[1]: expected a vector of length 1"),
+        ("decisions", [[0, 1], [2]], "cloud.decisions[1]: expected a vector of length 2"),
+        ("decisions", [5, [0]], "cloud.decisions[0]: expected a vector"),
+        # a point row of the wrong length is named before its entries
+        ("points", [[0, 1], [1, "x", 3]], "cloud.points[1]: expected a vector of length 2"),
     ],
 )
 def test_cloud_entries_are_named_when_rejected(field, rows, message):
@@ -118,16 +126,16 @@ def test_cloud_numbers_convert_as_floats():
     cloud = problems.load_document(
         {"type": "cloud", "criterion_dim": 2, "points": values, "decisions": values}
     )
-    want = tuple(tuple(float(v) for v in row) for row in values)
-    assert repr(cloud.points) == repr(want) == repr(cloud.decisions)
+    want = [[float(v) for v in row] for row in values]
     for array in (cloud.as_array(), cloud.decision_array()):
+        assert repr(array.tolist()) == repr(want)  # bit for bit, signed zeros included
         assert array.tobytes() == problems.point_array(want).tobytes()
         assert array.shape == (4, 2) and not array.flags.writeable
-    # decision rows may differ in length, as they always could
-    ragged = problems.load_document(
-        {"type": "cloud", "criterion_dim": 1, "points": [[0], [1]], "decisions": [[0], [1, 2]]}
-    )
-    assert ragged.decisions == ((0.0,), (1.0, 2.0))
+    # decision rows share one length
+    with pytest.raises(SchemaError, match=r"cloud.decisions\[1\]: expected a vector of length 1"):
+        problems.load_document(
+            {"type": "cloud", "criterion_dim": 1, "points": [[0], [1], [2]], "decisions": [[0], [1, 2], [3]]}
+        )
 
 
 def test_builtin_soland_matches_document_form():
@@ -146,8 +154,8 @@ def test_sample_uniform_grid():
     problem = problems.load_document(dict(problems.builtin("soland").to_document(), domain=[[0, 2]]))
     grid = problems.GridSpec.uniform(1, 3)
     cloud = problems.sample_criterion_space(problem, grid)
-    assert cloud.points == ((0.0, 0.0), (1.0, -1.0), (4.0, -8.0))
-    assert cloud.decisions == ((0.0,), (1.0,), (2.0,))
+    assert repr(cloud.as_array().tolist()) == repr([[0.0, 0.0], [1.0, -1.0], [4.0, -8.0]])
+    assert repr(cloud.decision_array().tolist()) == repr([[0.0], [1.0], [2.0]])
 
 
 def test_sample_geometric_grid():
@@ -155,7 +163,7 @@ def test_sample_geometric_grid():
     grid = problems.GridSpec(((problems.AxisSpec.geometric(0.0, 20),),))
     cloud = problems.sample_criterion_space(problem, grid)
     assert len(cloud) == 21  # the anchor plus twenty offsets (negatives clipped)
-    ys = [pt[0] for pt in cloud.points]
+    ys = cloud.as_array()[:, 0].tolist()
     assert min(ys) == 0.0
     assert sorted(ys)[1] == 2.0 ** -40
 
@@ -173,7 +181,7 @@ def test_zero_resolution_is_schema_error():
 def test_sampled_images_satisfy_constraint_description():
     problem = problems.builtin("soland")
     cloud = problems.sample_criterion_space(problem, problems.GridSpec.uniform(1, 101))
-    for y in cloud.points:
+    for y in cloud.as_array().tolist():
         g, h = problem.constraint_values(y)
         assert g[0] <= 1e-9
         assert abs(h[0]) <= 1e-9
@@ -194,9 +202,8 @@ def test_sampling_is_deterministic_bit_for_bit():
     )
     one = problems.sample_criterion_space(problem, grid)
     two = problems.sample_criterion_space(problem, grid)
-    assert one.points == two.points
-    assert one.decisions == two.decisions
-    assert repr(one.points) == repr(two.points)
+    assert one.as_array().tobytes() == two.as_array().tobytes()
+    assert one.decision_array().tobytes() == two.decision_array().tobytes()
 
 
 def test_grid_axis_count_must_match():
@@ -220,8 +227,6 @@ def assert_rows_are_the_sample(cloud, rows, fresh):
     signed zeros included."""
     assert not rows.flags.writeable
     assert np.all(np.diff(rows) > 0)
-    assert repr([cloud.points[i] for i in rows]) == repr(list(fresh.points))
-    assert repr([cloud.decisions[i] for i in rows]) == repr(list(fresh.decisions))
     pairs = [(cloud.as_array(), fresh.as_array()), (cloud.decision_array(), fresh.decision_array())]
     for array, want in pairs:
         got = array[rows]
@@ -275,7 +280,7 @@ def test_cutting_a_grid_the_cloud_lacks_raises():
         problems.refinement_ladder(problem, shallow, (1.0,), 5)
     with pytest.raises(SchemaError):
         problems.refinement_ladder(problem, shallow, (1.5,), 1)
-    bare = problems.PointCloud(criterion_dim=2, points=coarse.points)
+    bare = problems.PointCloud(criterion_dim=2, points=coarse.as_array())
     with pytest.raises(SchemaError):
         problems.cut_grid(problem, bare, problems.GridSpec.uniform(1, 3))
 
@@ -285,7 +290,7 @@ def scalar_sample(problem, grid, tol_feas=1e-9):
     the points and decisions, or the error it raises."""
     points, decisions = [], []
     try:
-        for x in problems.grid_nodes(problem, grid):
+        for x in map(tuple, problems.grid_nodes(problem, grid).tolist()):
             y = problem.criteria_at(x)
             g, h = problem.constraint_values(y)
             for k, val in enumerate(g):
@@ -370,8 +375,7 @@ def test_sampling_equals_the_point_by_point_loop(problem, grid, first):
     assert first is None
     cloud = problems.sample_criterion_space(problem, grid)
     points, decisions = want
-    assert repr(cloud.points) == repr(points)  # bit for bit, signed zeros included
-    assert cloud.decisions == decisions
+    # bit for bit, signed zeros included
     assert cloud.as_array().tobytes() == np.array(points).tobytes()
     assert cloud.decision_array().tobytes() == np.array(decisions).tobytes()
 
@@ -449,11 +453,40 @@ def test_cloud_arrays_are_built_once_and_read_only():
     cloud = problems.sample_criterion_space(soland, problems.GridSpec.uniform(1, 5))
     points = cloud.as_array()
     assert points is cloud.as_array() is problems.point_array(cloud)
-    assert points.tolist() == [list(y) for y in cloud.points]
     decisions = cloud.decision_array()
     assert decisions is cloud.decision_array()
-    assert decisions.tolist() == [list(x) for x in cloud.decisions]
+    # the tuple rows are a view derived from the array
+    assert cloud.decisions == tuple(tuple(x) for x in decisions.tolist())
     for array in (points, decisions):
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
-    assert problems.PointCloud(criterion_dim=2, points=cloud.points).decision_array() is None
+    bare = problems.PointCloud(criterion_dim=2, points=points)
+    assert bare.as_array() is points  # a read-only float array is kept as it is
+    assert bare.decision_array() is None and bare.decisions is None
+
+
+def test_cloud_owns_a_copy_of_a_writable_array():
+    points = np.array([[0.0, 1.0], [2.0, 3.0]])
+    decisions = np.array([[0.5], [1.5]])
+    cloud = problems.PointCloud(criterion_dim=2, points=points, decisions=decisions)
+    points[0, 0] = decisions[0, 0] = 9.0
+    assert repr(cloud.as_array().tolist()) == repr([[0.0, 1.0], [2.0, 3.0]])
+    assert repr(cloud.decision_array().tolist()) == repr([[0.5], [1.5]])
+    assert not cloud.as_array().flags.writeable
+
+
+def test_grid_nodes_are_the_product_of_the_axes():
+    # the last axis varies fastest, as in itertools.product
+    grid = problems.GridSpec(
+        ((problems.AxisSpec.uniform(5), problems.AxisSpec.geometric(0.25, 3)),
+         (problems.AxisSpec.uniform(3),))
+    )
+    axes = [[0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0], [0.0, 0.5, 1.0]]
+    nodes = problems.grid_nodes(PLANE2D, grid)
+    assert not nodes.flags.writeable
+    assert repr(nodes.tolist()) == repr([list(x) for x in itertools.product(*axes)])
+    cube = _analytic(["x0", "x1", "x2"], domain=((0, 1), (-1, 1), (2, 3)))
+    grid = problems.GridSpec(tuple((problems.AxisSpec.uniform(k),) for k in (2, 3, 4)))
+    axes = [[0.0, 1.0], [-1.0, 0.0, 1.0], [2.0, 2.0 + 1 / 3, 2.0 + 2 / 3, 3.0]]
+    nodes = problems.grid_nodes(cube, grid)
+    assert repr(nodes.tolist()) == repr([list(x) for x in itertools.product(*axes)])

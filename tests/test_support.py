@@ -259,7 +259,7 @@ def continuous_cloud_ladder(levels):
     rng = np.random.default_rng(2026)
     points = rng.normal(size=(4000, 3))
     points[rng.integers(0, 4000, size=1100)] = points[rng.integers(0, 4000, size=1100)]
-    cloud = PointCloud(criterion_dim=3, points=tuple(map(tuple, points.tolist())))
+    cloud = PointCloud(criterion_dim=3, points=points)
     rows = np.sort(rng.permutation(4000)[:3000])
     entry = rng.integers(1, levels + 1, size=3000)
     return cloud, Ladder(rows=rows, entry=entry, levels=levels)
@@ -367,7 +367,8 @@ def test_witness_verification_passes_on_supported_anchor():
     )
     cloud = sample_criterion_space(problem, grid)
     # restrict to images within the example box [0,4] x [-8,0]
-    inside = [pt for pt in cloud.points if pt[0] <= 4.0 and pt[1] >= -8.0]
+    pts = cloud.as_array()
+    inside = pts[(pts[:, 0] <= 4.0) & (pts[:, 1] >= -8.0)]
     report = support.support_margin(inside, (1.0, -1.0))
     witness = support.build_witness(
         (1.0, -1.0), report.weights, [(0.0, 4.0), (-8.0, 0.0)], inside
@@ -381,7 +382,8 @@ def test_witness_maximality_fails_at_unsupported_anchor():
     cloud = sample_criterion_space(
         problem, GridSpec(((AxisSpec.geometric(0.0, 12),),))
     )
-    inside = [pt for pt in cloud.points if pt[0] <= 4.0 and pt[1] >= -8.0]
+    pts = cloud.as_array()
+    inside = pts[(pts[:, 0] <= 4.0) & (pts[:, 1] >= -8.0)]
     witness = support.build_witness((0.0, 0.0), (0.6, 0.4), [(0.0, 4.0), (-8.0, 0.0)], inside)
     verification = support.verify_witness(witness, inside)
     failed = {c.name for c in verification.checks if not c.passed}
@@ -467,12 +469,11 @@ def test_witness_gap_on_the_plane2d_mirror_tie():
     weights = support.support_margin(cloud, y_ref).weights
     box = cli._witness_box(cloud.as_array(), y_ref)
     witness = support.build_witness(y_ref, weights, box, cloud)
-    details = assert_details_match_scalar_loops(witness, cloud.points)
+    details = assert_details_match_scalar_loops(witness, cloud.as_array().tolist())
     assert details["unique_maximum_over_sample"] == (
         "smallest value gap 6.2377252051382115e-06 at sample index 179"
     )
-    assert cloud.decisions[161] == (0.49609375, 0.5)
-    assert cloud.decisions[179] == (0.5, 0.49609375)
+    assert repr(cloud.decision_array()[[161, 179]].tolist()) == repr([[0.49609375, 0.5], [0.5, 0.49609375]])
 
 
 def test_witness_gap_matches_scalar_loop_on_mirrored_clouds():
