@@ -7,8 +7,10 @@ matrix C, a Gordan alternative (Gordan 1873):
                         u free,   lambda >= 0,   nu >= 0
 
 over the columns (u, lambda, nu): p + 1 equality rows however many rows C
-has. The support margin asks it of the sampled cuts, the KKT obstruction
-test of the active gradients; :func:`cone_margin` builds and solves it.
+has. The support margin asks it of the sampled cuts when there are three
+or more criteria, or two whose float cuts leave no weights (two criteria
+otherwise need no LP, see ``support``), and the KKT obstruction test of the
+active gradients; :func:`cone_margin` builds and solves it.
 
 Each mass has a start basis feasible in closed form, and u is basic in it,
 so no search for a feasible basis is needed. A free basic variable blocks no

@@ -1,13 +1,26 @@
 """Positive supporting hyperplanes at a reference criterion vector.
 
-The support margin LP looks for weights w on the simplex keeping every sample
-point on the non-positive side of the hyperplane through the reference:
+The support margin is the largest t for which weights w on the simplex keep
+every sample point on the non-positive side of the hyperplane through the
+reference:
 
     maximize t   s.t.   sum(w) = 1,   w_i >= t,   <w, y - y_ref> <= 0  for all y
 
-With C the matrix of normalized cuts (y - y_ref)/max|y - y_ref|, the LP is
-solved through its dual, ``linprog.cone_margin`` with the mass on lambda,
-which has p + 1 rows however many cuts there are:
+Each cut is homogeneous in w, so it is normalized: C holds the cuts
+(y - y_ref)/max|y - y_ref|, which changes no hard margin.
+
+With two criteria the weights are (lambda, 1 - lambda) and no LP is solved.
+A cut c holds when lambda * (c0 - c1) <= -c1, an upper or a lower bound on
+lambda: the gain/loss ratio bound of ``geoffrion`` (Geoffrion, "Proper
+efficiency and the theory of vector maximization", 1968). The margin
+min(lambda, 1 - lambda) is concave, so it is min(lambda*, 1 - lambda*) with
+lambda* = 1/2 clipped to the interval the bounds leave, and the weights are
+(lambda*, 1 - lambda*). Where the float cuts leave no lambda, the interval
+is empty and the LP below decides: it gives the soft margin of cuts that no
+weights satisfy, and judges cuts that rounding made contradictory.
+
+Otherwise the LP is solved through its dual, ``linprog.cone_margin`` with
+the mass on lambda, which has p + 1 rows however many cuts there are:
 
     minimize u   s.t.   u * 1 - lambda + C^T nu = 0,   sum(lambda) = 1,
                         lambda >= 0,   nu >= 0
@@ -22,16 +35,19 @@ violation trend. Both solves share one normalized, deduplicated cut matrix.
 
 A sample's cuts against a reference are normalized and deduplicated once
 (``prepare_cuts``), by one stable lexicographic sort in which ``-0.0``
-equals ``0.0`` (``problems.distinct_rows``). Every margin LP at that
-reference takes its columns from them as a row set: the whole sample, a
-refinement ladder's deepest level, or the CLI's witness sample. A group of
-equal cuts is represented by its first member in the row set, in input
-order, so the columns are those of normalizing and deduplicating the row
-set alone. Along a ladder the distinct cuts are ordered by the level at
-which their first row enters, lexicographically within a level, so level
-k's LP runs over a prefix of the columns. Each level is still solved from
-the start basis, because pricing stops at an absolute reduced cost of 1e-9
-while the origin's margins shrink like 2^-k.
+equals ``0.0`` (``problems.distinct_rows``). Every margin at that reference
+takes its columns from them as a row set: the whole sample, a refinement
+ladder's deepest level, or the CLI's witness sample. A group of equal cuts
+is represented by its first member in the row set, in input order, so the
+columns are those of normalizing and deduplicating the row set alone. Along
+a ladder the distinct cuts are ordered by the level at which their first
+row enters, lexicographically within a level, so level k's margin is over a
+prefix of the columns. With two criteria, running extremes of the bounds
+over the columns give every level's interval at once. The intervals are
+nested, so the empty ones are the deepest levels, and each of those is an
+LP over its prefix. Each LP is solved from the start basis, because pricing
+stops at an absolute reduced cost of 1e-9 while margins can shrink like
+2^-k.
 
 A margin t* > 0 certifies a strictly increasing linear value function that is
 maximized at the reference over the sample; we then upgrade it to a strictly
@@ -206,8 +222,17 @@ def _level_margins(
     by_level = np.argsort(first, kind="stable")
     columns = cuts.cuts[ordered[starts[by_level]]]
     ends = np.searchsorted(first[by_level], np.arange(1, levels + 1), side="right")
-    margins = []
-    for end in ends.tolist():
+    p = len(cuts.y_ref)
+    margins: list[float] = []
+    feasible = True
+    if p == 2:
+        # the LP solves only the levels whose interval is empty, a suffix
+        lam = _two_criteria_weight(columns, ends)
+        held = lam[~np.isnan(lam)]
+        # -(0.0 - t), as the LP's value: a zero margin reads -0.0 either way
+        margins = (-(0.0 - np.minimum(held, 1.0 - held))).tolist()
+        w = np.array([lam[-1], 1.0 - lam[-1]])
+    for end in ends[len(margins) :].tolist():
         out = cone_margin(columns[:end], mass="lambda")
         feasible = out.status == "optimal"
         if not feasible:
@@ -215,11 +240,11 @@ def _level_margins(
             if out.status != "optimal":
                 raise NumericalBreakdown("support margin relaxation did not solve")
         margins.append(-float(out.value))
+        w = -np.asarray(out.duals[:p])
     margin = margins[-1]
     weights: tuple[float, ...] | None = None
     binding: tuple[int, ...] = ()
     if feasible and margin > tol:
-        w = -np.asarray(out.duals[: len(cuts.y_ref)])
         weights = tuple(float(v) for v in w)
         slack = (cuts.diffs if every else cuts.diffs[rows]) @ w
         binding = tuple(int(i) for i in np.flatnonzero(np.abs(slack) <= tol))
@@ -232,6 +257,29 @@ def _level_margins(
         sample_size=len(rows),
     )
     return tuple(margins), last
+
+
+def _two_criteria_weight(columns: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """For p = 2, the lambda* of the margin's weights (lambda*, 1 - lambda*)
+    over each prefix ``columns[:end]``, or NaN where no lambda keeps every cut.
+
+    A cut c holds when lambda * (c0 - c1) <= -c1: an upper bound on lambda if
+    c0 > c1, a lower bound if c0 < c1, and no lambda at all if c0 = c1 > 0.
+    Each bound is one rounded division, and a prefix's extremes are bounds
+    themselves, so a level's lambda* does not depend on the column order.
+    """
+    if not np.isfinite(columns).all():
+        raise ValueError("cuts must be finite")  # as the LP's instance checks
+    c0, c1 = columns[:, 0], columns[:, 1]
+    slope = c0 - c1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = -c1 / slope
+    none = (slope == 0) & (c1 > 0)
+    lower = np.where(slope < 0, bound, np.where(none, np.inf, -np.inf))
+    upper = np.where(slope > 0, bound, np.where(none, -np.inf, np.inf))
+    lo = np.maximum.accumulate(np.r_[-np.inf, lower])[ends]
+    hi = np.minimum.accumulate(np.r_[np.inf, upper])[ends]
+    return np.where(lo <= hi, np.minimum(np.maximum(0.5, lo), hi), np.nan)
 
 
 def build_witness(

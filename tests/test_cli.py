@@ -379,8 +379,8 @@ def placed_probes(problem, cfg):
     ids=["soland-24", "soland-60", "plane2d"],
 )
 def test_point_margins_equal_fresh_samples(doc, grid, levels):
-    # a point's margin, trend and witness margin are LPs over row sets of its
-    # one cut matrix; each must be the margin of a fresh sample of that row
+    # a point's margin, trend and witness margin are margins over row sets of
+    # its one cut matrix; each must be the margin of a fresh sample of that row
     # set's grid, binding rows and sample size included
     problem = load_problem(json.dumps(doc))
     cfg = cli.Config(levels=levels, grid=grid)
@@ -534,30 +534,50 @@ def test_deep_soland_ladder_follows_the_margin_to_its_limit(capsys):
             assert abs(record["support"]["margin"]["margin"] - expected) <= 1e-9
 
 
-def test_deep_soland_origin_margins_follow_the_closed_form(capsys):
-    # u is free and never leaves the basis, so no ratio tie can zero the
-    # margin 2^-k / (1 + 2^-k); rounding of the cuts costs a relative 1.5e-11
-    # at level 18, and from about level 30 the LP returns 2^-k itself
-    code, out, _ = _run(capsys, "report", "builtin:soland", "--levels", "60", "--point-decision", "0")
-    assert code == 0
-    margins = json.loads(out)["points"][0]["support"]["trend"]["margins"]
-    for k, margin in enumerate(margins[:52], start=1):
+def test_deep_soland_origin_margins_follow_the_closed_form():
+    # the report's two-criteria margins solve no LP, but the LP still judges
+    # p = 2 levels whose cuts leave no weight, so it must hold on the origin's
+    # level cuts too: u is free and never leaves the basis, so no ratio tie
+    # can zero the margin 2^-k / (1 + 2^-k); rounding of the cuts costs a
+    # relative 1.5e-11 at level 18, and from about level 30 the LP returns
+    # 2^-k itself
+    problem = load_problem(json.dumps(SOLAND))
+    for k in range(1, 53):
+        cloud = sample_criterion_space(problem, GridSpec.geometric((0.0,), k))
+        cuts = support.prepare_cuts(cloud, (0.0, 0.0))
+        out = support.cone_margin(cuts.cuts[cuts.order[cuts.starts]], mass="lambda")
         truth = 2.0 ** -k / (1.0 + 2.0 ** -k)
+        margin = -out.value
         assert margin > 0 and abs(margin - truth) <= (2.0 ** -k + 1e-12) * truth, k
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="from level 53 on the margin 2^-k is below the rounding of the normalized float "
-    "cuts (an ulp of 1 is 2^-52), so they hold no positive margin and it reads -0.0: "
-    "the float data limit (ROADMAP item 2)",
-)
 def test_deepest_soland_origin_margins_stay_positive(capsys):
-    # the margin at level k is 2^-k / (1 + 2^-k)
+    # for p = 2 the margin is min(lambda*, 1 - lambda*) of one clipped ratio
+    # bound, not an LP optimum, so it stays 2^-k / (1 + 2^-k) to the last
+    # rounding through level 60, where 2^-k is far below an ulp of 1
     code, out, _ = _run(capsys, "report", "builtin:soland", "--levels", "60", "--point-decision", "0")
     assert code == 0
-    margins = json.loads(out)["points"][0]["support"]["trend"]["margins"]
-    assert all(m > 0 for m in margins[40:])
+    trend = json.loads(out)["points"][0]["support"]["trend"]
+    assert len(trend["margins"]) == 60
+    for k, margin in enumerate(trend["margins"], start=1):
+        truth = 2.0 ** -k / (1.0 + 2.0 ** -k)
+        assert abs(margin - truth) <= 4e-16 * truth, k
+    assert trend["fitted_exponent"] is not None
+
+
+def test_two_criteria_report_solves_no_margin_lp(capsys, monkeypatch):
+    # at depth 24 every soland margin's cuts leave some weights (lambda,
+    # 1 - lambda), at the default points and at 33 anchors x = k/8 on [0, 4],
+    # so none reaches the margin LP; kkt solves its own
+    def refuse(cuts, mass):
+        raise AssertionError(f"a p = 2 margin LP over {len(cuts)} cuts")
+
+    monkeypatch.setattr(support, "cone_margin", refuse)
+    anchors = [arg for k in range(33) for arg in ("--point-decision", repr(k / 8))]
+    for points, argv in ((5, []), (33, anchors)):
+        code, out, err = _run(capsys, "report", "builtin:soland", "--levels", "24", *argv)
+        assert code == 0, err
+        assert len(json.loads(out)["points"]) == points
 
 
 def test_plane2d_deep_ladders_solve(tmp_path, capsys):

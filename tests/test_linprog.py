@@ -427,6 +427,23 @@ def _margin_instances(monkeypatch, problem, anchors, levels):
     return solved
 
 
+def _closed_form_margins(monkeypatch, problem, anchors, levels):
+    """Each cone-margin instance ``support.support_margin`` would solve along
+    the anchors' ladders, with the report it gives without solving one: for
+    p = 2 every margin there is the closed form."""
+    solved = _recording_margin_lps(monkeypatch)
+    margins = []
+    for anchor in anchors:
+        y_ref = problem.criteria_at(anchor)
+        for k in range(1, levels + 1):
+            cloud = sample_criterion_space(problem, GridSpec.geometric(anchor, k))
+            cuts = support.prepare_cuts(cloud, y_ref)
+            inst = lp.ConeInstance(cuts.cuts[cuts.order[cuts.starts]], "lambda")
+            margins.append((inst, support.support_margin(cuts)))
+    assert not solved
+    return margins
+
+
 def _near_parallel_margin_instances(monkeypatch, rng, count):
     """Hard and soft margin LPs over 50 to 400 cuts, each a copy of one of six
     directions tilted by about 1e-4: many columns pass near each vertex."""
@@ -449,9 +466,16 @@ def _near_parallel_margin_instances(monkeypatch, rng, count):
 def test_agrees_with_highs(monkeypatch, case):
     pytest.importorskip("scipy.optimize")
     if case == "soland":
+        # p = 2 margins solve no LP: HiGHS checks the closed form instead
         anchors = [(0.5,), (1.6875,), (4.0,)]
-        instances = _margin_instances(monkeypatch, builtin("soland"), anchors, 24)
-    elif case == "plane2d":
+        margins = _closed_form_margins(monkeypatch, builtin("soland"), anchors, 24)
+        assert len(margins) == 72
+        for inst, report in margins:
+            expected = _highs_value(inst)
+            assert not isinstance(expected, str) and report.feasible
+            assert -report.margin == pytest.approx(expected, abs=1e-9)  # the value is -u
+        return
+    if case == "plane2d":
         problem = load_document({
             "type": "analytic", "decision_dim": 2, "criterion_dim": 3,
             "domain": [[0, 1], [0, 1]], "criteria": ["x0", "x1", "-(x0^2 + x1^2)"],

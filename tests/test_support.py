@@ -183,9 +183,9 @@ PLANE2D = load_problem(json.dumps({
     ids=lambda v: repr(v) if isinstance(v, (tuple, int)) else "",
 )
 def test_trend_margins_equal_cold_solves_per_level(problem, anchor, levels):
-    # the trend solves each level over a prefix of the deepest level's cuts;
-    # every margin, the -0.0 ones of the origin past level 41 included, must
-    # be the one a cold solve of a fresh sample of that level gives
+    # the trend takes each level over a prefix of the deepest level's cuts;
+    # every margin, closed-form or LP (soland anchors 1.6875 and 3.375 from
+    # level 26 on), must be the one a fresh sample of that level gives
     cloud, steps = ladder(problem, anchor, levels)
     y_ref = problem.criteria_at(anchor)
     trend = support.support_trend(cloud, steps, y_ref)
@@ -265,18 +265,26 @@ def continuous_cloud_ladder(levels):
     return cloud, Ladder(rows=rows, entry=entry, levels=levels)
 
 
+# Soland's criteria and a third, -x0: p = 3, so every level's margin is an LP
+SOLAND3 = load_problem(json.dumps({
+    "type": "analytic", "decision_dim": 1, "criterion_dim": 3,
+    "domain": [[0, 4]], "criteria": ["x0^2", "-x0^3", "-x0"],
+}))
+
+
 @pytest.mark.parametrize(
     "problem, anchor, levels",
-    [(builtin("soland"), (x,), 24) for x in (0.0, 1.6875, 4.0)]
+    [(SOLAND3, (x,), 24) for x in (0.0, 1.6875, 4.0)]
     + [(PLANE2D, a, 8) for a in ((0.25, 0.75), (0.0, 1.0))]
     + [(None, None, 5)],
-    ids=["soland-0", "soland-1.6875", "soland-4", "plane2d-(0.25,0.75)", "plane2d-(0,1)", "cloud"],
+    ids=["soland3-0", "soland3-1.6875", "soland3-4", "plane2d-(0.25,0.75)", "plane2d-(0,1)", "cloud"],
 )
 def test_margin_lp_columns_keep_their_order(monkeypatch, problem, anchor, levels):
     # column order decides ties and Bland's rule in the simplex, so the cut
     # matrices must be those of the np.unique pipeline bit for bit
     # the ladder's and the whole cloud's LPs take their columns from one
-    # preparation of the cloud's cuts
+    # preparation of the cloud's cuts; p = 3 throughout, since p = 2 margins
+    # solve no LP while every level's cuts leave some weight
     cloud, steps = continuous_cloud_ladder(levels) if problem is None else ladder(problem, anchor, levels)
     rows = cloud.as_array()[steps.rows]
     if problem is None:
@@ -303,10 +311,10 @@ def test_margin_lp_columns_keep_their_order(monkeypatch, problem, anchor, levels
 def test_row_set_columns_equal_those_of_the_rows_alone(monkeypatch):
     # equal cuts may differ in the sign of a zero, so a group's column must be
     # its first member in the row set: the one a sample of those rows alone
-    # would give, bit for bit
+    # would give, bit for bit; p = 3, where every margin is an LP
     rng = np.random.default_rng(1607)
     for _ in range(60):
-        n, p = int(rng.integers(1, 40)), int(rng.integers(2, 4))
+        n, p = int(rng.integers(1, 40)), 3
         points = rng.integers(-2, 3, size=(n, p)) * rng.choice([-1.0, 1.0], size=(n, p))
         y_ref = tuple(rng.integers(-1, 2, size=p).astype(float))
         rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
@@ -322,6 +330,130 @@ def test_row_set_columns_equal_those_of_the_rows_alone(monkeypatch):
         steps = Ladder(rows=rows, entry=entry, levels=levels)
         got = recorded_level_cuts(monkeypatch, lambda: support.support_trend(cuts, steps))
         assert_same_bits(got, first_member_level_cuts(alone, entry, levels, y_ref))
+
+
+def lp_level_margins(rows, entry, levels, y_ref):
+    """(margin, feasible, weights) of each level's margin LP over the cuts of
+    ``rows`` alone, the soft margin where the hard one is infeasible."""
+    results = []
+    for cuts in first_member_level_cuts(rows, entry, levels, y_ref):
+        out = support.cone_margin(cuts, mass="lambda")
+        feasible = out.status == "optimal"
+        if not feasible:
+            out = support.cone_margin(cuts, mass="lambda+nu")
+        results.append((-float(out.value), feasible, -np.asarray(out.duals[: len(y_ref)])))
+    return results
+
+
+def two_criteria_sample(rng):
+    """A random p = 2 sample and reference, in integers or normal floats, with
+    signed zeros and rows that are the reference (zero cuts), duplicates,
+    gains with no loss, and rows whose two cuts are equal (c0 = c1, either
+    sign: dominated, or leaving no weight)."""
+    n = int(rng.integers(1, 30))
+    y_ref = rng.integers(-1, 2, size=2).astype(float)
+    if rng.random() < 0.5:
+        points = rng.integers(-2, 3, size=(n, 2)) * rng.choice([-1.0, 1.0], size=(n, 2))
+    else:
+        points = y_ref + rng.normal(size=(n, 2))
+    kind = rng.integers(0, 12, size=n)
+    size = np.abs(rng.normal(size=n))[:, None] + 0.1
+    points[kind == 0] = y_ref
+    points[kind == 1] = points[rng.integers(0, n, size=int(np.sum(kind == 1)))]
+    gain = np.eye(2)[rng.integers(0, 2, size=n)]
+    points[kind == 2] = (y_ref + size * gain)[kind == 2]
+    points[kind == 3] = (y_ref - size)[kind == 3]
+    if rng.random() < 0.2:
+        points[kind == 4] = (y_ref + size)[kind == 4]
+    return points, tuple(y_ref)
+
+
+def close(got, want):
+    return abs(got - want) <= 1e-10 * abs(want) + 1e-12
+
+
+def test_two_criteria_margins_equal_the_lp(monkeypatch):
+    # for p = 2 the margin is min(lambda*, 1 - lambda*), lambda* = 1/2 clipped
+    # to the interval the cuts leave; the LP (with its soft margin where the
+    # interval is empty) is the oracle, level by level and per row set
+    rng = np.random.default_rng(1968)
+    solved = []
+    cone_margin = support.cone_margin
+    monkeypatch.setattr(
+        support, "cone_margin", lambda cuts, mass: solved.append(mass) or cone_margin(cuts, mass=mass)
+    )
+    decided = fallen_back = zeros = 0
+    for _ in range(300):
+        points, y_ref = two_criteria_sample(rng)
+        n = len(points)
+        rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        levels = int(rng.integers(1, 5))
+        entry = rng.integers(1, levels + 1, size=len(rows))
+        entry[rng.integers(len(rows))] = 1  # no level is empty
+        want = lp_level_margins(points[rows], entry, levels, y_ref)
+        cuts = support.prepare_cuts(points, y_ref)
+        del solved[:]
+        trend = support.support_trend(cuts, Ladder(rows=rows, entry=entry, levels=levels))
+        fallen_back += solved.count("lambda")
+        decided += levels - solved.count("lambda")
+        assert all(close(got, w[0]) for got, w in zip(trend.margins, want)), (trend.margins, want)
+        # a zero margin reads -0.0 on both paths, as report bytes show it
+        zeros += sum(w[0] == 0.0 for w in want)
+        assert [repr(got) for got, w in zip(trend.margins, want) if w[0] == 0.0] == [
+            repr(w[0]) for w in want if w[0] == 0.0
+        ]
+        for k, (margin, feasible, weights) in enumerate(want, start=1):
+            report = support.support_margin(cuts, rows=rows[entry <= k])
+            assert close(report.margin, margin) and report.feasible == feasible
+            if report.weights is None:
+                assert not (feasible and margin > support._TOL)
+            else:
+                assert np.allclose(report.weights, weights, rtol=0, atol=1e-9)
+        assert repr(report) == repr(trend.last)
+    # both paths are well exercised: 339 closed-form levels, 440 LP levels,
+    # 104 zero margins
+    assert decided > 300 and fallen_back > 300 and zeros > 50
+
+
+def test_non_finite_cuts_raise():
+    # as the LP's instance does for three criteria; a NaN coordinate makes a
+    # NaN cut without a floating-point warning
+    for y_ref in ((0.0, 0.0), (0.0, 0.0, 0.0)):
+        points = np.array([[np.nan] + [1.0] * (len(y_ref) - 1), [1.0, -1.0, 0.0][: len(y_ref)]])
+        with pytest.raises(ValueError, match="finite"):
+            support.support_margin(points, y_ref)
+        steps = Ladder(rows=np.arange(2), entry=np.array([2, 1]), levels=2)
+        with pytest.raises(ValueError, match="finite"):
+            support.support_trend(points, steps, y_ref)
+
+
+@pytest.mark.parametrize("case", ["soland-3", "synthetic"])
+def test_levels_without_weights_are_the_lp_bit_for_bit(monkeypatch, case):
+    # from the first level whose cuts leave no weight lambda on, every level
+    # is the margin LP over that level's prefix of the columns, soft margin
+    # included; the levels before it solve no LP
+    if case == "soland-3":
+        # the float images of 3 +- 2^-k round onto the tangent from level 27
+        problem, anchor, levels, first = builtin("soland"), (3.0,), 40, 27
+        cloud, steps = ladder(problem, anchor, levels)
+        y_ref = problem.criteria_at(anchor)
+    else:
+        # level 1: lambda <= 1/2; level 2: lambda >= 1/3; level 3: lambda <= -1
+        y_ref, levels, first = (0.0, 0.0), 4, 3
+        points = [[1.0, -1.0], [-1.0, 0.5], [1.0, 0.5], [0.25, -2.0], [-3.0, 1.0]]
+        cloud = PointCloud(criterion_dim=2, points=points)
+        steps = Ladder(rows=np.arange(5), entry=np.array([1, 2, 3, 4, 4]), levels=levels)
+    rows = cloud.as_array()[steps.rows]
+    cuts = support.prepare_cuts(cloud, y_ref)
+    got = recorded_level_cuts(monkeypatch, lambda: support.support_trend(cuts, steps))
+    assert_same_bits(got, first_member_level_cuts(rows, steps.entry, levels, y_ref)[first - 1 :])
+    trend = support.support_trend(cuts, steps)
+    want = lp_level_margins(rows, steps.entry, levels, y_ref)
+    assert [repr(m) for m in trend.margins[first - 1 :]] == [repr(m) for m, _, _ in want[first - 1 :]]
+    assert trend.last.feasible == want[-1][1]
+    assert all(close(m, w) for m, (w, _, _) in zip(trend.margins[: first - 1], want))
+    if case == "synthetic":
+        assert not trend.last.feasible and trend.last.margin < 0
 
 
 def test_witness_curvature_formula():
