@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +41,11 @@ from .problems import (
     GridSpec,
     Ladder,
     PointCloud,
+    axis_indices,
     builtin,
     cut_grid,
     grid_nodes,
+    grid_rows,
     load_problem,
     refinement_ladder,
     sample_criterion_space,
@@ -228,23 +230,16 @@ def _cloud_specs(cloud: PointCloud, rows: np.ndarray) -> list[_PointSpec]:
     ]
 
 
-def _analysis_grid(
-    problem: AnalyticProblem, specs: list[_PointSpec], grid: int, levels: int
-) -> GridSpec:
-    """The uniform grid joined with every anchor's refinement to ``levels``."""
-    anchors = [s.decision for s in specs if s.decision is not None]
-    return GridSpec(tuple(
-        (AxisSpec.uniform(grid),) + tuple(AxisSpec.geometric(a[d], levels) for a in anchors)
-        for d in range(problem.decision_dim)
-    ))
-
-
 def _analysis_cloud(problem, specs: list[_PointSpec], cfg: Config) -> PointCloud:
-    """The one cloud a command samples; every ladder and witness sample is a
-    row set of it."""
+    """The one cloud a command samples, the uniform grid joined with every
+    anchor's refinement; every ladder and witness sample is a row set of it."""
     if isinstance(problem, PointCloud):
         return problem
-    grid = _analysis_grid(problem, specs, cfg.grid, cfg.levels)
+    anchors = [s.decision for s in specs if s.decision is not None]
+    grid = GridSpec(tuple(
+        (AxisSpec.uniform(cfg.grid), *(AxisSpec.geometric(a[d], cfg.levels) for a in anchors))
+        for d in range(problem.decision_dim)
+    ))
     return sample_criterion_space(problem, grid, tol_feas=cfg.tol_feas)
 
 
@@ -273,12 +268,19 @@ def _ladder(problem, cloud: PointCloud, spec: _PointSpec, cfg: Config) -> Ladder
 # record builders
 
 def _as_record(report, *drop: str) -> dict:
-    """A report dataclass as a dict for the JSON report, nested dataclasses
-    included and the named fields left out."""
-    out = asdict(report)
-    for name in drop:
-        del out[name]
-    return out
+    """A report dataclass as a dict for the JSON report, the named fields left
+    out unread. Tuples become lists; only nested dataclasses and tuples of
+    tuples or dataclasses are walked."""
+    return {f.name: _plain(getattr(report, f.name)) for f in fields(report) if f.name not in drop}
+
+
+def _plain(value):
+    if is_dataclass(value):
+        return _as_record(value)
+    if not isinstance(value, tuple):
+        return value
+    walk = value and (isinstance(value[0], tuple) or is_dataclass(value[0]))
+    return [_plain(v) for v in value] if walk else list(value)
 
 
 def _kkt_dicts(problem, spec: _PointSpec, cfg: Config) -> dict:
@@ -286,17 +288,16 @@ def _kkt_dicts(problem, spec: _PointSpec, cfg: Config) -> dict:
         problem, spec.criterion, tol_active=cfg.tol_active, tol_feas=cfg.tol_feas
     )
     licq = kkt.licq_check(active, tol_rank=cfg.tol_rank)
-    payload = {
-        "active_inequalities": list(active.active_ineq),
-        "equalities": list(active.eq),
-        "gradients": [[float(v) for v in row] for row in active.gradients],
-        "licq": _as_record(licq, "tol"),
-    }
     cert = kkt.obstruction_test(active, licq=licq, tol=cfg.tol_obstruction)
     certificate = _as_record(cert, "licq", "tol")
     certificate["lambda"] = certificate.pop("lam")
-    payload["certificate"] = certificate
-    return payload
+    return {
+        "active_inequalities": list(active.active_ineq),
+        "equalities": list(active.eq),
+        "gradients": active.gradients.tolist(),
+        "licq": _as_record(licq, "tol"),
+        "certificate": certificate,
+    }
 
 
 def _record_head(spec: _PointSpec) -> dict:
@@ -307,15 +308,18 @@ def _record_head(spec: _PointSpec) -> dict:
 
 
 def _classify_record(problem, cloud, spec: _PointSpec, cfg: Config, ladder) -> dict:
-    report = geoffrion.proper_efficiency_report(cloud, spec.criterion)
+    bounds = geoffrion.ratio_bounds(cloud, spec.criterion)
+    report = geoffrion.proper_efficiency_report(cloud, spec.criterion, bounds=bounds)
     record = _record_head(spec)
     # 'dominated' is exactly "some sample point dominates the reference";
     # the divergence probe below never sets or clears it
     record["efficient"] = report.status != geoffrion.DOMINATED
     divergence = None
     if ladder is not None:
+        probe = problem.criteria_at(spec.decision)  # not the point, for a located --point
         evidence = geoffrion.divergence_probe(
-            cloud, ladder, problem.criteria_at(spec.decision), growth_factor=cfg.growth_factor
+            cloud, ladder, probe, growth_factor=cfg.growth_factor,
+            bounds=bounds if probe == spec.criterion else None,
         )
         report = geoffrion.combine_with_divergence(report, evidence)
         divergence = _as_record(evidence)
@@ -324,7 +328,7 @@ def _classify_record(problem, cloud, spec: _PointSpec, cfg: Config, ladder) -> d
     return record
 
 
-def _support_record(problem, cloud, spec: _PointSpec, cfg: Config, ladder) -> dict:
+def _support_record(problem, cloud, spec: _PointSpec, cfg: Config, ladder, uniform) -> dict:
     # the point's one cut matrix: its margin, trend and witness margin are
     # LPs over row sets of it
     cuts = support.prepare_cuts(cloud, spec.criterion)
@@ -338,33 +342,38 @@ def _support_record(problem, cloud, spec: _PointSpec, cfg: Config, ladder) -> di
         record["trend"] = _as_record(trend, "last")
         supported = trend.verdict == support.PERSISTENT
     if supported:
-        witness_margin, witness = _build_witness_dict(problem, spec, cfg, cloud, cuts, margin)
+        witness_margin, witness = _build_witness_dict(
+            problem, spec, cfg, cloud, cuts, uniform, margin
+        )
         if witness is not None:
             witness["sample_size"] = witness_margin.sample_size
         record["witness"] = witness
     return record
 
 
-def _witness_rows(problem, spec: _PointSpec, cfg: Config, analysis_cloud: PointCloud) -> np.ndarray:
-    """The sorted rows of the analysis cloud that form the witness sample of ``spec``."""
+def _witness_rows(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud, uniform) -> np.ndarray:
+    """The sorted rows of the analysis cloud that form the witness sample of ``spec``;
+    ``uniform`` holds the uniform grid's indices in each axis of the cloud."""
     # points closer than about 2^-12 to the anchor would shrink the quadratic
     # tie-break below the 1e-12 uniqueness tolerance, so the witness sample
     # caps its refinement depth (margins and trends keep the full depth)
-    if isinstance(problem, PointCloud):  # input clouds are analysed as they are
-        return np.arange(len(analysis_cloud))
-    grid = _analysis_grid(problem, [spec], cfg.grid, min(cfg.levels, 12))
-    return cut_grid(problem, analysis_cloud, grid)
+    if uniform is None:  # input clouds are analysed as they are
+        return np.arange(len(cloud))
+    near = axis_indices(problem, cloud, GridSpec.geometric(spec.decision, min(cfg.levels, 12)))
+    # per axis, the sorted indices in either set (np.union1d would import numpy.ma)
+    joined = [np.flatnonzero(np.bincount(np.r_[u, g])) for u, g in zip(uniform, near)]
+    return grid_rows(cloud, joined)
 
 
 def _build_witness_dict(
-    problem, spec: _PointSpec, cfg: Config, analysis_cloud: PointCloud,
-    cuts: support.Cuts, analysis_margin: support.MarginReport | None = None,
+    problem, spec: _PointSpec, cfg: Config, analysis_cloud: PointCloud, cuts: support.Cuts,
+    uniform, analysis_margin: support.MarginReport | None = None,
 ) -> tuple[support.MarginReport, dict | None]:
     """The margin over the witness sample of ``spec``, and the verified
     witness (None without positive support weights). ``cuts`` are those of
-    the analysis cloud against the point, and ``analysis_margin`` their
-    margin over every row, if already solved."""
-    rows = _witness_rows(problem, spec, cfg, analysis_cloud)
+    the analysis cloud against the point, ``uniform`` is as for ``_witness_rows``,
+    and ``analysis_margin`` the cuts' margin over every row, if already solved."""
+    rows = _witness_rows(problem, spec, cfg, analysis_cloud, uniform)
     every = len(rows) == len(analysis_cloud)
     if every and analysis_margin is not None:
         margin = analysis_margin
@@ -408,32 +417,32 @@ def _problem_dict(problem, source: str) -> dict:
 # ---------------------------------------------------------------------------
 # commands: each builds the record of one point
 
-def _cmd_classify(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud) -> dict:
+def _cmd_classify(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud, uniform) -> dict:
     return _classify_record(problem, cloud, spec, cfg, _ladder(problem, cloud, spec, cfg))
 
 
-def _cmd_support(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud) -> dict:
+def _cmd_support(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud, uniform) -> dict:
     ladder = _ladder(problem, cloud, spec, cfg)
-    return {**_record_head(spec), **_support_record(problem, cloud, spec, cfg, ladder)}
+    return {**_record_head(spec), **_support_record(problem, cloud, spec, cfg, ladder, uniform)}
 
 
-def _cmd_kkt(problem, spec: _PointSpec, cfg: Config, cloud: None) -> dict:
+def _cmd_kkt(problem, spec: _PointSpec, cfg: Config, cloud: None, uniform: None) -> dict:
     return {**_record_head(spec), **_kkt_dicts(problem, spec, cfg)}
 
 
-def _cmd_witness(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud) -> dict:
+def _cmd_witness(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud, uniform) -> dict:
     cuts = support.prepare_cuts(cloud, spec.criterion)
-    margin, witness = _build_witness_dict(problem, spec, cfg, cloud, cuts)
+    margin, witness = _build_witness_dict(problem, spec, cfg, cloud, cuts, uniform)
     if witness is None:
         raise NotSupported(f"no positive support at {spec.criterion}: margin {margin.margin}")
     return {**_record_head(spec), "margin": _as_record(margin, "y_ref"), "witness": witness}
 
 
-def _cmd_report(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud) -> dict:
+def _cmd_report(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud, uniform) -> dict:
     # one ladder per record, shared by both analyses and dropped after it
     ladder = _ladder(problem, cloud, spec, cfg)
     record = _classify_record(problem, cloud, spec, cfg, ladder)
-    record["support"] = _support_record(problem, cloud, spec, cfg, ladder)
+    record["support"] = _support_record(problem, cloud, spec, cfg, ladder, uniform)
     try:
         record["kkt"] = _kkt_dicts(problem, spec, cfg)
     except (NoConstraintDescription, InfeasiblePoint) as exc:
@@ -447,7 +456,7 @@ def _payload(command, problem, source, cfg: Config, records, cloud) -> dict:
     payload = {
         "tool": {"name": "paretocert", "version": __version__},
         "command": command,
-        "config": asdict(cfg),
+        "config": _as_record(cfg),
         "problem": _problem_dict(problem, source),
         "points": records,
     }
@@ -518,7 +527,10 @@ def main(argv=None) -> int:
         # one cloud per command (kkt needs none); --csv writes it
         cloud = None if args.command == "kkt" else _analysis_cloud(problem, specs, cfg)
         specs = _place_probes(problem, specs, cloud, cfg)
-        records = [_COMMANDS[args.command](problem, spec, cfg, cloud) for spec in specs]
+        uniform = None  # the uniform grid's indices, looked up once for every witness sample
+        if isinstance(problem, AnalyticProblem) and cloud is not None:
+            uniform = axis_indices(problem, cloud, GridSpec.uniform(problem.decision_dim, cfg.grid))
+        records = [_COMMANDS[args.command](problem, spec, cfg, cloud, uniform) for spec in specs]
         payload = _payload(args.command, problem, source, cfg, records, cloud)
     except LicqNotVerified as exc:
         print(f"no conclusion: {exc}", file=sys.stderr)

@@ -76,8 +76,9 @@ def _row_pairs(ref, y):
             yield ratio, i, j
 
 
-def proper_efficiency_report(cloud, y_ref) -> ProperEfficiencyReport:
-    """Supremum of trade-off ratios of the cloud against ``y_ref``.
+def proper_efficiency_report(cloud, y_ref, *, bounds=None) -> ProperEfficiencyReport:
+    """Supremum of trade-off ratios of the cloud against ``y_ref``; ``bounds``
+    are their ``ratio_bounds``, if already computed.
 
     Status is 'dominated' as soon as some point gains in a criterion with no
     compensating loss anywhere; otherwise 'proper' with the finite bound.
@@ -90,7 +91,7 @@ def proper_efficiency_report(cloud, y_ref) -> ProperEfficiencyReport:
     """
     ref = tuple(float(v) for v in y_ref)
     pts = point_array(cloud)
-    bounds, dominating = _row_bounds(pts, ref)
+    bounds, dominating = bounds or ratio_bounds(pts, ref)
     if dominating.any():
         return ProperEfficiencyReport(
             status=DOMINATED, m_hat=None, worst=None, dominating_index=int(np.argmax(dominating))
@@ -103,10 +104,12 @@ def proper_efficiency_report(cloud, y_ref) -> ProperEfficiencyReport:
     return ProperEfficiencyReport(status=PROPER, m_hat=m_hat, worst=WorstPair(idx, i, j, ratio))
 
 
-def _row_bounds(pts: np.ndarray, ref: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Each point's trade-off bound against ``ref`` (see
-    ``proper_efficiency_report``), and whether it dominates ``ref``: gains
+def ratio_bounds(cloud, y_ref) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's trade-off bound against ``y_ref`` (see
+    ``proper_efficiency_report``), and whether it dominates ``y_ref``: gains
     somewhere and loses nowhere. A dominating point's bound is inf."""
+    pts = point_array(cloud)
+    ref = tuple(float(v) for v in y_ref)
     p = len(ref)
     if pts.shape[1] != p:
         raise DimensionError(f"reference has dimension {p}, cloud has {pts.shape[1]}")
@@ -135,9 +138,12 @@ def combine_with_divergence(
     return replace(report, status=status, divergence=evidence)
 
 
-def divergence_probe(cloud, ladder, y_ref, *, growth_factor: float = 1e3) -> DivergenceEvidence:
+def divergence_probe(
+    cloud, ladder, y_ref, *, growth_factor: float = 1e3, bounds=None
+) -> DivergenceEvidence:
     """Track the sup ratio bound of ``y_ref`` across the level clouds of a
     refinement ladder (``problems.refinement_ladder``) cut from ``cloud``.
+    ``bounds`` are as for ``proper_efficiency_report``, read at the ladder's rows.
 
     Level k holds the decisions at offsets 2^-j, j = 1..k, on both sides of
     the anchor (clipped to the domain). The growth flag fires when the
@@ -151,9 +157,10 @@ def divergence_probe(cloud, ladder, y_ref, *, growth_factor: float = 1e3) -> Div
     offsets = tuple(2.0 ** (-k) for k in levels)
     # level k's bound is the largest over the rows entering at or before k,
     # and 0 from the first level holding a dominating row on
-    bounds, dominating = _row_bounds(
-        point_array(cloud)[ladder.rows], tuple(float(v) for v in y_ref)
-    )
+    if bounds is None:
+        bounds, dominating = ratio_bounds(point_array(cloud)[ladder.rows], y_ref)
+    else:
+        bounds, dominating = (b[ladder.rows] for b in bounds)
     entry = ladder.entry
     level_max = np.full(len(levels), -np.inf)
     np.maximum.at(level_max, entry - 1, bounds)

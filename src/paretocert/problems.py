@@ -81,20 +81,25 @@ class PointCloud:
     """A finite set of criterion vectors, optionally tagged with the decisions
     that produced them: a read-only (N, p) float array of points and an
     optional read-only (N, n) float array of decisions, fixed at
-    construction."""
+    construction. A sampled cloud keeps ``axes``, the sorted values of each
+    axis of its grid as read-only arrays, whose product its rows are."""
 
     criterion_dim: int
     provenance: str
     _points: np.ndarray = field(repr=False)
     _decisions: np.ndarray | None = field(repr=False)
+    axes: tuple[np.ndarray, ...] | None = field(repr=False)
 
-    def __init__(self, criterion_dim: int, points, decisions=None, provenance: str = "external"):
+    def __init__(
+        self, criterion_dim: int, points, decisions=None, provenance: str = "external", axes=None
+    ):
         """Points and decisions may be sequences of vectors or 2-D arrays; a
         read-only float array is kept as it is, anything else is copied."""
         object.__setattr__(self, "criterion_dim", criterion_dim)
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "_points", _owned_array(points))
         object.__setattr__(self, "_decisions", None if decisions is None else _owned_array(decisions))
+        object.__setattr__(self, "axes", axes and tuple(_read_only(np.array(a)) for a in axes))
 
     def __len__(self) -> int:
         return len(self._points)
@@ -127,6 +132,11 @@ class PointCloud:
     def digest(self) -> str:
         canon = json.dumps(self.to_document(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _owned_array(rows) -> np.ndarray:
@@ -269,23 +279,23 @@ def _grid_axes(problem: AnalyticProblem, grid: GridSpec) -> list[list[float]]:
 
 
 def _grid_array(axis_values: list[list[float]]) -> np.ndarray:
-    """The nodes of the product of the axes as the rows of one array, in the
-    order of ``itertools.product``: the last axis varies fastest."""
-    return np.stack(np.meshgrid(*axis_values, indexing="ij"), axis=-1).reshape(-1, len(axis_values))
+    """The nodes of the product of the axes as the rows of one read-only
+    array, in the order of ``itertools.product``: the last axis varies fastest."""
+    nodes = np.stack(np.meshgrid(*axis_values, indexing="ij"), axis=-1)
+    return _read_only(nodes.reshape(-1, len(axis_values)))
 
 
 def grid_nodes(problem: AnalyticProblem, grid: GridSpec) -> np.ndarray:
     """The decisions of ``grid`` as the rows of one read-only array, in
     lexicographic order, evaluating nothing."""
-    nodes = _grid_array(_grid_axes(problem, grid))
-    nodes.flags.writeable = False
-    return nodes
+    return _grid_array(_grid_axes(problem, grid))
 
 
 def sample_criterion_space(
     problem: AnalyticProblem, grid: GridSpec, *, tol_feas: float = 1e-9
 ) -> PointCloud:
-    """Evaluate the criteria over the full grid, in lexicographic grid order.
+    """Evaluate the criteria over the full grid, in lexicographic grid order;
+    the cloud keeps the grid's sorted axis values, to be cut by ``cut_grid``.
 
     When the problem carries a constraint description, every sampled image is
     checked against it (within ``tol_feas``) so inconsistent descriptions
@@ -297,7 +307,8 @@ def sample_criterion_space(
     and checked again on its own, so the error and the point it names are
     those of a point-by-point pass.
     """
-    decisions = grid_nodes(problem, grid)
+    axis_values = _grid_axes(problem, grid)
+    decisions = _grid_array(axis_values)
     columns = []
     bad = np.zeros(len(decisions), dtype=bool)
     for f in problem.criteria:
@@ -315,12 +326,12 @@ def sample_criterion_space(
     if bad.any():
         _check_node(problem, tuple(decisions[int(np.argmax(bad))].tolist()), tol_feas)
         raise RuntimeError("a grid node failed as an array but passes on its own")
-    points.flags.writeable = False
     return PointCloud(
         criterion_dim=problem.criterion_dim,
-        points=points,
+        points=_read_only(points),
         decisions=decisions,
         provenance=f"sampled:{problem.digest()[:12]}",
+        axes=axis_values,
     )
 
 
@@ -349,18 +360,30 @@ def cut_grid(problem: AnalyticProblem, cloud: PointCloud, grid: GridSpec) -> np.
     The cloud's points at those rows equal ``sample_criterion_space(problem,
     grid)`` point for point and in order, and nothing is evaluated: axes are
     clipped the same way and the lexicographic order survives subsetting.
-    Raises SchemaError when a node is missing.
+    The rows come from per-axis lookups in the cloud's axes. Raises
+    SchemaError when a node is missing or the cloud was not sampled.
     """
-    decisions = cloud.decision_array()
-    if decisions is None:
-        raise SchemaError("only a cloud with decisions can be cut")
-    axis_values = _grid_axes(problem, grid)
-    keep = np.logical_and.reduce([np.isin(decisions[:, d], v) for d, v in enumerate(axis_values)])
-    rows = np.flatnonzero(keep)
-    if not np.array_equal(decisions[rows], _grid_array(axis_values)):
-        raise SchemaError("the grid is not contained in the sampled cloud")
-    rows.flags.writeable = False
-    return rows
+    return grid_rows(cloud, axis_indices(problem, cloud, grid))
+
+
+def axis_indices(problem: AnalyticProblem, cloud: PointCloud, grid: GridSpec) -> list[np.ndarray]:
+    """Per decision axis, the indices of the values of ``grid`` in the axes of
+    a sampled cloud, sorted; raises SchemaError when one is missing."""
+    if cloud.axes is None:
+        raise SchemaError("only a sampled cloud can be cut")
+    indices = []
+    for axis, values in zip(cloud.axes, _grid_axes(problem, grid)):
+        indices.append(np.searchsorted(axis, values))
+        if (np.take(axis, indices[-1], mode="clip") != values).any():
+            raise SchemaError("the grid is not contained in the sampled cloud")
+    return indices
+
+
+def grid_rows(cloud: PointCloud, indices: list[np.ndarray]) -> np.ndarray:
+    """The rows of a sampled cloud at the product of sorted per-axis indices
+    (``axis_indices``), as sorted read-only indices in lexicographic order."""
+    shape = [len(axis) for axis in cloud.axes]
+    return _read_only(np.ravel_multi_index(np.ix_(*indices), shape).reshape(-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,15 +413,15 @@ def refinement_ladder(problem: AnalyticProblem, cloud: PointCloud, anchor, level
     the largest, over its decision's coordinates, of the first level whose
     clipped axis values hold the coordinate.
     """
-    rows = cut_grid(problem, cloud, GridSpec.geometric(anchor, levels))
-    entry = np.ones(len(rows), dtype=int)
-    for d, column in enumerate(cloud.decision_array()[rows].T):
+    indices = axis_indices(problem, cloud, GridSpec.geometric(anchor, levels))
+    entries = []
+    for d, (axis, idx) in enumerate(zip(cloud.axes, indices)):
         first: dict[float, int] = {}
         for v, k in _geometric_values(AxisSpec.geometric(anchor[d], levels), *problem.domain[d]):
             first.setdefault(v, k)
-        entry = np.maximum(entry, [first[v] for v in column.tolist()])
-    entry.flags.writeable = False
-    return Ladder(rows=rows, entry=entry, levels=levels)
+        entries.append([first[v] for v in axis[idx].tolist()])
+    entry = np.max(np.broadcast_arrays(*np.ix_(*entries)), axis=0).reshape(-1)
+    return Ladder(rows=grid_rows(cloud, indices), entry=_read_only(entry), levels=levels)
 
 
 # ---------------------------------------------------------------------------

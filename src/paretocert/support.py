@@ -171,6 +171,8 @@ def support_margin(cloud, y_ref=None, *, tol: float = _TOL, rows=None) -> Margin
     cuts = cloud if isinstance(cloud, Cuts) else prepare_cuts(cloud, y_ref)
     if rows is None:
         rows = np.arange(len(cuts))
+    elif not len(rows):
+        raise ValueError("empty row set")
     return _level_margins(cuts, rows, np.ones(len(rows), dtype=int), 1, tol)[1]
 
 

@@ -1,13 +1,16 @@
+import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from paretocert import cli, pareto, support
+from paretocert import cli, geoffrion, pareto, support
 from paretocert.problems import (
     AxisSpec,
     GridSpec,
     PointCloud,
+    axis_indices,
     grid_nodes,
     load_problem,
     sample_criterion_space,
@@ -32,6 +35,15 @@ PLANE2D = {
         "ineq": ["-y0", "-y1", "y0 - 1", "y1 - 1"],
         "eq": ["y2 + y0^2 + y1^2"],
     },
+}
+
+# three decisions: the lexicographic order of three axes
+CUBE3D = {
+    "type": "analytic",
+    "decision_dim": 3,
+    "criterion_dim": 3,
+    "domain": [[0, 1], [0, 1], [0, 1]],
+    "criteria": ["x0 + x2", "x1 - x2", "-(x0^2 + x1^2 + x2^2)"],
 }
 
 CLOUD = {"type": "cloud", "criterion_dim": 2, "points": [[0, 0], [1, 0]]}
@@ -339,26 +351,63 @@ def test_points_share_one_locating_cloud(tmp_path, capsys, monkeypatch):
     assert out == want
 
 
+def joined_grid(problem, anchors, count, levels):
+    """The uniform grid joined with every anchor's refinement to ``levels``."""
+    return GridSpec(tuple(
+        (AxisSpec.uniform(count),) + tuple(AxisSpec.geometric(a[d], levels) for a in anchors)
+        for d in range(problem.decision_dim)
+    ))
+
+
+def uniform_indices(problem, cfg, cloud):
+    """The indices of the uniform grid in each axis of the analysis cloud,
+    which ``cli.main`` looks up once per command."""
+    return axis_indices(problem, cloud, GridSpec.uniform(problem.decision_dim, cfg.grid))
+
+
+def test_located_point_probes_its_decisions_image(tmp_path, capsys):
+    # (0.3, 0.6, -0.45) is off the locating grid: its trade-off bounds are
+    # against the point, its divergence probe against the located decision's
+    # image, whose ratios differ
+    path = tmp_path / "plane2d.json"
+    path.write_text(json.dumps(PLANE2D))
+    code, out, err = _run(
+        capsys, "classify", str(path), "--grid", "9", "--levels", "4", "--point=0.3,0.6,-0.45"
+    )
+    assert code == 0, err
+    [record] = json.loads(out)["points"]
+    problem = load_problem(json.dumps(PLANE2D))
+    spec = cli._PointSpec(decision=tuple(record["decision"]), criterion=(0.3, 0.6, -0.45))
+    cfg = cli.Config(grid=9, levels=4)
+    cloud = cli._analysis_cloud(problem, [spec], cfg)
+    ladder = cli._ladder(problem, cloud, spec, cfg)
+    image = geoffrion.divergence_probe(cloud, ladder, problem.criteria_at(spec.decision))
+    point = geoffrion.divergence_probe(cloud, ladder, spec.criterion)
+    assert record["divergence"]["ratios"] == list(image.ratios) != list(point.ratios)
+
+
 @pytest.mark.parametrize(
-    "doc, anchors, grid",
+    "doc, anchors, grid, levels",
     [
-        (SOLAND, [(0.0,), (1.6875,), (4.0,)], 65),
-        (PLANE2D, [(0.0, 0.0), (1.0, 0.3), (0.3, 0.6)], 9),
+        (SOLAND, [(0.0,), (1.6875,), (4.0,)], 65, 14),
+        (PLANE2D, [(0.0, 0.0), (1.0, 0.3), (0.3, 0.6)], 9, 14),
+        (CUBE3D, [(0.0, 0.5, 1.0), (0.25, 0.75, 0.3)], 5, 5),
     ],
-    ids=["soland", "plane2d"],
+    ids=["soland", "plane2d", "cube3d"],
 )
-def test_witness_cloud_equals_fresh_sampling(doc, anchors, grid):
+def test_witness_cloud_equals_fresh_sampling(doc, anchors, grid, levels):
     problem = load_problem(json.dumps(doc))
-    cfg = cli.Config(levels=14, grid=grid)
+    cfg = cli.Config(levels=levels, grid=grid)
     specs = [cli._PointSpec(decision=a, criterion=problem.criteria_at(a)) for a in anchors]
     cloud = cli._analysis_cloud(problem, specs, cfg)
+    uniform = uniform_indices(problem, cfg, cloud)
     for spec in specs:
         axes = tuple(
-            (AxisSpec.uniform(grid), AxisSpec.geometric(spec.decision[d], 12))
+            (AxisSpec.uniform(grid), AxisSpec.geometric(spec.decision[d], min(levels, 12)))
             for d in range(problem.decision_dim)
         )
         fresh = sample_criterion_space(problem, GridSpec(axes))
-        rows = cli._witness_rows(problem, spec, cfg, cloud)
+        rows = cli._witness_rows(problem, spec, cfg, cloud, uniform)
         assert cloud.as_array()[rows].tobytes() == fresh.as_array().tobytes()
         assert cloud.decision_array()[rows].tobytes() == fresh.decision_array().tobytes()
 
@@ -389,7 +438,8 @@ def test_point_margins_equal_fresh_samples(doc, grid, levels):
     def fresh(grid_spec, y):
         return support.support_margin(sample_criterion_space(problem, grid_spec), y)
 
-    analysis = cli._analysis_grid(problem, specs, cfg.grid, cfg.levels)
+    analysis = joined_grid(problem, [s.decision for s in specs], cfg.grid, cfg.levels)
+    uniform = uniform_indices(problem, cfg, cloud)
     for spec in specs:
         y = spec.criterion
         cuts = support.prepare_cuts(cloud, y)
@@ -402,9 +452,71 @@ def test_point_margins_equal_fresh_samples(doc, grid, levels):
             level = ladder.rows[ladder.entry <= k]
             assert repr(support.support_margin(cuts, rows=level)) == repr(want)
         assert repr(trend.last) == repr(want)
-        witness_grid = cli._analysis_grid(problem, [spec], cfg.grid, min(cfg.levels, 12))
-        witness_margin, _ = cli._build_witness_dict(problem, spec, cfg, cloud, cuts)
+        witness_grid = joined_grid(problem, [spec.decision], cfg.grid, min(cfg.levels, 12))
+        witness_margin, _ = cli._build_witness_dict(problem, spec, cfg, cloud, cuts, uniform)
         assert repr(witness_margin) == repr(fresh(witness_grid, y))
+
+
+def plain_lists(value):
+    """``value`` with every tuple turned into a list, recursively."""
+    if isinstance(value, dict):
+        return {k: plain_lists(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain_lists(v) for v in value]
+    return value
+
+
+def assert_json_values(value):
+    """``value`` holds dicts, lists and scalars only: no tuple, no dataclass."""
+    assert not isinstance(value, tuple) and not dataclasses.is_dataclass(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    for item in value if isinstance(value, list) else ():
+        assert_json_values(item)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["builtin:soland", "--levels", "24"]
+        + [f"--point-decision={x}" for x in ("0", "1.6875", "3", "4")],
+        ["plane2d", "--grid", "9", "--levels", "8"],
+    ],
+    ids=["soland", "plane2d"],
+)
+def test_records_equal_asdict_of_their_reports(tmp_path, monkeypatch, capsys, argv):
+    # records are built field by field; dataclasses.asdict, which they
+    # replace, is the reference, with the dropped fields deleted after it
+    if argv[0] == "plane2d":
+        argv[0] = str(tmp_path / "plane2d.json")
+        (tmp_path / "plane2d.json").write_text(json.dumps(PLANE2D))
+    calls, payloads = [], []
+    as_record, payload = cli._as_record, cli._payload
+
+    def recording(report, *drop):
+        record = as_record(report, *drop)
+        calls.append((report, drop, copy.deepcopy(record)))  # as made, before any edit
+        return record
+
+    monkeypatch.setattr(cli, "_as_record", recording)
+    monkeypatch.setattr(cli, "_payload", lambda *a: payloads.append(payload(*a)) or payloads[-1])
+    code, out, err = _run(capsys, "report", *argv)
+    assert code == 0, err
+    for report, drop, record in calls:
+        want = dataclasses.asdict(report)
+        for name in drop:
+            del want[name]
+        assert record == plain_lists(want)
+    kinds = {type(report).__name__ for report, _, _ in calls}
+    assert kinds >= {
+        "Config", "ProperEfficiencyReport", "WorstPair", "DivergenceEvidence", "MarginReport",
+        "TrendReport", "ValueFunctionWitness", "WitnessVerification", "WitnessCheck",
+        "LicqReport", "ObstructionCertificate",
+    }
+    [payload_dict] = payloads
+    assert_json_values(payload_dict)
+    text = json.dumps(payload_dict, indent=2, sort_keys=True, default=cli._json_default)
+    assert text + "\n" == out
 
 
 @pytest.mark.parametrize("command", ["report", "support"])

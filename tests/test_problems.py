@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from paretocert import problems
+from paretocert import cli, problems
 from paretocert.errors import (
     DimensionError,
     DomainError,
@@ -378,6 +378,76 @@ def test_sampling_equals_the_point_by_point_loop(problem, grid, first):
     # bit for bit, signed zeros included
     assert cloud.as_array().tobytes() == np.array(points).tobytes()
     assert cloud.decision_array().tobytes() == np.array(decisions).tobytes()
+
+
+def isin_rows(problem, cloud, grid):
+    """The rows of ``cloud`` holding the nodes of ``grid``, found by one
+    ``np.isin`` scan of the whole cloud per axis: the reference for the
+    per-axis lookups of ``cut_grid``."""
+    decisions = cloud.decision_array()
+    axis_values = problems._grid_axes(problem, grid)
+    keep = np.logical_and.reduce([np.isin(decisions[:, d], v) for d, v in enumerate(axis_values)])
+    rows = np.flatnonzero(keep)
+    if not np.array_equal(decisions[rows], problems.grid_nodes(problem, grid)):
+        raise SchemaError("the grid is not contained in the sampled cloud")
+    return rows
+
+
+CUBE3D = _analytic(
+    ["x0 + x2", "x1 - x2", "-(x0^2 + x1^2 + x2^2)"], domain=((0, 1), (0, 1), (0, 1))
+)
+
+
+@pytest.mark.parametrize(
+    "problem, anchors, count, levels",
+    [
+        # 0 and 4 clip the refinement; from level 52 on, the offsets of 3.375
+        # and 4 round back onto the anchor
+        (SOLAND, [(0.0,), (1.6875,), (3.375,), (4.0,)], 9, 60),
+        (
+            problems.load_problem(json.dumps(PLANE2D_DOC)),
+            [(0.0, 0.0), (1.0, 0.3), (0.3, 0.6)],
+            9,
+            8,
+        ),
+        (CUBE3D, [(0.0, 0.5, 1.0), (0.25, 0.75, 0.3)], 5, 4),
+    ],
+    ids=["soland", "plane2d", "cube3d"],
+)
+def test_row_sets_equal_the_isin_scan(problem, anchors, count, levels):
+    cfg = cli.Config(levels=levels, grid=count)
+    specs = [cli._PointSpec(decision=a, criterion=problem.criteria_at(a)) for a in anchors]
+    cloud = cli._analysis_cloud(problem, specs, cfg)
+    n = problem.decision_dim
+    uniform = problems.GridSpec.uniform(n, count)
+    for grid in (uniform, joined_grid(problem, anchors, count, levels)):
+        want = isin_rows(problem, cloud, grid)
+        assert np.array_equal(problems.cut_grid(problem, cloud, grid), want)
+    indices = problems.axis_indices(problem, cloud, uniform)
+    for spec in specs:
+        ladder = problems.refinement_ladder(problem, cloud, spec.decision, levels)
+        for k in range(1, levels + 1):
+            grid = problems.GridSpec.geometric(spec.decision, k)
+            want = isin_rows(problem, cloud, grid)
+            assert np.array_equal(ladder.rows[ladder.entry <= k], want)
+            assert np.array_equal(problems.cut_grid(problem, cloud, grid), want)
+        witness = joined_grid(problem, [spec.decision], count, min(levels, 12))
+        rows = cli._witness_rows(problem, spec, cfg, cloud, indices)
+        assert np.array_equal(rows, isin_rows(problem, cloud, witness))
+    missing = problems.GridSpec.uniform(n, count + 2)  # holds nodes the cloud lacks
+    for cut in (isin_rows, problems.cut_grid):
+        with pytest.raises(SchemaError):
+            cut(problem, cloud, missing)
+    # the same rows, without the axes of a sampled cloud
+    unsampled = problems.PointCloud(
+        cloud.criterion_dim, cloud.as_array(), decisions=cloud.decision_array()
+    )
+    want = problems.cut_grid(problem, cloud, uniform)
+    assert np.array_equal(isin_rows(problem, unsampled, uniform), want)
+    with pytest.raises(SchemaError):
+        problems.cut_grid(problem, unsampled, uniform)
+    with pytest.raises(SchemaError):
+        problems.refinement_ladder(problem, unsampled, anchors[0], levels)
 
 
 def test_point_array_rejects_ragged_input():

@@ -67,6 +67,16 @@ def test_single_point_cloud_margin_is_uniform():
     assert report.feasible
 
 
+def test_empty_row_set_is_rejected_like_an_empty_cloud():
+    with pytest.raises(ValueError, match="empty point cloud"):
+        support.support_margin([], (0.0, 0.0))
+    # two criteria (closed form) and three (the LP)
+    for points in (np.eye(2), np.eye(3)):
+        cuts = support.prepare_cuts(PointCloud(len(points), points), np.zeros(len(points)))
+        with pytest.raises(ValueError, match="empty row set"):
+            support.support_margin(cuts, rows=np.array([], dtype=int))
+
+
 def test_margin_closed_form_under_refinement():
     for k in range(2, 21):
         report = support.support_margin(geometric_cloud(k), (0.0, 0.0))
