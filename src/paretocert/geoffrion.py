@@ -114,11 +114,10 @@ def ratio_bounds(cloud, y_ref) -> tuple[np.ndarray, np.ndarray]:
     if pts.shape[1] != p:
         raise DimensionError(f"reference has dimension {p}, cloud has {pts.shape[1]}")
     with np.errstate(all="ignore"):  # inf and NaN follow IEEE rules, as in the loop
-        diffs = pts - np.asarray(ref)
-        losing = diffs < 0  # ref_j - y_j = -(y_j - ref_j) exactly
-        gain = np.where(diffs > 0, diffs, 0.0).max(axis=1)
-        bounds = gain / np.where(losing, -diffs, 0.0).max(axis=1)
-    dominating = ~(pts <= ref).all(axis=1) & ~losing.any(axis=1)
+        diffs = [column - r for column, r in zip(pts.T, ref)]  # a loss is -(y_j - ref_j) exactly
+        high, low = np.fmax.reduce(diffs, initial=0.0), np.fmin.reduce(diffs, initial=0.0)
+        bounds = (high + 0.0) / (0.0 - low)  # fmax, fmin skip NaN; x + 0.0, 0.0 - x clear -0.0
+    dominating = ~np.logical_and.reduce([c <= r for c, r in zip(pts.T, ref)]) & ~(low < 0)
     bounds[dominating] = np.inf  # a gain with no loss to set against it
     for k in np.flatnonzero(np.isnan(bounds)).tolist():
         # no gain and no loss (0 / 0), or an inf / inf ratio that the scalar

@@ -33,21 +33,22 @@ that basis. The margin is then recomputed with soft cuts
 (sum(lambda) + sum(nu) = 1), yielding a negative margin that quantifies the
 violation trend. Both solves share one normalized, deduplicated cut matrix.
 
-A sample's cuts against a reference are normalized and deduplicated once
-(``prepare_cuts``), by one stable lexicographic sort in which ``-0.0``
-equals ``0.0`` (``problems.distinct_rows``). Every margin at that reference
-takes its columns from them as a row set: the whole sample, a refinement
-ladder's deepest level, or the CLI's witness sample. A group of equal cuts
-is represented by its first member in the row set, in input order, so the
-columns are those of normalizing and deduplicating the row set alone. Along
-a ladder the distinct cuts are ordered by the level at which their first
-row enters, lexicographically within a level, so level k's margin is over a
-prefix of the columns. With two criteria, running extremes of the bounds
-over the columns give every level's interval at once. The intervals are
-nested, so the empty ones are the deepest levels, and each of those is an
-LP over its prefix. Each LP is solved from the start basis, because pricing
-stops at an absolute reduced cost of 1e-9 while margins can shrink like
-2^-k.
+A sample's cuts against a reference are normalized, a pass per criterion,
+and deduplicated once (``prepare_cuts``; a non-finite y - y_ref is a
+``SchemaError``), by a stable lexicographic sort of int64 column ranks in
+which ``-0.0`` equals ``0.0`` (``problems.distinct_rows``). Every margin at
+that reference takes its columns from them as a row set: the whole sample, a
+refinement ladder's deepest level, or the CLI's witness sample. A group of
+equal cuts is represented by its first member in the row set, in input
+order, so the columns are those of normalizing and deduplicating the row
+set alone. Along a ladder the distinct cuts are ordered by the level at
+which their first row enters, lexicographically within a level, so level
+k's margin is over a prefix of the columns. With two criteria, running
+extremes of the bounds over the columns give every level's interval at
+once. The intervals are nested, so the empty ones are the deepest levels,
+and each of those is an LP over its prefix. Each LP is solved from the start
+basis, because pricing stops at an absolute reduced cost of 1e-9 while
+margins can shrink like 2^-k.
 
 A margin t* > 0 certifies a strictly increasing linear value function that is
 maximized at the reference over the sample; we then upgrade it to a strictly
@@ -150,11 +151,14 @@ def prepare_cuts(cloud, y_ref) -> Cuts:
     points = point_array(cloud)
     if points.shape[1] != len(ref):
         raise SchemaError(f"reference has dimension {len(ref)}, cloud has {points.shape[1]}")
-    diffs = points - np.asarray(ref)
+    with np.errstate(over="ignore"):  # a difference that overflows is named below
+        diffs = points - np.asarray(ref)
     # each cut is homogeneous in w, so normalizing it changes no hard margin
     # and keeps pivots well away from the tolerance; soft margins are those
     # of the normalized cuts
-    scale = np.max(np.abs(diffs), axis=1)
+    scale = np.maximum.reduce([np.abs(column) for column in diffs.T])  # a pass per criterion
+    if not np.isfinite(scale).all():
+        raise SchemaError(f"point {np.argmin(np.isfinite(scale))}: y - y_ref is not finite at {ref}")
     scale[scale == 0.0] = 1.0
     cuts = diffs / scale[:, None]
     return Cuts(ref, diffs, cuts, *distinct_rows(cuts))
@@ -270,8 +274,6 @@ def _two_criteria_weight(columns: np.ndarray, ends: np.ndarray) -> np.ndarray:
     Each bound is one rounded division, and a prefix's extremes are bounds
     themselves, so a level's lambda* does not depend on the column order.
     """
-    if not np.isfinite(columns).all():
-        raise ValueError("cuts must be finite")  # as the LP's instance checks
     c0, c1 = columns[:, 0], columns[:, 1]
     slope = c0 - c1
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -407,7 +409,7 @@ def _smallest_gap(witness: ValueFunctionWitness, pts: np.ndarray) -> tuple[int |
     info = np.finfo(float)
     scale = np.abs(pts) @ np.abs(w) + abs(c) * sq + np.abs(gaps)
     delta = 2 * (len(a) + 4) * info.eps * scale + info.tiny
-    others = np.flatnonzero(~(pts == a).all(axis=1))
+    others = np.flatnonzero(~np.logical_and.reduce([col == v for col, v in zip(pts.T, a)]))
     if not others.size:
         return None, np.inf
     k = others[np.argmin(gaps[others])]

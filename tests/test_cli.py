@@ -234,6 +234,23 @@ def test_literal_beyond_the_float_range_exits_2(tmp_path, capsys, criterion, pos
     )
 
 
+@pytest.mark.parametrize(
+    "points",
+    [[[1e308, -1e308], [-1e308, 1e308]], [[1e308, -1e308, 0.0], [-1e308, 1e308, 0.0], [0.0, 0.0, 0.0]]],
+    ids=["p2", "p3"],
+)
+@pytest.mark.parametrize("command", ["report", "support", "witness"])
+def test_overflowing_differences_exit_2(tmp_path, capsys, points, command):
+    # finite points whose difference to the first one overflows to inf
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"type": "cloud", "criterion_dim": len(points[0]), "points": points}))
+    code, out, err = _run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    ref = tuple(float(v) for v in points[0])
+    assert err == f"error: point 1: y - y_ref is not finite at {ref}\n"
+
+
 def test_efficient_matches_pairwise_dominance_loop(tmp_path, capsys):
     rng = np.random.default_rng(11)
     for case in range(40):

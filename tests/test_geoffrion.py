@@ -305,3 +305,41 @@ def test_combine_with_divergence_flags_improperness():
     assert combined.status == geoffrion.IMPROPER_SUSPECTED
     assert combined.divergence is evidence
     assert combined.m_hat == report.m_hat
+
+
+def row_wise_ratio_bounds(pts, y_ref):
+    """``geoffrion.ratio_bounds`` by reductions along each point's row: the
+    reference that its passes over the criteria must equal bit for bit."""
+    ref = tuple(float(v) for v in y_ref)
+    with np.errstate(all="ignore"):
+        diffs = pts - np.asarray(ref)
+        losing = diffs < 0
+        gain = np.where(diffs > 0, diffs, 0.0).max(axis=1)
+        bounds = gain / np.where(losing, -diffs, 0.0).max(axis=1)
+    dominating = ~(pts <= ref).all(axis=1) & ~losing.any(axis=1)
+    bounds[dominating] = np.inf
+    for k in np.flatnonzero(np.isnan(bounds)).tolist():
+        ratios = [r for r, _, _ in geoffrion._row_pairs(ref, pts[k].tolist()) if r > 0]
+        bounds[k] = max(ratios, default=0.0)
+    return bounds, dominating
+
+
+def test_ratio_bounds_match_row_wise_reductions():
+    # a small pool makes ties, signed zeros, infinities and NaN common; the
+    # references are cloud points (with inf - inf = NaN differences), a
+    # cloud point with its zeros negated, and a point off the cloud
+    rng = np.random.default_rng(1968)
+    pool = np.array([-np.inf, -2.0, -0.5, -5e-324, -0.0, 0.0, 5e-324, 0.5, 2.0, np.inf, np.nan])
+    for p in range(1, 6):
+        for n in (1, 5, 60):
+            pts = pool[rng.integers(len(pool), size=(n, p))]
+            spread = rng.random((n, p)) < 0.3
+            pts[spread] = rng.standard_normal(int(spread.sum()))
+            flipped = pts[-1].copy()
+            flipped[flipped == 0.0] *= -1.0
+            for y_ref in (pts[0], pts[n // 2], flipped, rng.standard_normal(p)):
+                if np.isnan(y_ref).any():
+                    continue
+                got, want = geoffrion.ratio_bounds(pts, y_ref), row_wise_ratio_bounds(pts, y_ref)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()

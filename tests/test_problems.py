@@ -457,12 +457,35 @@ def test_point_array_rejects_ragged_input():
         problems.point_array([])
 
 
+def lexsort_groups(a):
+    """The grouping ``distinct_rows`` returns, by the reference method: a
+    stable ``np.lexsort`` and comparisons of the sorted columns, in which a
+    NaN differs from every value, so a row holding one is a group of its own."""
+    n, p = a.shape
+    order = np.lexsort(a.T[::-1])
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for j in range(p):
+        column = a[order, j]
+        new[1:] |= column[1:] != column[:-1]
+    groups = np.empty(n, dtype=np.intp)
+    groups[order] = np.cumsum(new) - 1
+    return order, np.flatnonzero(new), groups
+
+
 def assert_matches_unique(a):
-    """``distinct_rows`` against ``np.unique(axis=0)``: the same distinct rows
-    in the same order, the same group for every row, and each group stood for
-    by its first row in input order."""
+    """``distinct_rows`` against ``np.lexsort``: the same order, starts and
+    groups, whatever the rows hold. Without NaN, also against
+    ``np.unique(axis=0)``: the same distinct rows in the same order, the same
+    group for every row, and each group stood for by its first row in input
+    order."""
     a = np.asarray(a, dtype=float)
-    order, starts, groups = problems.distinct_rows(a)
+    got = problems.distinct_rows(a)
+    for have, want in zip(got, lexsort_groups(a)):
+        assert have.tobytes() == want.tobytes()
+    if np.isnan(a).any():
+        return
+    order, starts, groups = got
     want, inverse = np.unique(a, axis=0, return_inverse=True)
     assert np.array_equal(a[order[starts]], want)
     assert np.array_equal(groups, inverse.reshape(-1))
@@ -473,9 +496,31 @@ def assert_matches_unique(a):
 
 def test_distinct_rows_match_unique_on_duplicate_heavy_matrices():
     rng = np.random.default_rng(1975)
+    values = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.nan])
     for p in range(1, 6):
-        for n in (2, 7, 40, 300):
+        for n in (1, 2, 7, 40, 300):
             assert_matches_unique(rng.integers(-2, 3, size=(n, p)))
+            with_nan = values[rng.integers(0, len(values), size=(n, p))]
+            assert_matches_unique(with_nan)
+            # a column of one value, NaN included, ties every row in it
+            for tie in (0.0, -0.0, np.nan):
+                with_nan[:, rng.integers(p)] = tie
+                assert_matches_unique(with_nan)
+
+
+def test_distinct_rows_match_lexsort_where_a_product_of_ranks_overflows(monkeypatch):
+    # about 10^4 distinct values per column, each held by about three rows:
+    # the five columns' ranks multiply to about 10^20, beyond int64
+    ranked = []
+    dense_rank = problems._dense_rank
+    monkeypatch.setattr(problems, "_dense_rank", lambda keys: ranked.append(1) or dense_rank(keys))
+    rng = np.random.default_rng(20)
+    a = rng.integers(0, 10_000, size=(30_000, 5)) / 8.0
+    assert len(np.unique(a[:, 0])) ** 5 > np.iinfo(np.int64).max
+    a[rng.integers(30_000, size=3_000)] = a[rng.integers(30_000, size=3_000)]
+    assert_matches_unique(a)
+    assert len(ranked) > 5  # the key was re-ranked, not only the columns
+    assert_matches_unique(a[:, ::-1] * -1.0)
 
 
 def test_distinct_rows_match_unique_on_edge_shapes():
@@ -503,9 +548,9 @@ def test_distinct_rows_merge_signed_zeros_into_the_first_row():
 def test_distinct_rows_match_unique_on_generated_matrices():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    # a small pool makes duplicates, signed zeros and infinities common
-    pool = [-np.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 0.5, 1.0, np.inf]
-    value = st.sampled_from(pool) | st.floats(allow_nan=False)
+    # a small pool makes duplicates, signed zeros, infinities and NaN common
+    pool = [-np.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 0.5, 1.0, np.inf, np.nan]
+    value = st.sampled_from(pool) | st.floats(allow_nan=True)
     matrices = st.integers(1, 5).flatmap(
         lambda p: st.lists(st.tuples(*[value] * p), min_size=1, max_size=40)
     )

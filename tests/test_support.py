@@ -426,14 +426,14 @@ def test_two_criteria_margins_equal_the_lp(monkeypatch):
 
 
 def test_non_finite_cuts_raise():
-    # as the LP's instance does for three criteria; a NaN coordinate makes a
-    # NaN cut without a floating-point warning
+    # a NaN coordinate makes a NaN cut without a floating-point warning;
+    # prepare_cuts names its point before any margin is solved
     for y_ref in ((0.0, 0.0), (0.0, 0.0, 0.0)):
-        points = np.array([[np.nan] + [1.0] * (len(y_ref) - 1), [1.0, -1.0, 0.0][: len(y_ref)]])
-        with pytest.raises(ValueError, match="finite"):
+        points = np.array([[1.0, -1.0, 0.0][: len(y_ref)], [np.nan] + [1.0] * (len(y_ref) - 1)])
+        with pytest.raises(SchemaError, match=r"point 1: y - y_ref is not finite"):
             support.support_margin(points, y_ref)
         steps = Ladder(rows=np.arange(2), entry=np.array([2, 1]), levels=2)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(SchemaError, match=r"point 1: y - y_ref is not finite"):
             support.support_trend(points, steps, y_ref)
 
 
@@ -647,3 +647,68 @@ def test_witness_gap_with_only_the_anchor():
     witness = support.ValueFunctionWitness((0.5, 0.5), 0.1, (1.0, -0.0), ((0.0, 2.0), (-1.0, 1.0)))
     details = assert_details_match_scalar_loops(witness, [(1.0, 0.0), (1.0, -0.0)])
     assert details["unique_maximum_over_sample"] == "sample contains no point other than the anchor"
+
+
+def row_wise_cuts(points, y_ref):
+    """The normalized cuts of ``prepare_cuts`` by a reduction along each
+    point's row: the reference that its passes over the criteria must equal
+    bit for bit."""
+    diffs = points - np.asarray(y_ref)
+    scale = np.max(np.abs(diffs), axis=1)
+    scale[scale == 0.0] = 1.0
+    return diffs / scale[:, None]
+
+
+def row_wise_smallest_gap(witness, pts):
+    """``support._smallest_gap`` with the anchor's rows found by a reduction
+    along each row."""
+    w = np.asarray(witness.weights)
+    a = np.asarray(witness.anchor)
+    c = witness.curvature
+    anchor_value = witness.value(witness.anchor)
+    d = pts - a
+    sq = np.einsum("ij,ij->i", d, d)
+    gaps = anchor_value - (pts @ w - c * sq)
+    info = np.finfo(float)
+    scale = np.abs(pts) @ np.abs(w) + abs(c) * sq + np.abs(gaps)
+    delta = 2 * (len(a) + 4) * info.eps * scale + info.tiny
+    others = np.flatnonzero(~(pts == a).all(axis=1))
+    if not others.size:
+        return None, np.inf
+    k = others[np.argmin(gaps[others])]
+    keep = others[~(gaps[others] - delta[others] > gaps[k] + delta[k])]
+    worst_index, worst_gap = None, np.inf
+    for idx in keep.tolist():
+        gap = anchor_value - witness.value(pts[idx])
+        if gap < worst_gap:
+            worst_index, worst_gap = idx, gap
+    return worst_index, worst_gap
+
+
+def test_cuts_and_witness_gaps_match_row_wise_reductions():
+    # ties, signed zeros and duplicated points; the references are cloud
+    # points, a cloud point with its zeros negated (equal to it), and a
+    # point off the cloud
+    rng = np.random.default_rng(1953)
+    pool = np.array([-2.0, -0.5, -5e-324, -0.0, 0.0, 5e-324, 0.5, 2.0])
+    for p in range(1, 6):
+        for n in (1, 5, 60):
+            pts = pool[rng.integers(len(pool), size=(n, p))]
+            spread = rng.random((n, p)) < 0.3
+            pts[spread] = rng.standard_normal(int(spread.sum()))
+            pts[n // 2 :: 7] = pts[0]
+            flipped = pts[-1].copy()
+            flipped[flipped == 0.0] *= -1.0
+            for y_ref in (pts[0], pts[n // 2], flipped, rng.standard_normal(p)):
+                cuts = support.prepare_cuts(pts, y_ref)
+                assert cuts.diffs.tobytes() == (pts - y_ref).tobytes()
+                assert cuts.cuts.tobytes() == row_wise_cuts(pts, y_ref).tobytes()
+                assert cuts.order.tobytes() == np.lexsort(cuts.cuts.T[::-1]).tobytes()
+                witness = support.ValueFunctionWitness(
+                    weights=tuple((rng.random(p) + 0.1).tolist()),
+                    curvature=float(rng.random()),
+                    anchor=tuple(y_ref.tolist()),
+                    box=((-3.0, 3.0),) * p,
+                )
+                got = support._smallest_gap(witness, pts)
+                assert repr(got) == repr(row_wise_smallest_gap(witness, pts))
