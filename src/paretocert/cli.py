@@ -173,7 +173,7 @@ def _locating_cloud(problem: AnalyticProblem, cfg: Config) -> PointCloud:
 
 def _locate_decision(cloud: PointCloud, y_ref) -> tuple[float, ...]:
     """Nearest decision (by image) in the locating cloud; deterministic."""
-    errors = np.maximum.reduce([np.abs(c - float(r)) for c, r in zip(cloud.as_array().T, y_ref)])
+    errors = np.max(np.abs(cloud.as_array() - np.asarray(y_ref, dtype=float)), axis=1)
     return tuple(cloud.decision_array()[int(np.argmin(errors))].tolist())
 
 

@@ -32,21 +32,20 @@ def dominates(a, b) -> bool:
 def pareto_filter(cloud) -> list[int]:
     """Indices of points not dominated by any other point, in ascending order.
 
-    Equal vectors are merged first by ``problems.distinct_rows``: a stable
-    lexicographic sort of int64 column ranks, with ``-0.0`` equal to ``0.0``
-    and a group's first vector in input order standing for it. The distinct
-    vectors are visited in lexicographically descending order, so every
-    vector that dominates ``v`` is visited before ``v``; ``v`` is kept
-    unless an already-kept vector dominates it. For p <= 3 that test is a
-    search in a 2-D staircase, O(N log N) in all; for p >= 4 it is one numpy
-    pass per criterion over the kept front, O(N F p) for a front of F
-    vectors. ``+-inf`` coordinates are ordinary values; a NaN coordinate
-    raises ``ValueError`` naming its row.
+    Equal vectors are merged first by ``problems.distinct_rows``: one stable
+    lexicographic sort, with ``-0.0`` equal to ``0.0`` and a group's first
+    vector in input order standing for it. The distinct vectors are visited
+    in lexicographically descending order, so every vector that dominates
+    ``v`` is visited before ``v``; ``v`` is kept unless an already-kept
+    vector dominates it. For p <= 3 that test is a search in a
+    2-D staircase, O(N log N) in all; for p >= 4 it is one numpy pass over the
+    kept front, O(N F p) for a front of F vectors. ``+-inf`` coordinates are
+    ordinary values; a NaN coordinate raises ``ValueError`` naming its row.
     """
     pts = point_array(cloud)
-    nan_at = np.argwhere(np.isnan(pts))  # row-major: the first is the lowest row
-    if len(nan_at):
-        raise ValueError(f"point {int(nan_at[0, 0])} has a NaN coordinate")
+    nan_rows = np.flatnonzero(np.isnan(pts).any(axis=1))
+    if nan_rows.size:
+        raise ValueError(f"point {int(nan_rows[0])} has a NaN coordinate")
     order, starts, groups = distinct_rows(pts)
     sweep = _staircase_sweep if pts.shape[1] <= 3 else _front_sweep
     kept = sweep(pts[order[starts[::-1]]])[::-1]
@@ -87,14 +86,14 @@ def _front_sweep(desc: np.ndarray) -> np.ndarray:
     lexicographic order: each vector is compared with the kept front only."""
     n = len(desc)
     tails = desc[:, 1:]
-    front = np.empty((tails.shape[1], n))  # a row per criterion: one pass each
+    front = np.empty_like(tails)
     size = 0
     kept = np.zeros(n, dtype=bool)
-    for k, tail in enumerate(tails.tolist()):
+    for k in range(n):
         # earlier vectors already have y0 >= v0 and differ from v
-        if size and np.logical_and.reduce([row[:size] >= v for row, v in zip(front, tail)]).any():
+        if size and (front[:size] >= tails[k]).all(axis=1).any():
             continue
         kept[k] = True
-        front[:, size] = tail
+        front[size] = tails[k]
         size += 1
     return kept

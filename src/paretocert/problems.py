@@ -180,38 +180,21 @@ def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``groups[i]``. ``a[order[starts]]`` are the distinct rows in the order
     numpy's row-wise unique gives them, and ``groups`` is its inverse.
     ``0.0`` equals ``-0.0``, and the representative of a group is its first
-    row in input order; a row holding a NaN is a group of its own. Each column
-    is ranked by a quicksort of int64 images in numpy's sort order (NaN above
-    ``inf``); the ranks extend one int64 key, re-ranked before it could
-    overflow, and the row index breaks the last ties.
+    row in input order. The order is one stable ``np.lexsort``, and a group
+    starts where a sorted column changes, so a row holding a NaN is alone.
     """
     n, p = a.shape
-    key, bound, loose = np.zeros(n, dtype=np.int64), 1, np.zeros(n, dtype=bool)  # key < bound
+    order = np.lexsort(a.T[::-1])
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    # one sorted column at a time: no sorted copy of the whole array
     for j in range(p):
-        values = a[:, j] + 0.0  # -0.0 + 0.0 is 0.0
-        nan = np.isnan(values)
-        values[nan], loose[nan] = np.nan, True
-        bits = values.view(np.int64)  # a negative's bits are -2^63 + its magnitude
-        rank, count = _dense_rank(np.where(bits < 0, np.int64(-(2**63)) - bits - 1, bits))
-        key, bound = _dense_rank(key) if bound * count >= 2**63 else (key, bound)
-        key, bound = key * count + rank, bound * count
-    key, bound = _dense_rank(key) if bound * n >= 2**63 else (key, bound)
-    order = np.argsort(key * n + np.arange(n))
-    ranked = key[order]
-    new = np.concatenate(([True], ranked[1:] != ranked[:-1])) | loose[order]
+        column = a[order, j]
+        new[1:] |= column[1:] != column[:-1]
     starts = np.flatnonzero(new)
     groups = np.empty(n, dtype=np.intp)
     groups[order] = np.cumsum(new) - 1
     return order, starts, groups
-
-
-def _dense_rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each int64 key's rank among the distinct keys, and their number."""
-    by = np.argsort(keys)
-    ranked = keys[by]
-    rank = np.empty_like(keys)
-    rank[by] = np.cumsum(np.concatenate(([0], ranked[1:] != ranked[:-1])))
-    return rank, int(rank[by[-1]]) + 1 if len(by) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -35,20 +35,20 @@ violation trend. Both solves share one normalized, deduplicated cut matrix.
 
 A sample's cuts against a reference are normalized, a pass per criterion,
 and deduplicated once (``prepare_cuts``; a non-finite y - y_ref is a
-``SchemaError``), by a stable lexicographic sort of int64 column ranks in
-which ``-0.0`` equals ``0.0`` (``problems.distinct_rows``). Every margin at
-that reference takes its columns from them as a row set: the whole sample, a
-refinement ladder's deepest level, or the CLI's witness sample. A group of
-equal cuts is represented by its first member in the row set, in input
-order, so the columns are those of normalizing and deduplicating the row
-set alone. Along a ladder the distinct cuts are ordered by the level at
-which their first row enters, lexicographically within a level, so level
-k's margin is over a prefix of the columns. With two criteria, running
-extremes of the bounds over the columns give every level's interval at
-once. The intervals are nested, so the empty ones are the deepest levels,
-and each of those is an LP over its prefix. Each LP is solved from the start
-basis, because pricing stops at an absolute reduced cost of 1e-9 while
-margins can shrink like 2^-k.
+``SchemaError``), by one stable ``np.lexsort`` and comparisons of the sorted
+columns, in which ``-0.0`` equals ``0.0`` (``problems.distinct_rows``).
+Every margin at that reference takes its columns from them as a row set: the
+whole sample, a refinement ladder's deepest level, or the CLI's witness
+sample. A group of equal cuts is represented by its first member in the row
+set, in input order, so the columns are those of normalizing and
+deduplicating the row set alone. Along a ladder the distinct cuts are
+ordered by the level at which their first row enters, lexicographically
+within a level, so level k's margin is over a prefix of the columns. With
+two criteria, running extremes of the bounds over the columns give every
+level's interval at once. The intervals are nested, so the empty ones are
+the deepest levels, and each of those is an LP over its prefix. Each LP is
+solved from the start basis, because pricing stops at an absolute reduced
+cost of 1e-9 while margins can shrink like 2^-k.
 
 A margin t* > 0 certifies a strictly increasing linear value function that is
 maximized at the reference over the sample; we then upgrade it to a strictly
@@ -274,6 +274,8 @@ def _two_criteria_weight(columns: np.ndarray, ends: np.ndarray) -> np.ndarray:
     Each bound is one rounded division, and a prefix's extremes are bounds
     themselves, so a level's lambda* does not depend on the column order.
     """
+    if not np.isfinite(columns).all():
+        raise ValueError("cuts must be finite")  # as the LP's instance checks
     c0, c1 = columns[:, 0], columns[:, 1]
     slope = c0 - c1
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -457,35 +457,25 @@ def test_point_array_rejects_ragged_input():
         problems.point_array([])
 
 
-def lexsort_groups(a):
-    """The grouping ``distinct_rows`` returns, by the reference method: a
-    stable ``np.lexsort`` and comparisons of the sorted columns, in which a
-    NaN differs from every value, so a row holding one is a group of its own."""
-    n, p = a.shape
-    order = np.lexsort(a.T[::-1])
-    new = np.zeros(n, dtype=bool)
-    new[:1] = True
-    for j in range(p):
-        column = a[order, j]
-        new[1:] |= column[1:] != column[:-1]
-    groups = np.empty(n, dtype=np.intp)
-    groups[order] = np.cumsum(new) - 1
-    return order, np.flatnonzero(new), groups
-
-
 def assert_matches_unique(a):
-    """``distinct_rows`` against ``np.lexsort``: the same order, starts and
-    groups, whatever the rows hold. Without NaN, also against
-    ``np.unique(axis=0)``: the same distinct rows in the same order, the same
-    group for every row, and each group stood for by its first row in input
-    order."""
+    """``distinct_rows`` against numpy: ``order`` is ``np.lexsort``'s
+    permutation whatever the rows hold, ``groups`` follows ``starts`` along
+    it, a row holding a NaN is a group of its own, and the other rows are
+    grouped as ``np.unique(axis=0)`` groups them. Without NaN, also the same
+    distinct rows as ``np.unique`` in the same order, the same group for
+    every row, and each group stood for by its first row in input order."""
     a = np.asarray(a, dtype=float)
-    got = problems.distinct_rows(a)
-    for have, want in zip(got, lexsort_groups(a)):
-        assert have.tobytes() == want.tobytes()
-    if np.isnan(a).any():
+    order, starts, groups = problems.distinct_rows(a)
+    assert order.tobytes() == np.lexsort(a.T[::-1]).tobytes()
+    sizes = np.diff(np.r_[starts, len(a)])
+    assert np.array_equal(groups[order], np.repeat(np.arange(len(starts)), sizes))
+    nan = np.isnan(a).any(axis=1)
+    assert (sizes[groups[nan]] == 1).all()
+    inverse = np.unique(a[~nan], axis=0, return_inverse=True)[1].reshape(-1).tolist()
+    same = set(zip(groups[~nan].tolist(), inverse))
+    assert len(same) == len(set(groups[~nan].tolist())) == len(set(inverse))
+    if nan.any():
         return
-    order, starts, groups = got
     want, inverse = np.unique(a, axis=0, return_inverse=True)
     assert np.array_equal(a[order[starts]], want)
     assert np.array_equal(groups, inverse.reshape(-1))
@@ -508,18 +498,15 @@ def test_distinct_rows_match_unique_on_duplicate_heavy_matrices():
                 assert_matches_unique(with_nan)
 
 
-def test_distinct_rows_match_lexsort_where_a_product_of_ranks_overflows(monkeypatch):
+def test_distinct_rows_match_lexsort_where_a_product_of_ranks_overflows():
     # about 10^4 distinct values per column, each held by about three rows:
-    # the five columns' ranks multiply to about 10^20, beyond int64
-    ranked = []
-    dense_rank = problems._dense_rank
-    monkeypatch.setattr(problems, "_dense_rank", lambda keys: ranked.append(1) or dense_rank(keys))
+    # the five columns' ranks multiply to about 10^20, beyond int64, so no
+    # single integer key of column ranks could order these rows
     rng = np.random.default_rng(20)
     a = rng.integers(0, 10_000, size=(30_000, 5)) / 8.0
     assert len(np.unique(a[:, 0])) ** 5 > np.iinfo(np.int64).max
     a[rng.integers(30_000, size=3_000)] = a[rng.integers(30_000, size=3_000)]
     assert_matches_unique(a)
-    assert len(ranked) > 5  # the key was re-ranked, not only the columns
     assert_matches_unique(a[:, ::-1] * -1.0)
 
 

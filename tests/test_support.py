@@ -435,6 +435,13 @@ def test_non_finite_cuts_raise():
         steps = Ladder(rows=np.arange(2), entry=np.array([2, 1]), levels=2)
         with pytest.raises(SchemaError, match=r"point 1: y - y_ref is not finite"):
             support.support_trend(points, steps, y_ref)
+        # cuts built without prepare_cuts are checked by the margin itself,
+        # by the closed form for two criteria as by the LP's instance
+        cuts = support.Cuts(y_ref, points, points, *distinct_rows(points))
+        with pytest.raises(ValueError, match="finite"):
+            support.support_margin(cuts)
+        with pytest.raises(ValueError, match="finite"):
+            support.support_trend(cuts, steps)
 
 
 @pytest.mark.parametrize("case", ["soland-3", "synthetic"])
