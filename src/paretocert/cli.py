@@ -443,9 +443,10 @@ def _cmd_report(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud, unifo
     ladder = _ladder(problem, cloud, spec, cfg)
     record = _classify_record(problem, cloud, spec, cfg, ladder)
     record["support"] = _support_record(problem, cloud, spec, cfg, ladder, uniform)
+    # a kkt failure at one point is that point's record; the kkt command exits on it
     try:
         record["kkt"] = _kkt_dicts(problem, spec, cfg)
-    except (NoConstraintDescription, InfeasiblePoint) as exc:
+    except (NoConstraintDescription, InfeasiblePoint, NonDifferentiable, DomainError) as exc:
         record["kkt"] = {"error": str(exc)}
     except LicqNotVerified as exc:
         record["kkt"] = {"error": f"no conclusion: {exc}", "licq_failed": True}

@@ -31,21 +31,20 @@ unbounded exactly when no weights satisfy every cut; every solve starts from
 that basis. The margin is then recomputed with soft cuts
 <w, y - y_ref> + t <= 0, whose dual adds nu to the mass row
 (sum(lambda) + sum(nu) = 1), yielding a negative margin that quantifies the
-violation trend. Both solves share one normalized, deduplicated cut matrix.
+violation trend. Both solves share one normalized cut matrix.
 
-A sample's cuts against a reference are normalized, a pass per criterion,
-and deduplicated once (``prepare_cuts``; a non-finite y - y_ref is a
-``SchemaError``), by one stable ``np.lexsort`` and comparisons of the sorted
-columns, in which ``-0.0`` equals ``0.0`` (``problems.distinct_rows``).
+A sample's cuts against a reference are normalized once, a pass per
+criterion (``prepare_cuts``; a non-finite y - y_ref is a ``SchemaError``).
 Every margin at that reference takes its columns from them as a row set: the
 whole sample, a refinement ladder's deepest level, or the CLI's witness
-sample. A group of equal cuts is represented by its first member in the row
-set, in input order, so the columns are those of normalizing and
-deduplicating the row set alone. Along a ladder the distinct cuts are
-ordered by the level at which their first row enters, lexicographically
-within a level, so level k's margin is over a prefix of the columns. With
-two criteria, running extremes of the bounds over the columns give every
-level's interval at once. The intervals are nested, so the empty ones are
+sample, so the columns are those of the row set alone. Equal cuts are not
+merged, and need not be: a copy of a column has its twin's reduced cost,
+summed row by row, so it never prices in once the twin is basic, and the
+p = 2 bounds below ignore the order and the copies of the columns. Along a
+ladder the columns are the rows ordered stably by the level at which they
+enter, so level k's margin is over a prefix of the columns. With two
+criteria, running extremes of the bounds over the columns give every level's
+interval at once. The intervals are nested, so the empty ones are
 the deepest levels, and each of those is an LP over its prefix. Each LP is
 solved from the start basis, because pricing stops at an absolute reduced
 cost of 1e-9 while margins can shrink like 2^-k.
@@ -64,7 +63,7 @@ import numpy as np
 from .errors import BoxTooSmall, DimensionError, NotSupported, NumericalBreakdown, SchemaError
 from .geoffrion import fit_exponent
 from .linprog import cone_margin
-from .problems import distinct_rows, point_array
+from .problems import point_array
 
 VANISHING = "vanishing"
 PERSISTENT = "persistent"
@@ -131,22 +130,20 @@ class WitnessVerification:
 
 @dataclass(frozen=True, eq=False)
 class Cuts:
-    """The cuts of a sample against a reference, normalized and grouped once
-    for every margin over a row set of the sample (``prepare_cuts``)."""
+    """The cuts of a sample against a reference, normalized once for every
+    margin over a row set of the sample (``prepare_cuts``); equal cuts stay
+    separate rows."""
 
     y_ref: tuple[float, ...]
     diffs: np.ndarray  # y - y_ref, one row per sample point
     cuts: np.ndarray  # each row of ``diffs`` over its largest magnitude
-    order: np.ndarray  # the equal-cut groups of ``problems.distinct_rows``
-    starts: np.ndarray
-    groups: np.ndarray
 
     def __len__(self) -> int:
         return len(self.diffs)
 
 
 def prepare_cuts(cloud, y_ref) -> Cuts:
-    """Normalize the cuts of a sample against ``y_ref`` and group the equal ones."""
+    """Normalize the cuts of a sample against ``y_ref``, one row per sample point."""
     ref = tuple(float(v) for v in y_ref)
     points = point_array(cloud)
     if points.shape[1] != len(ref):
@@ -161,7 +158,7 @@ def prepare_cuts(cloud, y_ref) -> Cuts:
         raise SchemaError(f"point {np.argmin(np.isfinite(scale))}: y - y_ref is not finite at {ref}")
     scale[scale == 0.0] = 1.0
     cuts = diffs / scale[:, None]
-    return Cuts(ref, diffs, cuts, *distinct_rows(cuts))
+    return Cuts(ref, diffs, cuts)
 
 
 def support_margin(cloud, y_ref=None, *, tol: float = _TOL, rows=None) -> MarginReport:
@@ -212,22 +209,11 @@ def _level_margins(
 ) -> tuple[tuple[float, ...], MarginReport]:
     """The margin over each level k = 1..levels of the sorted sample rows
     ``rows``, ``rows[i]`` entering at level ``entry[i]``, and the report of
-    the deepest level. A group of equal cuts enters at the smallest entry
-    level among its members in ``rows``.
-    """
-    every = len(rows) == len(cuts)  # sorted distinct rows: all of them
-    if every:
-        ordered, starts, entry = cuts.order, cuts.starts, entry[cuts.order]
-    else:
-        # stable: a group's members stay in input order
-        by_group = np.argsort(cuts.groups[rows], kind="stable")
-        ordered, entry = rows[by_group], entry[by_group]
-        group = cuts.groups[ordered]
-        starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
-    first = np.minimum.reduceat(entry, starts)
-    by_level = np.argsort(first, kind="stable")
-    columns = cuts.cuts[ordered[starts[by_level]]]
-    ends = np.searchsorted(first[by_level], np.arange(1, levels + 1), side="right")
+    the deepest level."""
+    # stable: level k is a prefix of the columns, in row order within a level
+    by_level = np.argsort(entry, kind="stable")
+    columns = cuts.cuts[rows[by_level]]
+    ends = np.searchsorted(entry[by_level], np.arange(1, levels + 1), side="right")
     p = len(cuts.y_ref)
     margins: list[float] = []
     feasible = True
@@ -252,7 +238,7 @@ def _level_margins(
     binding: tuple[int, ...] = ()
     if feasible and margin > tol:
         weights = tuple(float(v) for v in w)
-        slack = (cuts.diffs if every else cuts.diffs[rows]) @ w
+        slack = cuts.diffs[rows] @ w
         binding = tuple(int(i) for i in np.flatnonzero(np.abs(slack) <= tol))
     last = MarginReport(
         margin=margin,

@@ -537,16 +537,18 @@ def test_records_equal_asdict_of_their_reports(tmp_path, monkeypatch, capsys, ar
 
 
 @pytest.mark.parametrize("command", ["report", "support"])
-def test_each_point_groups_its_cuts_once(tmp_path, monkeypatch, capsys, command):
-    # one normalization and grouping of the analysis cloud per point, and no
-    # cloud but the analysis cloud: ladders, witness samples and probes are
-    # row sets of it
+def test_each_point_normalizes_its_cuts_once(tmp_path, monkeypatch, capsys, command):
+    # one normalization of the analysis cloud's cuts per point, and no cloud
+    # but the analysis cloud: ladders, witness samples and probes are row
+    # sets of it
     path = tmp_path / "plane2d.json"
     path.write_text(json.dumps(PLANE2D))
-    groupings, clouds = [], []
-    distinct_rows = support.distinct_rows
+    normalized, clouds = [], []
+    prepare_cuts = support.prepare_cuts
     monkeypatch.setattr(
-        support, "distinct_rows", lambda a: groupings.append(len(a)) or distinct_rows(a)
+        support,
+        "prepare_cuts",
+        lambda cloud, y_ref: normalized.append(len(cloud)) or prepare_cuts(cloud, y_ref),
     )
     init = PointCloud.__init__
     monkeypatch.setattr(
@@ -556,7 +558,7 @@ def test_each_point_groups_its_cuts_once(tmp_path, monkeypatch, capsys, command)
     assert code == 0, err
     payload = json.loads(out)
     assert len(payload["points"]) == 25
-    assert groupings == [payload["sample"]["size"]] * 25
+    assert normalized == [payload["sample"]["size"]] * 25
     assert len(clouds) == 1
 
 
@@ -645,6 +647,68 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+def test_one_points_kkt_failure_is_recorded_in_the_report(tmp_path, capsys):
+    # the x^(1/2) problem: at the origin base^(1/2) has no derivative, so kkt
+    # fails there alone; report records that point's error and keeps every
+    # other probe's certificate, while the kkt command still exits 3
+    doc = {
+        "type": "analytic", "decision_dim": 1, "criterion_dim": 2, "domain": [[0, 2]],
+        "criteria": ["x0", "-(x0^1/2)"],
+        "constraints": {"ineq": ["-y0"], "eq": ["y1 + y0^1/2"]},
+    }
+    path = tmp_path / "sqrt.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "report", str(path))
+    assert code == 0, err
+    records = json.loads(out)["points"]
+    assert [r["decision"] for r in records] == [[0.0], [0.5], [1.0], [1.5], [2.0]]
+    assert records[0]["kkt"] == {
+        "error": "base^(1/2) has no derivative at base 0 (exponent between 0 and 1)"
+    }
+    for record in records[1:]:
+        assert "certificate" in record["kkt"] and "error" not in record["kkt"]
+    code, _, err = _run(capsys, "kkt", str(path))
+    assert code == 3
+    assert "has no derivative" in err
+
+
+def test_repeated_cuts_give_the_margins_of_the_distinct_ones(tmp_path, capsys):
+    # the criteria ignore x1, so every cut of the 2-D problem repeats once per
+    # x1 value and equal cuts are not merged; each probe's support record is
+    # that of the same criteria over x0 alone bit for bit, and its binding
+    # rows are every copy of those
+    criteria = ["x0", "1 - x0^2", "-(x0^3)"]
+    reports = []
+    for dim in (2, 1):
+        path = tmp_path / f"repeated{dim}.json"
+        path.write_text(json.dumps({
+            "type": "analytic", "decision_dim": dim, "criterion_dim": 3,
+            "domain": [[0, 1]] * dim, "criteria": criteria,
+        }))
+        code, out, err = _run(capsys, "report", str(path), "--grid", "33", "--levels", "8")
+        assert code == 0, err
+        reports.append(json.loads(out))
+    twod, oned = reports
+    copies = oned["sample"]["size"]  # the x1 values: the cloud is a square grid
+    assert twod["sample"]["size"] == copies**2
+    assert len(twod["points"]) == 5 * len(oned["points"]) == 25
+
+    def support(record):
+        margin, trend, witness = (record["support"][k] for k in ("margin", "trend", "witness"))
+        return repr((
+            [margin[k] for k in ("margin", "weights", "feasible")],
+            trend,
+            [witness[k] for k in ("anchor", "weights", "curvature")],
+        ))
+
+    for i, record in enumerate(twod["points"]):
+        alone = oned["points"][i // 5]
+        assert record["decision"][0] == alone["decision"][0]
+        assert support(record) == support(alone)
+        binding = record["support"]["margin"]["binding"]
+        assert len(binding) == copies * len(alone["support"]["margin"]["binding"]) > 0
+
+
 def test_deep_soland_ladder_follows_the_margin_to_its_limit(capsys):
     # at depth 40 the cuts near the origin differ by about 1e-12
     code, out, _ = _run(capsys, "report", "builtin:soland", "--levels", "40")
@@ -674,7 +738,7 @@ def test_deep_soland_origin_margins_follow_the_closed_form():
     for k in range(1, 53):
         cloud = sample_criterion_space(problem, GridSpec.geometric((0.0,), k))
         cuts = support.prepare_cuts(cloud, (0.0, 0.0))
-        out = support.cone_margin(cuts.cuts[cuts.order[cuts.starts]], mass="lambda")
+        out = support.cone_margin(cuts.cuts, mass="lambda")
         truth = 2.0 ** -k / (1.0 + 2.0 ** -k)
         margin = -out.value
         assert margin > 0 and abs(margin - truth) <= (2.0 ** -k + 1e-12) * truth, k

@@ -10,7 +10,6 @@ from paretocert.errors import NumericalBreakdown
 from paretocert.problems import (
     GridSpec,
     builtin,
-    distinct_rows,
     load_document,
     sample_criterion_space,
 )
@@ -438,7 +437,7 @@ def _closed_form_margins(monkeypatch, problem, anchors, levels):
         for k in range(1, levels + 1):
             cloud = sample_criterion_space(problem, GridSpec.geometric(anchor, k))
             cuts = support.prepare_cuts(cloud, y_ref)
-            inst = lp.ConeInstance(cuts.cuts[cuts.order[cuts.starts]], "lambda")
+            inst = lp.ConeInstance(cuts.cuts, "lambda")
             margins.append((inst, support.support_margin(cuts)))
     assert not solved
     return margins
@@ -453,10 +452,8 @@ def _near_parallel_margin_instances(monkeypatch, rng, count):
         m = int(rng.integers(50, 401))
         base = rng.integers(-3, 4, size=(6, p)).astype(float)
         diffs = base[rng.integers(0, len(base), size=m)] + 1e-4 * rng.normal(size=(m, p))
-        # the normalized, deduplicated cuts of support.support_margin
-        normalized = diffs / np.max(np.abs(diffs), axis=1)[:, None]
-        order, starts, _ = distinct_rows(normalized)
-        cuts = normalized[order[starts]]
+        # the normalized cuts of support.support_margin
+        cuts = diffs / np.max(np.abs(diffs), axis=1)[:, None]
         for mass in ("lambda", "lambda+nu"):
             lp.cone_margin(cuts, mass=mass)
     return solved

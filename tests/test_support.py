@@ -12,7 +12,6 @@ from paretocert.problems import (
     Ladder,
     PointCloud,
     builtin,
-    distinct_rows,
     load_problem,
     refinement_ladder,
     sample_criterion_space,
@@ -207,32 +206,17 @@ def test_trend_margins_equal_cold_solves_per_level(problem, anchor, levels):
     assert repr(trend.last) == repr(cold[-1])
 
 
-def old_level_cuts(rows, entry, levels, y_ref):
-    """Each level's cut matrix as ``support`` built it with ``np.unique``,
-    ``np.minimum.at`` over the inverse and a stable argsort by entry level."""
-    diffs = rows - np.asarray(tuple(float(v) for v in y_ref))
-    scale = np.max(np.abs(diffs), axis=1)
-    scale[scale == 0.0] = 1.0
-    cuts, inverse = np.unique(diffs / scale[:, None], axis=0, return_inverse=True)
-    first = np.full(len(cuts), levels)
-    np.minimum.at(first, inverse.ravel(), entry)
-    order = np.argsort(first, kind="stable")
-    ends = np.searchsorted(first[order], np.arange(1, levels + 1), side="right")
-    return [cuts[order][:end] for end in ends]
-
-
-def first_member_level_cuts(rows, entry, levels, y_ref):
-    """Each level's cut matrix from normalizing and deduplicating ``rows``
-    alone with ``distinct_rows``, a group represented by its first row."""
+def row_order_level_cuts(rows, entry, levels, y_ref):
+    """Each level's cut matrix from normalizing ``rows`` alone: the rows that
+    enter at level 1, then those that enter at level 2, and so on, each in row
+    order, so level k is the prefix of the rows that enter by k."""
     diffs = rows - np.asarray(tuple(float(v) for v in y_ref))
     scale = np.max(np.abs(diffs), axis=1)
     scale[scale == 0.0] = 1.0
     cuts = diffs / scale[:, None]
-    order, starts, _ = distinct_rows(cuts)
-    first = np.minimum.reduceat(np.asarray(entry)[order], starts)
-    by_level = np.argsort(first, kind="stable")
-    ends = np.searchsorted(first[by_level], np.arange(1, levels + 1), side="right")
-    return [cuts[order[starts[by_level]]][:end] for end in ends]
+    entry = np.asarray(entry)
+    by_level = [cuts[entry == j] for j in range(1, levels + 1)]
+    return [np.concatenate(by_level[:k]) for k in range(1, levels + 1)]
 
 
 def recorded_level_cuts(monkeypatch, solve):
@@ -291,7 +275,8 @@ SOLAND3 = load_problem(json.dumps({
 )
 def test_margin_lp_columns_keep_their_order(monkeypatch, problem, anchor, levels):
     # column order decides ties and Bland's rule in the simplex, so the cut
-    # matrices must be those of the np.unique pipeline bit for bit
+    # matrices must be the rows' own cuts bit for bit, sorted stably by entry
+    # level and in row order within a level
     # the ladder's and the whole cloud's LPs take their columns from one
     # preparation of the cloud's cuts; p = 3 throughout, since p = 2 margins
     # solve no LP while every level's cuts leave some weight
@@ -304,9 +289,9 @@ def test_margin_lp_columns_keep_their_order(monkeypatch, problem, anchor, levels
     for y_ref in references:
         cuts = support.prepare_cuts(cloud, y_ref)
         trend = recorded_level_cuts(monkeypatch, lambda: support.support_trend(cuts, steps))
-        assert_same_bits(trend, old_level_cuts(rows, steps.entry, len(steps), y_ref))
+        assert_same_bits(trend, row_order_level_cuts(rows, steps.entry, len(steps), y_ref))
         deepest = recorded_level_cuts(monkeypatch, lambda: support.support_margin(rows, y_ref))
-        assert_same_bits(deepest, old_level_cuts(rows, np.ones(len(rows), dtype=int), 1, y_ref))
+        assert_same_bits(deepest, row_order_level_cuts(rows, np.ones(len(rows), dtype=int), 1, y_ref))
         subset = recorded_level_cuts(
             monkeypatch, lambda: support.support_margin(cuts, rows=steps.rows)
         )
@@ -314,14 +299,14 @@ def test_margin_lp_columns_keep_their_order(monkeypatch, problem, anchor, levels
         whole = recorded_level_cuts(monkeypatch, lambda: support.support_margin(cuts))
         everything = cloud.as_array()
         assert_same_bits(
-            whole, old_level_cuts(everything, np.ones(len(everything), dtype=int), 1, y_ref)
+            whole, row_order_level_cuts(everything, np.ones(len(everything), dtype=int), 1, y_ref)
         )
 
 
 def test_row_set_columns_equal_those_of_the_rows_alone(monkeypatch):
-    # equal cuts may differ in the sign of a zero, so a group's column must be
-    # its first member in the row set: the one a sample of those rows alone
-    # would give, bit for bit; p = 3, where every margin is an LP
+    # a row set's columns are its own rows' cuts, equal ones and signed zeros
+    # included: those a sample of the rows alone gives, bit for bit; p = 3,
+    # where every margin is an LP
     rng = np.random.default_rng(1607)
     for _ in range(60):
         n, p = int(rng.integers(1, 40)), 3
@@ -334,19 +319,61 @@ def test_row_set_columns_equal_those_of_the_rows_alone(monkeypatch):
         alone = points[rows]
         got = recorded_level_cuts(monkeypatch, lambda: support.support_margin(cuts, rows=rows))
         ones = np.ones(len(rows), dtype=int)
-        assert_same_bits(got, first_member_level_cuts(alone, ones, 1, y_ref))
+        assert_same_bits(got, row_order_level_cuts(alone, ones, 1, y_ref))
         report = support.support_margin(cuts, rows=rows)
         assert repr(report) == repr(support.support_margin(alone, y_ref))
         steps = Ladder(rows=rows, entry=entry, levels=levels)
         got = recorded_level_cuts(monkeypatch, lambda: support.support_trend(cuts, steps))
-        assert_same_bits(got, first_member_level_cuts(alone, entry, levels, y_ref))
+        assert_same_bits(got, row_order_level_cuts(alone, entry, levels, y_ref))
+
+
+def assert_doubled(got, want):
+    """``got`` is ``want``'s margin over its row set stacked on itself: the
+    same margin, weights and feasibility bit for bit, both copies binding."""
+    fields = ("margin", "weights", "feasible")
+    assert repr([getattr(got, f) for f in fields]) == repr([getattr(want, f) for f in fields])
+    size = want.sample_size
+    assert got.sample_size == 2 * size
+    assert got.binding == want.binding + tuple(i + size for i in want.binding)
+
+
+@pytest.mark.parametrize(
+    "problem, anchor, levels",
+    [(SOLAND3, (x,), 24) for x in (0.0, 1.6875, 4.0)]
+    + [(PLANE2D, a, 8) for a in ((0.25, 0.75), (0.0, 1.0))]
+    + [(None, None, 5)],
+    ids=["soland3-0", "soland3-1.6875", "soland3-4", "plane2d-(0.25,0.75)", "plane2d-(0,1)", "cloud"],
+)
+def test_duplicate_rows_are_harmless(problem, anchor, levels):
+    # equal cuts are not merged: a copy of a column has its twin's reduced
+    # cost, so it never prices in, and a p = 3 cloud stacked on itself gives
+    # the margins of the cloud alone, over the whole cloud and along a ladder
+    # whose rows enter twice at the same levels
+    cloud, steps = continuous_cloud_ladder(levels) if problem is None else ladder(problem, anchor, levels)
+    points = cloud.as_array()
+    n = len(points)
+    twice = np.vstack([points, points])
+    stacked = Ladder(
+        rows=np.r_[steps.rows, steps.rows + n], entry=np.r_[steps.entry, steps.entry], levels=levels
+    )
+    if problem is None:
+        references = [tuple(points[steps.rows[17]]), (0.5, -0.25, 3.0)]
+    else:
+        references = [problem.criteria_at(anchor)]
+    for y_ref in references:
+        alone, doubled = support.prepare_cuts(points, y_ref), support.prepare_cuts(twice, y_ref)
+        assert_doubled(support.support_margin(doubled), support.support_margin(alone))
+        trend = support.support_trend(doubled, stacked)
+        want = support.support_trend(alone, steps)
+        assert repr(trend.margins) == repr(want.margins)
+        assert_doubled(trend.last, want.last)
 
 
 def lp_level_margins(rows, entry, levels, y_ref):
     """(margin, feasible, weights) of each level's margin LP over the cuts of
     ``rows`` alone, the soft margin where the hard one is infeasible."""
     results = []
-    for cuts in first_member_level_cuts(rows, entry, levels, y_ref):
+    for cuts in row_order_level_cuts(rows, entry, levels, y_ref):
         out = support.cone_margin(cuts, mass="lambda")
         feasible = out.status == "optimal"
         if not feasible:
@@ -437,7 +464,7 @@ def test_non_finite_cuts_raise():
             support.support_trend(points, steps, y_ref)
         # cuts built without prepare_cuts are checked by the margin itself,
         # by the closed form for two criteria as by the LP's instance
-        cuts = support.Cuts(y_ref, points, points, *distinct_rows(points))
+        cuts = support.Cuts(y_ref, points, points)
         with pytest.raises(ValueError, match="finite"):
             support.support_margin(cuts)
         with pytest.raises(ValueError, match="finite"):
@@ -463,7 +490,7 @@ def test_levels_without_weights_are_the_lp_bit_for_bit(monkeypatch, case):
     rows = cloud.as_array()[steps.rows]
     cuts = support.prepare_cuts(cloud, y_ref)
     got = recorded_level_cuts(monkeypatch, lambda: support.support_trend(cuts, steps))
-    assert_same_bits(got, first_member_level_cuts(rows, steps.entry, levels, y_ref)[first - 1 :])
+    assert_same_bits(got, row_order_level_cuts(rows, steps.entry, levels, y_ref)[first - 1 :])
     trend = support.support_trend(cuts, steps)
     want = lp_level_margins(rows, steps.entry, levels, y_ref)
     assert [repr(m) for m in trend.margins[first - 1 :]] == [repr(m) for m, _, _ in want[first - 1 :]]
@@ -710,7 +737,6 @@ def test_cuts_and_witness_gaps_match_row_wise_reductions():
                 cuts = support.prepare_cuts(pts, y_ref)
                 assert cuts.diffs.tobytes() == (pts - y_ref).tobytes()
                 assert cuts.cuts.tobytes() == row_wise_cuts(pts, y_ref).tobytes()
-                assert cuts.order.tobytes() == np.lexsort(cuts.cuts.T[::-1]).tobytes()
                 witness = support.ValueFunctionWitness(
                     weights=tuple((rng.random(p) + 0.1).tolist()),
                     curvature=float(rng.random()),
