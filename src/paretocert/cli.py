@@ -381,7 +381,8 @@ def _build_witness_dict(
         margin = support.support_margin(cuts, tol=cfg.tol_lp, rows=rows)
     if margin.weights is None:
         return margin, None
-    sample = analysis_cloud.as_array() if every else analysis_cloud.as_array()[rows]
+    sample = analysis_cloud.as_array()
+    sample = sample if every else np.take(sample, rows, axis=0)
     box = _witness_box(sample, spec.criterion)
     witness = support.build_witness(spec.criterion, margin.weights, box, sample)
     verification = support.verify_witness(witness, sample, tie_tol=cfg.tie_tol)
@@ -389,8 +390,9 @@ def _build_witness_dict(
 
 
 def _witness_box(pts: np.ndarray, y_ref) -> tuple[tuple[float, float], ...]:
-    lo = np.minimum(pts.min(axis=0), y_ref)
-    hi = np.maximum(pts.max(axis=0), y_ref)
+    # a pass per column: axis-0 reductions of a tall (N, p) array are slower
+    lo = np.minimum([column.min() for column in pts.T], y_ref)
+    hi = np.maximum([column.max() for column in pts.T], y_ref)
     pad = 0.05 * np.maximum(hi - lo, 1.0)
     return tuple((float(l - p), float(h + p)) for l, h, p in zip(lo, hi, pad))
 

@@ -21,28 +21,32 @@ and an improving ray); an unbounded hard support margin LP is how an
 infeasible margin shows up. :func:`verify_outcome` re-checks either from the
 cuts alone, independent of the solution path.
 
-The solver keeps one dense basis inverse (the product form of the inverse,
-Dantzig and Orchard-Hays 1954), factorized from the start basis: every pivot
-applies a rank-one (eta) update, and the inverse is factorized afresh from
-the basis columns every ``_REFACTOR_EVERY`` pivots, before a small pivot is
-taken and before the solve concludes. Basic values, duals and directions are
-products with the inverse; every factorization goes through
-:func:`_solve_linear`, the module's one call into ``numpy.linalg``.
+A :class:`ConeInstance` builds its LP matrix once, and :func:`solve_lp`
+solves over all its cuts or a prefix of them: a ladder's levels share one
+matrix. The solver keeps one dense basis inverse (the product form of the
+inverse, Dantzig and Orchard-Hays 1954): every pivot applies a rank-one (eta)
+update, and the inverse is factorized afresh from the basis columns every
+``_REFACTOR_EVERY`` pivots, before a small pivot is taken and before the
+solve concludes. The start inverse with lambda in the mass row depends on p
+alone, so it is factorized once per p, kept read-only and copied per solve.
+Basic values, duals and directions are products with the inverse; every
+factorization goes through :func:`_solve_linear`, the module's one call into
+``numpy.linalg``.
 
-Columns price in by the largest reduced cost, ties to the lowest index.
-After a degenerate pivot (the leaving variable was at 0) pricing follows
-Bland's rule (Bland 1977: lowest entering index, lowest leaving basis index
-among the minimal ratios) until a pivot makes progress; a cycle would consist
-of degenerate pivots only, all of them Bland's, so the simplex cannot cycle.
-Dense arithmetic is fine at the intended scale: a few rows, and columns by
-the hundred thousand (the 2-D problem's default report solves margin LPs
-over 124,609 columns).
+Columns price in by the largest reduced cost, ties to the lowest index, in
+one pass; the ratio test runs over the p + 1 rows in Python floats. After a
+degenerate pivot (the leaving variable was at 0) pricing follows Bland's
+rule (Bland 1977: lowest entering index, lowest leaving basis index among the
+minimal ratios) until a pivot makes progress; a cycle would consist of
+degenerate pivots only, all Bland's, so the simplex cannot cycle. Dense
+arithmetic is fine at the intended scale: a few rows, and columns by the
+hundred thousand (124,609 in the margin LPs of the 2-D problem's report).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +63,7 @@ _PIVOT_TOL = 1e-12  # a direction entry at or below this never pivots
 
 # whether the mass row sums (lambda, nu)
 _MASS_ROWS = {"lambda": (True, False), "lambda+nu": (True, True), "nu": (False, True)}
+_START_INVERSES: dict[int, np.ndarray] = {}  # p + 1 -> its kept _start_inverse
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,8 @@ class ConeInstance:
 
     cuts: np.ndarray
     mass: str
+    # the LP matrix over the columns (u, lambda, nu), read-only
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mass not in _MASS_ROWS:
@@ -79,6 +86,16 @@ class ConeInstance:
             raise ValueError("the nu mass over no cuts has no feasible point")
         cuts.setflags(write=False)
         object.__setattr__(self, "cuts", cuts)
+        m, p = cuts.shape
+        on_lambda, on_nu = _MASS_ROWS[self.mass]
+        A = np.zeros((p + 1, 1 + p + m))
+        A[:p, 0] = 1.0
+        A[:p, 1 : 1 + p] = -np.eye(p)
+        A[:p, 1 + p :] = cuts.T
+        A[p, 1 : 1 + p] = float(on_lambda)
+        A[p, 1 + p :] = float(on_nu)
+        A.setflags(write=False)
+        object.__setattr__(self, "matrix", A)
 
     @property
     def num_rows(self) -> int:
@@ -124,49 +141,58 @@ def _pivot(binv: np.ndarray, d: np.ndarray, pos: int) -> None:
     binv[pos] = row
 
 
-def _entering(A, reduced, enterable, binv, x_basic, basis, bland):
+def _entering(A, priced, binv, x_basic, basis, bland):
     """The entering column, its direction ``binv @ A[:, j]`` and the leaving
     position, which is None when no row blocks the direction; None when no
-    column prices in. Position 0 holds the free u and never blocks.
+    column prices in. ``priced`` holds the reduced costs of the columns that
+    may enter, -inf elsewhere and at columns passed over. Position 0 holds the
+    free u and never blocks.
 
     Columns price in by the largest reduced cost, ties to the lowest index,
     or with ``bland`` by the lowest index alone, and the leaving row is then
     the lowest basis index among the minimal ratios (Bland's rule).
     """
-    eligible = enterable & (reduced > _ENTER_TOL)
-    while eligible.any():
-        j = int(np.argmax(eligible if bland else np.where(eligible, reduced, -np.inf)))
-        eligible[j] = False
+    x = x_basic.tolist()
+    while True:
+        j = int(np.argmax(priced > _ENTER_TOL if bland else priced))
+        cost = float(priced[j])
+        if not cost > _ENTER_TOL:
+            return None
+        priced[j] = -np.inf
         d = binv @ A[:, j]
-        rows = (d[1:] > _PIVOT_TOL).nonzero()[0] + 1
-        ratios = np.maximum(x_basic[rows], 0.0) / d[rows]
-        theta = ratios.min(initial=np.inf)
+        dl = d.tolist()
+        rows = [i for i in range(1, len(dl)) if dl[i] > _PIVOT_TOL]
+        ratios = [max(x[i], 0.0) / dl[i] for i in rows]
+        theta = min(ratios, default=math.inf)
         if not math.isfinite(theta):
-            if reduced[j] > _UNBOUNDED_GUARD * np.abs(A[:, j]).max():
+            if cost > _UNBOUNDED_GUARD * max(map(abs, A[:, j].tolist())):
                 return j, d, None
             continue  # numerically null column; its reduced cost is noise
-        ties = rows[ratios <= theta + 1e-12]
+        ties = [i for i, ratio in zip(rows, ratios) if ratio <= theta + 1e-12]
         if bland:
-            return j, d, int(ties[np.argmin(np.asarray(basis)[ties])])
+            return j, d, min(ties, key=basis.__getitem__)
         # among (near-)minimal ratios take the largest pivot element for
         # conditioning, then the lowest basis index for determinism
-        pos, d_pos = int(ties[0]), float(d[ties[0]])
-        for i, d_i in zip(ties[1:].tolist(), d[ties[1:]].tolist()):
+        pos, d_pos = ties[0], dl[ties[0]]
+        for i in ties[1:]:
+            d_i = dl[i]
             if d_i > d_pos * (1.0 + 1e-12) or (
                 abs(d_i - d_pos) <= 1e-12 * d_pos and basis[i] < basis[pos]
             ):
                 pos, d_pos = i, d_i
         return j, d, pos
-    return None
 
 
-def _revised_simplex(A, b, c, basis):
+def _revised_simplex(A, b, c, basis, binv):
     """Run primal simplex from the feasible ``basis``, whose position 0 holds
-    the free u for good; returns the status, the final basis, its values and
-    duals, and for an unbounded LP the entering column and its direction.
+    the free u for good, and its inverse ``binv`` (for the lambda masses a
+    copy of the one kept per p), which the run overwrites; returns the status,
+    the final basis, its values and duals, and for an unbounded LP the
+    entering column and its direction.
 
-    A degenerate pivot (leaving value 0) switches pricing to Bland's rule
-    until a pivot makes progress.
+    Each iteration prices the columns in one pass and runs the ratio test over
+    p + 1 scalars (``_entering``); a degenerate pivot (leaving value 0)
+    switches pricing to Bland's rule until a pivot makes progress.
 
     The basis inverse is updated per pivot and factorized afresh every
     ``_REFACTOR_EVERY`` pivots, before a pivot below ``_SMALL_PIVOT`` of its
@@ -174,18 +200,17 @@ def _revised_simplex(A, b, c, basis):
     so that no verdict rests on accumulated update error.
     """
     basis = list(basis)
-    binv = _factorize(A, basis)
     c_basis = c[basis]
-    enterable = np.ones(A.shape[1], dtype=bool)
-    enterable[basis] = False
+    c_enter = c.copy()  # -inf at the basic columns, which then never price in
+    c_enter[basis] = -np.inf
     pivots = 0  # since binv was last factorized
     bland = False
     for _ in range(_MAX_ITER):
         x_basic = binv @ b
         y = c_basis @ binv
         # summed row by row, so that equal columns get equal reduced costs
-        reduced = c - (y[:, None] * A).sum(axis=0)
-        choice = _entering(A, reduced, enterable, binv, x_basic, basis, bland)
+        priced = c_enter - (y[:, None] * A).sum(axis=0)
+        choice = _entering(A, priced, binv, x_basic, basis, bland)
         if choice is None or choice[2] is None:
             if pivots:
                 binv = _factorize(A, basis)
@@ -202,15 +227,15 @@ def _revised_simplex(A, b, c, basis):
                 )
             return "unbounded", basis, x_basic, y, j, d
         j, d, pos = choice
-        if pivots and abs(d[pos]) < _SMALL_PIVOT * np.max(np.abs(d)):
+        if pivots and abs(float(d[pos])) < _SMALL_PIVOT * max(map(abs, d.tolist())):
             # a small pivot magnifies the update error: confirm it with a
             # fresh factorization first
             binv = _factorize(A, basis)
             pivots = 0
             continue
         bland = not x_basic[pos] > 0.0
-        enterable[basis[pos]] = True
-        enterable[j] = False
+        c_enter[basis[pos]] = c[basis[pos]]
+        c_enter[j] = -np.inf
         basis[pos] = j
         c_basis[pos] = c[j]
         pivots += 1
@@ -222,6 +247,17 @@ def _revised_simplex(A, b, c, basis):
     raise NumericalBreakdown("simplex iteration limit exceeded")
 
 
+def _start_inverse(A, basis) -> np.ndarray:
+    """A copy of the inverse of the {u, lambda} start basis, a matrix that
+    depends on p alone: factorized once per p and kept read-only."""
+    kept = _START_INVERSES.get(len(basis))
+    if kept is None:
+        kept = _factorize(A, basis)
+        kept.setflags(write=False)
+        kept = _START_INVERSES.setdefault(len(basis), kept)
+    return kept.copy()
+
+
 def _start_basis(inst: ConeInstance) -> list[int]:
     """The columns of the start basis :func:`cone_margin` names, u first."""
     p = inst.cuts.shape[1]
@@ -231,26 +267,24 @@ def _start_basis(inst: ConeInstance) -> list[int]:
     return [0, *(1 + i for i in range(p) if i != low), 1 + p]
 
 
-def solve_lp(instance: ConeInstance) -> LpOutcome:
-    """Solve a cone-margin instance from its start basis, deterministically."""
-    cuts = instance.cuts
-    m, p = cuts.shape
-    on_lambda, on_nu = _MASS_ROWS[instance.mass]
-    n = 1 + p + m
-    A = np.zeros((p + 1, n))
-    A[:p, 0] = 1.0
-    A[:p, 1 : 1 + p] = -np.eye(p)
-    A[:p, 1 + p :] = cuts.T
-    A[p, 1 : 1 + p] = float(on_lambda)
-    A[p, 1 + p :] = float(on_nu)
+def solve_lp(instance: ConeInstance, end: int | None = None) -> LpOutcome:
+    """Solve a cone-margin instance from its start basis, deterministically,
+    over its first ``end`` cuts (all by default), a prefix view of its matrix."""
+    m, p = instance.cuts.shape
+    on_lambda = _MASS_ROWS[instance.mass][0]
+    end = m if end is None else end
+    if not (0 if on_lambda else 1) <= end <= m:
+        raise ValueError(f"no {instance.mass} mass LP over the first {end} of {m} cuts")
+    n = 1 + p + end
+    A = instance.matrix[:, :n]
     b = np.zeros(p + 1)
     b[p] = 1.0
     c = np.zeros(n)
     c[0] = -1.0
     try:
-        status, basis, x_basic, y, enter, direction = _revised_simplex(
-            A, b, c, _start_basis(instance)
-        )
+        basis = _start_basis(instance)
+        binv = _start_inverse(A, basis) if on_lambda else _factorize(A, basis)
+        status, basis, x_basic, y, enter, direction = _revised_simplex(A, b, c, basis, binv)
     except NumericalBreakdown as exc:
         raise NumericalBreakdown(
             f"{exc} in a {p + 1} x {n} cone-margin LP (mass {instance.mass})"

@@ -48,7 +48,7 @@ def pareto_filter(cloud) -> list[int]:
         raise ValueError(f"point {int(nan_rows[0])} has a NaN coordinate")
     order, starts, groups = distinct_rows(pts)
     sweep = _staircase_sweep if pts.shape[1] <= 3 else _front_sweep
-    kept = sweep(pts[order[starts[::-1]]])[::-1]
+    kept = sweep(np.take(pts, order[starts[::-1]], axis=0))[::-1]
     return np.flatnonzero(kept[groups]).tolist()
 
 

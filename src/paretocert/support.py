@@ -45,9 +45,10 @@ ladder the columns are the rows ordered stably by the level at which they
 enter, so level k's margin is over a prefix of the columns. With two
 criteria, running extremes of the bounds over the columns give every level's
 interval at once. The intervals are nested, so the empty ones are
-the deepest levels, and each of those is an LP over its prefix. Each LP is
-solved from the start basis, because pricing stops at an absolute reduced
-cost of 1e-9 while margins can shrink like 2^-k.
+the deepest levels, and each of those is an LP over its prefix: a prefix view
+of one LP matrix (and of one for the soft margins, built only if a level is
+infeasible). Each LP is solved from the start basis, because pricing stops
+at an absolute reduced cost of 1e-9 while margins can shrink like 2^-k.
 
 A margin t* > 0 certifies a strictly increasing linear value function that is
 maximized at the reference over the sample; we then upgrade it to a strictly
@@ -62,7 +63,7 @@ import numpy as np
 
 from .errors import BoxTooSmall, DimensionError, NotSupported, NumericalBreakdown, SchemaError
 from .geoffrion import fit_exponent
-from .linprog import cone_margin
+from .linprog import ConeInstance, solve_lp
 from .problems import point_array
 
 VANISHING = "vanishing"
@@ -212,7 +213,7 @@ def _level_margins(
     the deepest level."""
     # stable: level k is a prefix of the columns, in row order within a level
     by_level = np.argsort(entry, kind="stable")
-    columns = cuts.cuts[rows[by_level]]
+    columns = np.take(cuts.cuts, rows[by_level], axis=0)
     ends = np.searchsorted(entry[by_level], np.arange(1, levels + 1), side="right")
     p = len(cuts.y_ref)
     margins: list[float] = []
@@ -224,11 +225,14 @@ def _level_margins(
         # -(0.0 - t), as the LP's value: a zero margin reads -0.0 either way
         margins = (-(0.0 - np.minimum(held, 1.0 - held))).tolist()
         w = np.array([lam[-1], 1.0 - lam[-1]])
+    hard = soft = None  # each level's LP is over a prefix of these instances' columns
     for end in ends[len(margins) :].tolist():
-        out = cone_margin(columns[:end], mass="lambda")
+        hard = hard or ConeInstance(columns, "lambda")
+        out = solve_lp(hard, end)
         feasible = out.status == "optimal"
         if not feasible:
-            out = cone_margin(columns[:end], mass="lambda+nu")
+            soft = soft or ConeInstance(columns, "lambda+nu")
+            out = solve_lp(soft, end)
             if out.status != "optimal":
                 raise NumericalBreakdown("support margin relaxation did not solve")
         margins.append(-float(out.value))
@@ -238,7 +242,7 @@ def _level_margins(
     binding: tuple[int, ...] = ()
     if feasible and margin > tol:
         weights = tuple(float(v) for v in w)
-        slack = cuts.diffs[rows] @ w
+        slack = np.take(cuts.diffs, rows, axis=0) @ w
         binding = tuple(int(i) for i in np.flatnonzero(np.abs(slack) <= tol))
     last = MarginReport(
         margin=margin,
@@ -269,8 +273,8 @@ def _two_criteria_weight(columns: np.ndarray, ends: np.ndarray) -> np.ndarray:
     none = (slope == 0) & (c1 > 0)
     lower = np.where(slope < 0, bound, np.where(none, np.inf, -np.inf))
     upper = np.where(slope > 0, bound, np.where(none, -np.inf, np.inf))
-    lo = np.maximum.accumulate(np.r_[-np.inf, lower])[ends]
-    hi = np.minimum.accumulate(np.r_[np.inf, upper])[ends]
+    lo = np.maximum.accumulate(np.concatenate(([-np.inf], lower)))[ends]
+    hi = np.minimum.accumulate(np.concatenate(([np.inf], upper)))[ends]
     return np.where(lo <= hi, np.minimum(np.maximum(0.5, lo), hi), np.nan)
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from paretocert import cli, geoffrion, pareto, support
+from paretocert import cli, geoffrion, linprog, pareto, support
 from paretocert.problems import (
     AxisSpec,
     GridSpec,
@@ -738,7 +738,7 @@ def test_deep_soland_origin_margins_follow_the_closed_form():
     for k in range(1, 53):
         cloud = sample_criterion_space(problem, GridSpec.geometric((0.0,), k))
         cuts = support.prepare_cuts(cloud, (0.0, 0.0))
-        out = support.cone_margin(cuts.cuts, mass="lambda")
+        out = linprog.cone_margin(cuts.cuts, mass="lambda")
         truth = 2.0 ** -k / (1.0 + 2.0 ** -k)
         margin = -out.value
         assert margin > 0 and abs(margin - truth) <= (2.0 ** -k + 1e-12) * truth, k
@@ -762,10 +762,13 @@ def test_two_criteria_report_solves_no_margin_lp(capsys, monkeypatch):
     # at depth 24 every soland margin's cuts leave some weights (lambda,
     # 1 - lambda), at the default points and at 33 anchors x = k/8 on [0, 4],
     # so none reaches the margin LP; kkt solves its own
-    def refuse(cuts, mass):
-        raise AssertionError(f"a p = 2 margin LP over {len(cuts)} cuts")
+    def refuse(inst, end):
+        raise AssertionError(f"a p = {inst.cuts.shape[1]} margin LP over {end} cuts")
 
-    monkeypatch.setattr(support, "cone_margin", refuse)
+    monkeypatch.setattr(support, "solve_lp", refuse)
+    # the hook is on the path every margin LP takes
+    with pytest.raises(AssertionError, match="a p = 3 margin LP over 1 cuts"):
+        support.support_margin([[1.0, -1.0, 0.5]], (0.0, 0.0, 0.0))
     anchors = [arg for k in range(33) for arg in ("--point-decision", repr(k / 8))]
     for points, argv in ((5, []), (33, anchors)):
         code, out, err = _run(capsys, "report", "builtin:soland", "--levels", "24", *argv)

@@ -9,6 +9,7 @@ from paretocert import support
 from paretocert.errors import NumericalBreakdown
 from paretocert.problems import (
     GridSpec,
+    Ladder,
     builtin,
     load_document,
     sample_criterion_space,
@@ -196,6 +197,11 @@ def test_infeasible_or_malformed_start_raises():
     for cuts in ([1.0, 2.0], np.zeros((3, 0))):  # not an m x p matrix with p >= 1
         with pytest.raises(ValueError):
             lp.cone_margin(cuts, mass="lambda")
+    # a prefix is of the instance's cuts, and not empty under the nu mass
+    cuts = [[1.0, -2.0], [0.5, 0.5]]
+    for mass, end in (("lambda", 3), ("lambda+nu", -1), ("nu", 0)):
+        with pytest.raises(ValueError, match="first"):
+            lp.solve_lp(lp.ConeInstance(cuts, mass), end)
 
 
 def test_instance_holds_a_read_only_view_of_the_cuts():
@@ -209,9 +215,16 @@ def test_instance_holds_a_read_only_view_of_the_cuts():
 def test_every_cone_margin_solve_passes_solve_lp_and_solve_linear(monkeypatch):
     # bench/tracer.py counts LP solves, their rows and basis factorizations
     # by wrapping these two names
+    # (in every module that holds them, as support does solve_lp)
     solved, factorized = [], []
     solve, solve_linear = lp.solve_lp, lp._solve_linear
-    monkeypatch.setattr(lp, "solve_lp", lambda inst: solved.append(inst.num_rows) or solve(inst))
+
+    def record(inst, *end):
+        solved.append(inst.num_rows)
+        return solve(inst, *end)
+
+    monkeypatch.setattr(lp, "solve_lp", record)
+    monkeypatch.setattr(support, "solve_lp", record)
     monkeypatch.setattr(
         lp, "_solve_linear", lambda *args: factorized.append(1) or solve_linear(*args)
     )
@@ -219,6 +232,10 @@ def test_every_cone_margin_solve_passes_solve_lp_and_solve_linear(monkeypatch):
     for mass in MASSES:
         lp.cone_margin(cuts, mass=mass)
     assert solved == [5, 5, 5] and len(factorized) >= 3
+    # a ladder's levels solve over prefixes of one instance, each a call
+    steps = Ladder(rows=np.arange(50), entry=np.repeat([1, 2], 25), levels=2)
+    support.support_trend(cuts, steps, (0.0,) * 4)
+    assert len(solved) >= 5 and set(solved[3:]) == {5}
 
 
 def test_iteration_limit_reports_breakdown(monkeypatch):
@@ -244,6 +261,10 @@ def test_breakdown_names_the_cone_shape_and_mass(monkeypatch):
         "pivot below 1e-12 with no alternative in column 3 in a 3 x 4 cone-margin LP "
         "(mass lambda)"
     )
+    # over a prefix, the shape is the prefix's LP's
+    inst = lp.ConeInstance([[1.0, 1.0 - 2e-13], [1.0, 0.0], [0.0, 1.0]], "lambda")
+    with pytest.raises(NumericalBreakdown, match=r"in a 3 x 4 cone-margin LP \(mass lambda\)$"):
+        lp.solve_lp(inst, 1)
 
 
 def test_blocking_pivot_below_tolerance_is_reported():
@@ -407,12 +428,18 @@ def _highs_value(inst):
 
 
 def _recording_margin_lps(monkeypatch):
-    """The list every LP ``linprog.cone_margin`` solves from now on is added to."""
+    """The list every LP ``linprog.cone_margin`` and the support margins'
+    levels solve from now on is added to, each as an instance over its own
+    cuts: a level's LP is over a prefix of its instance's cuts."""
     solved = []
     solve = lp.solve_lp
-    monkeypatch.setattr(
-        lp, "solve_lp", lambda inst: solved.append(inst) or solve(inst)
-    )
+
+    def record(inst, end=None):
+        solved.append(inst if end is None else lp.ConeInstance(inst.cuts[:end], inst.mass))
+        return solve(inst, end)
+
+    monkeypatch.setattr(lp, "solve_lp", record)
+    monkeypatch.setattr(support, "solve_lp", record)
     return solved
 
 
@@ -498,3 +525,153 @@ def test_agrees_with_highs(monkeypatch, case):
             assert out.value == pytest.approx(expected, abs=1e-9)
     if case == "near_degenerate":
         assert statuses == {"optimal", "unbounded"}  # hard margins both feasible and not
+
+
+# ---------------------------------------------------------------------------
+# the solver's fixed cost per solve, against references of the code it replaced
+
+
+def _numpy_entering(A, reduced, enterable, binv, x_basic, basis, bland):
+    """``linprog._entering`` as it was before pricing took one pass and the
+    ratio test ran in Python floats: the bit-for-bit reference."""
+    eligible = enterable & (reduced > lp._ENTER_TOL)
+    while eligible.any():
+        j = int(np.argmax(eligible if bland else np.where(eligible, reduced, -np.inf)))
+        eligible[j] = False
+        d = binv @ A[:, j]
+        rows = (d[1:] > lp._PIVOT_TOL).nonzero()[0] + 1
+        ratios = np.maximum(x_basic[rows], 0.0) / d[rows]
+        theta = ratios.min(initial=np.inf)
+        if not np.isfinite(theta):
+            if reduced[j] > lp._UNBOUNDED_GUARD * np.abs(A[:, j]).max():
+                return j, d, None
+            continue
+        ties = rows[ratios <= theta + 1e-12]
+        if bland:
+            return j, d, int(ties[np.argmin(np.asarray(basis)[ties])])
+        pos, d_pos = int(ties[0]), float(d[ties[0]])
+        for i, d_i in zip(ties[1:].tolist(), d[ties[1:]].tolist()):
+            if d_i > d_pos * (1.0 + 1e-12) or (
+                abs(d_i - d_pos) <= 1e-12 * d_pos and basis[i] < basis[pos]
+            ):
+                pos, d_pos = i, d_i
+        return j, d, pos
+    return None
+
+
+def _pricing_state(rng):
+    """A random simplex state for ``_entering``, whose reduced costs are
+    ``cost - summed``, a cost vector less the row duals' sums over the
+    columns: small integer columns and values (exact ratio ties and equal
+    pivots), copies of columns (equal reduced costs), ratios and pivots 1e-13
+    apart, columns that no row blocks, and reduced costs at and just above
+    the entering tolerance, some of them noise on a large column."""
+    p, n = int(rng.integers(1, 6)), int(rng.integers(2, 30))
+    n = max(n, p + 2)
+    A = rng.integers(-2, 3, size=(p + 1, n)).astype(float)
+    if rng.random() < 0.5:
+        A += 1e-13 * rng.integers(-1, 2, size=A.shape)  # near-equal pivots
+    copies = rng.integers(0, n, size=int(rng.integers(0, n)))
+    A[:, rng.integers(0, n, size=len(copies))] = A[:, copies]
+    blocked = rng.random(n) < 0.2
+    A[1:, blocked] = -np.abs(A[1:, blocked])  # no row blocks these, with binv = I
+    A[:, rng.random(n) < 0.1] *= 1e3
+    binv = np.eye(p + 1) if rng.random() < 0.7 else rng.normal(size=(p + 1, p + 1))
+    x_basic = rng.integers(0, 3, size=p + 1).astype(float)
+    x_basic[rng.random(p + 1) < 0.3] = -1e-17  # rounding below a zero value
+    x_basic += 1e-13 * rng.integers(-1, 2, size=p + 1)  # near-equal ratios
+    basis = [0, *rng.permutation(np.arange(1, n))[:p].tolist()]
+    enterable = np.ones(n, dtype=bool)
+    enterable[basis] = False
+    cost = rng.choice([-1.0, 0.0, lp._ENTER_TOL, 2e-9, 1e-8, 0.5, 1.0, 2.0], size=n)
+    cost[copies] = cost[rng.integers(0, n, size=len(copies))]
+    summed = rng.choice([0.0, -0.0, 1e-9, 0.25], size=n)  # y @ A, as summed row by row
+    return A, cost, summed, enterable, binv, x_basic, basis, bool(rng.random() < 0.3)
+
+
+def test_entering_matches_the_numpy_reference_on_random_states():
+    rng = np.random.default_rng(1977)
+    seen = dict.fromkeys(("none", "unbounded", "bland", "tie", "equal_pivots", "null"), 0)
+    for _ in range(20000):
+        A, cost, summed, enterable, binv, x_basic, basis, bland = _pricing_state(rng)
+        reduced = cost - summed
+        want = _numpy_entering(A, reduced, enterable, binv, x_basic, basis, bland)
+        # as _revised_simplex prices: a cost of -inf at the basic columns
+        priced = np.where(enterable, cost, -np.inf) - summed
+        state = (A, binv, x_basic, basis)
+        before = [np.array(a, copy=True) for a in state]
+        got = lp._entering(A, priced, binv, x_basic, basis, bland)
+        for kept, now in zip(before, state):
+            assert np.array_equal(kept, now)  # the state is left as it was
+        assert (got is None) == (want is None)
+        if got is None:
+            seen["none"] += 1
+            continue
+        assert got[0] == want[0] and got[2] == want[2] and got[1].tobytes() == want[1].tobytes()
+        seen["bland"] += bland
+        seen["unbounded"] += got[2] is None
+        if got[2] is not None:
+            d = want[1]
+            rows = [i for i in range(1, len(d)) if d[i] > lp._PIVOT_TOL]
+            ratios = {i: max(x_basic[i], 0.0) / d[i] for i in rows}
+            theta = min(ratios.values())
+            ties = [d[i] for i, ratio in ratios.items() if ratio <= theta + 1e-12]
+            seen["tie"] += len(ties) > 1
+            seen["equal_pivots"] += len(ties) > len(set(ties))
+        # a column priced above the chosen one was passed over as noise
+        priced = np.where(enterable, reduced, -np.inf)
+        seen["null"] += bool(
+            (priced[: got[0]] > lp._ENTER_TOL).any() if bland else priced.max() > reduced[got[0]]
+        )
+    assert min(seen.values()) > 300, seen
+
+
+def test_start_inverse_is_kept_read_only_and_equals_a_fresh_factorization():
+    rng = np.random.default_rng(6)
+    for p in range(1, 7):
+        for mass in ("lambda", "lambda+nu"):
+            inst = lp.ConeInstance(rng.normal(size=(5, p)), mass)
+            basis = lp._start_basis(inst)
+            start = lp._start_inverse(inst.matrix, basis)
+            kept = lp._START_INVERSES[p + 1]
+            assert start.tobytes() == lp._factorize(inst.matrix, basis).tobytes()
+            assert start.flags.writeable and not np.shares_memory(start, kept)
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept[0, 0] = 1.0
+    # solves that pivot work on copies: the kept inverse is as it was
+    kept = {p: lp._START_INVERSES[p].tobytes() for p in range(2, 8)}
+    for p in range(2, 7):
+        cuts = rng.normal(size=(40, p))
+        cuts[:, 0] = -np.abs(cuts[:, 0])  # the weights e_1 keep every cut
+        for mass in ("lambda", "lambda+nu"):
+            out = lp.cone_margin(cuts, mass=mass)
+            assert out.status == "optimal" and set(out.basis) != set(range(1 + p)), (p, mass)
+    assert kept == {p: lp._START_INVERSES[p].tobytes() for p in range(2, 8)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_prefix_solves_equal_solves_over_the_prefix_cuts(p):
+    # ladder levels solve over prefixes of one instance's matrix; each must
+    # be the solve over the prefix's own cuts, to the bit, including the
+    # soft margins of deep levels whose cuts no weights satisfy
+    rng = np.random.default_rng(100 + p)
+    infeasible = 0
+    for _ in range(20):
+        m = int(rng.integers(10, 120))
+        diffs = rng.normal(size=(m, p)) - 1.0
+        # dominating points enter late: the deepest levels are infeasible
+        late = rng.integers(m // 2, m, size=int(rng.integers(0, 3)))
+        diffs[late] = np.abs(diffs[late])
+        diffs[rng.integers(0, m, size=m // 5)] = diffs[rng.integers(0, m, size=m // 5)]
+        columns = diffs / np.max(np.abs(diffs), axis=1)[:, None]
+        ends = np.unique(rng.integers(1, m + 1, size=8))
+        for mass in ("lambda", "lambda+nu"):
+            inst = lp.ConeInstance(columns, mass)
+            for end in ends.tolist():
+                got = lp.solve_lp(inst, end)
+                want = lp.cone_margin(columns[:end], mass=mass)
+                for name in ("status", "x", "value", "basis", "duals", "ray"):
+                    assert repr(getattr(got, name)) == repr(getattr(want, name)), (end, mass, name)
+                infeasible += got.status == "unbounded"
+    assert infeasible > 5

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from paretocert import cli, support
+from paretocert import linprog as lp
 from paretocert.errors import BoxTooSmall, NotSupported, SchemaError
 from paretocert.problems import (
     AxisSpec,
@@ -219,16 +220,24 @@ def row_order_level_cuts(rows, entry, levels, y_ref):
     return [np.concatenate(by_level[:k]) for k in range(1, levels + 1)]
 
 
-def recorded_level_cuts(monkeypatch, solve):
-    """The cut matrix of each level ``solve()`` passes to ``cone_margin``; a
-    soft solve must reuse the hard solve's matrix."""
+def recording_level_lps(monkeypatch):
+    """The list each level's LP that ``support`` solves from now on is added
+    to, as (its cut matrix, its mass): the prefix of the instance's cuts that
+    ``solve_lp`` solves over."""
     calls = []
-    cone_margin = support.cone_margin
+    solve_lp = support.solve_lp
     monkeypatch.setattr(
         support,
-        "cone_margin",
-        lambda cuts, mass: calls.append((cuts.copy(), mass)) or cone_margin(cuts, mass=mass),
+        "solve_lp",
+        lambda inst, end: calls.append((inst.cuts[:end].copy(), inst.mass)) or solve_lp(inst, end),
     )
+    return calls
+
+
+def recorded_level_cuts(monkeypatch, solve):
+    """The cut matrix of each level's LP ``solve()`` solves; a soft solve must
+    be over the hard solve's matrix."""
+    calls = recording_level_lps(monkeypatch)
     solve()
     monkeypatch.undo()
     levels = []
@@ -374,10 +383,10 @@ def lp_level_margins(rows, entry, levels, y_ref):
     ``rows`` alone, the soft margin where the hard one is infeasible."""
     results = []
     for cuts in row_order_level_cuts(rows, entry, levels, y_ref):
-        out = support.cone_margin(cuts, mass="lambda")
+        out = lp.cone_margin(cuts, mass="lambda")
         feasible = out.status == "optimal"
         if not feasible:
-            out = support.cone_margin(cuts, mass="lambda+nu")
+            out = lp.cone_margin(cuts, mass="lambda+nu")
         results.append((-float(out.value), feasible, -np.asarray(out.duals[: len(y_ref)])))
     return results
 
@@ -414,11 +423,7 @@ def test_two_criteria_margins_equal_the_lp(monkeypatch):
     # to the interval the cuts leave; the LP (with its soft margin where the
     # interval is empty) is the oracle, level by level and per row set
     rng = np.random.default_rng(1968)
-    solved = []
-    cone_margin = support.cone_margin
-    monkeypatch.setattr(
-        support, "cone_margin", lambda cuts, mass: solved.append(mass) or cone_margin(cuts, mass=mass)
-    )
+    solved = recording_level_lps(monkeypatch)
     decided = fallen_back = zeros = 0
     for _ in range(300):
         points, y_ref = two_criteria_sample(rng)
@@ -431,8 +436,9 @@ def test_two_criteria_margins_equal_the_lp(monkeypatch):
         cuts = support.prepare_cuts(points, y_ref)
         del solved[:]
         trend = support.support_trend(cuts, Ladder(rows=rows, entry=entry, levels=levels))
-        fallen_back += solved.count("lambda")
-        decided += levels - solved.count("lambda")
+        hard = [mass for _, mass in solved].count("lambda")
+        fallen_back += hard
+        decided += levels - hard
         assert all(close(got, w[0]) for got, w in zip(trend.margins, want)), (trend.margins, want)
         # a zero margin reads -0.0 on both paths, as report bytes show it
         zeros += sum(w[0] == 0.0 for w in want)
