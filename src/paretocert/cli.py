@@ -2,7 +2,8 @@
 emit deterministic JSON reports (plus optional CSV extracts).
 
 Commands: classify | support | kkt | witness | report. Exit codes: 0 ok,
-2 input or schema error, 4 no conclusion (LICQ failed), 3 numerical failure.
+2 input or schema error or an output that cannot be written, 4 no conclusion
+(LICQ failed), 3 numerical failure.
 Reports echo the full configuration and are byte-identical across runs for
 fixed inputs.
 """
@@ -11,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -267,20 +269,29 @@ def _ladder(problem, cloud: PointCloud, spec: _PointSpec, cfg: Config) -> Ladder
 # ---------------------------------------------------------------------------
 # record builders
 
+@functools.cache
+def _field_names(kind: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(kind))
+
+
 def _as_record(report, *drop: str) -> dict:
     """A report dataclass as a dict for the JSON report, the named fields left
     out unread. Tuples become lists; only nested dataclasses and tuples of
     tuples or dataclasses are walked."""
-    return {f.name: _plain(getattr(report, f.name)) for f in fields(report) if f.name not in drop}
+    names = _field_names(type(report))
+    return {name: _plain(getattr(report, name)) for name in names if name not in drop}
+
+
+_SCALARS = frozenset({float, int, str, bool, type(None)})
 
 
 def _plain(value):
-    if is_dataclass(value):
-        return _as_record(value)
-    if not isinstance(value, tuple):
+    if type(value) in _SCALARS:  # most fields, so checked before is_dataclass
         return value
-    walk = value and (isinstance(value[0], tuple) or is_dataclass(value[0]))
-    return [_plain(v) for v in value] if walk else list(value)
+    if isinstance(value, tuple):
+        walk = value and (isinstance(value[0], tuple) or is_dataclass(value[0]))
+        return [_plain(v) for v in value] if walk else list(value)
+    return _as_record(value) if is_dataclass(value) else value
 
 
 def _kkt_dicts(problem, spec: _PointSpec, cfg: Config) -> dict:
@@ -521,8 +532,91 @@ def _json_default(value):
     raise TypeError(f"not serializable: {type(value).__name__}")
 
 
+# ---------------------------------------------------------------------------
+# JSON text
+
+_FLOAT_SPELLINGS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# the text of each item of a list of floats or a list of ints
+_NUMBER_REPRS = {float: float.__repr__, int: int.__repr__}
+
+
+def _report_text(value) -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True,
+    default=_json_default)`` byte for byte, and a newline; ``indent`` would
+    run the json module's pure-Python encoder. Dict keys are strings, as in
+    every report."""
+    pieces: list[str] = []
+    _write(value, "\n", pieces)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _write(value, newline: str, pieces: list[str]) -> None:
+    """Append the text of ``value`` to ``pieces``; ``newline`` is the line
+    break and indent that close the value if it is a container."""
+    if isinstance(value, str):
+        pieces.append(encode_basestring_ascii(value))
+    elif value is None:
+        pieces.append("null")
+    elif value is True:
+        pieces.append("true")
+    elif value is False:
+        pieces.append("false")
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        pieces.append(_FLOAT_SPELLINGS.get(text, text))
+    elif isinstance(value, int):
+        pieces.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            pieces.append("{}")
+            return
+        inner = newline + "  "
+        opening = "{" + inner
+        for key, item in sorted(value.items()):
+            pieces.append(opening)
+            pieces.append(encode_basestring_ascii(key))
+            pieces.append(": ")
+            _write(item, inner, pieces)
+            opening = "," + inner
+        pieces.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            pieces.append("[]")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        number_repr = _NUMBER_REPRS.get(type(value[0]))
+        text = None
+        # floats alone or ints alone: a bool, which int.__repr__ spells 1 or 0,
+        # or a numpy scalar takes the per-item path
+        if number_repr is not None and len(set(map(type, value))) == 1:
+            text = separator.join(map(number_repr, value))
+        if text is None or "n" in text:  # nan or inf
+            opening = "[" + inner
+            for item in value:
+                pieces.append(opening)
+                _write(item, inner, pieces)
+                opening = separator
+        else:
+            pieces.append("[" + inner)
+            pieces.append(text)
+        pieces.append(newline + "]")
+    else:
+        _write(_json_default(value), newline, pieces)
+
+
+# one parser for every call of main in a process; parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
         problem, source = _load(args.problem)
@@ -547,13 +641,19 @@ def main(argv=None) -> int:
     except AnalysisError as exc:  # any stragglers count as input problems
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+    text = _report_text(payload)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
     else:
         sys.stdout.write(text)
     if args.csv:
-        _write_csv(args.csv, payload, cloud)
+        try:
+            _write_csv(args.csv, payload, cloud)
+        except OSError as exc:
+            return _cannot_write(args.csv, exc)
     return 0
 
 

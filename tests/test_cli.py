@@ -1,6 +1,11 @@
 import copy
 import dataclasses
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,6 +497,11 @@ def assert_json_values(value):
         assert_json_values(item)
 
 
+def stdlib_text(payload):
+    """The reference serialization of a report: the json module's indented encoder."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=cli._json_default) + "\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -532,8 +542,136 @@ def test_records_equal_asdict_of_their_reports(tmp_path, monkeypatch, capsys, ar
     }
     [payload_dict] = payloads
     assert_json_values(payload_dict)
-    text = json.dumps(payload_dict, indent=2, sort_keys=True, default=cli._json_default)
-    assert text + "\n" == out
+    assert stdlib_text(payload_dict) == out
+
+
+# a seeded p = 3 cloud on the surface y2 = -(y0^2 + y1^2), so margins are LPs
+_SURFACE = np.random.default_rng(7).random((12, 2))
+SURFACE_CLOUD = {
+    "type": "cloud",
+    "criterion_dim": 3,
+    "points": np.column_stack([_SURFACE, -(_SURFACE ** 2).sum(axis=1)]).tolist(),
+}
+
+
+@pytest.mark.parametrize(
+    "problem, command",
+    [
+        (problem, command)
+        for problem in ("soland", "plane2d", "cloud")
+        for command in ("classify", "support", "kkt", "witness", "report")
+        if (problem, command) != ("cloud", "kkt")  # a cloud has no constraint description
+    ],
+)
+def test_every_command_prints_the_stdlib_serialization(tmp_path, monkeypatch, capsys, command, problem):
+    # the file names hold a non-ASCII character and a double quote, which
+    # problem.source echoes as escapes
+    if problem == "soland":
+        argv = ["builtin:soland", "--grid", "33", "--levels", "8", "--point-decision=1"]
+        argv += [] if command == "witness" else ["--point-decision=0"]
+    elif problem == "plane2d":
+        path = tmp_path / 'plane2d "ü".json'
+        path.write_text(json.dumps(PLANE2D))
+        argv = [str(path), "--grid", "5", "--levels", "4"]
+        argv += ["--point-decision=0.5,0.5"] if command == "witness" else []
+    else:
+        path = tmp_path / 'cloud "ü".json'
+        path.write_text(json.dumps(SURFACE_CLOUD))
+        argv = [str(path)]
+        argv += [f"--point={','.join(map(repr, SURFACE_CLOUD['points'][3]))}"] if command == "witness" else []
+    payloads = []
+    payload = cli._payload
+    monkeypatch.setattr(cli, "_payload", lambda *a: payloads.append(payload(*a)) or payloads[-1])
+    code, out, err = _run(capsys, command, *argv)
+    assert code == 0, err
+    [payload_dict] = payloads
+    assert out == stdlib_text(payload_dict)
+    assert out.isascii()
+
+
+def test_main_keeps_no_state_between_calls(capsys):
+    # the parser is shared by every call of main: each call's output must
+    # equal that of a fresh process, whatever flags the calls before it had
+    runs = [
+        ["report", "builtin:soland", "--grid", "17", "--levels", "6", "--point-decision=1"],
+        ["report", "builtin:soland", "--grid", "17", "--levels", "3", "--point=2.25,-3.375"],
+        ["report", "builtin:soland", "--grid", "17"],
+    ]
+    in_process = [_run(capsys, *argv) for argv in runs]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for argv, (code, out, err) in zip(runs, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "paretocert.cli", *argv],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert len(json.loads(in_process[2][1])["points"]) == 5  # the default probes
+
+
+def test_unwritable_report_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "no-such-dir" / "r.json"
+    code, out, err = _run(capsys, "kkt", "builtin:soland", "--point=0,0", "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {out_path}: No such file or directory\n"
+
+
+def test_csv_directory_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = _run(
+        capsys, "classify", "builtin:soland", "--grid", "9", "--levels", "2", "--csv", str(taken),
+    )
+    assert code == 2
+    assert json.loads(out)["command"] == "classify"  # the report was written before
+    assert err == f"error: cannot write {taken}: File exists\n"
+
+
+def test_writer_matches_the_stdlib_encoder():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    floats = st.one_of(
+        st.floats(),
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-7]),
+    )
+    ints = st.one_of(st.integers(), st.integers(-(2**200), 2**200))
+    numpy_scalars = st.one_of(
+        floats.map(np.float64),
+        st.floats(width=32).map(np.float32),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.booleans().map(np.bool_),
+    )
+    texts = st.one_of(st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "ü", "\u2028", "😀", "a\"b\\c\n"]))
+    number_lists = st.one_of(
+        st.lists(floats),
+        st.lists(ints),
+        st.lists(st.one_of(ints, st.booleans())),
+        st.lists(st.one_of(ints, floats)),
+        st.lists(floats.map(np.float64)),
+    )
+    leaves = st.one_of(st.none(), st.booleans(), floats, ints, numpy_scalars, texts, number_lists)
+    trees = st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children),
+            st.lists(children).map(tuple),
+            st.dictionaries(texts, children),
+        ),
+        max_leaves=30,
+    )
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(trees)
+    def check(tree):
+        assert cli._report_text(tree) == stdlib_text(tree)
+        unsupported = [tree, {"leaf": {1, 2}}]
+        with pytest.raises(TypeError) as want:
+            stdlib_text(unsupported)
+        with pytest.raises(TypeError) as got:
+            cli._report_text(unsupported)
+        assert str(got.value) == str(want.value)
+
+    check()
 
 
 @pytest.mark.parametrize("command", ["report", "support"])
