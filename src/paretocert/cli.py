@@ -151,7 +151,12 @@ def _load(source: str):
     path = Path(source)
     if not path.exists():
         raise SchemaError(f"problem file not found: {source}")
-    return load_problem(path.read_text(encoding="utf-8"), label=source), source
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise SchemaError(f"cannot read {source}: {reason}") from None
+    return load_problem(text, label=source), source
 
 
 def _parse_vector(text: str, expected: int, what: str) -> tuple[float, ...]:

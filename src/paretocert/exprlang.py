@@ -14,18 +14,21 @@ Grammar:
 Variables ``x0..x{n-1}`` live in the decision space and ``y0..y{p-1}`` in the
 criterion space. Exponents must be constants and are kept as exact rationals:
 ``a^(r/s)`` uses the sign-aware real root when ``s`` is odd and rejects
-negative bases when ``s`` is even. Derivatives are exact forward-mode duals
-over the AST, not finite differences.
+negative bases when ``s`` is even.
 
-Expressions are immutable after :func:`parse`; :func:`evaluate`,
-:func:`evaluate_array` and :func:`gradient` are pure and safe to call from
-any number of threads. :func:`evaluate_array` walks the tree once for a whole
-array of points and gives :func:`evaluate`'s float bits at every point.
+One walker, ``_eval``, evaluates a tree in three arithmetics: floats
+(:func:`evaluate`), numpy columns (:func:`evaluate_array`, one walk for a
+whole array of points, with :func:`evaluate`'s float bits at every point) and
+forward-mode duals (:func:`gradient`, a value and all its partials in one
+walk: exact derivatives, not finite differences). Expressions are immutable
+after :func:`parse`, and all three are pure and safe to call from any number
+of threads.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,9 +128,8 @@ def _tokenize(source: str) -> list[_Token]:
                 raise ExprSyntaxError("numeric literal beyond the float range", pos)
             tokens.append(_Token("number", m.group(), pos))
             pos = m.end()
-        elif ch.isalpha():
+        elif ch.isascii() and ch.isalpha():
             m = _IDENT_RE.match(source, pos)
-            assert m is not None
             tokens.append(_Token("ident", m.group(), pos))
             pos = m.end()
         elif ch in "+-*/^()":
@@ -286,9 +288,7 @@ def _pow_value(base: float, q: Fraction) -> float:
             return float(base) ** q.numerator
         if base < 0.0:
             if q.denominator % 2 == 0:
-                raise DomainError(
-                    f"negative base {base} with even-denominator exponent {q}"
-                )
+                raise DomainError(f"negative base {base} with even-denominator exponent {q}")
             magnitude = (-base) ** float(q)
             return -magnitude if q.numerator % 2 else magnitude
         return base ** float(q)
@@ -302,39 +302,30 @@ def _divide(left: float, right: float) -> float:
     return left / right
 
 
-def _eval(node: Node, point, power=_pow_value, divide=_divide):
-    """The value of ``node`` at ``point``, one entry per variable.
+# how floats evaluate each node: '+', '-', '*', '/' and '^' take the operands'
+# values, 'neg' the operand's and 'const' the node's float
+_FLOAT_RULES = {"const": float, "neg": operator.neg, "^": _pow_value, "/": _divide,
+                "+": operator.add, "-": operator.sub, "*": operator.mul}
 
-    ``+ - *`` and negation are the operators of the entries, floats or numpy
-    arrays alike; ``power(base, q)`` and ``divide(left, right)`` apply the
-    rules that differ between the two.
-    """
+
+def _eval(node: Node, point, rules=_FLOAT_RULES):
+    """The value of ``node`` at ``point``, one entry per variable, by
+    ``rules`` (keyed as ``_FLOAT_RULES``): floats, numpy columns or duals."""
     if isinstance(node, Const):
-        return node.value
+        return rules["const"](node.value)
     if isinstance(node, Var):
         return point[node.index]
     if isinstance(node, Neg):
-        return -_eval(node.operand, point, power, divide)
+        return rules["neg"](_eval(node.operand, point, rules))
     if isinstance(node, Pow):
-        return power(_eval(node.base, point, power, divide), node.exponent)
-    left = _eval(node.left, point, power, divide)
-    right = _eval(node.right, point, power, divide)
-    op = node.op
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    return divide(left, right)
+        return rules["^"](_eval(node.base, point, rules), node.exponent)
+    return rules[node.op](_eval(node.left, point, rules), _eval(node.right, point, rules))
 
 
 def _check_point(expr: Expression, point) -> tuple[float, ...]:
     pt = tuple(float(v) for v in point)
     if len(pt) != expr.point_dim:
-        raise DimensionError(
-            f"expected a point of length {expr.point_dim}, got {len(pt)}"
-        )
+        raise DimensionError(f"expected a point of length {expr.point_dim}, got {len(pt)}")
     return pt
 
 
@@ -403,9 +394,10 @@ def evaluate_array(expr: Expression, points) -> tuple[np.ndarray, np.ndarray]:
         np.logical_or(bad, right == 0.0, out=bad)
         return np.divide(left, right)
 
+    rules = {**_FLOAT_RULES, "/": divide, "^": power}
     # inf and NaN are expected in the rows that go bad
     with np.errstate(all="ignore"):
-        values = np.array(np.broadcast_to(_eval(expr.root, tuple(columns.T), power, divide), (n,)))
+        values = np.array(np.broadcast_to(_eval(expr.root, tuple(columns.T), rules), (n,)))
         np.logical_or(bad, ~np.isfinite(values), out=bad)
     return values, bad
 
@@ -413,54 +405,52 @@ def evaluate_array(expr: Expression, points) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # forward-mode differentiation
 
-def _eval_dual(node: Node, point: tuple[float, ...], k: int) -> tuple[float, float]:
-    if isinstance(node, Const):
-        return node.value, 0.0
-    if isinstance(node, Var):
-        return point[node.index], 1.0 if node.index == k else 0.0
-    if isinstance(node, Neg):
-        v, d = _eval_dual(node.operand, point, k)
-        return -v, -d
-    if isinstance(node, Pow):
-        bv, bd = _eval_dual(node.base, point, k)
-        q = node.exponent
+def _dual_rules(n: int) -> dict:
+    """How duals over ``n`` variables evaluate each node. A dual is the tuple
+    of a value and its ``n`` partials, each by the rules of a one-variable dual."""
+    zeros = (0.0,) * n
+
+    def lift(f):
+        return lambda *duals: tuple(map(f, *duals))
+
+    def mul(left, right):
+        lv, rv = left[0], right[0]
+        return (lv * rv, *(l * rv + lv * r for l, r in zip(left[1:], right[1:])))
+
+    def divide(left, right):
+        lv, rv = left[0], right[0]
+        value, square = _divide(lv, rv), rv * rv
+        return (value, *((l * rv - lv * r) / square for l, r in zip(left[1:], right[1:])))
+
+    def power(base, q):
+        bv = base[0]
         value = _pow_value(bv, q)
-        if q == 0:
-            return value, 0.0
-        if bv == 0.0:
-            # q < 0 is already a DomainError inside _pow_value
-            if q == 1:
-                return value, bd
-            if q > 1:
-                return value, 0.0
-            raise NonDifferentiable(
-                f"base^({q}) has no derivative at base 0 (exponent between 0 and 1)"
-            )
-        return value, float(q) * _pow_value(bv, q - 1) * bd
-    lv, ld = _eval_dual(node.left, point, k)
-    rv, rd = _eval_dual(node.right, point, k)
-    op = node.op
-    if op == "+":
-        return lv + rv, ld + rd
-    if op == "-":
-        return lv - rv, ld - rd
-    if op == "*":
-        return lv * rv, ld * rv + lv * rd
-    if rv == 0.0:
-        raise DomainError("division by zero")
-    return lv / rv, (ld * rv - lv * rd) / (rv * rv)
+        if q == 0 or bv == 0.0 and q > 1:
+            return (value, *zeros)
+        if bv == 0.0:  # q < 0 is already a DomainError inside _pow_value
+            if q != 1:
+                raise NonDifferentiable(
+                    f"base^({q}) has no derivative at base 0 (exponent between 0 and 1)"
+                )
+            return (value, *base[1:])
+        scale = float(q) * _pow_value(bv, q - 1)
+        return (value, *(scale * d for d in base[1:]))
+
+    return {"const": lambda c: (c, *zeros), "neg": lift(operator.neg), "^": power, "/": divide,
+            "+": lift(operator.add), "-": lift(operator.sub), "*": mul}
 
 
 def gradient(expr: Expression, point) -> tuple[float, ...]:
-    """Exact gradient of ``expr`` at ``point``, one dual-number pass per variable."""
+    """Exact gradient of ``expr`` at ``point``, in one walk of the tree over duals."""
     pt = _check_point(expr, point)
-    out = []
-    for k in range(len(pt)):
-        value, deriv = _eval_dual(expr.root, pt, k)
-        if not math.isfinite(value) or not math.isfinite(deriv):
-            raise DomainError(f"derivative produced a non-finite value at {point}")
-        out.append(deriv)
-    return tuple(out)
+    if not pt:
+        return ()
+    n = len(pt)
+    units = tuple((v, *(float(j == k) for j in range(n))) for k, v in enumerate(pt))
+    value, *partials = _eval(expr.root, units, _dual_rules(n))
+    if not all(map(math.isfinite, (value, *partials))):
+        raise DomainError(f"derivative produced a non-finite value at {point}")
+    return tuple(partials)
 
 
 # ---------------------------------------------------------------------------

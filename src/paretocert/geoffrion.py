@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, SchemaError
-from .problems import point_array
+from .errors import DimensionError
+from .problems import ladder_steps, point_array
 
 DOMINATED = "dominated"
 PROPER = "proper"
@@ -150,10 +150,7 @@ def divergence_probe(
     growth factor; the exponent is fitted by log-log regression of the bound
     against the smallest offset.
     """
-    if not ladder:
-        raise SchemaError("refinement ladder needs at least one level")
-    levels = tuple(range(1, len(ladder) + 1))
-    offsets = tuple(2.0 ** (-k) for k in levels)
+    levels, offsets = ladder_steps(ladder)
     # level k's bound is the largest over the rows entering at or before k,
     # and 0 from the first level holding a dominating row on
     if bounds is None:

@@ -405,6 +405,15 @@ class Ladder:
         return self.levels
 
 
+def ladder_steps(ladder) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The levels k = 1..len(ladder) and the offset 2^-k that each adds; a
+    SchemaError when the ladder has no level."""
+    if not ladder:
+        raise SchemaError("refinement ladder needs at least one level")
+    levels = tuple(range(1, len(ladder) + 1))
+    return levels, tuple(2.0 ** (-k) for k in levels)
+
+
 def refinement_ladder(problem: AnalyticProblem, cloud: PointCloud, anchor, levels: int) -> Ladder:
     """The ladder of level clouds toward a decision anchor, as rows of ``cloud``.
 

@@ -64,7 +64,7 @@ import numpy as np
 from .errors import BoxTooSmall, DimensionError, NotSupported, NumericalBreakdown, SchemaError
 from .geoffrion import fit_exponent
 from .linprog import ConeInstance, solve_lp
-from .problems import point_array
+from .problems import ladder_steps, point_array
 
 VANISHING = "vanishing"
 PERSISTENT = "persistent"
@@ -187,12 +187,9 @@ def support_trend(cloud, ladder, y_ref=None, *, persistent_threshold: float = 1e
     'persistent' when the final margin stays above the threshold and
     'vanishing' otherwise.
     """
-    if not ladder:
-        raise SchemaError("refinement ladder needs at least one level")
-    levels = tuple(range(1, len(ladder) + 1))
-    offsets = tuple(2.0 ** (-k) for k in levels)
+    levels, offsets = ladder_steps(ladder)
     cuts = cloud if isinstance(cloud, Cuts) else prepare_cuts(cloud, y_ref)
-    margins, last = _level_margins(cuts, ladder.rows, ladder.entry, len(ladder), _TOL)
+    margins, last = _level_margins(cuts, ladder.rows, ladder.entry, len(levels), _TOL)
     verdict = PERSISTENT if margins[-1] >= persistent_threshold else VANISHING
     return TrendReport(
         levels=levels,

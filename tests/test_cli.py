@@ -616,6 +616,32 @@ def test_unwritable_report_exits_2(tmp_path, capsys):
     assert err == f"error: cannot write {out_path}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("command", ["report", "kkt"])
+def test_unreadable_problem_exits_2(tmp_path, capsys, command):
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    reasons = {
+        str(tmp_path): "Is a directory",
+        str(not_utf8): "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    }
+    for path, reason in reasons.items():
+        code, out, err = _run(capsys, command, path)
+        assert (code, out, err) == (2, "", f"error: cannot read {path}: {reason}\n")
+
+
+@pytest.mark.parametrize("command", ["report", "kkt"])
+def test_non_ascii_letter_in_an_expression_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "letter.json"
+    path.write_text(json.dumps(dict(SOLAND, criteria=["x0^2", "é"], constraints={})))
+    code, out, err = _run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: problem.criteria[1]: unexpected character 'é'"
+        " (at position 0, expected number | variable | operator)\n"
+    )
+
+
 def test_csv_directory_that_is_a_file_exits_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")

@@ -85,6 +85,13 @@ def test_mixed_variable_families_rejected():
         ex.parse("x0 + y0", 1, 1)
 
 
+def test_non_ascii_letter_is_an_unexpected_character():
+    for source, position in [("é", 0), ("x0 + é", 5), ("y0*ß1", 3), ("xé0", 1)]:
+        with pytest.raises(ExprSyntaxError, match="unexpected character") as err:
+            ex.parse(source, 1, 1)
+        assert err.value.position == position
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(ExprSyntaxError) as err:
         ex.parse("x0 + ", 1, 0)
@@ -232,6 +239,152 @@ def test_gradient_matches_central_differences_1000_cases():
         if checked:
             accepted += 1
     assert accepted == 1000
+
+
+# ---------------------------------------------------------------------------
+# gradients against a reference walk: one dual pass per variable
+
+
+def _reference_dual(node, point, k):
+    """The value of ``node`` at ``point`` and its partial in variable ``k``."""
+    if isinstance(node, ex.Const):
+        return node.value, 0.0
+    if isinstance(node, ex.Var):
+        return point[node.index], 1.0 if node.index == k else 0.0
+    if isinstance(node, ex.Neg):
+        v, d = _reference_dual(node.operand, point, k)
+        return -v, -d
+    if isinstance(node, ex.Pow):
+        bv, bd = _reference_dual(node.base, point, k)
+        q = node.exponent
+        value = ex._pow_value(bv, q)
+        if q == 0:
+            return value, 0.0
+        if bv == 0.0:
+            if q == 1:
+                return value, bd
+            if q > 1:
+                return value, 0.0
+            raise NonDifferentiable(
+                f"base^({q}) has no derivative at base 0 (exponent between 0 and 1)"
+            )
+        return value, float(q) * ex._pow_value(bv, q - 1) * bd
+    lv, ld = _reference_dual(node.left, point, k)
+    rv, rd = _reference_dual(node.right, point, k)
+    if node.op == "+":
+        return lv + rv, ld + rd
+    if node.op == "-":
+        return lv - rv, ld - rd
+    if node.op == "*":
+        return lv * rv, ld * rv + lv * rd
+    if rv == 0.0:
+        raise DomainError("division by zero")
+    return lv / rv, (ld * rv - lv * rd) / (rv * rv)
+
+
+def _reference_gradient(expr, point):
+    pt = tuple(float(v) for v in point)
+    out = []
+    for k in range(len(pt)):
+        value, deriv = _reference_dual(expr.root, pt, k)
+        if not math.isfinite(value) or not math.isfinite(deriv):
+            raise DomainError(f"derivative produced a non-finite value at {point}")
+        out.append(deriv)
+    return tuple(out)
+
+
+def _outcome(f, *args):
+    """``repr`` of each entry of ``f(*args)``, or the type and message it raises."""
+    try:
+        return [repr(v) for v in f(*args)]
+    except Exception as exc:  # the oracle's own exceptions are compared too
+        return type(exc), str(exc)
+
+
+def _assert_gradient_matches_reference(expr, point):
+    want = _outcome(_reference_gradient, expr, point)
+    assert _outcome(ex.gradient, expr, point) == want, f"{ex.to_source(expr)} at {point}"
+    return want
+
+
+def test_gradient_matches_reference_walk_on_2000_random_trees():
+    rng = np.random.default_rng(20261020)
+    outcomes = [_assert_gradient_matches_reference(*_random_case(rng)) for _ in range(2000)]
+    # both gradients and errors are compared
+    assert sum(isinstance(o, list) for o in outcomes) > 1000
+    assert DomainError in {o[0] for o in outcomes if isinstance(o, tuple)}
+
+
+def test_gradient_matches_reference_walk_at_edge_points():
+    rng = np.random.default_rng(20261021)
+    trees = _EDGE_TREES + [_random_node(rng, 3, 2) for _ in range(300)]
+    points = _random_points(rng, 20)
+    errors = set()
+    for node in trees:
+        for point in points.tolist():
+            outcome = _assert_gradient_matches_reference(ex.Expression(node, 0, 2, "y"), point)
+            if isinstance(outcome, tuple):
+                errors.add(outcome[0])
+    assert errors >= {DomainError, NonDifferentiable}
+
+
+@pytest.mark.parametrize(
+    "source, point",
+    [
+        # a zero base with q = 0, 1, 2 and 1/2, signed zeros included
+        ("y0^0 * y1", (0.0, 2.0)),
+        ("y0^1 + y1^1", (-0.0, 0.0)),
+        ("-(y0^1) * y1", (0.0, 3.0)),
+        ("-(y0^1) * y1", (-0.0, 3.0)),
+        ("y0^2 - y1^2", (0.0, -0.0)),
+        ("(y0 - y1)^2", (1.5, 1.5)),
+        ("y0^1/2", (0.0, 1.0)),
+        ("(y1 - 1)^1/2", (4.0, 1.0)),
+        # a negative base with odd and even denominators
+        ("y0^1/3 + y1^5/3", (-8.0, -0.125)),
+        ("y0^2/3 * y1", (-27.0, 2.0)),
+        ("y0^1/2", (-4.0, 1.0)),
+        ("y0^3/4 + y1", (1.0, -1.0)),
+        # division by zero, in the value and under a power
+        ("y0 / y1", (1.0, 0.0)),
+        ("y0 / (y1 - y1)", (1.0, 2.0)),
+        ("(1 / y0)^0", (0.0, 1.0)),
+        # an overflowing power, in the value and in the derivative
+        ("y0^900", (100.0, 1.0)),
+        ("y0^300 * y1", (1e200, 1.0)),
+        ("y0^3/2 * y1", (1e300, 1e300)),
+        # quotients and products whose partials leave the float range
+        ("y0 / y1", (1.0, 1e-170)),
+        ("y0 * y1 * y1", (1e300, 1e10)),
+    ],
+)
+def test_gradient_matches_reference_walk_on_hand_cases(source, point):
+    _assert_gradient_matches_reference(ex.parse(source, 0, 2), point)
+
+
+def test_gradient_at_a_zero_length_point_is_empty():
+    for source in ["1", "1/0", "0^1/2", "(0 - 1)^1/2"]:
+        expr = ex.parse(source, 0, 0)
+        assert ex.gradient(expr, []) == _reference_gradient(expr, []) == ()
+
+
+def _nodes(node):
+    children = [getattr(node, f, None) for f in ("operand", "base", "left", "right")]
+    return 1 + sum(_nodes(c) for c in children if c is not None)
+
+
+def test_gradient_walks_the_tree_once(monkeypatch):
+    expr = ex.parse("y0 * y1 / (y2 + 1) - y0^3/2 + -(y1 - y2)^2", 0, 3)
+    walk, visits = ex._eval, []
+
+    def counted(node, *args):
+        visits.append(node)
+        return walk(node, *args)
+
+    monkeypatch.setattr(ex, "_eval", counted)
+    grad = ex.gradient(expr, (1.0, 2.0, 3.0))
+    assert len(visits) == _nodes(expr.root) == 16
+    assert grad == _reference_gradient(expr, (1.0, 2.0, 3.0))
 
 
 def test_print_parse_round_trip_preserves_values():

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from paretocert import cli, problems
+from paretocert import cli, geoffrion, problems, support
 from paretocert.errors import (
     DimensionError,
     DomainError,
@@ -231,6 +231,15 @@ def assert_rows_are_the_sample(cloud, rows, fresh):
     for array, want in pairs:
         got = array[rows]
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_ladder_steps_are_shared_by_both_trends():
+    ladder = problems.Ladder(rows=np.arange(3), entry=np.array([1, 2, 3]), levels=3)
+    assert problems.ladder_steps(ladder) == ((1, 2, 3), (0.5, 0.25, 0.125))
+    points = np.array([[0.0, 1.0], [1.0, 0.5], [0.5, 0.75]])
+    trend = support.support_trend(points, ladder, (0.5, 0.75))
+    probe = geoffrion.divergence_probe(points, ladder, (0.5, 0.75))
+    assert (trend.levels, trend.offsets) == (probe.levels, probe.offsets) == problems.ladder_steps(ladder)
 
 
 @pytest.mark.parametrize(
