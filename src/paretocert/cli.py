@@ -394,7 +394,7 @@ def _build_witness_dict(
     if every and analysis_margin is not None:
         margin = analysis_margin
     else:
-        margin = support.support_margin(cuts, tol=cfg.tol_lp, rows=rows)
+        margin = support.support_margin(cuts, tol=cfg.tol_lp, rows=None if every else rows)
     if margin.weights is None:
         return margin, None
     sample = analysis_cloud.as_array()

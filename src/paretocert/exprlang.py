@@ -420,6 +420,8 @@ def _dual_rules(n: int) -> dict:
     def divide(left, right):
         lv, rv = left[0], right[0]
         value, square = _divide(lv, rv), rv * rv
+        if square == 0.0:  # rv is not 0, but its square underflows
+            raise DomainError("derivative of a quotient divides by an underflowed square")
         return (value, *((l * rv - lv * r) / square for l, r in zip(left[1:], right[1:])))
 
     def power(base, q):

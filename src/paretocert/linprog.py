@@ -28,10 +28,13 @@ inverse, Dantzig and Orchard-Hays 1954): every pivot applies a rank-one (eta)
 update, and the inverse is factorized afresh from the basis columns every
 ``_REFACTOR_EVERY`` pivots, before a small pivot is taken and before the
 solve concludes. The start inverse with lambda in the mass row depends on p
-alone, so it is factorized once per p, kept read-only and copied per solve.
-Basic values, duals and directions are products with the inverse; every
-factorization goes through :func:`_solve_linear`, the module's one call into
-``numpy.linalg``.
+alone, so it is factorized once per p, kept read-only and copied per solve;
+the matrix's head block, its columns (u, lambda), is kept read-only per p and
+mass and copied into each instance. Every factorization is
+``numpy.linalg.inv`` in :func:`_solve_linear`, the module's one call into
+``numpy.linalg``. With the right-hand side the last unit vector and u, of
+cost -1, at basis position 0 for good, the basic values are the inverse's
+last column and the duals its negated first row.
 
 Columns price in by the largest reduced cost, ties to the lowest index, in
 one pass; the ratio test runs over the p + 1 rows in Python floats. After a
@@ -64,6 +67,7 @@ _PIVOT_TOL = 1e-12  # a direction entry at or below this never pivots
 # whether the mass row sums (lambda, nu)
 _MASS_ROWS = {"lambda": (True, False), "lambda+nu": (True, True), "nu": (False, True)}
 _START_INVERSES: dict[int, np.ndarray] = {}  # p + 1 -> its kept _start_inverse
+_HEAD_BLOCKS: dict[tuple[int, str], np.ndarray] = {}  # (p, mass) -> its kept _head_block
 
 
 @dataclass(frozen=True)
@@ -87,13 +91,10 @@ class ConeInstance:
         cuts.setflags(write=False)
         object.__setattr__(self, "cuts", cuts)
         m, p = cuts.shape
-        on_lambda, on_nu = _MASS_ROWS[self.mass]
-        A = np.zeros((p + 1, 1 + p + m))
-        A[:p, 0] = 1.0
-        A[:p, 1 : 1 + p] = -np.eye(p)
+        A = np.empty((p + 1, 1 + p + m))
+        A[:, : 1 + p] = _head_block(p, self.mass)
         A[:p, 1 + p :] = cuts.T
-        A[p, 1 : 1 + p] = float(on_lambda)
-        A[p, 1 + p :] = float(on_nu)
+        A[p, 1 + p :] = float(_MASS_ROWS[self.mass][1])
         A.setflags(write=False)
         object.__setattr__(self, "matrix", A)
 
@@ -118,19 +119,34 @@ class LpVerification:
     failures: tuple[str, ...]
 
 
+def _head_block(p: int, mass: str) -> np.ndarray:
+    """The columns (u, lambda) of every instance over p criteria with ``mass``, read-only."""
+    kept = _HEAD_BLOCKS.get((p, mass))
+    if kept is None:
+        kept = np.zeros((p + 1, 1 + p))
+        kept[:p, 0] = 1.0
+        kept[:p, 1:] = -np.eye(p)
+        kept[p, 1:] = float(_MASS_ROWS[mass][0])
+        kept.setflags(write=False)
+        kept = _HEAD_BLOCKS.setdefault((p, mass), kept)
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # simplex core
 
-def _solve_linear(M, rhs):
+def _solve_linear(M) -> np.ndarray:
+    """The inverse of ``M``: LAPACK's gesv against the identity, as
+    ``numpy.linalg.solve(M, np.eye(len(M)))`` gives it to the bit."""
     try:
-        return np.linalg.solve(M, rhs)
+        return np.linalg.inv(M)
     except np.linalg.LinAlgError:
         raise NumericalBreakdown("singular basis matrix") from None
 
 
 def _factorize(A, basis) -> np.ndarray:
     """The inverse of the basis matrix ``A[:, basis]``, computed afresh."""
-    return _solve_linear(A[:, basis], np.eye(len(basis)))
+    return _solve_linear(A[:, basis])
 
 
 def _pivot(binv: np.ndarray, d: np.ndarray, pos: int) -> None:
@@ -141,20 +157,19 @@ def _pivot(binv: np.ndarray, d: np.ndarray, pos: int) -> None:
     binv[pos] = row
 
 
-def _entering(A, priced, binv, x_basic, basis, bland):
+def _entering(A, priced, binv, x, basis, bland):
     """The entering column, its direction ``binv @ A[:, j]`` and the leaving
     position, which is None when no row blocks the direction; None when no
     column prices in. ``priced`` holds the reduced costs of the columns that
-    may enter, -inf elsewhere and at columns passed over. Position 0 holds the
-    free u and never blocks.
+    may enter, -inf elsewhere and at columns passed over, and ``x`` the basic
+    values. Position 0 holds the free u and never blocks.
 
     Columns price in by the largest reduced cost, ties to the lowest index,
     or with ``bland`` by the lowest index alone, and the leaving row is then
     the lowest basis index among the minimal ratios (Bland's rule).
     """
-    x = x_basic.tolist()
     while True:
-        j = int(np.argmax(priced > _ENTER_TOL if bland else priced))
+        j = int((priced > _ENTER_TOL).argmax() if bland else priced.argmax())
         cost = float(priced[j])
         if not cost > _ENTER_TOL:
             return None
@@ -183,12 +198,12 @@ def _entering(A, priced, binv, x_basic, basis, bland):
         return j, d, pos
 
 
-def _revised_simplex(A, b, c, basis, binv):
+def _revised_simplex(A, basis, binv):
     """Run primal simplex from the feasible ``basis``, whose position 0 holds
     the free u for good, and its inverse ``binv`` (for the lambda masses a
     copy of the one kept per p), which the run overwrites; returns the status,
-    the final basis, its values and duals, and for an unbounded LP the
-    entering column and its direction.
+    the final basis, its values (the inverse's last column, as a list) and
+    duals, and for an unbounded LP the entering column and its direction.
 
     Each iteration prices the columns in one pass and runs the ratio test over
     p + 1 scalars (``_entering``); a degenerate pivot (leaving value 0)
@@ -200,16 +215,15 @@ def _revised_simplex(A, b, c, basis, binv):
     so that no verdict rests on accumulated update error.
     """
     basis = list(basis)
-    c_basis = c[basis]
-    c_enter = c.copy()  # -inf at the basic columns, which then never price in
+    c_enter = np.zeros(A.shape[1])  # cost 0 but at u, always basic; -inf at basic columns
     c_enter[basis] = -np.inf
     pivots = 0  # since binv was last factorized
     bland = False
     for _ in range(_MAX_ITER):
-        x_basic = binv @ b
-        y = c_basis @ binv
+        x_basic = binv[:, -1].tolist()  # binv times the right-hand side, the last unit vector
+        y = 0.0 - binv[0]  # (-1, 0, ..., 0) @ binv, with +0.0 for zeros as the product gives
         # summed row by row, so that equal columns get equal reduced costs
-        priced = c_enter - (y[:, None] * A).sum(axis=0)
+        priced = c_enter - np.add.reduce(y[:, None] * A)
         choice = _entering(A, priced, binv, x_basic, basis, bland)
         if choice is None or choice[2] is None:
             if pivots:
@@ -234,10 +248,9 @@ def _revised_simplex(A, b, c, basis, binv):
             pivots = 0
             continue
         bland = not x_basic[pos] > 0.0
-        c_enter[basis[pos]] = c[basis[pos]]
+        c_enter[basis[pos]] = 0.0
         c_enter[j] = -np.inf
         basis[pos] = j
-        c_basis[pos] = c[j]
         pivots += 1
         if pivots >= _REFACTOR_EVERY:
             binv = _factorize(A, basis)
@@ -277,31 +290,28 @@ def solve_lp(instance: ConeInstance, end: int | None = None) -> LpOutcome:
         raise ValueError(f"no {instance.mass} mass LP over the first {end} of {m} cuts")
     n = 1 + p + end
     A = instance.matrix[:, :n]
-    b = np.zeros(p + 1)
-    b[p] = 1.0
-    c = np.zeros(n)
-    c[0] = -1.0
     try:
         basis = _start_basis(instance)
         binv = _start_inverse(A, basis) if on_lambda else _factorize(A, basis)
-        status, basis, x_basic, y, enter, direction = _revised_simplex(A, b, c, basis, binv)
+        status, basis, x_basic, y, enter, direction = _revised_simplex(A, basis, binv)
     except NumericalBreakdown as exc:
         raise NumericalBreakdown(
             f"{exc} in a {p + 1} x {n} cone-margin LP (mass {instance.mass})"
         ) from None
-    x = np.zeros(n)
-    x[basis] = np.where(x_basic > 0.0, x_basic, 0.0)
-    x[0] = x_basic[0]  # u is free
+    x = [0.0] * n
+    for i, v in zip(basis, x_basic):
+        x[i] = v if v > 0.0 else 0.0
+    x[0] = x_basic[0] + 0.0  # u is free; +0.0 for a zero, as a product with the inverse gives
     if status == "unbounded":
         ray = np.zeros(n)
         ray[enter] = 1.0
         ray[basis] = -direction
         ray /= np.abs(A[:, enter]).max()  # per unit of the entering column's largest entry
-        return LpOutcome(status="unbounded", x=tuple(x.tolist()), ray=tuple(ray.tolist()))
+        return LpOutcome(status="unbounded", x=tuple(x), ray=tuple(ray.tolist()))
     return LpOutcome(
         status="optimal",
-        x=tuple(x.tolist()),
-        value=0.0 - float(x[0]),  # -u, and 0.0 rather than -0.0 when u is 0
+        x=tuple(x),
+        value=0.0 - x[0],  # -u, and 0.0 rather than -0.0 when u is 0
         basis=tuple(sorted(basis)),
         duals=tuple(y.tolist()),
     )

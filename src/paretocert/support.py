@@ -37,7 +37,8 @@ A sample's cuts against a reference are normalized once, a pass per
 criterion (``prepare_cuts``; a non-finite y - y_ref is a ``SchemaError``).
 Every margin at that reference takes its columns from them as a row set: the
 whole sample, a refinement ladder's deepest level, or the CLI's witness
-sample, so the columns are those of the row set alone. Equal cuts are not
+sample, so the columns are those of the row set alone. A margin over the
+whole sample takes the cut matrix as it is, with no copy. Equal cuts are not
 merged, and need not be: a copy of a column has its twin's reduced cost,
 summed row by row, so it never prices in once the twin is basic, and the
 p = 2 bounds below ignore the order and the copies of the columns. Along a
@@ -169,13 +170,12 @@ def support_margin(cloud, y_ref=None, *, tol: float = _TOL, rows=None) -> Margin
     ``Cuts`` of a sample against its reference and ``y_ref`` is left out.
     ``rows``, sorted indices, restricts the LP to those sample points; the
     report's ``binding`` and ``sample_size`` are then relative to them.
+    Without ``rows`` the LP is over the whole sample.
     """
     cuts = cloud if isinstance(cloud, Cuts) else prepare_cuts(cloud, y_ref)
-    if rows is None:
-        rows = np.arange(len(cuts))
-    elif not len(rows):
+    if rows is not None and not len(rows):
         raise ValueError("empty row set")
-    return _level_margins(cuts, rows, np.ones(len(rows), dtype=int), 1, tol)[1]
+    return _level_margins(cuts, rows, None, 1, tol)[1]
 
 
 def support_trend(cloud, ladder, y_ref=None, *, persistent_threshold: float = 1e-3) -> TrendReport:
@@ -203,15 +203,20 @@ def support_trend(cloud, ladder, y_ref=None, *, persistent_threshold: float = 1e
 
 
 def _level_margins(
-    cuts: Cuts, rows: np.ndarray, entry: np.ndarray, levels: int, tol: float
+    cuts: Cuts, rows: np.ndarray | None, entry: np.ndarray | None, levels: int, tol: float
 ) -> tuple[tuple[float, ...], MarginReport]:
     """The margin over each level k = 1..levels of the sorted sample rows
     ``rows``, ``rows[i]`` entering at level ``entry[i]``, and the report of
-    the deepest level."""
-    # stable: level k is a prefix of the columns, in row order within a level
-    by_level = np.argsort(entry, kind="stable")
-    columns = np.take(cuts.cuts, rows[by_level], axis=0)
-    ends = np.searchsorted(entry[by_level], np.arange(1, levels + 1), side="right")
+    the deepest level; ``entry`` None is one level, and ``rows`` None then
+    the whole sample."""
+    if entry is None:
+        columns = cuts.cuts if rows is None else np.take(cuts.cuts, rows, axis=0)
+        ends = np.array([len(columns)])
+    else:
+        # stable: level k is a prefix of the columns, in row order within a level
+        by_level = np.argsort(entry, kind="stable")
+        columns = np.take(cuts.cuts, rows[by_level], axis=0)
+        ends = np.searchsorted(entry[by_level], np.arange(1, levels + 1), side="right")
     p = len(cuts.y_ref)
     margins: list[float] = []
     feasible = True
@@ -239,7 +244,7 @@ def _level_margins(
     binding: tuple[int, ...] = ()
     if feasible and margin > tol:
         weights = tuple(float(v) for v in w)
-        slack = np.take(cuts.diffs, rows, axis=0) @ w
+        slack = (cuts.diffs if rows is None else np.take(cuts.diffs, rows, axis=0)) @ w
         binding = tuple(int(i) for i in np.flatnonzero(np.abs(slack) <= tol))
     last = MarginReport(
         margin=margin,
@@ -247,7 +252,7 @@ def _level_margins(
         binding=binding,
         feasible=feasible,
         y_ref=cuts.y_ref,
-        sample_size=len(rows),
+        sample_size=len(columns),
     )
     return tuple(margins), last
 

@@ -811,6 +811,26 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+def test_kkt_at_a_divisor_whose_square_underflows_exits_3(tmp_path, capsys):
+    # the equality's gradient divides by y1^2, which underflows to 0 at
+    # y1 = 1e-170: a domain error of that point, not a traceback
+    doc = {
+        "type": "analytic", "decision_dim": 2, "criterion_dim": 2,
+        "domain": [[0, 2], [1e-170, 2]], "criteria": ["x0", "x1"],
+        "constraints": {"eq": ["y0 / y1 - y0 / y1"]},
+    }
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(doc))
+    message = "derivative of a quotient divides by an underflowed square"
+    code, out, err = _run(capsys, "kkt", str(path), "--point-decision=1,1e-170")
+    assert (code, out, err) == (3, "", f"numerical failure: {message}\n")
+    code, out, err = _run(
+        capsys, "report", str(path), "--point-decision=1,1e-170", "--grid", "9", "--levels", "4"
+    )
+    assert (code, err) == (0, "")
+    assert [r["kkt"] for r in json.loads(out)["points"]] == [{"error": message}]
+
+
 def test_one_points_kkt_failure_is_recorded_in_the_report(tmp_path, capsys):
     # the x^(1/2) problem: at the origin base^(1/2) has no derivative, so kkt
     # fails there alone; report records that point's error and keeps every

@@ -57,11 +57,11 @@ def general_form(inst):
     return c, A, b, np.eye(n)[1:], np.zeros(n - 1)  # lambda, nu >= 0
 
 
-def _random_cuts(rng):
-    """Up to 8 cut rows over p = 1..5 criteria: normal and small-integer rows,
-    zero rows, duplicates, near-parallel copies, and rows all negative or all
-    positive."""
-    p, m = int(rng.integers(1, 6)), int(rng.integers(0, 9))
+def _random_cuts(rng, p=None):
+    """Up to 8 cut rows over p = 1..5 criteria, or over ``p``: normal and
+    small-integer rows, zero rows, duplicates, near-parallel copies, and rows
+    all negative or all positive."""
+    p, m = int(rng.integers(1, 6)) if p is None else p, int(rng.integers(0, 9))
     rows = []
     for _ in range(m):
         kind = int(rng.integers(7))
@@ -475,15 +475,21 @@ def _near_parallel_margin_instances(monkeypatch, rng, count):
     directions tilted by about 1e-4: many columns pass near each vertex."""
     solved = _recording_margin_lps(monkeypatch)
     for _ in range(count):
-        p = int(rng.integers(2, 4))
-        m = int(rng.integers(50, 401))
-        base = rng.integers(-3, 4, size=(6, p)).astype(float)
-        diffs = base[rng.integers(0, len(base), size=m)] + 1e-4 * rng.normal(size=(m, p))
-        # the normalized cuts of support.support_margin
-        cuts = diffs / np.max(np.abs(diffs), axis=1)[:, None]
+        cuts = _near_parallel_cuts(rng)
         for mass in ("lambda", "lambda+nu"):
             lp.cone_margin(cuts, mass=mass)
     return solved
+
+
+def _near_parallel_cuts(rng):
+    """50 to 400 normalized cuts over p = 2 or 3, each a copy of one of six
+    directions tilted by about 1e-4."""
+    p = int(rng.integers(2, 4))
+    m = int(rng.integers(50, 401))
+    base = rng.integers(-3, 4, size=(6, p)).astype(float)
+    diffs = base[rng.integers(0, len(base), size=m)] + 1e-4 * rng.normal(size=(m, p))
+    # the normalized cuts of support.support_margin
+    return diffs / np.max(np.abs(diffs), axis=1)[:, None]
 
 
 @pytest.mark.parametrize("case", ["soland", "plane2d", "near_degenerate"])
@@ -600,7 +606,7 @@ def test_entering_matches_the_numpy_reference_on_random_states():
         priced = np.where(enterable, cost, -np.inf) - summed
         state = (A, binv, x_basic, basis)
         before = [np.array(a, copy=True) for a in state]
-        got = lp._entering(A, priced, binv, x_basic, basis, bland)
+        got = lp._entering(A, priced, binv, x_basic.tolist(), basis, bland)
         for kept, now in zip(before, state):
             assert np.array_equal(kept, now)  # the state is left as it was
         assert (got is None) == (want is None)
@@ -675,3 +681,248 @@ def test_prefix_solves_equal_solves_over_the_prefix_cuts(p):
                     assert repr(getattr(got, name)) == repr(getattr(want, name)), (end, mass, name)
                 infeasible += got.status == "unbounded"
     assert infeasible > 5
+
+
+# ---------------------------------------------------------------------------
+# the simplex against the one it replaced: each factorization a solve against
+# the identity, the basic values and duals products with unit vectors, the
+# costs held in arrays, and each instance's matrix built whole
+
+
+def _reference_matrix(inst):
+    """``ConeInstance.matrix`` as it was built before the head blocks were kept."""
+    m, p = inst.cuts.shape
+    on_lambda, on_nu = lp._MASS_ROWS[inst.mass]
+    A = np.zeros((p + 1, 1 + p + m))
+    A[:p, 0] = 1.0
+    A[:p, 1 : 1 + p] = -np.eye(p)
+    A[:p, 1 + p :] = inst.cuts.T
+    A[p, 1 : 1 + p] = float(on_lambda)
+    A[p, 1 + p :] = float(on_nu)
+    return A
+
+
+def _reference_factorize(A, basis):
+    try:
+        return np.linalg.solve(A[:, basis], np.eye(len(basis)))
+    except np.linalg.LinAlgError:
+        raise NumericalBreakdown("singular basis matrix") from None
+
+
+def _reference_revised_simplex(A, b, c, basis, binv, factorize):
+    """``linprog._revised_simplex`` as it was, factorizing with ``factorize``."""
+    basis = list(basis)
+    c_basis = c[basis]
+    c_enter = c.copy()
+    c_enter[basis] = -np.inf
+    pivots = 0
+    bland = False
+    for _ in range(lp._MAX_ITER):
+        x_basic = binv @ b
+        y = c_basis @ binv
+        priced = c_enter - (y[:, None] * A).sum(axis=0)
+        choice = lp._entering(A, priced, binv, x_basic.tolist(), basis, bland)
+        if choice is None or choice[2] is None:
+            if pivots:
+                binv = factorize(A, basis)
+                pivots = 0
+                continue
+            if choice is None:
+                return "optimal", basis, x_basic, y, None, None
+            j, d, _ = choice
+            if float(np.max(d[1:])) > lp._PIVOT_TOL * 1e-2 * max(1.0, float(np.abs(d).max())):
+                raise NumericalBreakdown(
+                    f"pivot below {lp._PIVOT_TOL} with no alternative in column {j}"
+                )
+            return "unbounded", basis, x_basic, y, j, d
+        j, d, pos = choice
+        if pivots and abs(float(d[pos])) < lp._SMALL_PIVOT * max(map(abs, d.tolist())):
+            binv = factorize(A, basis)
+            pivots = 0
+            continue
+        bland = not x_basic[pos] > 0.0
+        c_enter[basis[pos]] = c[basis[pos]]
+        c_enter[j] = -np.inf
+        basis[pos] = j
+        c_basis[pos] = c[j]
+        pivots += 1
+        if pivots >= lp._REFACTOR_EVERY:
+            binv = factorize(A, basis)
+            pivots = 0
+        else:
+            lp._pivot(binv, d, pos)
+    raise NumericalBreakdown("simplex iteration limit exceeded")
+
+
+def _reference_solve_lp(inst, end=None, factorize=_reference_factorize):
+    """``linprog.solve_lp`` as it was, every inverse from ``factorize``."""
+    m, p = inst.cuts.shape
+    end = m if end is None else end
+    n = 1 + p + end
+    A = _reference_matrix(inst)[:, :n]
+    b = np.zeros(p + 1)
+    b[p] = 1.0
+    c = np.zeros(n)
+    c[0] = -1.0
+    try:
+        basis = lp._start_basis(inst)
+        binv = factorize(A, basis)
+        status, basis, x_basic, y, enter, direction = _reference_revised_simplex(
+            A, b, c, basis, binv, factorize
+        )
+    except NumericalBreakdown as exc:
+        raise NumericalBreakdown(
+            f"{exc} in a {p + 1} x {n} cone-margin LP (mass {inst.mass})"
+        ) from None
+    x = np.zeros(n)
+    x[basis] = np.where(x_basic > 0.0, x_basic, 0.0)
+    x[0] = x_basic[0]
+    if status == "unbounded":
+        ray = np.zeros(n)
+        ray[enter] = 1.0
+        ray[basis] = -direction
+        ray /= np.abs(A[:, enter]).max()
+        return lp.LpOutcome(status="unbounded", x=tuple(x.tolist()), ray=tuple(ray.tolist()))
+    return lp.LpOutcome(
+        status="optimal",
+        x=tuple(x.tolist()),
+        value=0.0 - float(x[0]),
+        basis=tuple(sorted(basis)),
+        duals=tuple(y.tolist()),
+    )
+
+
+def _solve_repr(solve, inst, end):
+    """``repr`` of each field of ``solve(inst, end)``, or the breakdown's message."""
+    try:
+        out = solve(inst, end)
+    except NumericalBreakdown as exc:
+        return "breakdown", str(exc)
+    return tuple(repr(getattr(out, f.name)) for f in dataclasses.fields(out))
+
+
+def _reference_cases(rng):
+    """(instance, ends) pairs: ``_random_cuts`` and normal cuts over p = 1..6
+    under every mass, near-parallel cuts and positive cuts whose hard margin
+    LP is often unbounded, each solved over all its cuts and up to three prefixes."""
+    cases = []
+    for p, mass in itertools.product(range(1, 7), MASSES):
+        for _ in range(40):
+            for cuts in (_random_cuts(rng, p), rng.normal(size=(int(rng.integers(0, 41)), p))):
+                if len(cuts) or mass != "nu":
+                    cases.append(lp.ConeInstance(cuts, mass))
+    for _ in range(30):
+        cuts = _near_parallel_cuts(rng)
+        cases += [lp.ConeInstance(cuts, "lambda"), lp.ConeInstance(cuts, "lambda+nu")]
+    for _ in range(200):
+        cuts = _random_cuts(rng)
+        p = cuts.shape[1]
+        positive = np.abs(rng.normal(size=(int(rng.integers(0, p + 2)), p)))
+        cases.append(lp.ConeInstance(np.vstack([cuts, positive]), "lambda"))
+    ends = []
+    for inst in cases:
+        first = 1 if inst.mass == "nu" else 0
+        ends.append([None, *np.unique(rng.integers(first, len(inst.cuts) + 1, size=3)).tolist()])
+    return list(zip(cases, ends))
+
+
+@pytest.fixture(scope="module")
+def reference_cases():
+    return _reference_cases(np.random.default_rng(20261022))
+
+
+def test_solves_match_the_reference_simplex(reference_cases):
+    statuses = set()
+    for inst, ends in reference_cases:
+        for end in ends:
+            want = _solve_repr(_reference_solve_lp, inst, end)
+            assert _solve_repr(lp.solve_lp, inst, end) == want, (inst, end)
+            statuses.add(want[0])
+    assert statuses == {"'optimal'", "'unbounded'"}
+
+
+def test_breakdowns_match_the_reference_simplex(monkeypatch):
+    pivot = lp.ConeInstance([[1.0, 1.0 - 2e-13], [1.0, 0.0], [0.0, 1.0]], "lambda")
+    for end in (None, 1):
+        want = _solve_repr(_reference_solve_lp, pivot, end)
+        assert want[0] == "breakdown" and _solve_repr(lp.solve_lp, pivot, end) == want
+    monkeypatch.setattr(lp, "_MAX_ITER", 1)
+    for mass in MASSES:
+        inst = lp.ConeInstance([[2.0, -1.0], [-1.0, 3.0]], mass)
+        want = _solve_repr(_reference_solve_lp, inst, None)
+        assert want[0] == "breakdown" and _solve_repr(lp.solve_lp, inst, None) == want
+
+
+def _flip_signed_zeros(binv):
+    """A copy of ``binv`` with the sign of each zero in its last column and
+    first row flipped: the same inverse, with other signed zeros."""
+    out = binv.copy()
+    edge = np.zeros(out.shape, dtype=bool)
+    edge[:, -1] = edge[0] = True
+    np.negative(out, out=out, where=edge & (out == 0.0))
+    return out
+
+
+def test_signed_zeros_of_the_inverse_match_the_reference(monkeypatch, reference_cases):
+    # the basic values and duals read the inverse's last column and first
+    # row; a zero there must come out as the products with unit vectors gave it
+    flipped = []
+    solve_linear = lp._solve_linear
+
+    def flipping(M):
+        binv = solve_linear(M)
+        flipped.append(bool(((binv[:, -1] == 0.0) | (binv[0] == 0.0)).any()))
+        return _flip_signed_zeros(binv)
+
+    monkeypatch.setattr(lp, "_solve_linear", flipping)
+    monkeypatch.setattr(lp, "_start_inverse", lp._factorize)  # not the kept copy
+    zeros = []  # whether an optimal outcome has u or a dual at zero
+
+    def reference(inst, end):
+        out = _reference_solve_lp(
+            inst, end, lambda A, basis: _flip_signed_zeros(_reference_factorize(A, basis))
+        )
+        zeros.append(out.status == "optimal" and (out.x[0] == 0.0 or 0.0 in out.duals))
+        return out
+
+    for inst, ends in reference_cases[::2]:
+        for end in ends:
+            want = _solve_repr(reference, inst, end)
+            assert _solve_repr(lp.solve_lp, inst, end) == want, (inst, end)
+    assert sum(flipped) > 800 and sum(zeros) > 350, (sum(flipped), sum(zeros))
+
+
+def test_solve_linear_is_the_solve_against_the_identity():
+    rng = np.random.default_rng(1)
+    for _ in range(5000):
+        k = int(rng.integers(1, 8))
+        M = rng.normal(size=(k, k))
+        if rng.random() < 0.5:
+            M = rng.integers(-2, 3, size=(k, k)).astype(float)
+            M[M == 0.0] = rng.choice([0.0, -0.0], size=int((M == 0.0).sum()))
+        try:
+            want = np.linalg.solve(M, np.eye(k)).tobytes()
+        except np.linalg.LinAlgError:
+            with pytest.raises(NumericalBreakdown) as singular:
+                lp._solve_linear(M)
+            assert str(singular.value) == "singular basis matrix"
+            continue
+        assert lp._solve_linear(M).tobytes() == want
+    with pytest.raises(NumericalBreakdown) as singular:
+        lp._solve_linear(np.ones((3, 3)))
+    assert str(singular.value) == "singular basis matrix"
+
+
+def test_instance_matrix_equals_the_reference_and_head_blocks_are_read_only():
+    rng = np.random.default_rng(8)
+    for p, mass in itertools.product(range(1, 7), MASSES):
+        for m in (0, 1, 3, 40) if mass != "nu" else (1, 3, 40):
+            cuts = rng.normal(size=(m, p))
+            cuts[rng.random(cuts.shape) < 0.2] = -0.0
+            inst = lp.ConeInstance(cuts, mass)
+            assert inst.matrix.tobytes() == _reference_matrix(inst).tobytes(), (p, mass, m)
+            assert inst.matrix.shape == (p + 1, 1 + p + m) and not inst.matrix.flags.writeable
+        kept = lp._HEAD_BLOCKS[p, mass]
+        assert not kept.flags.writeable and not np.shares_memory(kept, inst.matrix)
+        with pytest.raises(ValueError):
+            kept[0, 0] = 2.0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -75,6 +76,37 @@ def test_empty_row_set_is_rejected_like_an_empty_cloud():
         cuts = support.prepare_cuts(PointCloud(len(points), points), np.zeros(len(points)))
         with pytest.raises(ValueError, match="empty row set"):
             support.support_margin(cuts, rows=np.array([], dtype=int))
+
+
+def _report_repr(report):
+    return [repr(getattr(report, f.name)) for f in dataclasses.fields(report)]
+
+
+def test_whole_sample_margin_takes_the_cut_matrix_as_it_is():
+    # support_margin without rows uses cuts.cuts and cuts.diffs themselves;
+    # a row set of every row and the ladder path's stable sort by level copy
+    # them, and all three must give one report
+    rng = np.random.default_rng(31)
+    soft = supported = 0
+    for p in (2, 3, 4):
+        for trial in range(30):
+            y = rng.random((int(rng.integers(1, 300)), p - 1))
+            points = np.column_stack([y, -(y**2).sum(axis=1)])  # a concave surface
+            y_ref = points[int(rng.integers(len(points)))]
+            if trial % 3 == 0:
+                y_ref = y_ref - 0.05  # dominated: no weights, a soft margin
+            cuts = support.prepare_cuts(points, y_ref)
+            before = [(a.tobytes(), a.flags.writeable) for a in (cuts.cuts, cuts.diffs)]
+            n = len(cuts)
+            got = support.support_margin(cuts)
+            every = support.support_margin(cuts, rows=np.arange(n))
+            level = support._level_margins(cuts, np.arange(n), np.ones(n, dtype=int), 1, 1e-8)[1]
+            want = _report_repr(level)
+            assert _report_repr(got) == _report_repr(every) == want, (p, trial)
+            assert [(a.tobytes(), a.flags.writeable) for a in (cuts.cuts, cuts.diffs)] == before
+            soft += not got.feasible and got.margin < 0.0
+            supported += got.weights is not None and len(got.binding) > 0
+    assert soft >= 25 and supported >= 50, (soft, supported)
 
 
 def test_margin_closed_form_under_refinement():
