@@ -503,20 +503,17 @@ def _write_csv(directory: str, payload: dict, cloud: PointCloud | None) -> None:
             rows = np.hstack([decisions, points]).tolist()
             writer.writerows([repr(v) for v in row] for row in rows)
     for idx, record in enumerate(payload.get("points", [])):
-        divergence = record.get("divergence")
-        if divergence:
-            with (out_dir / f"divergence_point{idx}.csv").open("w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["level", "offset", "ratio"])
-                for row in zip(divergence["levels"], divergence["offsets"], divergence["ratios"]):
-                    writer.writerow([row[0], repr(row[1]), repr(row[2])])
-        trend = (record.get("support") or {}).get("trend") or record.get("trend")
-        if trend:
-            with (out_dir / f"margin_point{idx}.csv").open("w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["level", "offset", "margin"])
-                for row in zip(trend["levels"], trend["offsets"], trend["margins"]):
-                    writer.writerow([row[0], repr(row[1]), repr(row[2])])
+        series = (
+            ("divergence", "ratio", record.get("divergence")),
+            ("margin", "margin", (record.get("support") or {}).get("trend") or record.get("trend")),
+        )
+        for name, column, values in series:
+            if values:
+                with (out_dir / f"{name}_point{idx}.csv").open("w", newline="") as handle:
+                    writer = csv.writer(handle)
+                    writer.writerow(["level", "offset", column])
+                    for row in zip(values["levels"], values["offsets"], values[f"{column}s"]):
+                        writer.writerow([row[0], repr(row[1]), repr(row[2])])
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,10 @@ cuts alone, independent of the solution path.
 
 A :class:`ConeInstance` builds its LP matrix once, and :func:`solve_lp`
 solves over all its cuts or a prefix of them: a ladder's levels share one
-matrix. The solver keeps one dense basis inverse (the product form of the
-inverse, Dantzig and Orchard-Hays 1954): every pivot applies a rank-one (eta)
-update, and the inverse is factorized afresh from the basis columns every
-``_REFACTOR_EVERY`` pivots, before a small pivot is taken and before the
-solve concludes. The start inverse with lambda in the mass row depends on p
-alone, so it is factorized once per p, kept read-only and copied per solve;
+matrix. The basis has p + 1 columns, so the solver factorizes its dense
+inverse afresh from the basis columns after every pivot, and no inverse
+carries the error of an update. The start inverse with lambda in the mass
+row depends on p alone, so it is factorized once per p and kept read-only;
 the matrix's head block, its columns (u, lambda), is kept read-only per p and
 mass and copied into each instance. Every factorization is
 ``numpy.linalg.inv`` in :func:`_solve_linear`, the module's one call into
@@ -60,8 +58,6 @@ _ENTER_TOL = 1e-9
 # of its largest entry
 _UNBOUNDED_GUARD = 1e-6
 _MAX_ITER = 10000
-_REFACTOR_EVERY = 32  # pivots between fresh factorizations of the basis inverse
-_SMALL_PIVOT = 1e-3  # relative to the direction's largest entry
 _PIVOT_TOL = 1e-12  # a direction entry at or below this never pivots
 
 # whether the mass row sums (lambda, nu)
@@ -149,14 +145,6 @@ def _factorize(A, basis) -> np.ndarray:
     return _solve_linear(A[:, basis])
 
 
-def _pivot(binv: np.ndarray, d: np.ndarray, pos: int) -> None:
-    """Eta update in place: ``binv`` becomes the inverse of the basis whose
-    column ``pos`` is replaced by the column with direction ``d = binv @ a``."""
-    row = binv[pos] / d[pos]
-    binv -= d[:, None] * row
-    binv[pos] = row
-
-
 def _entering(A, priced, binv, x, basis, bland):
     """The entering column, its direction ``binv @ A[:, j]`` and the leaving
     position, which is None when no row blocks the direction; None when no
@@ -200,8 +188,8 @@ def _entering(A, priced, binv, x, basis, bland):
 
 def _revised_simplex(A, basis, binv):
     """Run primal simplex from the feasible ``basis``, whose position 0 holds
-    the free u for good, and its inverse ``binv`` (for the lambda masses a
-    copy of the one kept per p), which the run overwrites; returns the status,
+    the free u for good, and its inverse ``binv`` (for the lambda masses the
+    one kept per p), which the run only reads; returns the status,
     the final basis, its values (the inverse's last column, as a list) and
     duals, and for an unbounded LP the entering column and its direction.
 
@@ -209,15 +197,12 @@ def _revised_simplex(A, basis, binv):
     p + 1 scalars (``_entering``); a degenerate pivot (leaving value 0)
     switches pricing to Bland's rule until a pivot makes progress.
 
-    The basis inverse is updated per pivot and factorized afresh every
-    ``_REFACTOR_EVERY`` pivots, before a pivot below ``_SMALL_PIVOT`` of its
-    direction is taken, and before the run concludes optimal or unbounded,
-    so that no verdict rests on accumulated update error.
+    After each pivot the inverse is factorized afresh from the basis
+    columns, so every pivot and verdict rests on a fresh inverse.
     """
     basis = list(basis)
     c_enter = np.zeros(A.shape[1])  # cost 0 but at u, always basic; -inf at basic columns
     c_enter[basis] = -np.inf
-    pivots = 0  # since binv was last factorized
     bland = False
     for _ in range(_MAX_ITER):
         x_basic = binv[:, -1].tolist()  # binv times the right-hand side, the last unit vector
@@ -225,14 +210,10 @@ def _revised_simplex(A, basis, binv):
         # summed row by row, so that equal columns get equal reduced costs
         priced = c_enter - np.add.reduce(y[:, None] * A)
         choice = _entering(A, priced, binv, x_basic, basis, bland)
-        if choice is None or choice[2] is None:
-            if pivots:
-                binv = _factorize(A, basis)
-                pivots = 0
-                continue
-            if choice is None:
-                return "optimal", basis, x_basic, y, None, None
-            j, d, _ = choice
+        if choice is None:
+            return "optimal", basis, x_basic, y, None, None
+        j, d, pos = choice
+        if pos is None:
             if float(np.max(d[1:])) > _PIVOT_TOL * 1e-2 * max(1.0, float(np.abs(d).max())):
                 # a blocking row exists but its pivot sits below tolerance,
                 # above the rounding of the direction; refuse to absorb that
@@ -240,35 +221,23 @@ def _revised_simplex(A, basis, binv):
                     f"pivot below {_PIVOT_TOL} with no alternative in column {j}"
                 )
             return "unbounded", basis, x_basic, y, j, d
-        j, d, pos = choice
-        if pivots and abs(float(d[pos])) < _SMALL_PIVOT * max(map(abs, d.tolist())):
-            # a small pivot magnifies the update error: confirm it with a
-            # fresh factorization first
-            binv = _factorize(A, basis)
-            pivots = 0
-            continue
         bland = not x_basic[pos] > 0.0
         c_enter[basis[pos]] = 0.0
         c_enter[j] = -np.inf
         basis[pos] = j
-        pivots += 1
-        if pivots >= _REFACTOR_EVERY:
-            binv = _factorize(A, basis)
-            pivots = 0
-        else:
-            _pivot(binv, d, pos)
+        binv = _factorize(A, basis)
     raise NumericalBreakdown("simplex iteration limit exceeded")
 
 
 def _start_inverse(A, basis) -> np.ndarray:
-    """A copy of the inverse of the {u, lambda} start basis, a matrix that
-    depends on p alone: factorized once per p and kept read-only."""
+    """The inverse of the {u, lambda} start basis, a matrix that depends on p
+    alone: factorized once per p and kept read-only."""
     kept = _START_INVERSES.get(len(basis))
     if kept is None:
         kept = _factorize(A, basis)
         kept.setflags(write=False)
         kept = _START_INVERSES.setdefault(len(basis), kept)
-    return kept.copy()
+    return kept
 
 
 def _start_basis(inst: ConeInstance) -> list[int]:

@@ -72,8 +72,7 @@ class AnalyticProblem:
         return doc
 
     def digest(self) -> str:
-        canon = json.dumps(self.to_document(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
+        return _digest(self.to_document())
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -130,8 +129,13 @@ class PointCloud:
         return doc
 
     def digest(self) -> str:
-        canon = json.dumps(self.to_document(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
+        return _digest(self.to_document())
+
+
+def _digest(document: dict) -> str:
+    """The SHA-256 of a problem document's canonical JSON text."""
+    canon = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -338,20 +342,30 @@ def sample_criterion_space(
 
 def _check_node(problem: AnalyticProblem, x: tuple[float, ...], tol_feas: float) -> None:
     """Evaluate the criteria at one grid node and check the image against the
-    constraint description; raise where sampling must stop."""
-    y = problem.criteria_at(x)
-    if problem.has_constraints:
-        g, h = problem.constraint_values(y)
-        for k, val in enumerate(g):
-            if val > tol_feas:
-                raise SchemaError(
-                    f"constraint description inconsistent: g[{k}]({y}) = {val} > {tol_feas} at x = {x}"
-                )
-        for j, val in enumerate(h):
-            if abs(val) > tol_feas:
-                raise SchemaError(
-                    f"constraint description inconsistent: h[{j}]({y}) = {val} at x = {x}"
-                )
+    constraint description; raise where sampling must stop. A DomainError
+    names the expression it arose in and the decision ``x``."""
+    y = tuple(_node_value(f, x, f"criteria[{i}]", x) for i, f in enumerate(problem.criteria))
+    g = [_node_value(e, y, f"ineq[{k}]", x) for k, e in enumerate(problem.ineq)]
+    h = [_node_value(e, y, f"eq[{j}]", x) for j, e in enumerate(problem.eq)]
+    for k, val in enumerate(g):
+        if val > tol_feas:
+            raise SchemaError(
+                f"constraint description inconsistent: g[{k}]({y}) = {val} > {tol_feas} at x = {x}"
+            )
+    for j, val in enumerate(h):
+        if abs(val) > tol_feas:
+            raise SchemaError(
+                f"constraint description inconsistent: h[{j}]({y}) = {val} at x = {x}"
+            )
+
+
+def _node_value(expr: exprlang.Expression, point, name: str, x: tuple[float, ...]) -> float:
+    """``expr`` at ``point``; a DomainError is raised again with the
+    expression's ``name`` and source text and the decision ``x``."""
+    try:
+        return exprlang.evaluate(expr, point)
+    except DomainError as exc:
+        raise DomainError(f'{exc} in {name} "{exprlang.to_source(expr)}" at x = {x}') from None
 
 
 def cut_grid(problem: AnalyticProblem, cloud: PointCloud, grid: GridSpec) -> np.ndarray:

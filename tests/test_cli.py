@@ -831,6 +831,36 @@ def test_kkt_at_a_divisor_whose_square_underflows_exits_3(tmp_path, capsys):
     assert [r["kkt"] for r in json.loads(out)["points"]] == [{"error": message}]
 
 
+@pytest.mark.parametrize(
+    "domain, criteria, eq, argv, message",
+    [
+        # sampling the analysis cloud reaches y1 = 0 at the grid's first node
+        (
+            [[0, 2], [0, 2]], ["x0", "x1"], ["y0 / y1 - y0 / y1"],
+            ["--point-decision=1,1e-170", "--grid", "9", "--levels", "4"],
+            'division by zero in eq[0] "((y0 / y1) - (y0 / y1))" at x = (0.0, 0.0)',
+        ),
+        # a square root of the negative half of the domain
+        (
+            [[-1, 1]], ["x0^(1/2)", "-x0"], [], ["--levels", "4"],
+            "negative base -1.0 with even-denominator exponent 1/2 "
+            'in criteria[0] "x0^1/2" at x = (-1.0,)',
+        ),
+    ],
+)
+def test_a_grid_node_that_cannot_be_evaluated_is_named(
+    tmp_path, capsys, domain, criteria, eq, argv, message
+):
+    doc = {
+        "type": "analytic", "decision_dim": len(domain), "criterion_dim": len(criteria),
+        "domain": domain, "criteria": criteria, "constraints": {"eq": eq},
+    }
+    path = tmp_path / "failing.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "report", str(path), *argv)
+    assert (code, out, err) == (3, "", f"numerical failure: {message}\n")
+
+
 def test_one_points_kkt_failure_is_recorded_in_the_report(tmp_path, capsys):
     # the x^(1/2) problem: at the origin base^(1/2) has no derivative, so kkt
     # fails there alone; report records that point's error and keeps every

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from paretocert import cli, geoffrion, problems, support
+from paretocert import cli, exprlang, geoffrion, problems, support
 from paretocert.errors import (
     DimensionError,
     DomainError,
@@ -294,14 +294,26 @@ def test_cutting_a_grid_the_cloud_lacks_raises():
         problems.cut_grid(problem, bare, problems.GridSpec.uniform(1, 3))
 
 
+def _named_value(problem, kind, index, point, x):
+    """Expression ``index`` of ``problem``'s ``kind`` at ``point``; a domain
+    error names that expression and the decision ``x``."""
+    expr = getattr(problem, kind)[index]
+    try:
+        return exprlang.evaluate(expr, point)
+    except DomainError as exc:
+        source = exprlang.to_source(expr)
+        raise DomainError(f'{exc} in {kind}[{index}] "{source}" at x = {x}') from None
+
+
 def scalar_sample(problem, grid, tol_feas=1e-9):
     """Point-by-point sampling, the reference for sample_criterion_space:
     the points and decisions, or the error it raises."""
     points, decisions = [], []
     try:
         for x in map(tuple, problems.grid_nodes(problem, grid).tolist()):
-            y = problem.criteria_at(x)
-            g, h = problem.constraint_values(y)
+            y = tuple(_named_value(problem, "criteria", i, x, x) for i in range(problem.criterion_dim))
+            g = [_named_value(problem, "ineq", k, y, x) for k in range(len(problem.ineq))]
+            h = [_named_value(problem, "eq", j, y, x) for j in range(len(problem.eq))]
             for k, val in enumerate(g):
                 if val > tol_feas:
                     raise SchemaError(
