@@ -51,11 +51,6 @@ class AnalyticProblem:
             )
         return tuple(exprlang.evaluate(f, pt) for f in self.criteria)
 
-    def constraint_values(self, y) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        g = tuple(exprlang.evaluate(e, y) for e in self.ineq)
-        h = tuple(exprlang.evaluate(e, y) for e in self.eq)
-        return g, h
-
     def to_document(self) -> dict:
         doc = {
             "type": "analytic",

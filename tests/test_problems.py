@@ -182,9 +182,8 @@ def test_sampled_images_satisfy_constraint_description():
     problem = problems.builtin("soland")
     cloud = problems.sample_criterion_space(problem, problems.GridSpec.uniform(1, 101))
     for y in cloud.as_array().tolist():
-        g, h = problem.constraint_values(y)
-        assert g[0] <= 1e-9
-        assert abs(h[0]) <= 1e-9
+        assert exprlang.evaluate(problem.ineq[0], y) <= 1e-9
+        assert abs(exprlang.evaluate(problem.eq[0], y)) <= 1e-9
 
 
 def test_inconsistent_constraints_surface_during_sampling():
