@@ -9,14 +9,15 @@ reference:
 Each cut is homogeneous in w, so it is normalized: C holds the cuts
 (y - y_ref)/max|y - y_ref|, which changes no hard margin.
 
-With two criteria the weights are (lambda, 1 - lambda) and no LP is solved.
-A cut c holds when lambda * (c0 - c1) <= -c1, an upper or a lower bound on
-lambda: the gain/loss ratio bound of ``geoffrion`` (Geoffrion, "Proper
-efficiency and the theory of vector maximization", 1968). The margin
-min(lambda, 1 - lambda) is concave, so it is min(lambda*, 1 - lambda*) with
-lambda* = 1/2 clipped to the interval the bounds leave, and the weights are
-(lambda*, 1 - lambda*). Where the float cuts leave no lambda, the interval
-is empty and the LP below decides: it gives the soft margin of cuts that no
+With two criteria the weights are (lambda, mu), mu = 1 - lambda, and no LP
+is solved. A cut c holds when lambda * (c0 - c1) <= -c1, an upper or a lower
+bound on lambda: the gain/loss ratio bound of ``geoffrion`` (Geoffrion,
+"Proper efficiency and the theory of vector maximization", 1968). The margin
+min(lambda, mu) is concave, so it is min(lambda*, mu*) with lambda* = 1/2
+clipped to the interval the bounds leave, and mu* the same from the cuts with
+their criteria swapped: 1 - lambda* would lose what lies below 2^-53. The
+weights are (lambda*, mu*). Where the float cuts leave either weight no
+interval, the LP below decides: it gives the soft margin of cuts that no
 weights satisfy, and judges cuts that rounding made contradictory.
 
 Otherwise the LP is solved through its dual, ``linprog.cone_margin`` with
@@ -221,12 +222,14 @@ def _level_margins(
     margins: list[float] = []
     feasible = True
     if p == 2:
-        # the LP solves only the levels whose interval is empty, a suffix
+        # each weight from its own bounds, not as 1 minus the other; the LP
+        # solves only the levels where either interval is empty, a suffix
         lam = _two_criteria_weight(columns, ends)
-        held = lam[~np.isnan(lam)]
+        mu = _two_criteria_weight(columns[:, ::-1], ends)
+        held = np.minimum(lam, mu)  # NaN where either is
         # -(0.0 - t), as the LP's value: a zero margin reads -0.0 either way
-        margins = (-(0.0 - np.minimum(held, 1.0 - held))).tolist()
-        w = np.array([lam[-1], 1.0 - lam[-1]])
+        margins = (-(0.0 - held[~np.isnan(held)])).tolist()
+        w = np.array([lam[-1], mu[-1]])
     hard = soft = None  # each level's LP is over a prefix of these instances' columns
     for end in ends[len(margins) :].tolist():
         hard = hard or ConeInstance(columns, "lambda")
@@ -258,8 +261,8 @@ def _level_margins(
 
 
 def _two_criteria_weight(columns: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """For p = 2, the lambda* of the margin's weights (lambda*, 1 - lambda*)
-    over each prefix ``columns[:end]``, or NaN where no lambda keeps every cut.
+    """For p = 2, the first weight lambda* of the margin over each prefix
+    ``columns[:end]``, or NaN where no lambda keeps every cut.
 
     A cut c holds when lambda * (c0 - c1) <= -c1: an upper bound on lambda if
     c0 > c1, a lower bound if c0 < c1, and no lambda at all if c0 = c1 > 0.
@@ -378,40 +381,24 @@ def verify_witness(
 
 
 def _smallest_gap(witness: ValueFunctionWitness, pts: np.ndarray) -> tuple[int | None, float]:
-    """The first index of the smallest ``value(anchor) - value(y)`` over the
-    points other than the anchor, and that gap, as the scalar ``value`` gives
-    them; ``(None, inf)`` when there is no such point.
+    """The first index of the smallest gap v(anchor) - v(y) over the points
+    other than the anchor, and that gap; ``(None, inf)`` without such a point.
 
-    The gaps are computed in numpy first. With u = 2^-53, the scalar and the
-    numpy value of v(y) = <w, y> - c ||d||^2 (d = y - a, rounded the same in
-    both) are each within gamma_{p+2} (|w|.|y| + |c| ||d||^2) of its exact
-    value, whatever the order of the sums (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, section 3.1), so their gaps differ by less
-    than delta = 2 (p + 4) eps (|w|.|y| + |c| ||d||^2 + |gap|) + tiny, with
-    eps = 2u and tiny the smallest normal number, which covers roundings in
-    the subnormal range. Only the rows whose numpy gap minus its delta does
-    not exceed the numpy minimum plus its delta can hold the scalar minimum;
-    they are evaluated again by ``value``, in index order.
+    Each gap is c ||d||^2 - <w, d> with d = y - anchor, summed in criterion
+    order, so its bits depend on its row alone. Away from underflow its error
+    is below (p + 5) 2^-53 (sum |w_i d_i| + c ||d||^2), relative to that sum,
+    not to |v(y)|.
     """
-    w = np.asarray(witness.weights)
-    a = np.asarray(witness.anchor)
-    c = witness.curvature
-    anchor_value = witness.value(witness.anchor)
-    d = pts - a
-    sq = np.einsum("ij,ij->i", d, d)
-    gaps = anchor_value - (pts @ w - c * sq)
-    info = np.finfo(float)
-    scale = np.abs(pts) @ np.abs(w) + abs(c) * sq + np.abs(gaps)
-    delta = 2 * (len(a) + 4) * info.eps * scale + info.tiny
-    others = np.flatnonzero(~np.logical_and.reduce([col == v for col, v in zip(pts.T, a)]))
+    sq, lin, other = 0.0, 0.0, False
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives a non-finite gap
+        for col, a, w in zip(pts.T, witness.anchor, witness.weights):
+            d = col - a
+            sq = sq + d * d
+            lin = lin + w * d
+            other = other | (col != a)
+        gaps = witness.curvature * sq - lin
+    others = np.flatnonzero(other)
     if not others.size:
         return None, np.inf
-    k = others[np.argmin(gaps[others])]
-    # a NaN comparison keeps its row: only provably larger gaps are dropped
-    keep = others[~(gaps[others] - delta[others] > gaps[k] + delta[k])]
-    worst_index, worst_gap = None, np.inf
-    for idx in keep.tolist():
-        gap = anchor_value - witness.value(pts[idx])
-        if gap < worst_gap:
-            worst_index, worst_gap = idx, gap
-    return worst_index, worst_gap
+    k = others[np.argmin(gaps[others])]  # the first NaN, if any
+    return int(k), float(gaps[k])

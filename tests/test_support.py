@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -556,6 +557,12 @@ def test_linear_witness_on_request():
     assert concavity.detail == "concave, not strictly"
 
 
+def test_witness_value_is_the_quadratic():
+    witness = support.ValueFunctionWitness((0.25, 0.75), 0.5, (1.0, -2.0), ((0.0, 2.0), (-3.0, 0.0)))
+    assert witness.value((1.0, -2.0)) == 0.25 - 1.5
+    assert witness.value((2.0, -3.0)) == 0.5 - 2.25 - 0.5 * 2.0
+
+
 def test_witness_rejects_zero_weight():
     with pytest.raises(NotSupported):
         support.build_witness((0.0, 0.0), (0.0, 1.0), [(-1.0, 1.0), (-1.0, 1.0)], [(0.0, 0.0)])
@@ -635,66 +642,118 @@ def test_margin_scales_to_ten_thousand_cuts():
     assert report.margin == pytest.approx(margin_grid_oracle(pts, y_ref), abs=1e-6)
 
 
-def scalar_verification_details(witness, points):
-    """The per-corner and per-point loops of the three checks, with the
-    scalar ``value`` and ``gradient``: the reference for their details."""
-    corner = min(min(witness.gradient(y)) for y in itertools.product(*witness.box))
-    anchor_value = witness.value(witness.anchor)
-    worst_gap, worst_index = np.inf, None
+def exact_gaps(witness, points):
+    """The exact gap v(anchor) - v(y) of each point in Fractions, the bound
+    that ``support._smallest_gap`` states for its rounding, and the indices of
+    the points other than the anchor (a per-row comparison)."""
+    a = [Fraction(v) for v in witness.anchor]
+    w = [Fraction(v) for v in witness.weights]
+    c = Fraction(witness.curvature)
+    p = len(a)
+    gaps, bounds, others = [], [], []
     for idx, y in enumerate(points):
-        if tuple(y) == tuple(witness.anchor):
-            continue
-        gap = anchor_value - witness.value(y)
-        if gap < worst_gap:
-            worst_gap, worst_index = gap, idx
-    return {
+        d = [Fraction(float(v)) - ai for v, ai in zip(y, a)]
+        sq = sum(x * x for x in d)
+        gaps.append(c * sq - sum(wi * x for wi, x in zip(w, d)))
+        # (p + 5) 2^-53 of the terms' magnitudes, plus the underflow of the
+        # 2p + 1 products, each below 2^-1074 and scaled by c at most
+        scale = sum(abs(wi * x) for wi, x in zip(w, d)) + c * sq
+        bounds.append((p + 5) * scale / 2**53 + (2 * p + 1) * (1 + c) / 2**1074)
+        if tuple(float(v) for v in y) != witness.anchor:
+            others.append(idx)
+    return gaps, bounds, others
+
+
+def assert_gap_is_exact(witness, points):
+    """``support._smallest_gap`` against the exact gaps: its gap is within the
+    stated bound of its row's exact gap, and its row is the first exact
+    minimum unless their exact gaps are within their bounds of each other.
+    Returns its ``(index, gap)`` and the first exact minimum's index."""
+    index, gap = support._smallest_gap(witness, np.asarray(points, dtype=float))
+    gaps, bounds, others = exact_gaps(witness, points)
+    if not others:
+        assert (index, gap) == (None, np.inf)
+        return (index, gap), None
+    best = min(others, key=gaps.__getitem__)
+    assert index in others
+    assert abs(Fraction(gap) - gaps[index]) <= bounds[index], (index, gap, float(gaps[index]))
+    assert index == best or gaps[index] - gaps[best] <= bounds[index] + bounds[best], (index, best)
+    return (index, gap), best
+
+
+def assert_details_match_references(witness, points):
+    """The details of ``verify_witness`` against per-corner loops of the
+    scalar ``gradient`` and against the exact gaps."""
+    corner = min(min(witness.gradient(y)) for y in itertools.product(*witness.box))
+    (index, gap), _ = assert_gap_is_exact(witness, points)
+    expected = {
         "strictly_increasing_on_box": f"minimum gradient component over box corners: {corner}",
         "strictly_concave": (
             f"curvature {witness.curvature} > 0" if witness.curvature > 0
             else "concave, not strictly"
         ),
         "unique_maximum_over_sample": (
-            "sample contains no point other than the anchor" if worst_index is None
-            else f"smallest value gap {worst_gap} at sample index {worst_index}"
+            "sample contains no point other than the anchor" if index is None
+            else f"smallest value gap {gap} at sample index {index}"
         ),
     }
-
-
-def assert_details_match_scalar_loops(witness, points):
-    expected = scalar_verification_details(witness, points)
     verification = support.verify_witness(witness, points)
     details = {c.name: c.detail for c in verification.checks}
     assert details == expected
     return details
 
 
-def test_witness_gap_on_the_plane2d_mirror_tie():
-    # the probe at decision (0.5, 0.5): the points at decisions (0.49609375,
-    # 0.5) and (0.5, 0.49609375) tie in exact arithmetic; the scalar value
-    # puts index 179 below 161 in the last bit
+def plane2d_probe_witness(decision):
+    """The witness of the 2-D problem's probe at ``decision`` over its
+    ``--grid 9 --levels 8`` cloud, as ``report`` builds it, and the cloud."""
     doc = {
         "type": "analytic", "decision_dim": 2, "criterion_dim": 3,
         "domain": [[0, 1], [0, 1]], "criteria": ["x0", "x1", "-(x0^2 + x1^2)"],
     }
     problem = load_problem(json.dumps(doc))
-    grid = GridSpec(tuple((AxisSpec.uniform(9), AxisSpec.geometric(0.5, 8)) for _ in range(2)))
+    grid = GridSpec(tuple((AxisSpec.uniform(9), AxisSpec.geometric(x, 8)) for x in decision))
     cloud = sample_criterion_space(problem, grid)
-    y_ref = problem.criteria_at((0.5, 0.5))
+    y_ref = problem.criteria_at(decision)
     weights = support.support_margin(cloud, y_ref).weights
     box = cli._witness_box(cloud.as_array(), y_ref)
-    witness = support.build_witness(y_ref, weights, box, cloud)
-    details = assert_details_match_scalar_loops(witness, cloud.as_array().tolist())
+    return support.build_witness(y_ref, weights, box, cloud), cloud
+
+
+def test_witness_gap_on_the_plane2d_mirror_tie():
+    # the probe at decision (0.5, 0.5): the points at decisions (0.49609375,
+    # 0.5) and (0.5, 0.49609375) tie in exact arithmetic, and their computed
+    # gaps tie too, so the first index is reported
+    witness, cloud = plane2d_probe_witness((0.5, 0.5))
+    points = cloud.as_array().tolist()
+    details = assert_details_match_references(witness, points)
     assert details["unique_maximum_over_sample"] == (
-        "smallest value gap 6.2377252051382115e-06 at sample index 179"
+        "smallest value gap 6.2377252051551776e-06 at sample index 161"
     )
     assert repr(cloud.decision_array()[[161, 179]].tolist()) == repr([[0.49609375, 0.5], [0.5, 0.49609375]])
+    gaps, _, others = exact_gaps(witness, points)
+    assert gaps[161] == gaps[179] == min(gaps[k] for k in others)
 
 
-def test_witness_gap_matches_scalar_loop_on_mirrored_clouds():
+def test_witness_gap_at_the_plane2d_corner_is_the_exact_minimum():
+    # the probe at decision (1, 1): the gaps of y - y_ref through <w, y>
+    # rounded row 181, whose exact gap is 4.3e-19 above row 194's, below it
+    witness, cloud = plane2d_probe_witness((1.0, 1.0))
+    points = cloud.as_array().tolist()
+    (index, gap), best = assert_gap_is_exact(witness, points)
+    assert index == best == 194
+    gaps, _, _ = exact_gaps(witness, points)
+    assert 0 < gaps[181] - gaps[194] < Fraction(1, 10**18)
+    assert assert_details_match_references(witness, points)["unique_maximum_over_sample"] == (
+        "smallest value gap 1.731245060498895e-06 at sample index 194"
+    )
+
+
+def test_witness_gap_matches_exact_gaps_on_mirrored_clouds():
     # permuting the offset of a point from the anchor leaves its exact value
     # unchanged under equal weights, so every cloud is full of exact ties that
-    # rounding breaks; the anchor itself appears up to three times
+    # rounding may break; the anchor itself appears up to three times
     rng = np.random.default_rng(20261018)
+    first = 0
     for _ in range(200):
         p = int(rng.integers(2, 4))
         anchor = rng.normal(size=p)
@@ -712,13 +771,58 @@ def test_witness_gap_matches_scalar_loop_on_mirrored_clouds():
             box=tuple((float(a) - 1.0, float(a) + 2.0) for a in anchor),
         )
         rng.integers(1, 5)  # an unused draw: keeps the seeded sequence of clouds
-        assert_details_match_scalar_loops(witness, points)
+        assert_details_match_references(witness, points)
+        (index, _), best = assert_gap_is_exact(witness, points)
+        first += index == best
+    # most rows are the exact minimum itself, not a near-tie within the bound
+    assert first > 180
 
 
 def test_witness_gap_with_only_the_anchor():
     witness = support.ValueFunctionWitness((0.5, 0.5), 0.1, (1.0, -0.0), ((0.0, 2.0), (-1.0, 1.0)))
-    details = assert_details_match_scalar_loops(witness, [(1.0, 0.0), (1.0, -0.0)])
+    details = assert_details_match_references(witness, [(1.0, 0.0), (1.0, -0.0)])
     assert details["unique_maximum_over_sample"] == "sample contains no point other than the anchor"
+
+
+def test_an_overflowed_witness_gap_is_a_point_of_the_sample():
+    # y - y_ref overflows to -inf and the gap to +inf, which is still a gap:
+    # the point is not skipped as if the sample held the anchor alone. The
+    # box corners' offsets overflow too, and their gradient is +inf
+    witness = support.ValueFunctionWitness((0.5, 0.5), 1e-320, (1e308, 0.0), ((-1.7e308, 1.7e308), (-1.0, 1.0)))
+    with np.errstate(over="ignore"):
+        verification = support.verify_witness(witness, [(1e308, 0.0), (-1e308, 0.0)])
+    assert verification.all_passed
+    assert verification.checks[-1].detail == "smallest value gap inf at sample index 1"
+
+
+def test_a_nan_witness_gap_fails_the_maximum_check():
+    # the offset (-inf, inf) has <w, d> = -inf + inf, a NaN gap: nothing
+    # shows the point below the anchor, so only the maximum check fails
+    witness = support.ValueFunctionWitness(
+        (0.5, 0.5), 1e-320, (1e308, -1e308), ((9e307, 1.1e308), (-1.1e308, -9e307))
+    )
+    verification = support.verify_witness(witness, [(1e308, -1e308), (-1e308, 1e308)])
+    assert [c.passed for c in verification.checks] == [True, True, False]
+    assert verification.checks[-1].detail == "smallest value gap nan at sample index 1"
+
+
+def test_witness_gap_bits_do_not_depend_on_the_other_rows():
+    # the gap of the smallest row is the same alone and inside a 10,000-row
+    # array, at any position in it
+    rng = np.random.default_rng(28)
+    for p in range(1, 6):
+        pts = rng.normal(size=(10_000, p))
+        witness = support.ValueFunctionWitness(
+            weights=tuple((rng.random(p) + 0.1).tolist()),
+            curvature=float(rng.random()),
+            anchor=tuple(rng.normal(size=p).tolist()),
+            box=((-9.0, 9.0),) * p,
+        )
+        index, gap = support._smallest_gap(witness, pts)
+        assert support._smallest_gap(witness, pts[index : index + 1]) == (0, gap)
+        order = rng.permutation(len(pts))
+        moved = support._smallest_gap(witness, pts[order])
+        assert moved == (int(np.flatnonzero(order == index)[0]), gap)
 
 
 def row_wise_cuts(points, y_ref):
@@ -729,32 +833,6 @@ def row_wise_cuts(points, y_ref):
     scale = np.max(np.abs(diffs), axis=1)
     scale[scale == 0.0] = 1.0
     return diffs / scale[:, None]
-
-
-def row_wise_smallest_gap(witness, pts):
-    """``support._smallest_gap`` with the anchor's rows found by a reduction
-    along each row."""
-    w = np.asarray(witness.weights)
-    a = np.asarray(witness.anchor)
-    c = witness.curvature
-    anchor_value = witness.value(witness.anchor)
-    d = pts - a
-    sq = np.einsum("ij,ij->i", d, d)
-    gaps = anchor_value - (pts @ w - c * sq)
-    info = np.finfo(float)
-    scale = np.abs(pts) @ np.abs(w) + abs(c) * sq + np.abs(gaps)
-    delta = 2 * (len(a) + 4) * info.eps * scale + info.tiny
-    others = np.flatnonzero(~(pts == a).all(axis=1))
-    if not others.size:
-        return None, np.inf
-    k = others[np.argmin(gaps[others])]
-    keep = others[~(gaps[others] - delta[others] > gaps[k] + delta[k])]
-    worst_index, worst_gap = None, np.inf
-    for idx in keep.tolist():
-        gap = anchor_value - witness.value(pts[idx])
-        if gap < worst_gap:
-            worst_index, worst_gap = idx, gap
-    return worst_index, worst_gap
 
 
 def test_cuts_and_witness_gaps_match_row_wise_reductions():
@@ -781,5 +859,4 @@ def test_cuts_and_witness_gaps_match_row_wise_reductions():
                     anchor=tuple(y_ref.tolist()),
                     box=((-3.0, 3.0),) * p,
                 )
-                got = support._smallest_gap(witness, pts)
-                assert repr(got) == repr(row_wise_smallest_gap(witness, pts))
+                assert_gap_is_exact(witness, pts)
