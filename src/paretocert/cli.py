@@ -308,9 +308,8 @@ def _record_head(spec: _PointSpec) -> dict:
     }
 
 
-def _classify_record(problem, cloud, spec: _PointSpec, cfg: Config, ladder) -> dict:
-    bounds = geoffrion.ratio_bounds(cloud, spec.criterion)
-    report = geoffrion.proper_efficiency_report(cloud, spec.criterion, bounds=bounds)
+def _classify_record(problem, spec: _PointSpec, cfg: Config, ladder, cuts) -> dict:
+    report = geoffrion.proper_efficiency_report(cuts)
     record = _record_head(spec)
     # 'dominated' is exactly "some sample point dominates the reference";
     # the divergence probe below never sets or clears it
@@ -318,10 +317,9 @@ def _classify_record(problem, cloud, spec: _PointSpec, cfg: Config, ladder) -> d
     divergence = None
     if ladder is not None:
         probe = problem.criteria_at(spec.decision)  # not the point, for a located --point
-        evidence = geoffrion.divergence_probe(
-            cloud, ladder, probe, growth_factor=cfg.growth_factor,
-            bounds=bounds if probe == spec.criterion else None,
-        )
+        if probe != spec.criterion:
+            cuts = geoffrion.prepare_cuts(cuts.points, probe)
+        evidence = geoffrion.divergence_probe(cuts, ladder, growth_factor=cfg.growth_factor)
         report = geoffrion.combine_with_divergence(report, evidence)
         divergence = _as_record(evidence)
     record["proper_efficiency"] = _as_record(report, "divergence")
@@ -329,10 +327,8 @@ def _classify_record(problem, cloud, spec: _PointSpec, cfg: Config, ladder) -> d
     return record
 
 
-def _support_record(problem, cloud, spec: _PointSpec, cfg: Config, ladder, uniform) -> dict:
-    # the point's one cut matrix: its margin, trend and witness margin are
-    # LPs over row sets of it
-    cuts = support.prepare_cuts(cloud, spec.criterion)
+def _support_record(problem, cloud, spec: _PointSpec, cfg: Config, ladder, uniform, cuts) -> dict:
+    # the point's margin, trend and witness margin are LPs over row sets of its cuts
     margin = support.support_margin(cuts, tol=cfg.tol_lp)
     record: dict = {"margin": _as_record(margin, "y_ref"), "trend": None, "witness": None}
     supported = margin.weights is not None
@@ -367,7 +363,7 @@ def _witness_rows(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud, uni
 
 
 def _build_witness_dict(
-    problem, spec: _PointSpec, cfg: Config, analysis_cloud: PointCloud, cuts: support.Cuts,
+    problem, spec: _PointSpec, cfg: Config, analysis_cloud: PointCloud, cuts: geoffrion.Cuts,
     uniform, analysis_margin: support.MarginReport | None = None,
 ) -> tuple[support.MarginReport, dict | None]:
     """The margin over the witness sample of ``spec``, and the verified
@@ -418,15 +414,18 @@ def _problem_dict(problem, source: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands: each builds the record of one point
+# commands: each builds the record of one point, all but kkt from one Cuts
 
 def _cmd_classify(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud, uniform) -> dict:
-    return _classify_record(problem, cloud, spec, cfg, _ladder(problem, cloud, spec, cfg))
+    cuts = geoffrion.prepare_cuts(cloud, spec.criterion)
+    return _classify_record(problem, spec, cfg, _ladder(problem, cloud, spec, cfg), cuts)
 
 
 def _cmd_support(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud, uniform) -> dict:
     ladder = _ladder(problem, cloud, spec, cfg)
-    return {**_record_head(spec), **_support_record(problem, cloud, spec, cfg, ladder, uniform)}
+    cuts = geoffrion.prepare_cuts(cloud, spec.criterion)
+    record = _support_record(problem, cloud, spec, cfg, ladder, uniform, cuts)
+    return {**_record_head(spec), **record}
 
 
 def _cmd_kkt(problem, spec: _PointSpec, cfg: Config, cloud: None, uniform: None) -> dict:
@@ -434,7 +433,7 @@ def _cmd_kkt(problem, spec: _PointSpec, cfg: Config, cloud: None, uniform: None)
 
 
 def _cmd_witness(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud, uniform) -> dict:
-    cuts = support.prepare_cuts(cloud, spec.criterion)
+    cuts = geoffrion.prepare_cuts(cloud, spec.criterion)
     margin, witness = _build_witness_dict(problem, spec, cfg, cloud, cuts, uniform)
     if witness is None:
         raise NotSupported(f"no positive support at {spec.criterion}: margin {margin.margin}")
@@ -442,10 +441,11 @@ def _cmd_witness(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud, unif
 
 
 def _cmd_report(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud, uniform) -> dict:
-    # one ladder per record, shared by both analyses and dropped after it
+    # one ladder and one Cuts per record, shared by both analyses and dropped after it
     ladder = _ladder(problem, cloud, spec, cfg)
-    record = _classify_record(problem, cloud, spec, cfg, ladder)
-    record["support"] = _support_record(problem, cloud, spec, cfg, ladder, uniform)
+    cuts = geoffrion.prepare_cuts(cloud, spec.criterion)
+    record = _classify_record(problem, spec, cfg, ladder, cuts)
+    record["support"] = _support_record(problem, cloud, spec, cfg, ladder, uniform, cuts)
     # a kkt failure at one point is that point's record; the kkt command exits on it
     try:
         record["kkt"] = _kkt_dicts(problem, spec, cfg)

@@ -34,8 +34,10 @@ that basis. The margin is then recomputed with soft cuts
 (sum(lambda) + sum(nu) = 1), yielding a negative margin that quantifies the
 violation trend. Both solves share one normalized cut matrix.
 
-A sample's cuts against a reference are normalized once, a pass per
-criterion (``prepare_cuts``; a non-finite y - y_ref is a ``SchemaError``).
+A sample's cuts against a reference are its differences y - y_ref, computed
+once with the trade-off bounds' per-row extremes (``geoffrion.prepare_cuts``,
+re-exported here), and normalized on first use by the largest magnitude
+max(gain, -loss) of each row (a non-finite y - y_ref is a ``SchemaError``).
 Every margin at that reference takes its columns from them as a row set: the
 whole sample, a refinement ladder's deepest level, or the CLI's witness
 sample, so the columns are those of the row set alone. A margin over the
@@ -63,8 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoxTooSmall, DimensionError, NotSupported, NumericalBreakdown, SchemaError
-from .geoffrion import fit_exponent
+from .errors import BoxTooSmall, DimensionError, NotSupported, NumericalBreakdown
+from .geoffrion import Cuts, as_cuts, fit_exponent, prepare_cuts  # noqa: F401 (re-exported)
 from .linprog import ConeInstance, solve_lp
 from .problems import ladder_steps, point_array
 
@@ -103,12 +105,6 @@ class ValueFunctionWitness:
     anchor: tuple[float, ...]
     box: tuple[tuple[float, float], ...]
 
-    def value(self, y) -> float:
-        w = np.asarray(self.weights)
-        a = np.asarray(self.anchor)
-        yv = np.asarray(y, dtype=float)
-        return float(w @ yv - self.curvature * float((yv - a) @ (yv - a)))
-
     def gradient(self, y) -> np.ndarray:
         """The gradient at ``y``, or at each row of an (n, p) array ``y``.
         Component i depends on y_i alone."""
@@ -131,39 +127,6 @@ class WitnessVerification:
     all_passed: bool
 
 
-@dataclass(frozen=True, eq=False)
-class Cuts:
-    """The cuts of a sample against a reference, normalized once for every
-    margin over a row set of the sample (``prepare_cuts``); equal cuts stay
-    separate rows."""
-
-    y_ref: tuple[float, ...]
-    diffs: np.ndarray  # y - y_ref, one row per sample point
-    cuts: np.ndarray  # each row of ``diffs`` over its largest magnitude
-
-    def __len__(self) -> int:
-        return len(self.diffs)
-
-
-def prepare_cuts(cloud, y_ref) -> Cuts:
-    """Normalize the cuts of a sample against ``y_ref``, one row per sample point."""
-    ref = tuple(float(v) for v in y_ref)
-    points = point_array(cloud)
-    if points.shape[1] != len(ref):
-        raise SchemaError(f"reference has dimension {len(ref)}, cloud has {points.shape[1]}")
-    with np.errstate(over="ignore"):  # a difference that overflows is named below
-        diffs = points - np.asarray(ref)
-    # each cut is homogeneous in w, so normalizing it changes no hard margin
-    # and keeps pivots well away from the tolerance; soft margins are those
-    # of the normalized cuts
-    scale = np.maximum.reduce([np.abs(column) for column in diffs.T])  # a pass per criterion
-    if not np.isfinite(scale).all():
-        raise SchemaError(f"point {np.argmin(np.isfinite(scale))}: y - y_ref is not finite at {ref}")
-    scale[scale == 0.0] = 1.0
-    cuts = diffs / scale[:, None]
-    return Cuts(ref, diffs, cuts)
-
-
 def support_margin(cloud, y_ref=None, *, tol: float = _TOL, rows=None) -> MarginReport:
     """Solve the support margin LP for a sample against a reference point.
 
@@ -173,7 +136,7 @@ def support_margin(cloud, y_ref=None, *, tol: float = _TOL, rows=None) -> Margin
     report's ``binding`` and ``sample_size`` are then relative to them.
     Without ``rows`` the LP is over the whole sample.
     """
-    cuts = cloud if isinstance(cloud, Cuts) else prepare_cuts(cloud, y_ref)
+    cuts = as_cuts(cloud, y_ref)
     if rows is not None and not len(rows):
         raise ValueError("empty row set")
     return _level_margins(cuts, rows, None, 1, tol)[1]
@@ -189,7 +152,7 @@ def support_trend(cloud, ladder, y_ref=None, *, persistent_threshold: float = 1e
     'vanishing' otherwise.
     """
     levels, offsets = ladder_steps(ladder)
-    cuts = cloud if isinstance(cloud, Cuts) else prepare_cuts(cloud, y_ref)
+    cuts = as_cuts(cloud, y_ref)
     margins, last = _level_margins(cuts, ladder.rows, ladder.entry, len(levels), _TOL)
     verdict = PERSISTENT if margins[-1] >= persistent_threshold else VANISHING
     return TrendReport(
@@ -337,46 +300,22 @@ def verify_witness(
     at every corner suffices; (b) strict concavity is exactly curvature > 0;
     (c) the anchor strictly beats every other sample point.
     """
-    checks: list[WitnessCheck] = []
     # gradient component i depends on y_i alone, so the components over all
     # corners are those at the box's per-axis values
-    worst_component = float(witness.gradient(np.asarray(witness.box).T).min())
-    checks.append(
-        WitnessCheck(
-            name="strictly_increasing_on_box",
-            passed=bool(worst_component > 0),
-            detail=f"minimum gradient component over box corners: {worst_component}",
-        )
-    )
-    if witness.curvature > 0:
-        checks.append(
-            WitnessCheck(
-                name="strictly_concave",
-                passed=True,
-                detail=f"curvature {witness.curvature} > 0",
-            )
-        )
-    else:
-        checks.append(
-            WitnessCheck(name="strictly_concave", passed=False, detail="concave, not strictly")
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # an offset that overflows is not finite
+        worst_component = float(witness.gradient(np.asarray(witness.box).T).min())
+    detail = f"minimum gradient component over box corners: {worst_component}"
+    checks = [WitnessCheck("strictly_increasing_on_box", bool(worst_component > 0), detail)]
+    concave = bool(witness.curvature > 0)
+    detail = f"curvature {witness.curvature} > 0" if concave else "concave, not strictly"
+    checks.append(WitnessCheck("strictly_concave", concave, detail))
     worst_index, worst_gap = _smallest_gap(witness, point_array(cloud))
     if worst_index is None:
-        checks.append(
-            WitnessCheck(
-                name="unique_maximum_over_sample",
-                passed=True,
-                detail="sample contains no point other than the anchor",
-            )
-        )
+        passed, detail = True, "sample contains no point other than the anchor"
     else:
-        checks.append(
-            WitnessCheck(
-                name="unique_maximum_over_sample",
-                passed=bool(worst_gap > tie_tol),
-                detail=f"smallest value gap {worst_gap} at sample index {worst_index}",
-            )
-        )
+        passed = bool(worst_gap > tie_tol)
+        detail = f"smallest value gap {worst_gap} at sample index {worst_index}"
+    checks.append(WitnessCheck("unique_maximum_over_sample", passed, detail))
     return WitnessVerification(checks=tuple(checks), all_passed=all(c.passed for c in checks))
 
 

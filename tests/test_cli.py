@@ -278,6 +278,17 @@ def test_overflowing_differences_exit_2(tmp_path, capsys, points, command):
     assert err == f"error: point 1: y - y_ref is not finite at {ref}\n"
 
 
+def test_classify_of_overflowing_differences_exits_0(tmp_path, capsys):
+    # classify reads only the trade-off bounds, which take the infinite
+    # differences by IEEE rules; the cuts' normalization that rejects them
+    # never runs
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"type": "cloud", "criterion_dim": 2, "points": [[1e308, -1e308], [-1e308, 1e308]]}))
+    code, out, err = _run(capsys, "classify", str(path))
+    assert code == 0 and err == ""
+    assert [point["efficient"] for point in json.loads(out)["points"]] == [True, True]
+
+
 def test_efficient_matches_pairwise_dominance_loop(tmp_path, capsys):
     rng = np.random.default_rng(11)
     for case in range(40):
@@ -665,20 +676,27 @@ def test_csv_directory_that_is_a_file_exits_2(tmp_path, capsys):
     assert err == f"error: cannot write {taken}: File exists\n"
 
 
-@pytest.mark.parametrize("command", ["report", "support"])
+def recorded_passes(monkeypatch):
+    """A list that records the (cloud size, reference) of each pass over a
+    cloud's differences to a reference, that is, each ``prepare_cuts``."""
+    passes = []
+    prepare_cuts = geoffrion.prepare_cuts
+    monkeypatch.setattr(
+        geoffrion,
+        "prepare_cuts",
+        lambda cloud, y_ref: passes.append((len(cloud), list(y_ref))) or prepare_cuts(cloud, y_ref),
+    )
+    return passes
+
+
+@pytest.mark.parametrize("command", ["report", "support", "classify", "witness"])
 def test_each_point_normalizes_its_cuts_once(tmp_path, monkeypatch, capsys, command):
-    # one normalization of the analysis cloud's cuts per point, and no cloud
-    # but the analysis cloud: ladders, witness samples and probes are row
-    # sets of it
+    # one pass over the analysis cloud's differences per point, read by its
+    # trade-off bounds, its probe and all its margins, and no cloud but the
+    # analysis cloud: ladders, witness samples and probes are row sets of it
     path = tmp_path / "plane2d.json"
     path.write_text(json.dumps(PLANE2D))
-    normalized, clouds = [], []
-    prepare_cuts = support.prepare_cuts
-    monkeypatch.setattr(
-        support,
-        "prepare_cuts",
-        lambda cloud, y_ref: normalized.append(len(cloud)) or prepare_cuts(cloud, y_ref),
-    )
+    passes, clouds = recorded_passes(monkeypatch), []
     init = PointCloud.__init__
     monkeypatch.setattr(
         PointCloud, "__init__", lambda self, *a, **k: clouds.append(1) or init(self, *a, **k)
@@ -687,8 +705,26 @@ def test_each_point_normalizes_its_cuts_once(tmp_path, monkeypatch, capsys, comm
     assert code == 0, err
     payload = json.loads(out)
     assert len(payload["points"]) == 25
-    assert normalized == [payload["sample"]["size"]] * 25
+    assert passes == [(payload["sample"]["size"], point["criterion"]) for point in payload["points"]]
     assert len(clouds) == 1
+
+
+def test_a_located_point_takes_one_more_pass_for_its_probe(tmp_path, monkeypatch, capsys):
+    # the divergence probe follows the located decision's image, which is
+    # not the point: one more pass, against the image; the margins keep the
+    # point's pass. A point whose image is itself takes one pass
+    path = tmp_path / "plane2d.json"
+    path.write_text(json.dumps(PLANE2D))
+    problem = load_problem(json.dumps(PLANE2D))
+    passes = recorded_passes(monkeypatch)
+    argv = ["report", str(path), "--grid", "9", "--levels", "6"]
+    code, out, err = _run(capsys, *argv, "--point=0.49,0.5,-0.49", "--point=0.5,0.5,-0.5")
+    assert code == 0, err
+    payload = json.loads(out)
+    size, (located, exact) = payload["sample"]["size"], payload["points"]
+    image = list(problem.criteria_at(tuple(located["decision"])))
+    assert image != located["criterion"] and list(problem.criteria_at((0.5, 0.5))) == exact["criterion"]
+    assert passes == [(size, located["criterion"]), (size, image), (size, exact["criterion"])]
 
 
 def test_cloud_report_solves_one_margin_per_point(cloud_file, monkeypatch, capsys):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from paretocert import geoffrion, problems
+from paretocert import geoffrion, problems, support
 from paretocert.errors import DimensionError, SchemaError
-from paretocert.problems import GridSpec, builtin, refinement_ladder, sample_criterion_space
+from paretocert.problems import GridSpec, Ladder, builtin, refinement_ladder, sample_criterion_space
 
 
 def ladder(problem, anchor, levels):
@@ -88,6 +88,25 @@ def test_ratio_no_compensating_loss():
 def test_ratio_dimension_checks():
     with pytest.raises(DimensionError):
         geoffrion.proper_efficiency_report([(1.0, 1.0)], (0.0,))
+
+
+STEPS = Ladder(rows=np.arange(2), entry=np.array([1, 2]), levels=2)
+ENTRY_POINTS = {
+    "support_margin": lambda cloud, y_ref: support.support_margin(cloud, y_ref),
+    "support_trend": lambda cloud, y_ref: support.support_trend(cloud, STEPS, y_ref),
+    "ratio_bounds": geoffrion.ratio_bounds,
+    "proper_efficiency_report": geoffrion.proper_efficiency_report,
+    "divergence_probe": lambda cloud, y_ref: geoffrion.divergence_probe(cloud, STEPS, y_ref),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_reference_of_the_wrong_length_is_a_dimension_error(entry):
+    # one check, where the differences are taken, behind every entry point
+    cloud = [(1.0, -1.0), (-1.0, 1.0)]
+    for y_ref, text in (((0.0,), "dimension 1, cloud has 2"), ((0.0,) * 3, "dimension 3, cloud has 2")):
+        with pytest.raises(DimensionError, match=f"^reference has {text}$"):
+            ENTRY_POINTS[entry](cloud, y_ref)
 
 
 def test_report_on_geometric_grid_bound_is_inverse_of_smallest_offset():
@@ -340,6 +359,10 @@ def test_ratio_bounds_match_row_wise_reductions():
             for y_ref in (pts[0], pts[n // 2], flipped, rng.standard_normal(p)):
                 if np.isnan(y_ref).any():
                     continue
-                got, want = geoffrion.ratio_bounds(pts, y_ref), row_wise_ratio_bounds(pts, y_ref)
-                assert got[0].tobytes() == want[0].tobytes()
-                assert got[1].tobytes() == want[1].tobytes()
+                want = row_wise_ratio_bounds(pts, y_ref)
+                for got in (
+                    geoffrion.ratio_bounds(pts, y_ref),
+                    geoffrion.ratio_bounds(geoffrion.prepare_cuts(pts, y_ref)),
+                ):
+                    assert got[0].tobytes() == want[0].tobytes()
+                    assert got[1].tobytes() == want[1].tobytes()

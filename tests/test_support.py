@@ -492,8 +492,8 @@ def test_two_criteria_margins_equal_the_lp(monkeypatch):
 
 
 def test_non_finite_cuts_raise():
-    # a NaN coordinate makes a NaN cut without a floating-point warning;
-    # prepare_cuts names its point before any margin is solved
+    # a NaN coordinate makes a NaN cut without a floating-point warning; the
+    # cuts' normalization names its point before any margin is solved
     for y_ref in ((0.0, 0.0), (0.0, 0.0, 0.0)):
         points = np.array([[1.0, -1.0, 0.0][: len(y_ref)], [np.nan] + [1.0] * (len(y_ref) - 1)])
         with pytest.raises(SchemaError, match=r"point 1: y - y_ref is not finite"):
@@ -501,9 +501,10 @@ def test_non_finite_cuts_raise():
         steps = Ladder(rows=np.arange(2), entry=np.array([2, 1]), levels=2)
         with pytest.raises(SchemaError, match=r"point 1: y - y_ref is not finite"):
             support.support_trend(points, steps, y_ref)
-        # cuts built without prepare_cuts are checked by the margin itself,
-        # by the closed form for two criteria as by the LP's instance
-        cuts = support.Cuts(y_ref, points, points)
+        # normalized cuts that are not finite are checked by the margin
+        # itself, by the closed form for two criteria as by the LP's instance
+        cuts = support.prepare_cuts(points, y_ref)
+        vars(cuts)["cuts"] = points  # in place of the normalization, before its first use
         with pytest.raises(ValueError, match="finite"):
             support.support_margin(cuts)
         with pytest.raises(ValueError, match="finite"):
@@ -555,12 +556,6 @@ def test_linear_witness_on_request():
     concavity = [c for c in verification.checks if c.name == "strictly_concave"][0]
     assert not concavity.passed
     assert concavity.detail == "concave, not strictly"
-
-
-def test_witness_value_is_the_quadratic():
-    witness = support.ValueFunctionWitness((0.25, 0.75), 0.5, (1.0, -2.0), ((0.0, 2.0), (-3.0, 0.0)))
-    assert witness.value((1.0, -2.0)) == 0.25 - 1.5
-    assert witness.value((2.0, -3.0)) == 0.5 - 2.25 - 0.5 * 2.0
 
 
 def test_witness_rejects_zero_weight():
@@ -789,8 +784,7 @@ def test_an_overflowed_witness_gap_is_a_point_of_the_sample():
     # the point is not skipped as if the sample held the anchor alone. The
     # box corners' offsets overflow too, and their gradient is +inf
     witness = support.ValueFunctionWitness((0.5, 0.5), 1e-320, (1e308, 0.0), ((-1.7e308, 1.7e308), (-1.0, 1.0)))
-    with np.errstate(over="ignore"):
-        verification = support.verify_witness(witness, [(1e308, 0.0), (-1e308, 0.0)])
+    verification = support.verify_witness(witness, [(1e308, 0.0), (-1e308, 0.0)])
     assert verification.all_passed
     assert verification.checks[-1].detail == "smallest value gap inf at sample index 1"
 
