@@ -81,7 +81,7 @@ class Cuts:
     diffs: np.ndarray  # y - y_ref
     high: np.ndarray  # the largest gain y_j - ref_j, 0 without one; NaN skipped
     low: np.ndarray  # the largest loss as a difference, 0 without one; NaN skipped
-    bounds: np.ndarray  # each row's trade-off bound (``ratio_bounds``)
+    bounds: np.ndarray  # each row's trade-off bound (``proper_efficiency_report``)
     dominating: np.ndarray  # gains somewhere and loses nowhere
 
     def __len__(self) -> int:
@@ -159,15 +159,6 @@ def proper_efficiency_report(cloud, y_ref=None) -> ProperEfficiencyReport:
     return ProperEfficiencyReport(status=PROPER, m_hat=m_hat, worst=WorstPair(idx, i, j, ratio))
 
 
-def ratio_bounds(cloud, y_ref=None) -> tuple[np.ndarray, np.ndarray]:
-    """Each point's trade-off bound against ``y_ref`` (see
-    ``proper_efficiency_report``, which takes the same arguments), and
-    whether it dominates ``y_ref``: gains somewhere and loses nowhere. A
-    dominating point's bound is inf."""
-    cuts = as_cuts(cloud, y_ref)
-    return cuts.bounds, cuts.dominating
-
-
 def combine_with_divergence(
     report: ProperEfficiencyReport, evidence: DivergenceEvidence
 ) -> ProperEfficiencyReport:
@@ -195,7 +186,8 @@ def divergence_probe(
     # level k's bound is the largest over the rows entering at or before k,
     # and 0 from the first level holding a dominating row on; the bounds are
     # row-wise, so those of the ladder's rows alone
-    bounds, dominating = (b[ladder.rows] for b in ratio_bounds(cloud, y_ref))
+    cuts = as_cuts(cloud, y_ref)
+    bounds, dominating = cuts.bounds[ladder.rows], cuts.dominating[ladder.rows]
     entry = ladder.entry
     level_max = np.full(len(levels), -np.inf)
     np.maximum.at(level_max, entry - 1, bounds)

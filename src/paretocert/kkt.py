@@ -13,7 +13,12 @@ sigma over the normalized multiplier set
 a Gordan alternative solved by ``linprog.cone_margin`` over the rows
 [G_ineq; G_eq; -G_eq] with the mass on their multipliers. A nonpositive
 optimum proves that no strictly increasing concave value function attains its
-maximum over the described set at the reference point.
+maximum over the described set at the reference point. The proof is the
+other side of the alternative, read from the LP's row duals: the Gordan
+witness pi, on the unit simplex, with <grad g_k, pi> <= 0 for every active k
+and <grad h_j, pi> = 0. Every admissible sigma then has <sigma, pi> <= 0, so
+none is strictly positive, and ``verify_certificate`` checks pi by dot
+products alone.
 Conclusions are conditional on LICQ and on the constraints being smooth at
 the point; both assumptions are embedded in the certificate.
 """
@@ -54,8 +59,6 @@ class ActiveSet:
     active_ineq: tuple[int, ...]
     eq: tuple[int, ...]
     gradients: np.ndarray
-    ineq_values: tuple[float, ...]
-    eq_values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -76,8 +79,7 @@ class ObstructionCertificate:
     mu: tuple[float, ...]
     lam: tuple[float, ...]
     tol: float
-    probe_direction: int | None
-    probe_line: str | None
+    gordan_witness: tuple[float, ...] | None  # pi, for an obstruction
     assumptions: tuple[str, ...] = ASSUMPTIONS
 
 
@@ -104,26 +106,15 @@ def active_set(
         if val > tol_feas:
             raise InfeasiblePoint(f"g[{k}]({ref}) = {val} > {tol_feas}")
         g_vals.append(val)
-    h_vals = []
     for j, expr in enumerate(problem.eq):
         val = exprlang.evaluate(expr, ref)
         if abs(val) > tol_feas:
             raise InfeasiblePoint(f"h[{j}]({ref}) = {val}, not zero within {tol_feas}")
-        h_vals.append(val)
-    g_vals = tuple(g_vals)
-    h_vals = tuple(h_vals)
     active = tuple(k for k, val in enumerate(g_vals) if abs(val) <= tol_active)
     rows = [exprlang.gradient(problem.ineq[k], ref) for k in active]
     rows += [exprlang.gradient(expr, ref) for expr in problem.eq]
     gradients = np.asarray(rows, dtype=float).reshape(len(rows), problem.criterion_dim)
-    return ActiveSet(
-        y_ref=ref,
-        active_ineq=active,
-        eq=tuple(range(len(problem.eq))),
-        gradients=gradients,
-        ineq_values=g_vals,
-        eq_values=h_vals,
-    )
+    return ActiveSet(ref, active, tuple(range(len(problem.eq))), gradients)
 
 
 def licq_check(active: ActiveSet, *, tol_rank: float = 1e-8) -> LicqReport:
@@ -140,20 +131,6 @@ def licq_check(active: ActiveSet, *, tol_rank: float = 1e-8) -> LicqReport:
         holds=rank == rows,
         tol=tol_rank,
     )
-
-
-def _fmt_coord(value: float) -> str:
-    if value == int(value):
-        return str(int(value))
-    return repr(value)
-
-
-def _probe_line(y_ref: tuple[float, ...], direction: int) -> str:
-    bumped = list(y_ref)
-    bumped[direction] += 1.0
-    at = ",".join(_fmt_coord(v) for v in bumped)
-    ref = ",".join(_fmt_coord(v) for v in y_ref)
-    return f"v({at}) < v({ref}) forced: contradicts strict increase"
 
 
 def obstruction_test(
@@ -177,8 +154,8 @@ def obstruction_test(
     nk = len(active.active_ineq)
     nj = len(active.eq)
     if nk + nj == 0:
-        # no active constraints: the only admissible supergradient is zero
-        direction = 0
+        # no active constraints: the only admissible supergradient is zero,
+        # and every point of the simplex is a witness
         return ObstructionCertificate(
             conclusion=OBSTRUCTION,
             s_star=None,
@@ -187,8 +164,7 @@ def obstruction_test(
             mu=(),
             lam=(),
             tol=tol,
-            probe_direction=direction,
-            probe_line=_probe_line(active.y_ref, direction),
+            gordan_witness=(1.0,) + (0.0,) * (p - 1),
         )
     g_ineq = active.gradients[:nk]
     g_eq = active.gradients[nk:]
@@ -199,45 +175,35 @@ def obstruction_test(
     nu = np.asarray(out.x[1 + p :])  # mu, lambda+, lambda-
     mu = tuple(nu[:nk].tolist())
     lam = tuple((nu[nk : nk + nj] - nu[nk + nj :]).tolist())
-    sigma = np.zeros(p)
-    if nk:
-        sigma += np.asarray(mu) @ g_ineq
-    if nj:
-        sigma += np.asarray(lam) @ g_eq
-    direction = None
-    if not s_star > tol:
-        # the first criterion that no active gradient can raise
-        reach = np.vstack([g_ineq, np.abs(g_eq), np.zeros((1, p))]).max(axis=0)
-        stuck = np.flatnonzero(reach <= tol)
-        direction = int(stuck[0]) if stuck.size else None
+    sigma = 0.0 + np.asarray(mu) @ g_ineq + np.asarray(lam) @ g_eq  # 0.0 + clears -0.0
+    obstructed = not s_star > tol
     return ObstructionCertificate(
-        conclusion=NO_OBSTRUCTION if s_star > tol else OBSTRUCTION,
+        conclusion=OBSTRUCTION if obstructed else NO_OBSTRUCTION,
         s_star=s_star,
         licq=licq,
         sigma=tuple(sigma.tolist()),
         mu=mu,
         lam=lam,
         tol=tol,
-        probe_direction=direction,
-        probe_line=None if direction is None else _probe_line(active.y_ref, direction),
+        # the negated duals of the p criterion rows, +0.0 for a zero
+        gordan_witness=tuple((0.0 - np.asarray(out.duals[:p])).tolist()) if obstructed else None,
     )
 
 
 def verify_certificate(
     cert: ObstructionCertificate, active: ActiveSet, *, tol: float = 1e-10
 ) -> tuple[bool, list[str]]:
-    """Re-check a certificate from its stored multipliers and the gradients."""
+    """Re-check a certificate from the gradients: no obstruction from its
+    multipliers, an obstruction from its Gordan witness pi alone: pi on the
+    unit simplex up to ``tol``, and each active gradient's product with pi
+    at most the certificate's tolerance (in magnitude for an equality)."""
     failures: list[str] = []
     nk = len(active.active_ineq)
-    nj = len(active.eq)
     if cert.conclusion == NO_OBSTRUCTION:
         if any(v < -1e-12 for v in cert.mu):
             failures.append("negative inequality multiplier")
-        sigma = np.zeros(len(active.y_ref))
-        if nk:
-            sigma += np.asarray(cert.mu) @ active.gradients[:nk]
-        if nj:
-            sigma += np.asarray(cert.lam) @ active.gradients[nk:]
+        g = active.gradients
+        sigma = np.asarray(cert.mu) @ g[:nk] + np.asarray(cert.lam) @ g[nk:]
         if np.max(np.abs(sigma - np.asarray(cert.sigma))) > tol:
             failures.append("stored supergradient does not match its multipliers")
         mass = sum(cert.mu) + sum(abs(v) for v in cert.lam)
@@ -245,9 +211,17 @@ def verify_certificate(
             failures.append(f"multiplier normalization is {mass}, not 1")
         if not min(sigma) > cert.tol:
             failures.append("supergradient is not strictly positive")
+    elif cert.gordan_witness is None or len(cert.gordan_witness) != len(active.y_ref):
+        failures.append("obstruction carries no Gordan witness over the criteria")
     else:
-        if cert.s_star is not None and cert.s_star > cert.tol:
-            failures.append("obstruction recorded with a positive optimum")
+        pi = np.asarray(cert.gordan_witness)
+        if not (pi.min() >= -tol and abs(pi.sum() - 1.0) <= tol):
+            failures.append("Gordan witness is not on the unit simplex")
+        rows = active.gradients @ pi
+        for k in np.flatnonzero(~(rows[:nk] <= cert.tol)).tolist():
+            failures.append(f"active inequality {active.active_ineq[k]} raises the Gordan witness")
+        for j in np.flatnonzero(~(np.abs(rows[nk:]) <= cert.tol)).tolist():
+            failures.append(f"equality {j} is not orthogonal to the Gordan witness")
     if not cert.licq.holds:
         failures.append("certificate carries a failed LICQ report")
     return (not failures, failures)

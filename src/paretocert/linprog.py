@@ -35,11 +35,11 @@ cost -1, at basis position 0 for good, the basic values are the inverse's
 last column and the duals its negated first row.
 
 Columns price in by the largest reduced cost, ties to the lowest index, in
-one pass; the ratio test runs over the p + 1 rows in Python floats. After a
-degenerate pivot (the leaving variable was at 0) pricing follows Bland's
-rule (Bland 1977: lowest entering index, lowest leaving basis index among the
-minimal ratios) until a pivot makes progress; a cycle would consist of
-degenerate pivots only, all Bland's, so the simplex cannot cycle. Dense
+one pass; the ratio test runs over the p + 1 rows in Python floats. Ties at
+a ratio of 0 leave by the lexicographic rule (Dantzig, Orden and Wolfe,
+Pacific J. Math. 1955) against the basis that began the run of degenerate
+pivots, which no basis can then repeat, so the simplex cannot cycle; other
+ties leave by the largest pivot element. Dense
 arithmetic is fine at the intended scale: a few rows, and columns by the
 hundred thousand (124,609 in the margin LPs of the 2-D problem's report).
 """
@@ -145,19 +145,21 @@ def _factorize(A, basis) -> np.ndarray:
     return _solve_linear(A[:, basis])
 
 
-def _entering(A, priced, binv, x, basis, bland):
+def _entering(A, priced, binv, x, basis, start):
     """The entering column, its direction ``binv @ A[:, j]`` and the leaving
     position, which is None when no row blocks the direction; None when no
     column prices in. ``priced`` holds the reduced costs of the columns that
     may enter, -inf elsewhere and at columns passed over, and ``x`` the basic
     values. Position 0 holds the free u and never blocks.
 
-    Columns price in by the largest reduced cost, ties to the lowest index,
-    or with ``bland`` by the lowest index alone, and the leaving row is then
-    the lowest basis index among the minimal ratios (Bland's rule).
+    Columns price in by the largest reduced cost, ties to the lowest index.
+    Among (near-)minimal ratios of 0 the leaving row is the lexicographically
+    least row of ``binv @ start`` over its direction entry (Dantzig, Orden
+    and Wolfe 1955); among others, the largest pivot element, then the
+    lowest basis index.
     """
     while True:
-        j = int((priced > _ENTER_TOL).argmax() if bland else priced.argmax())
+        j = int(priced.argmax())
         cost = float(priced[j])
         if not cost > _ENTER_TOL:
             return None
@@ -172,8 +174,9 @@ def _entering(A, priced, binv, x, basis, bland):
                 return j, d, None
             continue  # numerically null column; its reduced cost is noise
         ties = [i for i, ratio in zip(rows, ratios) if ratio <= theta + 1e-12]
-        if bland:
-            return j, d, min(ties, key=basis.__getitem__)
+        if theta == 0.0 and len(ties) > 1:
+            lex = (binv[ties] @ start / d[ties, None]).tolist()
+            return j, d, ties[lex.index(min(lex))]
         # among (near-)minimal ratios take the largest pivot element for
         # conditioning, then the lowest basis index for determinism
         pos, d_pos = ties[0], dl[ties[0]]
@@ -194,22 +197,24 @@ def _revised_simplex(A, basis, binv):
     duals, and for an unbounded LP the entering column and its direction.
 
     Each iteration prices the columns in one pass and runs the ratio test over
-    p + 1 scalars (``_entering``); a degenerate pivot (leaving value 0)
-    switches pricing to Bland's rule until a pivot makes progress.
+    p + 1 scalars (``_entering``). ``start`` holds the basis columns that
+    began the run of degenerate pivots: the start basis, renewed after each
+    pivot that makes progress (leaving value above 0). The rows of ``binv``
+    times them are then the unit rows, lexicographically positive.
 
     After each pivot the inverse is factorized afresh from the basis
     columns, so every pivot and verdict rests on a fresh inverse.
     """
     basis = list(basis)
+    start = A[:, basis]
     c_enter = np.zeros(A.shape[1])  # cost 0 but at u, always basic; -inf at basic columns
     c_enter[basis] = -np.inf
-    bland = False
     for _ in range(_MAX_ITER):
         x_basic = binv[:, -1].tolist()  # binv times the right-hand side, the last unit vector
         y = 0.0 - binv[0]  # (-1, 0, ..., 0) @ binv, with +0.0 for zeros as the product gives
         # summed row by row, so that equal columns get equal reduced costs
         priced = c_enter - np.add.reduce(y[:, None] * A)
-        choice = _entering(A, priced, binv, x_basic, basis, bland)
+        choice = _entering(A, priced, binv, x_basic, basis, start)
         if choice is None:
             return "optimal", basis, x_basic, y, None, None
         j, d, pos = choice
@@ -221,11 +226,12 @@ def _revised_simplex(A, basis, binv):
                     f"pivot below {_PIVOT_TOL} with no alternative in column {j}"
                 )
             return "unbounded", basis, x_basic, y, j, d
-        bland = not x_basic[pos] > 0.0
         c_enter[basis[pos]] = 0.0
         c_enter[j] = -np.inf
         basis[pos] = j
         binv = _factorize(A, basis)
+        if x_basic[pos] > 0.0:
+            start = A[:, basis]
     raise NumericalBreakdown("simplex iteration limit exceeded")
 
 

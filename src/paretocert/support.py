@@ -35,9 +35,9 @@ that basis. The margin is then recomputed with soft cuts
 violation trend. Both solves share one normalized cut matrix.
 
 A sample's cuts against a reference are its differences y - y_ref, computed
-once with the trade-off bounds' per-row extremes (``geoffrion.prepare_cuts``,
-re-exported here), and normalized on first use by the largest magnitude
-max(gain, -loss) of each row (a non-finite y - y_ref is a ``SchemaError``).
+once with the trade-off bounds' per-row extremes (``geoffrion.prepare_cuts``),
+and normalized on first use by the largest magnitude max(gain, -loss) of
+each row (a non-finite y - y_ref is a ``SchemaError``).
 Every margin at that reference takes its columns from them as a row set: the
 whole sample, a refinement ladder's deepest level, or the CLI's witness
 sample, so the columns are those of the row set alone. A margin over the
@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoxTooSmall, DimensionError, NotSupported, NumericalBreakdown
-from .geoffrion import Cuts, as_cuts, fit_exponent, prepare_cuts  # noqa: F401 (re-exported)
+from .geoffrion import Cuts, as_cuts, fit_exponent
 from .linprog import ConeInstance, solve_lp
 from .problems import ladder_steps, point_array
 

@@ -212,8 +212,6 @@ def test_criterion_6c_obstruction_oracle():
             active_ineq=tuple(range(n_ineq)),
             eq=tuple(range(2 - n_ineq)),
             gradients=g,
-            ineq_values=(0.0,) * n_ineq,
-            eq_values=(0.0,) * (2 - n_ineq),
         )
         if not kkt.licq_check(active).holds:
             continue

@@ -159,7 +159,11 @@ def test_kkt_obstruction(soland_file, capsys):
     record = json.loads(out)["points"][0]
     cert = record["certificate"]
     assert cert["conclusion"] == "obstruction"
-    assert "v(1,0) < v(0,0) forced" in cert["probe_line"]
+    # the witness e_0: the active gradients (-1, 0) and (0, 1) are at most 0 on it
+    assert cert["gordan_witness"] == [1.0, 0.0]
+    assert set(cert) == {
+        "conclusion", "s_star", "sigma", "mu", "lambda", "gordan_witness", "assumptions"
+    }
     assert record["licq"]["rank"] == 2
 
 
@@ -497,7 +501,7 @@ def test_point_margins_equal_fresh_samples(doc, grid, levels):
     uniform = uniform_indices(problem, cfg, cloud)
     for spec in specs:
         y = spec.criterion
-        cuts = support.prepare_cuts(cloud, y)
+        cuts = geoffrion.prepare_cuts(cloud, y)
         assert repr(support.support_margin(cuts)) == repr(fresh(analysis, y))
         ladder = cli._ladder(problem, cloud, spec, cfg)
         trend = support.support_trend(cuts, ladder)
@@ -952,7 +956,7 @@ def test_deep_soland_origin_margins_follow_the_closed_form():
     problem = load_problem(json.dumps(SOLAND))
     for k in range(1, 53):
         cloud = sample_criterion_space(problem, GridSpec.geometric((0.0,), k))
-        cuts = support.prepare_cuts(cloud, (0.0, 0.0))
+        cuts = geoffrion.prepare_cuts(cloud, (0.0, 0.0))
         out = linprog.cone_margin(cuts.cuts, mass="lambda")
         truth = 2.0 ** -k / (1.0 + 2.0 ** -k)
         margin = -out.value

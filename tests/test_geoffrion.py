@@ -94,7 +94,7 @@ STEPS = Ladder(rows=np.arange(2), entry=np.array([1, 2]), levels=2)
 ENTRY_POINTS = {
     "support_margin": lambda cloud, y_ref: support.support_margin(cloud, y_ref),
     "support_trend": lambda cloud, y_ref: support.support_trend(cloud, STEPS, y_ref),
-    "ratio_bounds": geoffrion.ratio_bounds,
+    "prepare_cuts": geoffrion.prepare_cuts,
     "proper_efficiency_report": geoffrion.proper_efficiency_report,
     "divergence_probe": lambda cloud, y_ref: geoffrion.divergence_probe(cloud, STEPS, y_ref),
 }
@@ -327,8 +327,9 @@ def test_combine_with_divergence_flags_improperness():
 
 
 def row_wise_ratio_bounds(pts, y_ref):
-    """``geoffrion.ratio_bounds`` by reductions along each point's row: the
-    reference that its passes over the criteria must equal bit for bit."""
+    """The trade-off bounds and dominance of ``geoffrion.prepare_cuts`` by
+    reductions along each point's row: the reference that its passes over
+    the criteria must equal bit for bit."""
     ref = tuple(float(v) for v in y_ref)
     with np.errstate(all="ignore"):
         diffs = pts - np.asarray(ref)
@@ -359,10 +360,7 @@ def test_ratio_bounds_match_row_wise_reductions():
             for y_ref in (pts[0], pts[n // 2], flipped, rng.standard_normal(p)):
                 if np.isnan(y_ref).any():
                     continue
-                want = row_wise_ratio_bounds(pts, y_ref)
-                for got in (
-                    geoffrion.ratio_bounds(pts, y_ref),
-                    geoffrion.ratio_bounds(geoffrion.prepare_cuts(pts, y_ref)),
-                ):
-                    assert got[0].tobytes() == want[0].tobytes()
-                    assert got[1].tobytes() == want[1].tobytes()
+                bounds, dominating = row_wise_ratio_bounds(pts, y_ref)
+                cuts = geoffrion.prepare_cuts(pts, y_ref)
+                assert cuts.bounds.tobytes() == bounds.tobytes()
+                assert cuts.dominating.tobytes() == dominating.tobytes()

@@ -85,8 +85,6 @@ def _active_from_matrix(rows, n_ineq, y_ref=(0.0, 0.0)):
         active_ineq=tuple(range(n_ineq)),
         eq=tuple(range(g.shape[0] - n_ineq)),
         gradients=g,
-        ineq_values=(0.0,) * n_ineq,
-        eq_values=(0.0,) * (g.shape[0] - n_ineq),
     )
 
 
@@ -108,8 +106,8 @@ def test_obstruction_at_the_corner():
     cert = kkt.obstruction_test(active)
     assert cert.conclusion == kkt.OBSTRUCTION
     assert abs(cert.s_star) <= 1e-9
-    assert cert.probe_direction == 0
-    assert "v(1,0) < v(0,0) forced" in cert.probe_line
+    # no active gradient raises criterion 0: e_0 is the witness
+    assert cert.gordan_witness == (1.0, 0.0)
     ok, failures = kkt.verify_certificate(cert, active)
     assert ok, failures
 
@@ -121,6 +119,7 @@ def test_no_obstruction_at_the_interior_image():
     assert cert.conclusion == kkt.NO_OBSTRUCTION
     assert cert.s_star == pytest.approx(1.0, abs=1e-9)
     assert cert.sigma[0] / cert.sigma[1] == pytest.approx(1.5, abs=1e-6)
+    assert cert.gordan_witness is None
     ok, failures = kkt.verify_certificate(cert, active)
     assert ok, failures
 
@@ -129,7 +128,67 @@ def test_single_vertical_equality_is_always_an_obstruction():
     active = _active_from_matrix([[0.0, 1.0]], 0)
     cert = kkt.obstruction_test(active)
     assert cert.conclusion == kkt.OBSTRUCTION
-    assert cert.probe_direction == 0
+    assert cert.gordan_witness == (1.0, 0.0)
+    ok, failures = kkt.verify_certificate(cert, active)
+    assert ok, failures
+
+
+# a probe of CI's kkt_rules problem at decision (0.5, -0.25), where only the
+# equality is active, with gradient (0.35, -0.2, 1)
+KKT_RULES = {
+    "type": "analytic",
+    "decision_dim": 2,
+    "criterion_dim": 3,
+    "domain": [[-1, 1], [-1, 1]],
+    "criteria": ["x0", "x1", "-(x0^2 + x1^2)/(2 + x0)"],
+    "constraints": {
+        "ineq": ["-(y0^(1/3)) - 1", "y1^3 - 1"],
+        "eq": ["y2 + (y0^2 + y1^2)/(2 + y0)"],
+    },
+}
+
+
+def _no_coordinate_witness_systems():
+    """Obstructions where no unit vector is a witness: on each, some active
+    inequality gradient is positive or some equality gradient is nonzero."""
+    problem = load_problem(json.dumps(KKT_RULES))
+    return {
+        "equality (1, -1)": _active_from_matrix([[1.0, -1.0]], 0),
+        "inequalities (1, -2) and (-2, 1)": _active_from_matrix([[1.0, -2.0], [-2.0, 1.0]], 2),
+        "kkt_rules at (0.5, -0.25)": kkt.active_set(problem, problem.criteria_at([0.5, -0.25])),
+    }
+
+
+@pytest.mark.parametrize("system", _no_coordinate_witness_systems())
+def test_obstruction_with_no_coordinate_witness_carries_a_verified_witness(system):
+    active = _no_coordinate_witness_systems()[system]
+    cert = kkt.obstruction_test(active)
+    assert cert.conclusion == kkt.OBSTRUCTION
+    ok, failures = kkt.verify_certificate(cert, active)
+    assert ok, failures
+    for unit in np.eye(len(active.y_ref)):
+        coordinate = dataclasses.replace(cert, gordan_witness=tuple(unit.tolist()))
+        assert not kkt.verify_certificate(coordinate, active)[0], unit
+
+
+def test_tampered_gordan_witnesses_fail_verification():
+    active = _active_from_matrix([[1.0, -2.0], [-2.0, 1.0]], 2)
+    cert = kkt.obstruction_test(active)
+    pi = np.asarray(cert.gordan_witness)
+    assert kkt.verify_certificate(cert, active)[0]
+    tampered = {
+        "not on the unit simplex": [pi / 2, pi + (1.0, -1.0)],
+        "active inequality 0 raises": [(1.0, 0.0)],
+        "no Gordan witness": [None, (1.0,), (1.0, 0.0, 0.0)],
+    }
+    for failure, witnesses in tampered.items():
+        for witness in witnesses:
+            if witness is not None:
+                witness = tuple(map(float, witness))
+            ok, failures = kkt.verify_certificate(
+                dataclasses.replace(cert, gordan_witness=witness), active
+            )
+            assert not ok and any(failure in f for f in failures), (witness, failures)
 
 
 def test_obstruction_requires_licq():
@@ -143,6 +202,8 @@ def test_no_active_constraints_is_an_obstruction():
     cert = kkt.obstruction_test(active)
     assert cert.conclusion == kkt.OBSTRUCTION
     assert cert.s_star is None
+    assert cert.gordan_witness == (1.0, 0.0)  # any point of the simplex
+    assert kkt.verify_certificate(cert, active)[0]
 
 
 def test_conclusion_invariant_under_positive_constraint_rescaling():
@@ -188,6 +249,8 @@ def test_verdict_matches_multiplier_grid_on_100_random_two_row_systems():
         assert (cert.s_star > 1e-9) == (oracle_best > 1e-9), (g, kinds, cert.s_star, oracle_best)
         if cert.conclusion == kkt.NO_OBSTRUCTION:
             assert cert.s_star == pytest.approx(oracle_best, abs=1e-4)
+        ok, failures = kkt.verify_certificate(cert, active)
+        assert ok, (g, kinds, cert, failures)
         checked += 1
 
 
@@ -233,6 +296,7 @@ def test_obstruction_lp_matches_its_reference_formulation(monkeypatch):
     solve = lp.solve_lp
     monkeypatch.setattr(lp, "solve_lp", lambda inst: solved.append(inst) or solve(inst))
     rng = np.random.default_rng(20251018)
+    conclusions = set()
     checked = 0
     while checked < 150:
         p, nk, nj = int(rng.integers(2, 5)), int(rng.integers(0, 4)), int(rng.integers(0, 3))
@@ -257,7 +321,11 @@ def test_obstruction_lp_matches_its_reference_formulation(monkeypatch):
         sigma = np.asarray(cert.mu) @ g[:nk] + np.asarray(cert.lam) @ g[nk:]
         assert cert.sigma == pytest.approx(tuple(sigma), abs=1e-12)
         assert min(cert.sigma) == pytest.approx(cert.s_star, abs=1e-9)
+        ok, failures = kkt.verify_certificate(cert, active)
+        assert ok, (g, nk, cert, failures)
+        conclusions.add(cert.conclusion)
         checked += 1
+    assert conclusions == {kkt.OBSTRUCTION, kkt.NO_OBSTRUCTION}
 
 
 def test_obstruction_agrees_with_support_trend_on_the_example():

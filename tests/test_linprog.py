@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from paretocert import cli, geoffrion, support
 from paretocert import linprog as lp
-from paretocert import support
 from paretocert.errors import NumericalBreakdown
 from paretocert.problems import (
     GridSpec,
@@ -376,7 +377,7 @@ def _closed_form_margins(monkeypatch, problem, anchors, levels):
         y_ref = problem.criteria_at(anchor)
         for k in range(1, levels + 1):
             cloud = sample_criterion_space(problem, GridSpec.geometric(anchor, k))
-            cuts = support.prepare_cuts(cloud, y_ref)
+            cuts = geoffrion.prepare_cuts(cloud, y_ref)
             inst = lp.ConeInstance(cuts.cuts, "lambda")
             margins.append((inst, support.support_margin(cuts)))
     assert not solved
@@ -437,7 +438,7 @@ def test_agrees_with_highs(monkeypatch, case):
         probes = grid_nodes(problem, GridSpec.uniform(2, 5)).tolist()
         assert len(probes) == 25
         instances = [
-            lp.ConeInstance(support.prepare_cuts(cloud, problem.criteria_at(x)).cuts, mass)
+            lp.ConeInstance(geoffrion.prepare_cuts(cloud, problem.criteria_at(x)).cuts, mass)
             for x in probes
             for mass in ("lambda", "lambda+nu")
         ]
@@ -461,16 +462,43 @@ def test_agrees_with_highs(monkeypatch, case):
         assert statuses == {"optimal", "unbounded"}  # hard margins both feasible and not
 
 
+def test_p5_report_takes_few_factorizations_per_lp(monkeypatch, tmp_path, capsys):
+    # degenerate pivots at the five-criteria problem's probes on the domain's
+    # edge: each LP's factorizations, one per pivot, stay few
+    problem = tmp_path / "p5.json"
+    problem.write_text(json.dumps({
+        "type": "analytic", "decision_dim": 2, "criterion_dim": 5,
+        "domain": [[0, 1], [0, 1]], "criteria": ["x0", "x1", "-x0^2", "-x1^2", "x0*x1"],
+    }))
+    counts = []  # factorizations per solve
+    factorize, solve = lp._factorize, lp.solve_lp
+
+    def counting_factorize(A, basis):
+        counts[-1] += 1
+        return factorize(A, basis)
+
+    def counting_solve(*args):
+        counts.append(0)
+        return solve(*args)
+
+    monkeypatch.setattr(lp, "_factorize", counting_factorize)
+    monkeypatch.setattr(lp, "solve_lp", counting_solve)  # the obstruction LPs
+    monkeypatch.setattr(support, "solve_lp", counting_solve)  # the margin LPs
+    assert cli.main(["report", str(problem), "--grid", "33", "--levels", "10"]) == 0
+    capsys.readouterr()
+    assert len(counts) > 250 and max(counts) <= 50, (len(counts), max(counts))
+
+
 # ---------------------------------------------------------------------------
 # the solver's fixed cost per solve, against references of the code it replaced
 
 
-def _numpy_entering(A, reduced, enterable, binv, x_basic, basis, bland):
+def _numpy_entering(A, reduced, enterable, binv, x_basic, basis, start):
     """``linprog._entering`` as it was before pricing took one pass and the
     ratio test ran in Python floats: the bit-for-bit reference."""
     eligible = enterable & (reduced > lp._ENTER_TOL)
     while eligible.any():
-        j = int(np.argmax(eligible if bland else np.where(eligible, reduced, -np.inf)))
+        j = int(np.argmax(np.where(eligible, reduced, -np.inf)))
         eligible[j] = False
         d = binv @ A[:, j]
         rows = (d[1:] > lp._PIVOT_TOL).nonzero()[0] + 1
@@ -481,8 +509,13 @@ def _numpy_entering(A, reduced, enterable, binv, x_basic, basis, bland):
                 return j, d, None
             continue
         ties = rows[ratios <= theta + 1e-12]
-        if bland:
-            return j, d, int(ties[np.argmin(np.asarray(basis)[ties])])
+        if theta == 0.0 and len(ties) > 1:
+            # the lexicographically least row: narrow the ties column by column
+            lex = (binv[ties] @ start) / d[ties][:, None]
+            for k in range(lex.shape[1]):
+                least = lex[:, k] == lex[:, k].min()
+                ties, lex = ties[least], lex[least]
+            return j, d, int(ties[0])
         pos, d_pos = int(ties[0]), float(d[ties[0]])
         for i, d_i in zip(ties[1:].tolist(), d[ties[1:]].tolist()):
             if d_i > d_pos * (1.0 + 1e-12) or (
@@ -498,8 +531,9 @@ def _pricing_state(rng):
     ``cost - summed``, a cost vector less the row duals' sums over the
     columns: small integer columns and values (exact ratio ties and equal
     pivots), copies of columns (equal reduced costs), ratios and pivots 1e-13
-    apart, columns that no row blocks, and reduced costs at and just above
-    the entering tolerance, some of them noise on a large column."""
+    apart, columns that no row blocks, reduced costs at and just above the
+    entering tolerance, some of them noise on a large column, and the basis
+    columns a degenerate stretch started from, with rows that tie at first."""
     p, n = int(rng.integers(1, 6)), int(rng.integers(2, 30))
     n = max(n, p + 2)
     A = rng.integers(-2, 3, size=(p + 1, n)).astype(float)
@@ -509,10 +543,12 @@ def _pricing_state(rng):
     A[:, rng.integers(0, n, size=len(copies))] = A[:, copies]
     blocked = rng.random(n) < 0.2
     A[1:, blocked] = -np.abs(A[1:, blocked])  # no row blocks these, with binv = I
-    A[:, rng.random(n) < 0.1] *= 1e3
+    A[:, rng.random(n) < 0.2] *= rng.choice([1e3, 1e7])  # noise below the guard on 1e7
     binv = np.eye(p + 1) if rng.random() < 0.7 else rng.normal(size=(p + 1, p + 1))
-    x_basic = rng.integers(0, 3, size=p + 1).astype(float)
-    x_basic[rng.random(p + 1) < 0.3] = -1e-17  # rounding below a zero value
+    # degenerate states, whose zero values tie at ratio 0, or positive values
+    degenerate = rng.random() < 0.5
+    x_basic = rng.integers(0 if degenerate else 1, 3, size=p + 1).astype(float)
+    x_basic[degenerate & (rng.random(p + 1) < 0.3)] = -1e-17  # rounding below a zero value
     x_basic += 1e-13 * rng.integers(-1, 2, size=p + 1)  # near-equal ratios
     basis = [0, *rng.permutation(np.arange(1, n))[:p].tolist()]
     enterable = np.ones(n, dtype=bool)
@@ -520,21 +556,22 @@ def _pricing_state(rng):
     cost = rng.choice([-1.0, 0.0, lp._ENTER_TOL, 2e-9, 1e-8, 0.5, 1.0, 2.0], size=n)
     cost[copies] = cost[rng.integers(0, n, size=len(copies))]
     summed = rng.choice([0.0, -0.0, 1e-9, 0.25], size=n)  # y @ A, as summed row by row
-    return A, cost, summed, enterable, binv, x_basic, basis, bool(rng.random() < 0.3)
+    start = A[:, basis] if rng.random() < 0.5 else rng.integers(-1, 2, size=(p + 1, p + 1)) * 1.0
+    return A, cost, summed, enterable, binv, x_basic, basis, start
 
 
 def test_entering_matches_the_numpy_reference_on_random_states():
     rng = np.random.default_rng(1977)
-    seen = dict.fromkeys(("none", "unbounded", "bland", "tie", "equal_pivots", "null"), 0)
+    seen = dict.fromkeys(("none", "unbounded", "lexicographic", "tie", "equal_pivots", "null"), 0)
     for _ in range(20000):
-        A, cost, summed, enterable, binv, x_basic, basis, bland = _pricing_state(rng)
+        A, cost, summed, enterable, binv, x_basic, basis, start = _pricing_state(rng)
         reduced = cost - summed
-        want = _numpy_entering(A, reduced, enterable, binv, x_basic, basis, bland)
+        want = _numpy_entering(A, reduced, enterable, binv, x_basic, basis, start)
         # as _revised_simplex prices: a cost of -inf at the basic columns
         priced = np.where(enterable, cost, -np.inf) - summed
-        state = (A, binv, x_basic, basis)
+        state = (A, binv, x_basic, basis, start)
         before = [np.array(a, copy=True) for a in state]
-        got = lp._entering(A, priced, binv, x_basic.tolist(), basis, bland)
+        got = lp._entering(A, priced, binv, x_basic.tolist(), basis, start)
         for kept, now in zip(before, state):
             assert np.array_equal(kept, now)  # the state is left as it was
         assert (got is None) == (want is None)
@@ -542,7 +579,6 @@ def test_entering_matches_the_numpy_reference_on_random_states():
             seen["none"] += 1
             continue
         assert got[0] == want[0] and got[2] == want[2] and got[1].tobytes() == want[1].tobytes()
-        seen["bland"] += bland
         seen["unbounded"] += got[2] is None
         if got[2] is not None:
             d = want[1]
@@ -550,13 +586,11 @@ def test_entering_matches_the_numpy_reference_on_random_states():
             ratios = {i: max(x_basic[i], 0.0) / d[i] for i in rows}
             theta = min(ratios.values())
             ties = [d[i] for i, ratio in ratios.items() if ratio <= theta + 1e-12]
-            seen["tie"] += len(ties) > 1
-            seen["equal_pivots"] += len(ties) > len(set(ties))
+            seen["lexicographic"] += theta == 0.0 and len(ties) > 1
+            seen["tie"] += theta > 0.0 and len(ties) > 1
+            seen["equal_pivots"] += theta > 0.0 and len(ties) > len(set(ties))
         # a column priced above the chosen one was passed over as noise
-        priced = np.where(enterable, reduced, -np.inf)
-        seen["null"] += bool(
-            (priced[: got[0]] > lp._ENTER_TOL).any() if bland else priced.max() > reduced[got[0]]
-        )
+        seen["null"] += bool(np.where(enterable, reduced, -np.inf).max() > reduced[got[0]])
     assert min(seen.values()) > 300, seen
 
 
@@ -642,12 +676,12 @@ def _reference_revised_simplex(A, b, c, basis, binv, factorize):
     c_basis = c[basis]
     c_enter = c.copy()
     c_enter[basis] = -np.inf
-    bland = False
+    start = A[:, basis]
     for _ in range(lp._MAX_ITER):
         x_basic = binv @ b
         y = c_basis @ binv
         priced = c_enter - (y[:, None] * A).sum(axis=0)
-        choice = lp._entering(A, priced, binv, x_basic.tolist(), basis, bland)
+        choice = lp._entering(A, priced, binv, x_basic.tolist(), basis, start)
         if choice is None:
             return "optimal", basis, x_basic, y, None, None
         j, d, pos = choice
@@ -657,12 +691,13 @@ def _reference_revised_simplex(A, b, c, basis, binv, factorize):
                     f"pivot below {lp._PIVOT_TOL} with no alternative in column {j}"
                 )
             return "unbounded", basis, x_basic, y, j, d
-        bland = not x_basic[pos] > 0.0
         c_enter[basis[pos]] = c[basis[pos]]
         c_enter[j] = -np.inf
         basis[pos] = j
         c_basis[pos] = c[j]
         binv = factorize(A, basis)
+        if x_basic[pos] > 0.0:
+            start = A[:, basis]
     raise NumericalBreakdown("simplex iteration limit exceeded")
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paretocert import cli, support
+from paretocert import cli, geoffrion, support
 from paretocert import linprog as lp
 from paretocert.errors import BoxTooSmall, NotSupported, SchemaError
 from paretocert.problems import (
@@ -74,7 +74,7 @@ def test_empty_row_set_is_rejected_like_an_empty_cloud():
         support.support_margin([], (0.0, 0.0))
     # two criteria (closed form) and three (the LP)
     for points in (np.eye(2), np.eye(3)):
-        cuts = support.prepare_cuts(PointCloud(len(points), points), np.zeros(len(points)))
+        cuts = geoffrion.prepare_cuts(PointCloud(len(points), points), np.zeros(len(points)))
         with pytest.raises(ValueError, match="empty row set"):
             support.support_margin(cuts, rows=np.array([], dtype=int))
 
@@ -96,7 +96,7 @@ def test_whole_sample_margin_takes_the_cut_matrix_as_it_is():
             y_ref = points[int(rng.integers(len(points)))]
             if trial % 3 == 0:
                 y_ref = y_ref - 0.05  # dominated: no weights, a soft margin
-            cuts = support.prepare_cuts(points, y_ref)
+            cuts = geoffrion.prepare_cuts(points, y_ref)
             before = [(a.tobytes(), a.flags.writeable) for a in (cuts.cuts, cuts.diffs)]
             n = len(cuts)
             got = support.support_margin(cuts)
@@ -316,7 +316,7 @@ SOLAND3 = load_problem(json.dumps({
     ids=["soland3-0", "soland3-1.6875", "soland3-4", "plane2d-(0.25,0.75)", "plane2d-(0,1)", "cloud"],
 )
 def test_margin_lp_columns_keep_their_order(monkeypatch, problem, anchor, levels):
-    # column order decides ties and Bland's rule in the simplex, so the cut
+    # column order decides pricing ties in the simplex, so the cut
     # matrices must be the rows' own cuts bit for bit, sorted stably by entry
     # level and in row order within a level
     # the ladder's and the whole cloud's LPs take their columns from one
@@ -329,7 +329,7 @@ def test_margin_lp_columns_keep_their_order(monkeypatch, problem, anchor, levels
     else:
         references = [problem.criteria_at(anchor)]
     for y_ref in references:
-        cuts = support.prepare_cuts(cloud, y_ref)
+        cuts = geoffrion.prepare_cuts(cloud, y_ref)
         trend = recorded_level_cuts(monkeypatch, lambda: support.support_trend(cuts, steps))
         assert_same_bits(trend, row_order_level_cuts(rows, steps.entry, len(steps), y_ref))
         deepest = recorded_level_cuts(monkeypatch, lambda: support.support_margin(rows, y_ref))
@@ -357,7 +357,7 @@ def test_row_set_columns_equal_those_of_the_rows_alone(monkeypatch):
         rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
         levels = int(rng.integers(1, 4))
         entry = rng.integers(1, levels + 1, size=len(rows))
-        cuts = support.prepare_cuts(points, y_ref)
+        cuts = geoffrion.prepare_cuts(points, y_ref)
         alone = points[rows]
         got = recorded_level_cuts(monkeypatch, lambda: support.support_margin(cuts, rows=rows))
         ones = np.ones(len(rows), dtype=int)
@@ -403,7 +403,7 @@ def test_duplicate_rows_are_harmless(problem, anchor, levels):
     else:
         references = [problem.criteria_at(anchor)]
     for y_ref in references:
-        alone, doubled = support.prepare_cuts(points, y_ref), support.prepare_cuts(twice, y_ref)
+        alone, doubled = geoffrion.prepare_cuts(points, y_ref), geoffrion.prepare_cuts(twice, y_ref)
         assert_doubled(support.support_margin(doubled), support.support_margin(alone))
         trend = support.support_trend(doubled, stacked)
         want = support.support_trend(alone, steps)
@@ -466,7 +466,7 @@ def test_two_criteria_margins_equal_the_lp(monkeypatch):
         entry = rng.integers(1, levels + 1, size=len(rows))
         entry[rng.integers(len(rows))] = 1  # no level is empty
         want = lp_level_margins(points[rows], entry, levels, y_ref)
-        cuts = support.prepare_cuts(points, y_ref)
+        cuts = geoffrion.prepare_cuts(points, y_ref)
         del solved[:]
         trend = support.support_trend(cuts, Ladder(rows=rows, entry=entry, levels=levels))
         hard = [mass for _, mass in solved].count("lambda")
@@ -503,7 +503,7 @@ def test_non_finite_cuts_raise():
             support.support_trend(points, steps, y_ref)
         # normalized cuts that are not finite are checked by the margin
         # itself, by the closed form for two criteria as by the LP's instance
-        cuts = support.prepare_cuts(points, y_ref)
+        cuts = geoffrion.prepare_cuts(points, y_ref)
         vars(cuts)["cuts"] = points  # in place of the normalization, before its first use
         with pytest.raises(ValueError, match="finite"):
             support.support_margin(cuts)
@@ -528,7 +528,7 @@ def test_levels_without_weights_are_the_lp_bit_for_bit(monkeypatch, case):
         cloud = PointCloud(criterion_dim=2, points=points)
         steps = Ladder(rows=np.arange(5), entry=np.array([1, 2, 3, 4, 4]), levels=levels)
     rows = cloud.as_array()[steps.rows]
-    cuts = support.prepare_cuts(cloud, y_ref)
+    cuts = geoffrion.prepare_cuts(cloud, y_ref)
     got = recorded_level_cuts(monkeypatch, lambda: support.support_trend(cuts, steps))
     assert_same_bits(got, row_order_level_cuts(rows, steps.entry, levels, y_ref)[first - 1 :])
     trend = support.support_trend(cuts, steps)
@@ -844,7 +844,7 @@ def test_cuts_and_witness_gaps_match_row_wise_reductions():
             flipped = pts[-1].copy()
             flipped[flipped == 0.0] *= -1.0
             for y_ref in (pts[0], pts[n // 2], flipped, rng.standard_normal(p)):
-                cuts = support.prepare_cuts(pts, y_ref)
+                cuts = geoffrion.prepare_cuts(pts, y_ref)
                 assert cuts.diffs.tobytes() == (pts - y_ref).tobytes()
                 assert cuts.cuts.tobytes() == row_wise_cuts(pts, y_ref).tobytes()
                 witness = support.ValueFunctionWitness(
