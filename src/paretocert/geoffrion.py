@@ -5,6 +5,10 @@ gain/loss ratios under geometric refinement.
 A sample's differences y - y_ref are computed once per reference, a pass
 per criterion (``prepare_cuts``). Each row's largest gain and loss give its
 trade-off bound, its dominance test and the scale of ``support``'s cut.
+``level_bounds`` reduces the bounds per ladder level: the divergence probe
+reads its largest, M_k, and for two criteria ``support`` reads its margin
+t_k = min(1/2, 1/(1 + M_k)) from it (Geoffrion, "Proper efficiency and the
+theory of vector maximization", 1968); at Soland's point M_k = 2^k.
 
 A finite cloud always yields a finite ratio bound, so improperness is never
 decided here; the probe reports trend evidence and the authoritative
@@ -18,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, SchemaError
+from .errors import DimensionError
 from .problems import ladder_steps, point_array
 
 DOMINATED = "dominated"
@@ -90,11 +94,7 @@ class Cuts:
     @cached_property
     def cuts(self) -> np.ndarray:
         """Each row of ``diffs`` over its largest magnitude max(high, -low);
-        a non-finite difference is a ``SchemaError`` naming its point."""
-        finite = np.isfinite(self.diffs)
-        if not finite.all():
-            k = np.argmin(finite.all(axis=1))
-            raise SchemaError(f"point {k}: y - y_ref is not finite at {self.y_ref}")
+        the margins read it once they have found every difference finite."""
         # each cut is homogeneous in w, so normalizing it changes no hard
         # margin and keeps pivots well away from the tolerance; soft margins
         # are those of the normalized cuts
@@ -183,34 +183,39 @@ def divergence_probe(
     against the smallest offset.
     """
     levels, offsets = ladder_steps(ladder)
-    # level k's bound is the largest over the rows entering at or before k,
-    # and 0 from the first level holding a dominating row on; the bounds are
-    # row-wise, so those of the ladder's rows alone
+    # level k's ratio is the largest bound over the rows entering by k, and
+    # 0 from the first level holding a dominating row on
     cuts = as_cuts(cloud, y_ref)
-    bounds, dominating = cuts.bounds[ladder.rows], cuts.dominating[ladder.rows]
-    entry = ladder.entry
-    level_max = np.full(len(levels), -np.inf)
-    np.maximum.at(level_max, entry - 1, bounds)
-    dominated_from = int(entry[dominating].min(initial=len(levels) + 1))
-    ratios = [
-        float(m_hat) if m_hat > 0 and k < dominated_from else 0.0
-        for k, m_hat in zip(levels, np.maximum.accumulate(level_max).tolist())
-    ]
-    nondecreasing = all(
-        ratios[k + 1] >= ratios[k] * (1.0 - 1e-12) for k in range(len(ratios) - 1)
-    )
-    if ratios[0] > 0:
-        growth = nondecreasing and ratios[-1] > growth_factor * ratios[0]
-    else:
-        growth = nondecreasing and ratios[-1] > 0
-    fitted = fit_exponent(offsets, ratios)
+    m_hats = level_bounds(cuts, ladder.rows, ladder.entry, len(levels)).max(axis=1)
+    dominated_from = ladder.entry[cuts.dominating[ladder.rows]].min(initial=len(levels) + 1)
+    m_hats[dominated_from - 1 :] = 0.0
+    ratios = m_hats.tolist()
+    nondecreasing = all(b >= a * (1.0 - 1e-12) for a, b in zip(ratios, ratios[1:]))
+    # a first ratio of 0 asks only for a positive last one
+    growth = nondecreasing and ratios[-1] > growth_factor * ratios[0]
     return DivergenceEvidence(
         levels=levels,
         offsets=offsets,
         ratios=tuple(ratios),
         growth=growth,
-        fitted_exponent=fitted,
+        fitted_exponent=fit_exponent(offsets, ratios),
     )
+
+
+def level_bounds(cuts: Cuts, rows=None, entry=None, levels: int = 1) -> np.ndarray:
+    """M[k - 1, i], the largest bound among the rows that gain in criterion
+    i and enter by level k, 0 without one: ``rows[j]`` enters at ``entry[j]``
+    (all at level 1 for None; ``rows`` None is the whole sample)."""
+    bounds, diffs = cuts.bounds, cuts.diffs
+    if rows is not None:
+        bounds, diffs = np.take(bounds, rows), np.take(diffs, rows, axis=0)
+    gained = np.where(diffs > 0, bounds[:, None], 0.0)
+    if entry is None:
+        return gained.max(axis=0, initial=0.0, keepdims=True)
+    out = np.zeros((levels, diffs.shape[1]))
+    for i, column in enumerate(gained.T):  # ufunc.at is fast in one dimension
+        np.maximum.at(out[:, i], entry - 1, column)
+    return np.maximum.accumulate(out, axis=0)
 
 
 def fit_exponent(offsets, values) -> float | None:

@@ -9,16 +9,19 @@ reference:
 Each cut is homogeneous in w, so it is normalized: C holds the cuts
 (y - y_ref)/max|y - y_ref|, which changes no hard margin.
 
-With two criteria the weights are (lambda, mu), mu = 1 - lambda, and no LP
-is solved. A cut c holds when lambda * (c0 - c1) <= -c1, an upper or a lower
-bound on lambda: the gain/loss ratio bound of ``geoffrion`` (Geoffrion,
-"Proper efficiency and the theory of vector maximization", 1968). The margin
-min(lambda, mu) is concave, so it is min(lambda*, mu*) with lambda* = 1/2
-clipped to the interval the bounds leave, and mu* the same from the cuts with
-their criteria swapped: 1 - lambda* would lose what lies below 2^-53. The
-weights are (lambda*, mu*). Where the float cuts leave either weight no
-interval, the LP below decides: it gives the soft margin of cuts that no
-weights satisfy, and judges cuts that rounding made contradictory.
+With two criteria the trade-off bounds give the weights (lambda, mu)
+(Geoffrion, "Proper efficiency and the theory of vector maximization",
+1968): a row gaining r times what it loses holds when the weight of its gain
+is at most 1/(1 + r) and that of its loss at least 1/(1 + 1/r). With M0, M1
+the largest bounds of the rows gaining in criteria 0 and 1
+(``geoffrion.level_bounds``), lambda is in [1/(1 + 1/M1), 1/(1 + M0)] and mu
+in [1/(1 + 1/M0), 1/(1 + M1)]. Each is 1/2 clipped to its own interval (1
+minus the other would lose what lies below 2^-53), and the margin
+min(lambda*, mu*) is min(1/2, 1/(1 + M)), M = max(M0, M1) the divergence
+probe's ratio. A row gaining in both criteria (M0 = M1 = inf), or any other
+empty interval, leaves the level to the LP below: it gives the soft margin
+of cuts that no weights satisfy, and judges cuts that rounding made
+contradictory.
 
 Otherwise the LP is solved through its dual, ``linprog.cone_margin`` with
 the mass on lambda, which has p + 1 rows however many cuts there are:
@@ -44,13 +47,13 @@ sample, so the columns are those of the row set alone. A margin over the
 whole sample takes the cut matrix as it is, with no copy. Equal cuts are not
 merged, and need not be: a copy of a column has its twin's reduced cost,
 summed row by row, so it never prices in once the twin is basic, and the
-p = 2 bounds below ignore the order and the copies of the columns. Along a
-ladder the columns are the rows ordered stably by the level at which they
-enter, so level k's margin is over a prefix of the columns. With two
-criteria, running extremes of the bounds over the columns give every level's
-interval at once. The intervals are nested, so the empty ones are
-the deepest levels, and each of those is an LP over its prefix: a prefix view
-of one LP matrix (and of one for the soft margins, built only if a level is
+p = 2 bounds ignore the order and the copies of the rows. Along a ladder the
+columns are the rows ordered stably by the level at which they enter, so
+level k's margin is over a prefix of the columns. With two criteria,
+``geoffrion.level_bounds`` gives every level's bounds at once. They grow
+with the level, so the intervals are nested, the empty ones are the deepest
+levels, and each of those is an LP over its prefix: a prefix view of one LP
+matrix (and of one for the soft margins, built only if a level is
 infeasible). Each LP is solved from the start basis, because pricing stops
 at an absolute reduced cost of 1e-9 while margins can shrink like 2^-k.
 
@@ -65,8 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoxTooSmall, DimensionError, NotSupported, NumericalBreakdown
-from .geoffrion import Cuts, as_cuts, fit_exponent
+from .errors import BoxTooSmall, DimensionError, NotSupported, NumericalBreakdown, SchemaError
+from .geoffrion import Cuts, as_cuts, fit_exponent, level_bounds
 from .linprog import ConeInstance, solve_lp
 from .problems import ladder_steps, point_array
 
@@ -174,32 +177,34 @@ def _level_margins(
     the deepest level; ``entry`` None is one level, and ``rows`` None then
     the whole sample."""
     if entry is None:
-        columns = cuts.cuts if rows is None else np.take(cuts.cuts, rows, axis=0)
-        ends = np.array([len(columns)])
+        order, ends = rows, np.array([len(cuts) if rows is None else len(rows)])
     else:
         # stable: level k is a prefix of the columns, in row order within a level
         by_level = np.argsort(entry, kind="stable")
-        columns = np.take(cuts.cuts, rows[by_level], axis=0)
+        order = rows[by_level]
         ends = np.searchsorted(entry[by_level], np.arange(1, levels + 1), side="right")
+    if not np.isfinite(cuts.diffs).all():  # the whole sample, whichever rows are read
+        k = np.argmin(np.isfinite(cuts.diffs).all(axis=1))
+        raise SchemaError(f"point {k}: y - y_ref is not finite at {cuts.y_ref}")
     p = len(cuts.y_ref)
     margins: list[float] = []
     feasible = True
     if p == 2:
-        # each weight from its own bounds, not as 1 minus the other; the LP
-        # solves only the levels where either interval is empty, a suffix
-        lam = _two_criteria_weight(columns, ends)
-        mu = _two_criteria_weight(columns[:, ::-1], ends)
-        held = np.minimum(lam, mu)  # NaN where either is
+        # the LP solves only the levels where either interval is empty, a suffix
+        pair = _two_criteria_weights(level_bounds(cuts, rows, entry, levels))
+        held = pair.min(axis=1)  # NaN where either weight is
         # -(0.0 - t), as the LP's value: a zero margin reads -0.0 either way
         margins = (-(0.0 - held[~np.isnan(held)])).tolist()
-        w = np.array([lam[-1], mu[-1]])
+        w = pair[-1]
     hard = soft = None  # each level's LP is over a prefix of these instances' columns
     for end in ends[len(margins) :].tolist():
-        hard = hard or ConeInstance(columns, "lambda")
+        if hard is None:
+            columns = cuts.cuts if order is None else np.take(cuts.cuts, order, axis=0)
+            hard = ConeInstance(columns, "lambda")
         out = solve_lp(hard, end)
         feasible = out.status == "optimal"
         if not feasible:
-            soft = soft or ConeInstance(columns, "lambda+nu")
+            soft = soft or ConeInstance(hard.cuts, "lambda+nu")
             out = solve_lp(soft, end)
             if out.status != "optimal":
                 raise NumericalBreakdown("support margin relaxation did not solve")
@@ -218,32 +223,20 @@ def _level_margins(
         binding=binding,
         feasible=feasible,
         y_ref=cuts.y_ref,
-        sample_size=len(columns),
+        sample_size=int(ends[-1]),
     )
     return tuple(margins), last
 
 
-def _two_criteria_weight(columns: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """For p = 2, the first weight lambda* of the margin over each prefix
-    ``columns[:end]``, or NaN where no lambda keeps every cut.
-
-    A cut c holds when lambda * (c0 - c1) <= -c1: an upper bound on lambda if
-    c0 > c1, a lower bound if c0 < c1, and no lambda at all if c0 = c1 > 0.
-    Each bound is one rounded division, and a prefix's extremes are bounds
-    themselves, so a level's lambda* does not depend on the column order.
-    """
-    if not np.isfinite(columns).all():
-        raise ValueError("cuts must be finite")  # as the LP's instance checks
-    c0, c1 = columns[:, 0], columns[:, 1]
-    slope = c0 - c1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = -c1 / slope
-    none = (slope == 0) & (c1 > 0)
-    lower = np.where(slope < 0, bound, np.where(none, np.inf, -np.inf))
-    upper = np.where(slope > 0, bound, np.where(none, -np.inf, np.inf))
-    lo = np.maximum.accumulate(np.concatenate(([-np.inf], lower)))[ends]
-    hi = np.minimum.accumulate(np.concatenate(([np.inf], upper)))[ends]
-    return np.where(lo <= hi, np.minimum(np.maximum(0.5, lo), hi), np.nan)
+def _two_criteria_weights(bounds: np.ndarray) -> np.ndarray:
+    """For p = 2, the weights (lambda*, mu*) of each level from its bounds
+    (M0, M1), as the module docstring states; NaN where either has no interval."""
+    with np.errstate(divide="ignore", over="ignore"):  # 1/0 and 1/subnormal are inf
+        upper = 1.0 / (1.0 + bounds)
+        lower = 1.0 / (1.0 + 1.0 / bounds[:, ::-1])
+    weights = np.minimum(np.maximum(0.5, lower), upper)
+    weights[~(lower <= upper).all(axis=1)] = np.nan
+    return weights
 
 
 def build_witness(

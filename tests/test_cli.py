@@ -964,9 +964,9 @@ def test_deep_soland_origin_margins_follow_the_closed_form():
 
 
 def test_deepest_soland_origin_margins_stay_positive(capsys):
-    # for p = 2 the margin is min(lambda*, 1 - lambda*) of one clipped ratio
-    # bound, not an LP optimum, so it stays 2^-k / (1 + 2^-k) to the last
-    # rounding through level 60, where 2^-k is far below an ulp of 1
+    # for p = 2 the margin is 1/(1 + M_k) of the trade-off bound M_k = 2^k,
+    # not an LP optimum, so it stays 2^-k / (1 + 2^-k) to the last rounding
+    # through level 60, where 2^-k is far below an ulp of 1
     code, out, _ = _run(capsys, "report", "builtin:soland", "--levels", "60", "--point-decision", "0")
     assert code == 0
     trend = json.loads(out)["points"][0]["support"]["trend"]
@@ -978,8 +978,8 @@ def test_deepest_soland_origin_margins_stay_positive(capsys):
 
 
 def test_two_criteria_report_solves_no_margin_lp(capsys, monkeypatch):
-    # at depth 24 every soland margin's cuts leave some weights (lambda,
-    # 1 - lambda), at the default points and at 33 anchors x = k/8 on [0, 4],
+    # at depth 24 every soland margin's trade-off bounds leave both weights
+    # an interval, at the default points and at 33 anchors x = k/8 on [0, 4],
     # so none reaches the margin LP; kkt solves its own
     def refuse(inst, end):
         raise AssertionError(f"a p = {inst.cuts.shape[1]} margin LP over {end} cuts")

@@ -1,6 +1,7 @@
 """Verdicts that do not depend on how a problem is written: listing the
 criteria in another order is exact in floats, so it must change no verdict,
-and for two criteria no margin bit where the closed form decides."""
+and for two criteria no margin bit where the closed form decides; reflecting
+the decision domain must change no margin, ratio or verdict bit at all."""
 
 import json
 
@@ -9,7 +10,7 @@ import pytest
 
 from paretocert import cli, support
 from paretocert.problems import Ladder
-from test_support import recording_level_lps, two_criteria_sample
+from test_support import SLOW_SOLAND, recording_level_lps, two_criteria_sample
 
 # builtin:soland with its criteria swapped, constraints rewritten to match
 SWAPPED_SOLAND = {
@@ -17,6 +18,13 @@ SWAPPED_SOLAND = {
     "criteria": ["-x0^3", "x0^2"],
     "constraints": {"ineq": ["-y1"], "eq": ["y0 + y1^3/2"]},
 }
+# soland and the slow Soland problem with x -> lo + hi - x on their domains
+REFLECTED_SOLAND = {
+    "type": "analytic", "decision_dim": 1, "criterion_dim": 2, "domain": [[0, 4]],
+    "criteria": ["(4 - x0)^2", "-((4 - x0)^3)"],
+    "constraints": {"ineq": ["-y0"], "eq": ["y1 + y0^3/2"]},
+}
+REFLECTED_SLOW_SOLAND = dict(SLOW_SOLAND, criteria=["2 - x0", "-((2 - x0)^11/10)"])
 TWO_D = {
     "type": "analytic", "decision_dim": 2, "criterion_dim": 3, "domain": [[0, 1], [0, 1]],
     "criteria": ["x0", "x1", "-(x0^2 + x1^2)"],
@@ -111,3 +119,40 @@ def test_rotated_criteria_keep_every_verdict(tmp_path):
     assert len(plain) == 25
     assert [r["decision"] for r in plain] == [r["decision"] for r in turned]
     assert [verdicts(r) for r in plain] == [verdicts(r) for r in turned]
+
+
+def unindexed(record):
+    """A point's margins, weights, ratios and verdicts, without the fields
+    that name a sample index (binding rows, the worst point, the witness's
+    smallest gap's index) or echo the point."""
+    support_record = record["support"]
+    margin = dict(support_record["margin"], binding=len(support_record["margin"]["binding"]))
+    witness = support_record.get("witness")
+    if witness:
+        checks = [dict(c, detail=c["detail"].split(" at sample index")[0]) for c in witness["verification"]["checks"]]
+        witness = dict(witness, anchor=None, verification=checks)
+    worst = record["proper_efficiency"]["worst"]
+    return {
+        **verdicts(record),
+        "m_hat": record["proper_efficiency"]["m_hat"],
+        "worst": worst and (worst["ratio"], worst["gain_index"], worst["loss_index"]),
+        "divergence": record["divergence"],
+        "trend": support_record["trend"],
+        "margin": margin,
+        "witness": witness,
+    }
+
+
+@pytest.mark.parametrize(
+    "problem, reflected, hi",
+    [("builtin:soland", REFLECTED_SOLAND, 4.0), (SLOW_SOLAND, REFLECTED_SLOW_SOLAND, 2.0)],
+    ids=["soland", "slow_soland"],
+)
+def test_reflected_domain_keeps_every_margin_bit(tmp_path, problem, reflected, hi):
+    # the grid and the ladders' dyadic offsets map onto themselves under
+    # x -> hi - x, so each point sees the same criterion vectors in mirrored
+    # order; its sample indices are mirrored, and nothing else may move
+    plain, mirrored = report(tmp_path, problem, "--levels", "20"), report(tmp_path, reflected, "--levels", "20")
+    assert [r["decision"] for r in plain] == [[hi - r["decision"][0]] for r in reversed(mirrored)]
+    for p, q in zip(plain, reversed(mirrored)):
+        assert repr(unindexed(p)) == repr(unindexed(q)), p["decision"]

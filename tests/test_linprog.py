@@ -327,16 +327,26 @@ def _highs_value(inst):
     """The optimum of ``inst`` by HiGHS, or its status name when there is none."""
     from scipy.optimize import linprog
 
-    c, A, b, _, _ = general_form(inst)
+    # the matrix of general_form, built by blocks: it has a column per cut
+    m, p = inst.cuts.shape
+    A = np.zeros((p + 1, 1 + p + m))
+    A[:p, 0] = 1.0  # u
+    A[:p, 1 : 1 + p] = -np.eye(p)  # lambda
+    A[:p, 1 + p :] = inst.cuts.T  # nu
+    A[p, 1 : 1 + p] = inst.mass in ("lambda", "lambda+nu")
+    A[p, 1 + p :] = inst.mass in ("nu", "lambda+nu")
+    c = np.zeros(1 + p + m)
+    c[0] = 1.0  # minimize u
     res = linprog(
-        -c,
+        c,
         A_eq=A,
-        b_eq=b,
-        bounds=[(None, None)] + [(0, None)] * (len(c) - 1),
+        b_eq=np.eye(p + 1)[p],
+        bounds=[(None, None)] + [(0, None)] * (p + m),
         method="highs",
         # HiGHS's default 1e-7 tolerances leave rows violated by more than
-        # the 1e-9 the margins are compared at
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        # the 1e-9 the margins are compared at; its presolve takes seconds
+        # over tens of thousands of columns, and the simplex a fraction of one
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10, "presolve": False},
     )
     return {0: None, 2: "infeasible", 3: "unbounded"}[res.status] or -res.fun
 
@@ -406,7 +416,7 @@ def _near_parallel_cuts(rng):
     return diffs / np.max(np.abs(diffs), axis=1)[:, None]
 
 
-@pytest.mark.parametrize("case", ["soland", "plane2d", "near_degenerate", "p5"])
+@pytest.mark.parametrize("case", ["soland", "plane2d", "near_degenerate", "p5", "p5_grid257"])
 def test_agrees_with_highs(monkeypatch, case):
     pytest.importorskip("scipy.optimize")
     if case == "soland":
@@ -427,16 +437,22 @@ def test_agrees_with_highs(monkeypatch, case):
         anchors = [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5)]
         instances = _margin_instances(monkeypatch, problem, anchors, 8)
         assert {inst.num_rows for inst in instances} == {4}  # p + 1 rows, p = 3
-    elif case == "p5":
+    elif case.startswith("p5"):
         # five criteria: the hard and soft margins of the 25 default probes
-        # over a 33-point grid per axis
+        # over a 33-point grid per axis, or of two probes on the domain's
+        # edge over the default 257-point grid (66,049 cuts)
         problem = load_document({
             "type": "analytic", "decision_dim": 2, "criterion_dim": 5,
             "domain": [[0, 1], [0, 1]], "criteria": ["x0", "x1", "-x0^2", "-x1^2", "x0*x1"],
         })
-        cloud = sample_criterion_space(problem, GridSpec.uniform(2, 33))
-        probes = grid_nodes(problem, GridSpec.uniform(2, 5)).tolist()
-        assert len(probes) == 25
+        if case == "p5":
+            cloud = sample_criterion_space(problem, GridSpec.uniform(2, 33))
+            probes = grid_nodes(problem, GridSpec.uniform(2, 5)).tolist()
+            assert len(probes) == 25
+        else:
+            cloud = sample_criterion_space(problem, GridSpec.uniform(2, 257))
+            probes = [(0.75, 0.0), (0.5, 0.0)]
+            assert len(cloud.as_array()) == 66049
         instances = [
             lp.ConeInstance(geoffrion.prepare_cuts(cloud, problem.criteria_at(x)).cuts, mass)
             for x in probes
@@ -457,7 +473,7 @@ def test_agrees_with_highs(monkeypatch, case):
             assert out.status == expected
         else:
             assert out.status == "optimal"
-            assert out.value == pytest.approx(expected, abs=1e-10 if case == "p5" else 1e-9)
+            assert out.value == pytest.approx(expected, abs=1e-10 if case.startswith("p5") else 1e-9)
     if case == "near_degenerate":
         assert statuses == {"optimal", "unbounded"}  # hard margins both feasible and not
 
