@@ -24,10 +24,7 @@ import numpy as np
 from . import __version__, geoffrion, kkt, support
 from .errors import (
     AnalysisError,
-    BoxTooSmall,
-    DimensionError,
     DomainError,
-    ExprSyntaxError,
     InfeasiblePoint,
     LicqNotVerified,
     NoConstraintDescription,
@@ -35,7 +32,6 @@ from .errors import (
     NotSupported,
     NumericalBreakdown,
     SchemaError,
-    UnknownBuiltin,
 )
 from .problems import (
     AnalyticProblem,
@@ -53,16 +49,6 @@ from .problems import (
     sample_criterion_space,
 )
 
-_INPUT_ERRORS = (
-    SchemaError,
-    ExprSyntaxError,
-    DimensionError,
-    UnknownBuiltin,
-    NoConstraintDescription,
-    InfeasiblePoint,
-    NotSupported,
-    BoxTooSmall,
-)
 _NUMERICAL_ERRORS = (NumericalBreakdown, DomainError, NonDifferentiable)
 
 
@@ -327,7 +313,7 @@ def _classify_record(problem, spec: _PointSpec, cfg: Config, ladder, cuts) -> di
     return record
 
 
-def _support_record(problem, cloud, spec: _PointSpec, cfg: Config, ladder, uniform, cuts) -> dict:
+def _support_record(cfg: Config, cloud: PointCloud, ladder, cuts, uniform) -> dict:
     # the point's margin, trend and witness margin are LPs over row sets of its cuts
     margin = support.support_margin(cuts, tol=cfg.tol_lp)
     record: dict = {"margin": _as_record(margin, "y_ref"), "trend": None, "witness": None}
@@ -339,38 +325,39 @@ def _support_record(problem, cloud, spec: _PointSpec, cfg: Config, ladder, unifo
         record["trend"] = _as_record(trend, "last")
         supported = trend.verdict == support.PERSISTENT
     if supported:
-        witness_margin, witness = _build_witness_dict(
-            problem, spec, cfg, cloud, cuts, uniform, margin
-        )
+        witness_margin, witness = _build_witness_dict(cfg, cloud, ladder, cuts, uniform, margin)
         if witness is not None:
             witness["sample_size"] = witness_margin.sample_size
         record["witness"] = witness
     return record
 
 
-def _witness_rows(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud, uniform) -> np.ndarray:
-    """The sorted rows of the analysis cloud that form the witness sample of ``spec``;
-    ``uniform`` holds the uniform grid's indices in each axis of the cloud."""
+def _witness_rows(cloud: PointCloud, ladder: Ladder | None, uniform) -> np.ndarray:
+    """The sorted rows of the analysis cloud that form a point's witness
+    sample: the uniform grid, whose indices in each axis of the cloud
+    ``uniform`` holds, joined with the point's ladder up to level 12."""
     # points closer than about 2^-12 to the anchor would shrink the quadratic
     # tie-break below the 1e-12 uniqueness tolerance, so the witness sample
     # caps its refinement depth (margins and trends keep the full depth)
     if uniform is None:  # input clouds are analysed as they are
         return np.arange(len(cloud))
-    near = axis_indices(problem, cloud, GridSpec.geometric(spec.decision, min(cfg.levels, 12)))
+    level = ladder.rows[: ladder.ends[min(len(ladder), 12) - 1]]
+    near = np.unravel_index(level, [len(axis) for axis in cloud.axes])
     # per axis, the sorted indices in either set (np.union1d would import numpy.ma)
     joined = [np.flatnonzero(np.bincount(np.r_[u, g])) for u, g in zip(uniform, near)]
     return grid_rows(cloud, joined)
 
 
 def _build_witness_dict(
-    problem, spec: _PointSpec, cfg: Config, analysis_cloud: PointCloud, cuts: geoffrion.Cuts,
+    cfg: Config, analysis_cloud: PointCloud, ladder: Ladder | None, cuts: geoffrion.Cuts,
     uniform, analysis_margin: support.MarginReport | None = None,
 ) -> tuple[support.MarginReport, dict | None]:
-    """The margin over the witness sample of ``spec``, and the verified
-    witness (None without positive support weights). ``cuts`` are those of
-    the analysis cloud against the point, ``uniform`` is as for ``_witness_rows``,
-    and ``analysis_margin`` the cuts' margin over every row, if already solved."""
-    rows = _witness_rows(problem, spec, cfg, analysis_cloud, uniform)
+    """The margin over the witness sample of the point of ``cuts``, and the
+    verified witness (None without positive support weights). ``cuts`` are
+    those of the analysis cloud against the point, ``ladder`` and ``uniform``
+    are as for ``_witness_rows``, and ``analysis_margin`` the cuts' margin
+    over every row, if already solved."""
+    rows = _witness_rows(analysis_cloud, ladder, uniform)
     every = len(rows) == len(analysis_cloud)
     if every and analysis_margin is not None:
         margin = analysis_margin
@@ -380,8 +367,8 @@ def _build_witness_dict(
         return margin, None
     sample = analysis_cloud.as_array()
     sample = sample if every else np.take(sample, rows, axis=0)
-    box = _witness_box(sample, spec.criterion)
-    witness = support.build_witness(spec.criterion, margin.weights, box, sample)
+    box = _witness_box(sample, cuts.y_ref)
+    witness = support.build_witness(cuts.y_ref, margin.weights, box, sample)
     verification = support.verify_witness(witness, sample, tie_tol=cfg.tie_tol)
     return margin, {**_as_record(witness), "verification": _as_record(verification)}
 
@@ -424,7 +411,7 @@ def _cmd_classify(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud, uni
 def _cmd_support(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud, uniform) -> dict:
     ladder = _ladder(problem, cloud, spec, cfg)
     cuts = geoffrion.prepare_cuts(cloud, spec.criterion)
-    record = _support_record(problem, cloud, spec, cfg, ladder, uniform, cuts)
+    record = _support_record(cfg, cloud, ladder, cuts, uniform)
     return {**_record_head(spec), **record}
 
 
@@ -433,8 +420,9 @@ def _cmd_kkt(problem, spec: _PointSpec, cfg: Config, cloud: None, uniform: None)
 
 
 def _cmd_witness(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud, uniform) -> dict:
+    ladder = _ladder(problem, cloud, spec, cfg)
     cuts = geoffrion.prepare_cuts(cloud, spec.criterion)
-    margin, witness = _build_witness_dict(problem, spec, cfg, cloud, cuts, uniform)
+    margin, witness = _build_witness_dict(cfg, cloud, ladder, cuts, uniform)
     if witness is None:
         raise NotSupported(f"no positive support at {spec.criterion}: margin {margin.margin}")
     return {**_record_head(spec), "margin": _as_record(margin, "y_ref"), "witness": witness}
@@ -445,7 +433,7 @@ def _cmd_report(problem, spec: _PointSpec, cfg: Config, cloud: PointCloud, unifo
     ladder = _ladder(problem, cloud, spec, cfg)
     cuts = geoffrion.prepare_cuts(cloud, spec.criterion)
     record = _classify_record(problem, spec, cfg, ladder, cuts)
-    record["support"] = _support_record(problem, cloud, spec, cfg, ladder, uniform, cuts)
+    record["support"] = _support_record(cfg, cloud, ladder, cuts, uniform)
     # a kkt failure at one point is that point's record; the kkt command exits on it
     try:
         record["kkt"] = _kkt_dicts(problem, spec, cfg)
@@ -547,13 +535,10 @@ def main(argv=None) -> int:
     except LicqNotVerified as exc:
         print(f"no conclusion: {exc}", file=sys.stderr)
         return 4
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except AnalysisError as exc:  # any stragglers count as input problems
+    except AnalysisError as exc:  # every other error is an input problem
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"

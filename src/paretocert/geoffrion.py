@@ -5,7 +5,8 @@ gain/loss ratios under geometric refinement.
 A sample's differences y - y_ref are computed once per reference, a pass
 per criterion (``prepare_cuts``). Each row's largest gain and loss give its
 trade-off bound, its dominance test and the scale of ``support``'s cut.
-``level_bounds`` reduces the bounds per ladder level: the divergence probe
+``level_bounds`` reduces the bounds over each level's prefix of a ladder's
+rows, one running maximum read at the level ends: the divergence probe
 reads its largest, M_k, and for two criteria ``support`` reads its margin
 t_k = min(1/2, 1/(1 + M_k)) from it (Geoffrion, "Proper efficiency and the
 theory of vector maximization", 1968); at Soland's point M_k = 2^k.
@@ -183,12 +184,12 @@ def divergence_probe(
     against the smallest offset.
     """
     levels, offsets = ladder_steps(ladder)
-    # level k's ratio is the largest bound over the rows entering by k, and
-    # 0 from the first level holding a dominating row on
+    # level k's ratio is the largest bound over its prefix of the ladder's
+    # rows, and 0 once that prefix holds a dominating row
     cuts = as_cuts(cloud, y_ref)
-    m_hats = level_bounds(cuts, ladder.rows, ladder.entry, len(levels)).max(axis=1)
-    dominated_from = ladder.entry[cuts.dominating[ladder.rows]].min(initial=len(levels) + 1)
-    m_hats[dominated_from - 1 :] = 0.0
+    m_hats = level_bounds(cuts, ladder.rows, ladder.ends).max(axis=1)
+    dominated = np.logical_or.accumulate(np.r_[False, cuts.dominating[ladder.rows]])
+    m_hats[dominated[ladder.ends]] = 0.0
     ratios = m_hats.tolist()
     nondecreasing = all(b >= a * (1.0 - 1e-12) for a, b in zip(ratios, ratios[1:]))
     # a first ratio of 0 asks only for a positive last one
@@ -202,26 +203,23 @@ def divergence_probe(
     )
 
 
-def level_bounds(cuts: Cuts, rows=None, entry=None, levels: int = 1) -> np.ndarray:
+def level_bounds(cuts: Cuts, rows, ends) -> np.ndarray:
     """M[k - 1, i], the largest bound among the rows that gain in criterion
-    i and enter by level k, 0 without one: ``rows[j]`` enters at ``entry[j]``
-    (all at level 1 for None; ``rows`` None is the whole sample)."""
+    i in the prefix ``rows[:ends[k - 1]]`` of a ladder's rows, 0 without
+    one; ``rows`` None is the whole sample."""
     bounds, diffs = cuts.bounds, cuts.diffs
     if rows is not None:
         bounds, diffs = np.take(bounds, rows), np.take(diffs, rows, axis=0)
     gained = np.where(diffs > 0, bounds[:, None], 0.0)
-    if entry is None:
-        return gained.max(axis=0, initial=0.0, keepdims=True)
-    out = np.zeros((levels, diffs.shape[1]))
-    for i, column in enumerate(gained.T):  # ufunc.at is fast in one dimension
-        np.maximum.at(out[:, i], entry - 1, column)
-    return np.maximum.accumulate(out, axis=0)
+    # a zero row in front: prefix j's maxima are row j
+    return np.maximum.accumulate(np.vstack([np.zeros(diffs.shape[1]), gained]))[ends]
 
 
 def fit_exponent(offsets, values) -> float | None:
     """The slope of log(values) against log(offsets), None unless there are
-    two or more values, all positive."""
-    if len(values) < 2 or any(v <= 0 for v in values):
+    two or more values, all positive, at offsets all positive (2^-k
+    underflows to 0 from k = 1075 on)."""
+    if len(values) < 2 or any(v <= 0 for v in (*offsets, *values)):
         return None
     slope = np.polyfit(np.log(np.asarray(offsets)), np.log(np.asarray(values)), 1)[0]
     return float(slope)

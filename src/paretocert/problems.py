@@ -399,19 +399,20 @@ def grid_rows(cloud: PointCloud, indices: list[np.ndarray]) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Ladder:
     """The nested level clouds of a refinement toward a decision anchor, held
-    as rows of the cloud they were cut from: the rows of the deepest level
-    and the level at which each of them enters.
+    as rows of the cloud they were cut from: the rows of the deepest level,
+    ordered stably by the level at which they enter, and the size of each
+    level.
 
-    Level k is the rows with ``entry <= k``, in order: the grid
-    ``GridSpec.geometric(anchor, k)`` cut from that cloud.
+    Level k is the prefix ``rows[:ends[k - 1]]``: as a set, the grid
+    ``GridSpec.geometric(anchor, k)`` cut from that cloud, and in row order
+    within each level.
     """
 
-    rows: np.ndarray  # read-only sorted indices into the cloud
-    entry: np.ndarray  # read-only ints in 1..levels, one per row
-    levels: int
+    rows: np.ndarray  # read-only indices into the cloud, by entry level
+    ends: np.ndarray  # read-only, nondecreasing: the size of each level
 
     def __len__(self) -> int:
-        return self.levels
+        return len(self.ends)
 
 
 def ladder_steps(ladder) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -430,7 +431,8 @@ def refinement_ladder(problem: AnalyticProblem, cloud: PointCloud, anchor, level
     offsets 2^-j, j = 1..k, on both sides, clipped to the domain. ``cloud``
     must contain level ``levels``. That level is cut once; a row enters at
     the largest, over its decision's coordinates, of the first level whose
-    clipped axis values hold the coordinate.
+    clipped axis values hold the coordinate, and one stable sort by entry
+    level makes each level a prefix.
     """
     indices = axis_indices(problem, cloud, GridSpec.geometric(anchor, levels))
     entries = []
@@ -439,8 +441,10 @@ def refinement_ladder(problem: AnalyticProblem, cloud: PointCloud, anchor, level
         for v, k in _geometric_values(AxisSpec.geometric(anchor[d], levels), *problem.domain[d]):
             first.setdefault(v, k)
         entries.append([first[v] for v in axis[idx].tolist()])
-    entry = np.max(np.broadcast_arrays(*np.ix_(*entries)), axis=0).reshape(-1)
-    return Ladder(rows=grid_rows(cloud, indices), entry=_read_only(entry), levels=levels)
+    entered = np.max(np.broadcast_arrays(*np.ix_(*entries)), axis=0).reshape(-1)
+    by_level = np.argsort(entered, kind="stable")
+    ends = np.searchsorted(entered[by_level], np.arange(1, levels + 1), side="right")
+    return Ladder(rows=_read_only(grid_rows(cloud, indices)[by_level]), ends=_read_only(ends))
 
 
 # ---------------------------------------------------------------------------

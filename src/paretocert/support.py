@@ -47,9 +47,10 @@ sample, so the columns are those of the row set alone. A margin over the
 whole sample takes the cut matrix as it is, with no copy. Equal cuts are not
 merged, and need not be: a copy of a column has its twin's reduced cost,
 summed row by row, so it never prices in once the twin is basic, and the
-p = 2 bounds ignore the order and the copies of the rows. Along a ladder the
-columns are the rows ordered stably by the level at which they enter, so
-level k's margin is over a prefix of the columns. With two criteria,
+p = 2 bounds ignore the order and the copies of the rows. A ladder holds its
+rows ordered stably by the level at which they enter (``problems.Ladder``),
+and the columns are in that order, so level k's margin is over a prefix of
+the columns, and a row set is a ladder of one level. With two criteria,
 ``geoffrion.level_bounds`` gives every level's bounds at once. They grow
 with the level, so the intervals are nested, the empty ones are the deepest
 levels, and each of those is an LP over its prefix: a prefix view of one LP
@@ -83,7 +84,7 @@ class MarginReport:
     margin: float
     weights: tuple[float, ...] | None  # present when the margin is positive
     binding: tuple[int, ...]
-    feasible: bool  # False when even a zero margin is unattainable
+    feasible: bool  # some weights summing to 1 keep every cut <= 0; else the margin is soft
     y_ref: tuple[float, ...]
     sample_size: int
 
@@ -135,14 +136,16 @@ def support_margin(cloud, y_ref=None, *, tol: float = _TOL, rows=None) -> Margin
 
     ``cloud`` is the sample and ``y_ref`` the reference, or ``cloud`` is the
     ``Cuts`` of a sample against its reference and ``y_ref`` is left out.
-    ``rows``, sorted indices, restricts the LP to those sample points; the
-    report's ``binding`` and ``sample_size`` are then relative to them.
+    ``rows``, indices, restricts the LP to those sample points, its columns
+    in their order; the report's ``binding`` and ``sample_size`` are then
+    relative to them, sorted.
     Without ``rows`` the LP is over the whole sample.
     """
     cuts = as_cuts(cloud, y_ref)
     if rows is not None and not len(rows):
         raise ValueError("empty row set")
-    return _level_margins(cuts, rows, None, 1, tol)[1]
+    ends = np.array([len(cuts) if rows is None else len(rows)])
+    return _level_margins(cuts, rows, ends, tol)[1]
 
 
 def support_trend(cloud, ladder, y_ref=None, *, persistent_threshold: float = 1e-3) -> TrendReport:
@@ -156,7 +159,7 @@ def support_trend(cloud, ladder, y_ref=None, *, persistent_threshold: float = 1e
     """
     levels, offsets = ladder_steps(ladder)
     cuts = as_cuts(cloud, y_ref)
-    margins, last = _level_margins(cuts, ladder.rows, ladder.entry, len(levels), _TOL)
+    margins, last = _level_margins(cuts, ladder.rows, ladder.ends, _TOL)
     verdict = PERSISTENT if margins[-1] >= persistent_threshold else VANISHING
     return TrendReport(
         levels=levels,
@@ -170,19 +173,11 @@ def support_trend(cloud, ladder, y_ref=None, *, persistent_threshold: float = 1e
 
 
 def _level_margins(
-    cuts: Cuts, rows: np.ndarray | None, entry: np.ndarray | None, levels: int, tol: float
+    cuts: Cuts, rows: np.ndarray | None, ends: np.ndarray, tol: float
 ) -> tuple[tuple[float, ...], MarginReport]:
-    """The margin over each level k = 1..levels of the sorted sample rows
-    ``rows``, ``rows[i]`` entering at level ``entry[i]``, and the report of
-    the deepest level; ``entry`` None is one level, and ``rows`` None then
-    the whole sample."""
-    if entry is None:
-        order, ends = rows, np.array([len(cuts) if rows is None else len(rows)])
-    else:
-        # stable: level k is a prefix of the columns, in row order within a level
-        by_level = np.argsort(entry, kind="stable")
-        order = rows[by_level]
-        ends = np.searchsorted(entry[by_level], np.arange(1, levels + 1), side="right")
+    """The margin over each level k, the prefix ``rows[:ends[k - 1]]`` of the
+    sample rows ``rows`` (None for the whole sample), and the report of the
+    deepest level, whose ``binding`` is relative to its rows sorted."""
     if not np.isfinite(cuts.diffs).all():  # the whole sample, whichever rows are read
         k = np.argmin(np.isfinite(cuts.diffs).all(axis=1))
         raise SchemaError(f"point {k}: y - y_ref is not finite at {cuts.y_ref}")
@@ -191,7 +186,7 @@ def _level_margins(
     feasible = True
     if p == 2:
         # the LP solves only the levels where either interval is empty, a suffix
-        pair = _two_criteria_weights(level_bounds(cuts, rows, entry, levels))
+        pair = _two_criteria_weights(level_bounds(cuts, rows, ends))
         held = pair.min(axis=1)  # NaN where either weight is
         # -(0.0 - t), as the LP's value: a zero margin reads -0.0 either way
         margins = (-(0.0 - held[~np.isnan(held)])).tolist()
@@ -199,7 +194,7 @@ def _level_margins(
     hard = soft = None  # each level's LP is over a prefix of these instances' columns
     for end in ends[len(margins) :].tolist():
         if hard is None:
-            columns = cuts.cuts if order is None else np.take(cuts.cuts, order, axis=0)
+            columns = cuts.cuts if rows is None else np.take(cuts.cuts, rows, axis=0)
             hard = ConeInstance(columns, "lambda")
         out = solve_lp(hard, end)
         feasible = out.status == "optimal"
@@ -215,7 +210,7 @@ def _level_margins(
     binding: tuple[int, ...] = ()
     if feasible and margin > tol:
         weights = tuple(float(v) for v in w)
-        slack = (cuts.diffs if rows is None else np.take(cuts.diffs, rows, axis=0)) @ w
+        slack = (cuts.diffs if rows is None else np.take(cuts.diffs, np.sort(rows), axis=0)) @ w
         binding = tuple(int(i) for i in np.flatnonzero(np.abs(slack) <= tol))
     last = MarginReport(
         margin=margin,

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paretocert import cli, geoffrion, linprog, pareto, support
+from paretocert import cli, errors, geoffrion, linprog, pareto, support
 from paretocert.problems import (
     AxisSpec,
     GridSpec,
@@ -207,6 +207,41 @@ def test_non_finite_point_exits_2(cloud_file, capsys, text):
     code, _, err = _run(capsys, "report", cloud_file, f"--point={text}")
     assert code == 2
     assert "finite" in err
+
+
+def error_classes(cls=errors.AnalysisError):
+    """``cls`` and every subclass of it, recursively."""
+    return [cls, *(c for sub in cls.__subclasses__() for c in error_classes(sub))]
+
+
+@pytest.mark.parametrize("cls", error_classes(), ids=lambda cls: cls.__name__)
+def test_every_error_class_has_its_exit_code(monkeypatch, capsys, cls):
+    # 4 for no conclusion, 3 for a numerical failure, 2 for any other error
+    code, prefix = 2, "error: "
+    if issubclass(cls, (errors.DomainError, errors.NonDifferentiable, errors.NumericalBreakdown)):
+        code, prefix = 3, "numerical failure: "
+    if issubclass(cls, errors.LicqNotVerified):
+        code, prefix = 4, "no conclusion: "
+    exc = cls("boom", 0) if issubclass(cls, errors.ExprSyntaxError) else cls("boom")
+
+    def raising(source):
+        raise exc
+
+    monkeypatch.setattr(cli, "_load", raising)
+    assert _run(capsys, "classify", "builtin:soland") == (code, "", f"{prefix}{exc}\n")
+
+
+@pytest.mark.parametrize("command", ["report", "classify"])
+def test_offsets_that_underflow_fit_no_exponent(tmp_path, command):
+    # from level 1075 on, the offset 2^-k is 0.0, which has no logarithm
+    out = tmp_path / "deep.json"
+    argv = [command, "builtin:soland", "--point-decision", "1", "--levels", "1075"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    record = json.loads(out.read_text())["points"][0]
+    assert record["divergence"]["offsets"][-1] == 0.0
+    assert record["divergence"]["fitted_exponent"] is None
+    if command == "report":
+        assert record["support"]["trend"]["fitted_exponent"] is None
 
 
 FLOAT_SETTINGS = [f.name for f in dataclasses.fields(cli.Config) if type(f.default) is float]
@@ -448,13 +483,18 @@ def test_located_point_probes_its_decisions_image(tmp_path, capsys):
 @pytest.mark.parametrize(
     "doc, anchors, grid, levels",
     [
-        (SOLAND, [(0.0,), (1.6875,), (4.0,)], 65, 14),
-        (PLANE2D, [(0.0, 0.0), (1.0, 0.3), (0.3, 0.6)], 9, 14),
-        (CUBE3D, [(0.0, 0.5, 1.0), (0.25, 0.75, 0.3)], 5, 5),
+        pytest.param(doc, anchors, grid, levels, id=name if levels == 14 else f"{name}-levels{levels}")
+        for name, doc, anchors, grid in (
+            ("soland", SOLAND, [(0.0,), (1.6875,), (4.0,)], 65),
+            ("plane2d", PLANE2D, [(0.0, 0.0), (1.0, 0.3), (0.3, 0.6)], 9),
+            ("cube3d", CUBE3D, [(0.0, 0.5, 1.0), (0.25, 0.75, 0.3)], 5),
+        )
+        for levels in (6, 12, 14)  # below, at and beyond the witness sample's 12 levels
     ],
-    ids=["soland", "plane2d", "cube3d"],
 )
 def test_witness_cloud_equals_fresh_sampling(doc, anchors, grid, levels):
+    # the witness sample joins the uniform grid with the point's ladder up to
+    # level 12: a fresh sample of that grid, row for row
     problem = load_problem(json.dumps(doc))
     cfg = cli.Config(levels=levels, grid=grid)
     specs = [cli._PointSpec(decision=a, criterion=problem.criteria_at(a)) for a in anchors]
@@ -466,7 +506,7 @@ def test_witness_cloud_equals_fresh_sampling(doc, anchors, grid, levels):
             for d in range(problem.decision_dim)
         )
         fresh = sample_criterion_space(problem, GridSpec(axes))
-        rows = cli._witness_rows(problem, spec, cfg, cloud, uniform)
+        rows = cli._witness_rows(cloud, cli._ladder(problem, cloud, spec, cfg), uniform)
         assert cloud.as_array()[rows].tobytes() == fresh.as_array().tobytes()
         assert cloud.decision_array()[rows].tobytes() == fresh.decision_array().tobytes()
 
@@ -508,11 +548,11 @@ def test_point_margins_equal_fresh_samples(doc, grid, levels):
         for k, margin in zip(trend.levels, trend.margins):
             want = fresh(GridSpec.geometric(spec.decision, k), y)
             assert repr(margin) == repr(want.margin)
-            level = ladder.rows[ladder.entry <= k]
+            level = np.sort(ladder.rows[: ladder.ends[k - 1]])
             assert repr(support.support_margin(cuts, rows=level)) == repr(want)
         assert repr(trend.last) == repr(want)
         witness_grid = joined_grid(problem, [spec.decision], cfg.grid, min(cfg.levels, 12))
-        witness_margin, _ = cli._build_witness_dict(problem, spec, cfg, cloud, cuts, uniform)
+        witness_margin, _ = cli._build_witness_dict(cfg, cloud, ladder, cuts, uniform)
         assert repr(witness_margin) == repr(fresh(witness_grid, y))
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from paretocert import geoffrion, problems, support
 from paretocert.errors import DimensionError, SchemaError
-from paretocert.problems import GridSpec, Ladder, builtin, refinement_ladder, sample_criterion_space
+from paretocert.problems import GridSpec, builtin, refinement_ladder, sample_criterion_space
+from test_support import level_ladder
 
 
 def ladder(problem, anchor, levels):
@@ -90,7 +91,7 @@ def test_ratio_dimension_checks():
         geoffrion.proper_efficiency_report([(1.0, 1.0)], (0.0,))
 
 
-STEPS = Ladder(rows=np.arange(2), entry=np.array([1, 2]), levels=2)
+STEPS = level_ladder(np.arange(2), [1, 2], 2)
 ENTRY_POINTS = {
     "support_margin": lambda cloud, y_ref: support.support_margin(cloud, y_ref),
     "support_trend": lambda cloud, y_ref: support.support_trend(cloud, STEPS, y_ref),
@@ -253,7 +254,7 @@ def hand_ladder(points, entry, levels):
     rows = [row for y in points for row in ((1e9,) * p, tuple(float(v) for v in y))]
     cloud = problems.PointCloud(criterion_dim=p, points=tuple(rows))
     inside = np.arange(1, len(rows), 2)
-    return cloud, problems.Ladder(rows=inside, entry=np.asarray(entry), levels=levels)
+    return cloud, level_ladder(inside, entry, levels)
 
 
 def ratio_text(report):
@@ -265,8 +266,8 @@ def level_ratios(cloud, steps, y_ref):
     dominated."""
     points = cloud.as_array()
     return [
-        ratio_text(geoffrion.proper_efficiency_report(points[steps.rows[steps.entry <= k]], y_ref))
-        for k in range(1, len(steps) + 1)
+        ratio_text(geoffrion.proper_efficiency_report(points[steps.rows[:end]], y_ref))
+        for end in steps.ends
     ]
 
 

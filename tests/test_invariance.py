@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from paretocert import cli, support
-from paretocert.problems import Ladder
-from test_support import SLOW_SOLAND, recording_level_lps, two_criteria_sample
+from test_support import SLOW_SOLAND, level_ladder, recording_level_lps, two_criteria_sample
 
 # builtin:soland with its criteria swapped, constraints rewritten to match
 SWAPPED_SOLAND = {
@@ -98,7 +97,7 @@ def test_swapping_two_criteria_swaps_the_weights(monkeypatch):
         levels = int(rng.integers(1, 5))
         entry = rng.integers(1, levels + 1, size=len(rows))
         entry[rng.integers(len(rows))] = 1  # no level is empty
-        ladder = Ladder(rows=rows, entry=entry, levels=levels)
+        ladder = level_ladder(rows, entry, levels)
         del solved[:]
         trend = support.support_trend(points, ladder, y_ref)
         closed = closed_form_levels(trend)

@@ -10,12 +10,12 @@ from paretocert import linprog as lp
 from paretocert.errors import NumericalBreakdown
 from paretocert.problems import (
     GridSpec,
-    Ladder,
     builtin,
     grid_nodes,
     load_document,
     sample_criterion_space,
 )
+from test_support import level_ladder
 
 MASSES = ("lambda", "lambda+nu", "nu")
 
@@ -235,7 +235,7 @@ def test_every_cone_margin_solve_passes_solve_lp_and_solve_linear(monkeypatch):
         lp.cone_margin(cuts, mass=mass)
     assert solved == [5, 5, 5] and len(factorized) >= 3
     # a ladder's levels solve over prefixes of one instance, each a call
-    steps = Ladder(rows=np.arange(50), entry=np.repeat([1, 2], 25), levels=2)
+    steps = level_ladder(np.arange(50), np.repeat([1, 2], 25), 2)
     support.support_trend(cuts, steps, (0.0,) * 4)
     assert len(solved) >= 5 and set(solved[3:]) == {5}
 

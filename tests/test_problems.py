@@ -12,6 +12,7 @@ from paretocert.errors import (
     SchemaError,
     UnknownBuiltin,
 )
+from test_support import level_ladder
 
 SOLAND_DOC = {
     "type": "analytic",
@@ -233,7 +234,7 @@ def assert_rows_are_the_sample(cloud, rows, fresh):
 
 
 def test_ladder_steps_are_shared_by_both_trends():
-    ladder = problems.Ladder(rows=np.arange(3), entry=np.array([1, 2, 3]), levels=3)
+    ladder = level_ladder(np.arange(3), [1, 2, 3], 3)
     assert problems.ladder_steps(ladder) == ((1, 2, 3), (0.5, 0.25, 0.125))
     points = np.array([[0.0, 1.0], [1.0, 0.5], [0.5, 0.75]])
     trend = support.support_trend(points, ladder, (0.5, 0.75))
@@ -245,8 +246,8 @@ def test_ladder_steps_are_shared_by_both_trends():
     "problem, anchors, count, levels",
     [
         (problems.builtin("soland"), [(0.0,), (1.6875,), (4.0,)], 65, 24),
-        # from level 52 on, the offsets of 3.375 and 4 round back to the anchor
-        (problems.builtin("soland"), [(0.0,), (3.375,), (4.0,)], 9, 60),
+        # from level 52 on, the offsets of 3, 3.375 and 4 round back to the anchor
+        (problems.builtin("soland"), [(0.0,), (3.0,), (3.375,), (4.0,)], 9, 60),
         (
             problems.load_problem(json.dumps(PLANE2D_DOC)),
             [(0.0, 0.0), (1.0, 1.0), (0.0, 0.5), (1.0, 0.3), (0.25, 0.75), (0.3, 0.6)],
@@ -261,13 +262,19 @@ def test_ladder_levels_equal_fresh_sampling(problem, anchors, count, levels):
     for anchor in anchors:
         ladder = problems.refinement_ladder(problem, cloud, anchor, levels)
         assert len(ladder) == levels
-        assert not ladder.entry.flags.writeable
-        for k in range(1, levels + 1):
+        assert not ladder.rows.flags.writeable and not ladder.ends.flags.writeable
+        assert np.all(np.diff(ladder.ends) >= 0) and ladder.ends[-1] == len(ladder.rows)
+        starts = [0, *ladder.ends[:-1].tolist()]
+        for k, (start, end) in enumerate(zip(starts, ladder.ends.tolist()), start=1):
+            assert np.all(np.diff(ladder.rows[start:end]) > 0)  # the level's new rows
             grid = problems.GridSpec.geometric(anchor, k)
-            level = ladder.rows[ladder.entry <= k]
+            level = np.sort(ladder.rows[:end])
             level.flags.writeable = False
             assert_rows_are_the_sample(cloud, level, problems.sample_criterion_space(problem, grid))
             assert np.array_equal(level, problems.cut_grid(problem, cloud, grid))
+        if levels == 60 and anchor[0] >= 3.0:
+            # the offsets from 2^-52 on round onto the anchor: those levels add no row
+            assert np.all(ladder.ends[51:] == ladder.ends[50])
 
 
 def test_cut_of_the_whole_grid_is_the_cloud():
@@ -421,9 +428,9 @@ CUBE3D = _analytic(
 @pytest.mark.parametrize(
     "problem, anchors, count, levels",
     [
-        # 0 and 4 clip the refinement; from level 52 on, the offsets of 3.375
-        # and 4 round back onto the anchor
-        (SOLAND, [(0.0,), (1.6875,), (3.375,), (4.0,)], 9, 60),
+        # 0 and 4 clip the refinement; from level 52 on, the offsets of 3,
+        # 3.375 and 4 round back onto the anchor
+        (SOLAND, [(0.0,), (1.6875,), (3.0,), (3.375,), (4.0,)], 9, 60),
         (
             problems.load_problem(json.dumps(PLANE2D_DOC)),
             [(0.0, 0.0), (1.0, 0.3), (0.3, 0.6)],
@@ -449,10 +456,10 @@ def test_row_sets_equal_the_isin_scan(problem, anchors, count, levels):
         for k in range(1, levels + 1):
             grid = problems.GridSpec.geometric(spec.decision, k)
             want = isin_rows(problem, cloud, grid)
-            assert np.array_equal(ladder.rows[ladder.entry <= k], want)
+            assert np.array_equal(np.sort(ladder.rows[: ladder.ends[k - 1]]), want)
             assert np.array_equal(problems.cut_grid(problem, cloud, grid), want)
         witness = joined_grid(problem, [spec.decision], count, min(levels, 12))
-        rows = cli._witness_rows(problem, spec, cfg, cloud, indices)
+        rows = cli._witness_rows(cloud, ladder, indices)
         assert np.array_equal(rows, isin_rows(problem, cloud, witness))
     missing = problems.GridSpec.uniform(n, count + 2)  # holds nodes the cloud lacks
     for cut in (isin_rows, problems.cut_grid):

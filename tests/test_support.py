@@ -28,6 +28,15 @@ def ladder(problem, anchor, levels):
     return cloud, refinement_ladder(problem, cloud, anchor, levels)
 
 
+def level_ladder(rows, entry, levels):
+    """A hand-made ladder whose row ``rows[i]`` enters at level ``entry[i]``:
+    the rows sorted stably by level, and the size of each level."""
+    entry = np.asarray(entry)
+    by_level = np.argsort(entry, kind="stable")
+    ends = np.searchsorted(entry[by_level], np.arange(1, levels + 1), side="right")
+    return Ladder(rows=np.asarray(rows)[by_level], ends=ends)
+
+
 def margin_grid_oracle(points, y_ref, rounds=5, resolution=2001):
     """Two-criteria brute force: zooming dense grid over simplex weights.
 
@@ -101,7 +110,7 @@ def test_whole_sample_margin_takes_the_cut_matrix_as_it_is():
             n = len(cuts)
             got = support.support_margin(cuts)
             every = support.support_margin(cuts, rows=np.arange(n))
-            level = support._level_margins(cuts, np.arange(n), np.ones(n, dtype=int), 1, 1e-8)[1]
+            level = support._level_margins(cuts, np.arange(n), np.array([n]), 1e-8)[1]
             want = _report_repr(level)
             assert _report_repr(got) == _report_repr(every) == want, (p, trial)
             assert [(a.tobytes(), a.flags.writeable) for a in (cuts.cuts, cuts.diffs)] == before
@@ -240,17 +249,14 @@ def test_trend_margins_equal_cold_solves_per_level(problem, anchor, levels):
     assert repr(trend.last) == repr(cold[-1])
 
 
-def row_order_level_cuts(rows, entry, levels, y_ref):
-    """Each level's cut matrix from normalizing ``rows`` alone: the rows that
-    enter at level 1, then those that enter at level 2, and so on, each in row
-    order, so level k is the prefix of the rows that enter by k."""
+def prefix_cuts(rows, ends, y_ref):
+    """Each level's cut matrix from normalizing ``rows`` alone, points in a
+    ladder's order: level k is the prefix ``rows[:ends[k - 1]]``."""
     diffs = rows - np.asarray(tuple(float(v) for v in y_ref))
     scale = np.max(np.abs(diffs), axis=1)
     scale[scale == 0.0] = 1.0
     cuts = diffs / scale[:, None]
-    entry = np.asarray(entry)
-    by_level = [cuts[entry == j] for j in range(1, levels + 1)]
-    return [np.concatenate(by_level[:k]) for k in range(1, levels + 1)]
+    return [cuts[:end] for end in ends]
 
 
 def recording_level_lps(monkeypatch):
@@ -298,7 +304,7 @@ def continuous_cloud_ladder(levels):
     cloud = PointCloud(criterion_dim=3, points=points)
     rows = np.sort(rng.permutation(4000)[:3000])
     entry = rng.integers(1, levels + 1, size=3000)
-    return cloud, Ladder(rows=rows, entry=entry, levels=levels)
+    return cloud, level_ladder(rows, entry, levels)
 
 
 # Soland's criteria and a third, -x0: p = 3, so every level's margin is an LP
@@ -317,13 +323,16 @@ SOLAND3 = load_problem(json.dumps({
 )
 def test_margin_lp_columns_keep_their_order(monkeypatch, problem, anchor, levels):
     # column order decides pricing ties in the simplex, so the cut
-    # matrices must be the rows' own cuts bit for bit, sorted stably by entry
-    # level and in row order within a level
+    # matrices must be the rows' own cuts bit for bit, in the ladder's order
+    # (stably by entry level, in row order within a level) along the ladder
+    # and in row order for a row set
     # the ladder's and the whole cloud's LPs take their columns from one
     # preparation of the cloud's cuts; p = 3 throughout, since p = 2 margins
     # solve no LP while every level's bounds leave both weights an interval
     cloud, steps = continuous_cloud_ladder(levels) if problem is None else ladder(problem, anchor, levels)
-    rows = cloud.as_array()[steps.rows]
+    everything = cloud.as_array()
+    deepest_rows = np.sort(steps.rows)
+    rows = everything[deepest_rows]
     if problem is None:
         references = [tuple(rows[17]), (0.5, -0.25, 3.0)]
     else:
@@ -331,18 +340,15 @@ def test_margin_lp_columns_keep_their_order(monkeypatch, problem, anchor, levels
     for y_ref in references:
         cuts = geoffrion.prepare_cuts(cloud, y_ref)
         trend = recorded_level_cuts(monkeypatch, lambda: support.support_trend(cuts, steps))
-        assert_same_bits(trend, row_order_level_cuts(rows, steps.entry, len(steps), y_ref))
+        assert_same_bits(trend, prefix_cuts(everything[steps.rows], steps.ends, y_ref))
         deepest = recorded_level_cuts(monkeypatch, lambda: support.support_margin(rows, y_ref))
-        assert_same_bits(deepest, row_order_level_cuts(rows, np.ones(len(rows), dtype=int), 1, y_ref))
+        assert_same_bits(deepest, prefix_cuts(rows, [len(rows)], y_ref))
         subset = recorded_level_cuts(
-            monkeypatch, lambda: support.support_margin(cuts, rows=steps.rows)
+            monkeypatch, lambda: support.support_margin(cuts, rows=deepest_rows)
         )
         assert_same_bits(subset, deepest)
         whole = recorded_level_cuts(monkeypatch, lambda: support.support_margin(cuts))
-        everything = cloud.as_array()
-        assert_same_bits(
-            whole, row_order_level_cuts(everything, np.ones(len(everything), dtype=int), 1, y_ref)
-        )
+        assert_same_bits(whole, prefix_cuts(everything, [len(everything)], y_ref))
 
 
 def test_row_set_columns_equal_those_of_the_rows_alone(monkeypatch):
@@ -360,13 +366,12 @@ def test_row_set_columns_equal_those_of_the_rows_alone(monkeypatch):
         cuts = geoffrion.prepare_cuts(points, y_ref)
         alone = points[rows]
         got = recorded_level_cuts(monkeypatch, lambda: support.support_margin(cuts, rows=rows))
-        ones = np.ones(len(rows), dtype=int)
-        assert_same_bits(got, row_order_level_cuts(alone, ones, 1, y_ref))
+        assert_same_bits(got, prefix_cuts(alone, [len(alone)], y_ref))
         report = support.support_margin(cuts, rows=rows)
         assert repr(report) == repr(support.support_margin(alone, y_ref))
-        steps = Ladder(rows=rows, entry=entry, levels=levels)
+        steps = level_ladder(rows, entry, levels)
         got = recorded_level_cuts(monkeypatch, lambda: support.support_trend(cuts, steps))
-        assert_same_bits(got, row_order_level_cuts(alone, entry, levels, y_ref))
+        assert_same_bits(got, prefix_cuts(points[steps.rows], steps.ends, y_ref))
 
 
 def assert_doubled(got, want):
@@ -395,11 +400,10 @@ def test_duplicate_rows_are_harmless(problem, anchor, levels):
     points = cloud.as_array()
     n = len(points)
     twice = np.vstack([points, points])
-    stacked = Ladder(
-        rows=np.r_[steps.rows, steps.rows + n], entry=np.r_[steps.entry, steps.entry], levels=levels
-    )
+    entry = np.repeat(np.arange(1, levels + 1), np.diff(steps.ends, prepend=0))
+    stacked = level_ladder(np.r_[steps.rows, steps.rows + n], np.r_[entry, entry], levels)
     if problem is None:
-        references = [tuple(points[steps.rows[17]]), (0.5, -0.25, 3.0)]
+        references = [tuple(points[np.sort(steps.rows)[17]]), (0.5, -0.25, 3.0)]
     else:
         references = [problem.criteria_at(anchor)]
     for y_ref in references:
@@ -411,11 +415,12 @@ def test_duplicate_rows_are_harmless(problem, anchor, levels):
         assert_doubled(trend.last, want.last)
 
 
-def lp_level_margins(rows, entry, levels, y_ref):
+def lp_level_margins(rows, ends, y_ref):
     """(margin, feasible, weights) of each level's margin LP over the cuts of
-    ``rows`` alone, the soft margin where the hard one is infeasible."""
+    ``rows`` alone, as for ``prefix_cuts``, the soft margin where the hard one
+    is infeasible."""
     results = []
-    for cuts in row_order_level_cuts(rows, entry, levels, y_ref):
+    for cuts in prefix_cuts(rows, ends, y_ref):
         out = lp.cone_margin(cuts, mass="lambda")
         feasible = out.status == "optimal"
         if not feasible:
@@ -427,8 +432,9 @@ def lp_level_margins(rows, entry, levels, y_ref):
 def two_criteria_sample(rng):
     """A random p = 2 sample and reference, in integers or normal floats, with
     signed zeros and rows that are the reference (zero cuts), duplicates,
-    gains with no loss, and rows whose two cuts are equal (c0 = c1, either
-    sign: dominated, or leaving no weight)."""
+    gains with no loss, rows whose two cuts are equal (c0 = c1, either
+    sign: dominated, or leaving no weight), and rows gaining in both
+    criteria by unequal amounts."""
     n = int(rng.integers(1, 30))
     y_ref = rng.integers(-1, 2, size=2).astype(float)
     if rng.random() < 0.5:
@@ -442,6 +448,7 @@ def two_criteria_sample(rng):
     gain = np.eye(2)[rng.integers(0, 2, size=n)]
     points[kind == 2] = (y_ref + size * gain)[kind == 2]
     points[kind == 3] = (y_ref - size)[kind == 3]
+    points[kind == 5] = (y_ref + size * (0.5 + gain))[kind == 5]
     if rng.random() < 0.2:
         points[kind == 4] = (y_ref + size)[kind == 4]
     return points, tuple(y_ref)
@@ -475,9 +482,14 @@ def test_bound_weights_match_the_cut_formula():
     # interval, as for the row (0.5, 1), where it gives lambda* = 2, mu* = -1
     cuts = geoffrion.prepare_cuts([(0.5, 1.0)], (0.0, 0.0))
     assert (cut_formula_weight(cuts.cuts), cut_formula_weight(cuts.cuts[:, ::-1])) == (2.0, -1.0)
-    assert np.isnan(support._two_criteria_weights(geoffrion.level_bounds(cuts))).all()
+    assert np.isnan(support._two_criteria_weights(geoffrion.level_bounds(cuts, None, [1]))).all()
     report = support.support_margin(cuts)  # the LP's margin is the cut formula's
     assert (report.margin, report.feasible, report.weights) == (-1.0, True, None)
+    # the hard LP's weights may be negative, so a dominated reference can be
+    # feasible, as above; feasible is False only when no weights summing to 1
+    # keep every cut <= 0, and the margin is then the soft one
+    report = support.support_margin([(0.5, 1.0), (1.0, 0.5)], (0.0, 0.0))
+    assert (report.margin, report.feasible) == (-0.75, False)
     rng = np.random.default_rng(1968)
     compared = both_gain = 0
     ulps = []
@@ -486,22 +498,21 @@ def test_bound_weights_match_the_cut_formula():
         n = len(points)
         rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
         levels = int(rng.integers(1, 5))
-        entry = rng.integers(1, levels + 1, size=len(rows))
+        steps = level_ladder(rows, rng.integers(1, levels + 1, size=len(rows)), levels)
         cuts = geoffrion.prepare_cuts(points, y_ref)
-        got = support._two_criteria_weights(geoffrion.level_bounds(cuts, rows, entry, levels))
-        gains_twice = (cuts.diffs[rows] > 0).all(axis=1)
-        for k in range(1, levels + 1):
-            level = cuts.cuts[rows[entry <= k]]
+        got = support._two_criteria_weights(geoffrion.level_bounds(cuts, steps.rows, steps.ends))
+        for weights, end in zip(got, steps.ends.tolist()):
+            level = cuts.cuts[steps.rows[:end]]
             want = np.array([cut_formula_weight(level), cut_formula_weight(level[:, ::-1])])
-            if gains_twice[entry <= k].any():
+            if (cuts.diffs[steps.rows[:end]] > 0).all(axis=1).any():
                 both_gain += 1
-                assert np.isnan(got[k - 1]).all()
+                assert np.isnan(weights).all()
             elif np.isnan(want).any():
-                assert np.isnan(got[k - 1]).all()
+                assert np.isnan(weights).all()
             else:
                 compared += 1
-                ulps.append(np.abs(got[k - 1] - want) / np.spacing(np.abs(want)))
-    # at most 2 ulps apart over 422 levels; 458 levels hold a row gaining twice
+                ulps.append(np.abs(weights - want) / np.spacing(np.abs(want)))
+    # at most 2 ulps apart over 376 levels; 555 levels hold a row gaining twice
     assert np.max(ulps) <= 4, np.max(ulps)
     assert compared > 300 and both_gain > 300, (compared, both_gain)
 
@@ -521,10 +532,11 @@ def test_two_criteria_margins_equal_the_lp(monkeypatch):
         levels = int(rng.integers(1, 5))
         entry = rng.integers(1, levels + 1, size=len(rows))
         entry[rng.integers(len(rows))] = 1  # no level is empty
-        want = lp_level_margins(points[rows], entry, levels, y_ref)
+        steps = level_ladder(rows, entry, levels)
+        want = lp_level_margins(points[steps.rows], steps.ends, y_ref)
         cuts = geoffrion.prepare_cuts(points, y_ref)
         del solved[:]
-        trend = support.support_trend(cuts, Ladder(rows=rows, entry=entry, levels=levels))
+        trend = support.support_trend(cuts, steps)
         hard = [mass for _, mass in solved].count("lambda")
         fallen_back += hard
         decided += levels - hard
@@ -534,17 +546,18 @@ def test_two_criteria_margins_equal_the_lp(monkeypatch):
         assert [repr(got) for got, w in zip(trend.margins, want) if w[0] == 0.0] == [
             repr(w[0]) for w in want if w[0] == 0.0
         ]
-        for k, (margin, feasible, weights) in enumerate(want, start=1):
-            report = support.support_margin(cuts, rows=rows[entry <= k])
+        for end, (margin, feasible, weights) in zip(steps.ends.tolist(), want):
+            # the level's prefix: the trend's LP columns, in its order
+            report = support.support_margin(cuts, rows=steps.rows[:end])
             assert close(report.margin, margin) and report.feasible == feasible
             if report.weights is None:
                 assert not (feasible and margin > support._TOL)
             else:
                 assert np.allclose(report.weights, weights, rtol=0, atol=1e-9)
         assert repr(report) == repr(trend.last)
-    # both paths are well exercised: 378 closed-form levels, 626 LP levels,
-    # 132 zero margins (a level holding a row that gains in both criteria
-    # goes to the LP, so 300 samples gave only 286 closed-form levels)
+    # both paths are well exercised: 305 closed-form levels, 699 LP levels,
+    # 107 zero margins (a level holding a row that gains in both criteria
+    # goes to the LP)
     assert decided > 300 and fallen_back > 300 and zeros > 50
 
 
@@ -585,7 +598,7 @@ def test_non_finite_cuts_raise():
         points = np.array([[1.0, -1.0, 0.0][: len(y_ref)], [np.nan] + [1.0] * (len(y_ref) - 1)])
         with pytest.raises(SchemaError, match=r"point 1: y - y_ref is not finite"):
             support.support_margin(points, y_ref)
-        steps = Ladder(rows=np.arange(2), entry=np.array([2, 1]), levels=2)
+        steps = level_ladder(np.arange(2), [2, 1], 2)
         with pytest.raises(SchemaError, match=r"point 1: y - y_ref is not finite"):
             support.support_trend(points, steps, y_ref)
     # normalized cuts that are not finite are refused by the LP's instance
@@ -614,13 +627,13 @@ def test_levels_without_weights_are_the_lp_bit_for_bit(monkeypatch, case):
         y_ref, levels, first = (0.0, 0.0), 4, 3
         points = [[1.0, -1.0], [-1.0, 0.5], [1.0, 0.5], [0.25, -2.0], [-3.0, 1.0]]
         cloud = PointCloud(criterion_dim=2, points=points)
-        steps = Ladder(rows=np.arange(5), entry=np.array([1, 2, 3, 4, 4]), levels=levels)
+        steps = level_ladder(np.arange(5), [1, 2, 3, 4, 4], levels)
     rows = cloud.as_array()[steps.rows]
     cuts = geoffrion.prepare_cuts(cloud, y_ref)
     got = recorded_level_cuts(monkeypatch, lambda: support.support_trend(cuts, steps))
-    assert_same_bits(got, row_order_level_cuts(rows, steps.entry, levels, y_ref)[first - 1 :])
+    assert_same_bits(got, prefix_cuts(rows, steps.ends, y_ref)[first - 1 :])
     trend = support.support_trend(cuts, steps)
-    want = lp_level_margins(rows, steps.entry, levels, y_ref)
+    want = lp_level_margins(rows, steps.ends, y_ref)
     assert [repr(m) for m in trend.margins[first - 1 :]] == [repr(m) for m, _, _ in want[first - 1 :]]
     assert trend.last.feasible == want[-1][1]
     assert all(close(m, w) for m, (w, _, _) in zip(trend.margins[: first - 1], want))
